@@ -37,6 +37,12 @@ class FactorizationInconclusive(InputError):
     condition = "tower:square-free-inconclusive"
 
 
+class BadFactorBound(InputError):
+    """The trial-division bound from the environment is unusable."""
+
+    condition = "tower:factor-bound"
+
+
 class WrongSign(InputError):
     condition = "tower:sign"
 

@@ -34,7 +34,7 @@ class CMHodgeStructure:
     """Slots, labels, conjugation pairing and a pairing-respecting group."""
 
     def __init__(self, weight, slots, labels, rho, group, top_spreads=None,
-                 factor_info=None, simple=False, polarizable=True):
+                 factor_info=None, simple=False):
         self.weight = weight
         self.slots = tuple(sorted(slots))
         self.index = {s: i for i, s in enumerate(self.slots)}
@@ -45,9 +45,6 @@ class CMHodgeStructure:
         self.top_spreads = dict(top_spreads or {})
         self.factor_info = factor_info
         self.simple = simple
-        # declared, never computed; the Griffiths repackaging of a polarized
-        # structure carries an indefinite pairing, which is not modeled
-        self.polarizable = polarizable
         self._validate()
 
     # elements are stored as image tuples aligned with the sorted slot list

@@ -35,17 +35,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_eq(A, B):
-    return len(A) == len(B) and all(
-        len(ra) == len(rb) and all(a == b for a, b in zip(ra, rb))
-        for ra, rb in zip(A, B)
-    )
-
-
 def mat_inverse(A, one):
     """Gauss-Jordan inverse; raises SingularMatrix when det = 0."""
     n = len(A)

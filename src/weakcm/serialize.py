@@ -98,17 +98,6 @@ def parse_period_matrix(doc) -> tausplit.PeriodMatrix:
     return tausplit.period_matrix(field, *Bs)
 
 
-def period_matrix_out(pm: tausplit.PeriodMatrix) -> dict:
-    return {
-        "n": pm.n,
-        "field": {
-            "case": pm.field.case,
-            **{k: _rat(v) for k, v in sorted(pm.field.tower.params.items())},
-        },
-        "B": [rational_matrix_out(M) for M in pm.B],
-    }
-
-
 def validation_report(pm: tausplit.PeriodMatrix, de: tausplit.DeltaEps) -> dict:
     return {
         "case": pm.field.case,

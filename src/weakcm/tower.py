@@ -12,7 +12,11 @@ a fixed monomial basis over Q:
                               xi+, xi-, sqrt(d)xi+, sqrt(d)xi-},
                        with xi+ * xi- = -sqrt(dp)
 
-All coefficients are ``fractions.Fraction``; there is no floating point.
+An element stores integer numerators over one common denominator, and
+each tower keeps its structure constants as a sparse integer table over one
+common denominator, so products, sums and Galois images are computed in
+integers with one gcd per result; ``FieldElement.coeffs`` still exposes the
+coefficients as ``fractions.Fraction``s.  There is no floating point.
 Galois actions are stored as explicit Q-linear maps on the basis and checked
 to be ring automorphisms at construction time.
 
@@ -29,12 +33,12 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (
+    BadFactorBound,
     DegenerateBiquadratic,
     DivisionByZero,
     FactorizationInconclusive,
     MathError,
     NotSquareFree,
-    SingularMatrix,
     SquareClassMismatch,
     TowerMismatch,
     WrongSign,
@@ -101,7 +105,15 @@ def _factor_bound() -> int:
     raw = os.environ.get(_FACTOR_BOUND_ENV)
     if raw is None:
         return _DEFAULT_FACTOR_BOUND
-    return max(2, int(raw))
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = None
+    if bound is None or bound < 2:
+        raise BadFactorBound(
+            f"{_FACTOR_BOUND_ENV}={raw!r} is not an integer >= 2"
+        )
+    return bound
 
 
 def is_square_free(n: int, bound: int | None = None) -> bool:
@@ -179,9 +191,16 @@ _CASES = (QUADRATIC, BIQUADRATIC, CYCLIC_QUARTIC, QUARTIC_CLOSURE)
 
 
 class FieldElement:
-    """Element of a tower, as a coefficient vector over the monomial basis."""
+    """Element of a tower: integer numerators over one common denominator.
 
-    __slots__ = ("tower", "coeffs", "_hash")
+    The value is ``sum_k num[k] / den * basis[k]`` with ``den > 0`` and
+    ``gcd(den, *num) == 1``, so equal elements have equal ``(num, den)``;
+    zero is ``num = (0, ..., 0)``, ``den = 1``.  Arithmetic works on these
+    integers only, with one gcd per result.  ``coeffs`` is the same vector
+    as a tuple of ``Fraction``s, built on first use.  No floating point.
+    """
+
+    __slots__ = ("tower", "num", "den", "_coeffs", "_hash")
 
     def __init__(self, tower: "TowerSpec", coeffs):
         coeffs = tuple(
@@ -189,30 +208,44 @@ class FieldElement:
         )
         if len(coeffs) != tower.dim:
             raise TowerMismatch("coefficient vector has the wrong length")
+        # lowest-terms entries over their lcm leave gcd(den, *num) == 1
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.tower = tower
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+        self._coeffs = coeffs
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients over the monomial basis, as ``Fraction``s."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(a, den) for a in self.num)
+        return self._coeffs
 
     # -- structure
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return (self.num == other.num and self.den == other.den
+                    and self.tower.key == other.tower.key)
         if isinstance(other, (int, Fraction)):
-            other = self.tower.rational(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.tower.key == other.tower.key and self.coeffs == other.coeffs
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
+        return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.tower.key, self.coeffs))
+            self._hash = hash((self.tower.key, self.num, self.den))
         return self._hash
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.tower.key != self.tower.key:
+            if other.tower is not self.tower and other.tower.key != self.tower.key:
                 raise TowerMismatch("elements live in different towers")
             return other
         if isinstance(other, (int, Fraction)):
@@ -225,18 +258,25 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.tower, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return _normalised(self.tower, [a + b for a, b in zip(self.num, o.num)], da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _normalised(
+            self.tower, [a * fa + b * fb for a, b in zip(self.num, o.num)], da * fa
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, [-a for a in self.coeffs])
+        return _element(self.tower, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.tower, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -245,47 +285,96 @@ class FieldElement:
         return o - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.tower, [a * other for a in self.coeffs])
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, FieldElement):
+            if isinstance(other, (int, Fraction)):
+                n = other.numerator
+                return _normalised(self.tower, [a * n for a in self.num],
+                                   self.den * other.denominator)
             return NotImplemented
-        table = self.tower._mul_sparse
-        dim = self.tower.dim
-        out = [Fraction(0)] * dim
-        for i, a in enumerate(self.coeffs):
+        o = self._coerce(other)
+        t = self.tower
+        out = [0] * t.dim
+        right = [(j, b) for j, b in enumerate(o.num) if b]
+        for a, row in zip(self.num, t._int_table):
             if not a:
                 continue
-            row = table[i]
-            for j, b in enumerate(o.coeffs):
-                if not b:
-                    continue
+            for j, b in right:
                 ab = a * b
-                for k, t in row[j]:
-                    out[k] += ab * t
-        return FieldElement(self.tower, out)
+                for k, c in row[j]:
+                    out[k] += ab * c
+        return _normalised(t, out, self.den * o.den * t._int_den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse via the regular representation over Q."""
+        """Multiplicative inverse, by a fraction-free solve over Z.
+
+        The solve runs on the span of the fewest basis monomials that holds
+        self and 1 and is closed under products: a subfield, so it holds
+        the inverse (for a rational, a 1 x 1 system).  With R the integer
+        matrix of multiplication by ``num`` on that span (over den times
+        the table denominator), the inverse is den * table_den * R^-1 e_1.
+        Bareiss elimination keeps every entry an integer minor of R; the
+        last pivot is +-det R, and back substitution yields det * R^-1 e_1
+        with exact integer divisions.
+        """
         if not self:
             raise DivisionByZero("inverse of zero")
-        M = self.tower._regular_matrix(self)
-        e1 = [[Fraction(1) if i == 0 else Fraction(0)] for i in range(self.tower.dim)]
-        try:
-            sol = linalg.solve_columns(M, e1)
-        except SingularMatrix as exc:
-            raise DivisionByZero("element is a zero divisor") from exc
-        if sol is None:
-            raise DivisionByZero("element is a zero divisor")
-        return FieldElement(self.tower, [row[0] for row in sol])
+        t = self.tower
+        num = self.num
+        span, pos = t._subalgebra(tuple(i for i, a in enumerate(num) if a))
+        n = len(span)
+        R = [[0] * (n + 1) for _ in range(n)]
+        for i in span:
+            a = num[i]
+            if a:
+                row = t._int_table[i]
+                for q, j in enumerate(span):
+                    for k, c in row[j]:
+                        R[pos[k]][q] += a * c
+        R[0][n] = 1
+        prev = 1
+        for col in range(n):
+            for r in range(col, n):
+                if R[r][col]:
+                    break
+            else:
+                raise DivisionByZero("element is a zero divisor")
+            R[col], R[r] = R[r], R[col]
+            top = R[col]
+            piv = top[col]
+            for r in range(col + 1, n):
+                row = R[r]
+                f = row[col]
+                R[r] = [0] * (col + 1) + [
+                    (piv * row[j] - f * top[j]) // prev for j in range(col + 1, n + 1)
+                ]
+            prev = piv
+        det = prev
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = R[i]
+            acc = det * row[n]
+            for j in range(i + 1, n):
+                if row[j]:
+                    acc -= row[j] * x[j]
+            x[i] = acc // row[i]
+        scale = self.den * t._int_den
+        if det < 0:
+            det, scale = -det, -scale
+        out = [0] * t.dim
+        for k, v in zip(span, x):
+            out[k] = scale * v
+        return _normalised(t, out, det)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by zero")
-            return FieldElement(self.tower, [a / other for a in self.coeffs])
+            n, d = other.numerator, other.denominator
+            if n < 0:
+                n, d = -n, -d
+            return _normalised(self.tower, [a * d for a in self.num], self.den * n)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -314,7 +403,7 @@ class FieldElement:
     # -- queries
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -349,10 +438,29 @@ class FieldElement:
         return text
 
 
+def _element(tower: "TowerSpec", num: tuple, den: int) -> FieldElement:
+    """Element from numerators already in normal form over ``den > 0``."""
+    x = object.__new__(FieldElement)
+    x.tower = tower
+    x.num = num
+    x.den = den
+    x._coeffs = None
+    x._hash = None
+    return x
+
+
+def _normalised(tower: "TowerSpec", num, den: int) -> FieldElement:
+    """Element num/den for integer numerators and ``den > 0``, reduced."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return _element(tower, tuple(num), den)
+    return _element(tower, tuple(a // g for a in num), den // g)
+
+
 class GaloisElement:
     """Ring automorphism of a tower, as images of the basis monomials."""
 
-    __slots__ = ("tower", "images", "label")
+    __slots__ = ("tower", "images", "label", "_matrix")
 
     def __init__(self, tower: "TowerSpec", images, label: str):
         self.tower = tower
@@ -361,15 +469,29 @@ class GaloisElement:
             for img in images
         )
         self.label = label
+        self._matrix = None
+
+    def _integer_matrix(self):
+        """(rows, den): output numerator k is sum(x.num[i] * m for i, m in
+        rows[k]), over x.den * den.  Built on first application."""
+        images = self.images
+        den = math.lcm(*(img.den for img in images))
+        cols = [[a * (den // img.den) for a in img.num] for img in images]
+        rows = tuple(
+            tuple((i, col[k]) for i, col in enumerate(cols) if col[k])
+            for k in range(self.tower.dim)
+        )
+        self._matrix = (rows, den)
+        return self._matrix
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        if x.tower.key != self.tower.key:
+        if x.tower is not self.tower and x.tower.key != self.tower.key:
             raise TowerMismatch("element and automorphism live in different towers")
-        out = self.tower.zero()
-        for c, img in zip(x.coeffs, self.images):
-            if c:
-                out = out + img * c
-        return out
+        rows, den = self._matrix or self._integer_matrix()
+        num = x.num
+        return _normalised(
+            x.tower, [sum(num[i] * m for i, m in row) for row in rows], x.den * den
+        )
 
     def compose(self, other: "GaloisElement") -> "GaloisElement":
         """self after other: (self*other)(x) = self(other(x))."""
@@ -383,17 +505,14 @@ class GaloisElement:
     def __eq__(self, other):
         if not isinstance(other, GaloisElement):
             return NotImplemented
-        return self.tower.key == other.tower.key and all(
-            a.coeffs == b.coeffs for a, b in zip(self.images, other.images)
-        )
+        return self.tower.key == other.tower.key and self.images == other.images
 
     def __hash__(self):
-        return hash((self.tower.key, tuple(img.coeffs for img in self.images)))
+        return hash(self.images)
 
     def is_identity(self) -> bool:
         return all(
-            img.coeffs == self.tower.gen_index(i).coeffs
-            for i, img in enumerate(self.images)
+            img == self.tower.gen_index(i) for i, img in enumerate(self.images)
         )
 
     def is_multiplicative(self) -> bool:
@@ -469,16 +588,23 @@ class TowerSpec:
         self.dim = len(self._monomials)
         self.orientation = dict(orientation)
         self.mul_table = self._build_mul_table()
-        # products of basis monomials have very few terms; keep them sparse
-        self._mul_sparse = tuple(
+        # the same structure constants as sparse integers over one common
+        # denominator: basis_i * basis_j = sum(c * basis_k for k, c in
+        # _int_table[i][j]) / _int_den
+        self._int_den = math.lcm(
+            *(c.denominator for row in self.mul_table for cell in row for c in cell)
+        )
+        self._int_table = tuple(
             tuple(
-                tuple((k, c) for k, c in enumerate(cell) if c)
+                tuple((k, c.numerator * (self._int_den // c.denominator))
+                      for k, c in enumerate(cell) if c)
                 for cell in row
             )
             for row in self.mul_table
         )
         self.generators: dict[str, GaloisElement] = {}
         self._galois_cache = None
+        self._subalgebras = {}
 
     def __eq__(self, other):
         return isinstance(other, TowerSpec) and self.key == other.key
@@ -541,31 +667,41 @@ class TowerSpec:
             table.append(tuple(row))
         return tuple(table)
 
-    def _regular_matrix(self, x: FieldElement):
-        """Columns are the coordinates of x * basis_j."""
-        cols = [(x * self.gen_index(j)).coeffs for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def _subalgebra(self, support: tuple):
+        """(span, pos): the sorted indices of the fewest basis monomials that
+        contain ``support`` and 1 and whose span is closed under products,
+        and each index's position in ``span``.  Cached per support."""
+        found = self._subalgebras.get(support)
+        if found is None:
+            span = set(support) | {0}
+            while True:
+                grown = span | {k for i in span for j in span
+                                for k, _ in self._int_table[i][j]}
+                if grown == span:
+                    break
+                span = grown
+            span = tuple(sorted(span))
+            found = self._subalgebras[support] = (span, {k: q for q, k in enumerate(span)})
+        return found
 
     # -- element constructors
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, [Fraction(0)] * self.dim)
+        return _element(self, (0,) * self.dim, 1)
 
     def one(self) -> FieldElement:
         return self.rational(1)
 
     def rational(self, c) -> FieldElement:
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[0] = Fraction(c)
-        return FieldElement(self, coeffs)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _element(self, (c.numerator,) + (0,) * (self.dim - 1), c.denominator)
 
     def element(self, coeffs) -> FieldElement:
         return FieldElement(self, coeffs)
 
     def gen_index(self, i: int) -> FieldElement:
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[i] = Fraction(1)
-        return FieldElement(self, coeffs)
+        return _element(self, tuple(int(k == i) for k in range(self.dim)), 1)
 
     def gen(self, label: str) -> FieldElement:
         return self.gen_index(self.basis.index(label))
@@ -602,7 +738,7 @@ class TowerSpec:
         if self._galois_cache is not None:
             return self._galois_cache
         identity = GaloisElement(
-            self, [self.gen_index(i).coeffs for i in range(self.dim)], "1"
+            self, [self.gen_index(i) for i in range(self.dim)], "1"
         )
         seen = {identity: identity}
         frontier = [identity]

@@ -72,6 +72,17 @@ def test_wrong_case_request_is_exit_1(tmp_path, capsys):
     assert json.loads(out)["diagnostics"][0]["condition"] == "tower:square-class"
 
 
+@pytest.mark.parametrize("raw", ["abc", "1"])
+def test_bad_factor_bound_names_the_variable(monkeypatch, capsys, raw):
+    monkeypatch.setenv("WEAKCM_FACTOR_BOUND", raw)
+    code, out = run_cli(capsys, "classify-field", "--input",
+                        os.path.join(DATA, "field_b.json"))
+    assert code == 1
+    diag = json.loads(out)["diagnostics"][0]
+    assert diag["condition"] == "tower:factor-bound"
+    assert f"WEAKCM_FACTOR_BOUND='{raw}'" in diag["message"]
+
+
 def test_internal_error_is_exit_2(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("synthetic failure")
@@ -287,9 +298,12 @@ def test_validate_subcommand(capsys):
 
 
 def test_console_entry_point():
+    # the child must import the same weakcm as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weakcm.cli", "dodson-enum", "--n", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["count"] == 3

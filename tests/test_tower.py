@@ -1,5 +1,6 @@
 """Tower construction, exact field arithmetic, and Galois actions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -419,3 +420,156 @@ def test_element_serialization_roundtrip():
     assert x.serialize() == ["1/2", "-3", "0", "7/5"]
     y = t.element([tw.parse_rational(s) for s in x.serialize()])
     assert x == y
+
+
+# ---------------------------------------------------------------- kernel oracle
+#
+# The kernel keeps integer numerators over one denominator and its own
+# integer copies of the structure constants and Galois images.  The oracle
+# below uses only the Fraction data: TowerSpec.mul_table and the images'
+# ``coeffs``.
+
+
+def _oracle_towers():
+    # the four split-corpus fields, plus a closure and a quadratic field
+    # whose structure constants are not integers
+    return all_towers() + [
+        tw.quartic_closure_tower(2, Fraction(-5, 3), Fraction(1, 2)),
+        tw.quadratic_tower(Fraction(-7, 12)),
+    ]
+
+
+def _ref_mul(t, a, b):
+    out = [Fraction(0)] * t.dim
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            for k, c in enumerate(t.mul_table[i][j]):
+                out[k] += ai * bj * c
+    return tuple(out)
+
+
+def _ref_apply(images, a):
+    out = [Fraction(0)] * len(a)
+    for ai, img in zip(a, images):
+        for k, c in enumerate(img):
+            out[k] += ai * c
+    return tuple(out)
+
+
+def _oracle_coeff(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-5, 5))
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 12))
+
+
+def _oracle_elements(t, rng, count):
+    els = [t.zero(), t.one(), t.rational(Fraction(-3, 7)),
+           t.rational(Fraction(10 ** 20 + 1, 3 ** 30))]
+    els += [t.gen_index(i) for i in range(t.dim)]
+    els += [t.element([_oracle_coeff(rng) for _ in range(t.dim)])
+            for _ in range(count)]
+    return els
+
+
+def _assert_normal_form(x):
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert x.coeffs == tuple(Fraction(a, x.den) for a in x.num)
+
+
+def test_kernel_ring_ops_against_fraction_oracle():
+    rng = random.Random(41)
+    scalars = [0, 1, -2, Fraction(3, 4), Fraction(-10 ** 9, 7 ** 11)]
+    for t in _oracle_towers():
+        els = _oracle_elements(t, rng, 12)
+        for x in els:
+            a = x.coeffs
+            _assert_normal_form(x)
+            assert (-x).coeffs == tuple(-c for c in a)
+            for c in scalars:
+                assert (x * c).coeffs == tuple(ai * c for ai in a)
+                assert (c * x).coeffs == tuple(ai * c for ai in a)
+                assert (x + c).coeffs == (a[0] + c,) + a[1:]
+                assert (c - x).coeffs == tuple((c if k == 0 else 0) - ai
+                                               for k, ai in enumerate(a))
+                if c:
+                    assert (x / c).coeffs == tuple(ai / c for ai in a)
+            for y in els[::3]:
+                b = y.coeffs
+                for z, want in ((x * y, _ref_mul(t, a, b)),
+                                (x + y, tuple(p + q for p, q in zip(a, b))),
+                                (x - y, tuple(p - q for p, q in zip(a, b)))):
+                    _assert_normal_form(z)
+                    assert z.coeffs == want
+
+
+def test_kernel_inverse_against_fraction_oracle():
+    rng = random.Random(43)
+    for t in _oracle_towers():
+        e1 = tuple(Fraction(int(k == 0)) for k in range(t.dim))
+        for x in filter(None, _oracle_elements(t, rng, 10)):
+            y = x.inv()
+            _assert_normal_form(y)
+            assert x * y == 1 and x * y == t.one()
+            assert _ref_mul(t, x.coeffs, y.coeffs) == e1
+            assert (t.one() / x) == y
+        with pytest.raises(DivisionByZero):
+            t.zero().inv()
+
+
+def test_kernel_galois_against_fraction_oracle():
+    rng = random.Random(47)
+    for t in _oracle_towers():
+        els = _oracle_elements(t, rng, 8)
+        group = t.galois_elements()
+        assert len(group) == t.dim
+        for g in group:
+            images = [img.coeffs for img in g.images]
+            for x in els:
+                gx = g(x)
+                _assert_normal_form(gx)
+                assert gx.coeffs == _ref_apply(images, x.coeffs)
+        # closing the generators' images under the oracle's composition
+        # yields exactly the kernel's group
+        gens = [tuple(img.coeffs for img in g.images)
+                for g in t.generators.values()]
+        identity = tuple(t.gen_index(i).coeffs for i in range(t.dim))
+        closure = {identity}
+        frontier = [identity]
+        while frontier:
+            new = []
+            for h in frontier:
+                for g in gens:
+                    gh = tuple(_ref_apply(g, img) for img in h)
+                    if gh not in closure:
+                        closure.add(gh)
+                        new.append(gh)
+            frontier = new
+        assert closure == {tuple(img.coeffs for img in g.images) for g in group}
+
+
+def test_kernel_equality_hash_and_coeffs_roundtrip():
+    rng = random.Random(53)
+    for t in _oracle_towers():
+        els = _oracle_elements(t, rng, 10)
+        for x in els:
+            y = els[-1]
+            same = [(x + y) - y, x * t.one(), x * Fraction(3, 5) / Fraction(3, 5),
+                    t.element(x.coeffs), t.element(list(x.serialize()))]
+            if x:
+                same.append(x.inv().inv())
+            for z in same:
+                assert z == x and hash(z) == hash(x)
+                assert (z.num, z.den) == (x.num, x.den)
+            assert t.element(x.coeffs).coeffs == x.coeffs
+            if x.is_rational():
+                q = x.rational_value()
+                assert x == q and x == t.rational(q)
+                assert hash(x) == hash(t.rational(q))
+            assert x != x + 1
+        assert t.zero() == 0 and not t.zero() and t.zero().den == 1
+        assert t.rational(Fraction(6, 4)).coeffs[0] == Fraction(3, 2)
