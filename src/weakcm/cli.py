@@ -13,7 +13,12 @@ import json
 import sys
 
 from . import cmfield, dodson, hodge, serialize, tausplit
-from .errors import IncompatibleIdentifications, InputError, WeakCMError
+from .errors import (
+    IncompatibleIdentifications,
+    InputError,
+    InvalidPairCount,
+    WeakCMError,
+)
 from .presets import preset_reflex_reports
 
 
@@ -79,7 +84,15 @@ def _cmd_split(args):
     return serialize.certificate_report(pm, cert, verified.ok)
 
 
+def _check_n(args):
+    if args.n < 1:
+        raise InvalidPairCount(
+            f"--n {args.n} is below 1: Im(N,2) needs at least one conjugate pair"
+        )
+
+
 def _cmd_dodson_enum(args):
+    _check_n(args)
     subgroups = dodson.enumerate_admissible(args.n, bound=args.bound)
     return {
         "n": args.n,
@@ -109,9 +122,9 @@ def _parse_partition(args):
 
 
 def _cmd_dodson_classify(args):
+    _check_n(args)
     name, partition = _parse_partition(args)
-    classes = dodson.classify_conjugacy(args.n, partition, bound=args.bound,
-                                        threads=args.threads)
+    classes = dodson.classify_conjugacy(args.n, partition, bound=args.bound)
     return serialize.classification_report(args.n, name, classes)
 
 
@@ -300,15 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--partition", required=True,
                            help="abl | k3 | cy3 | inline JSON block list")
         p.add_argument("--emit", choices=("json", "text"), default="json")
-        p.add_argument("--threads", type=int, default=1)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        args.threads = 1
     try:
         payload = args.handler(args)
         report = {"status": "ok", "payload": payload, "diagnostics": []}

@@ -98,26 +98,50 @@ def subgroup_key(elements):
 
 
 # --------------------------------------------------------------------------
-# the ambient group, with index tables for enumeration speed
+# the ambient group as index tables, tabulated from (Z2)^N x| S_N
+
+UNIVERSE_BOUND = 5  # Im(5,2) has order 3840; Im(6,2) would need 46080^2 entries
 
 
 class _Universe:
+    """Im(N,2) as integer index tables: ``elements``, ``index``, ``mul``,
+    ``inv``, ``identity_idx`` and ``rho_idx``.
+
+    Element (bits, perm) has index ``bits_int * N! + rank(perm)``, where
+    ``bits_int`` reads bits[0] as the high bit and ``rank`` is the
+    lexicographic rank among the permutations of range(N); this is the
+    ``element_key`` order.  With F = N!, the product
+    (ba, pa)(bb, pb) = (ba ^ pa.bb, pa pb) has index
+    ``(ba ^ act[pa][bb]) * F + pmul[pa][pb]``, so the row of ``mul`` for
+    (ba, pa) is the concatenation over bb of the F-entry block
+    ``shifted[ba ^ act[pa][bb]][pa]``, where ``shifted[c][pa]`` is the S_N
+    row ``pmul[pa]`` offset by ``c * F``.  Rows share the blocks' int
+    objects, so the table costs only its list pointers.
+    """
+
     def __init__(self, N: int):
         self.N = N
-        elems = [
-            ImN2Element(bits, perm)
-            for bits in itertools.product((0, 1), repeat=N)
-            for perm in itertools.permutations(range(N))
-        ]
-        elems.sort(key=element_key)
-        self.elements = elems
-        self.index = {g: i for i, g in enumerate(elems)}
-        n = len(elems)
-        self.mul = [[0] * n for _ in range(n)]
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                self.mul[i][j] = self.index[im_mul(a, b)]
-        self.inv = [self.index[im_inv(g)] for g in elems]
+        bitvecs = list(itertools.product((0, 1), repeat=N))
+        perms = list(itertools.permutations(range(N)))
+        bit_idx = {b: i for i, b in enumerate(bitvecs)}
+        perm_idx = {p: i for i, p in enumerate(perms)}
+        B, F = len(bitvecs), len(perms)
+        pmul = [[perm_idx[perm_mul(p, q)] for q in perms] for p in perms]
+        act = [[bit_idx[perm_apply_bits(p, b)] for b in bitvecs] for p in perms]
+        pinv = [perm_idx[perm_inv(p)] for p in perms]
+
+        self.elements = [ImN2Element(b, p) for b in bitvecs for p in perms]
+        self.index = {g: i for i, g in enumerate(self.elements)}
+        shifted = [[[c * F + x for x in row] for row in pmul] for c in range(B)]
+        self.mul = []
+        for ba in range(B):
+            for pa in range(F):
+                row = []
+                for c in act[pa]:
+                    row += shifted[ba ^ c][pa]
+                self.mul.append(row)
+        self.inv = [act[pinv[pa]][ba] * F + pinv[pa]
+                    for ba in range(B) for pa in range(F)]
         self.identity_idx = self.index[im_identity(N)]
         self.rho_idx = self.index[im_rho(N)]
 
@@ -158,6 +182,11 @@ class _Universe:
 
 @lru_cache(maxsize=None)
 def universe(N: int) -> _Universe:
+    if N > UNIVERSE_BOUND:
+        raise BoundExceeded(
+            f"Im({N},2) has order {im_order(N)}; its tables are built only "
+            f"for N <= {UNIVERSE_BOUND}"
+        )
     return _Universe(N)
 
 
@@ -509,13 +538,9 @@ def element_from_key(key, N) -> ImN2Element:
 
 
 def classify_conjugacy(N: int, partition: HodgePartition,
-                       bound: int = ENUMERATION_BOUND_DEFAULT, threads: int = 1):
-    """Orbits of the admissible subgroups under conjugation by S~.
-
-    Orbit computations are independent per subgroup and may fan out over
-    threads; the result is merged and sorted, so the output order does not
-    depend on the thread count.
-    """
+                       bound: int = ENUMERATION_BOUND_DEFAULT):
+    """Orbits of the admissible subgroups under conjugation by S~, sorted by
+    the canonical (minimal) representative of each orbit."""
     if partition.N != N:
         raise InvalidPartition("partition is for a different N")
     U = universe(N)
@@ -540,16 +565,9 @@ def classify_conjugacy(N: int, partition: HodgePartition,
         )
         return canonical, len(orbit)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            orbit_info = list(pool.map(orbit_key, subgroups))
-    else:
-        orbit_info = [orbit_key(g) for g in subgroups]
-
     by_class: dict = {}
-    for elements, (canonical, orbit_size) in zip(subgroups, orbit_info):
+    for elements in subgroups:
+        canonical, orbit_size = orbit_key(elements)
         by_class.setdefault(canonical, orbit_size)
     classes = []
     for canonical in sorted(by_class):
@@ -804,18 +822,32 @@ class CayleyTable:
     """Finite group as an index table; enough for order statistics."""
 
     def __init__(self, elements, mul_fn):
-        self.elements = list(elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        n = len(self.elements)
-        self.mul = [
-            [self.index[mul_fn(a, b)] for b in self.elements]
-            for a in self.elements
-        ]
-        self.identity = self._find_identity()
+        elements = list(elements)
+        index = {g: i for i, g in enumerate(elements)}
+        self._set_table(elements,
+                        [[index[mul_fn(a, b)] for b in elements] for a in elements])
 
     @classmethod
     def from_imn2(cls, elements):
-        return cls(list(elements), im_mul)
+        """Table of a subgroup of Im(N,2), read off ``universe(N).mul``."""
+        elements = list(elements)
+        U = universe(elements[0].N)
+        ids = [U.index[g] for g in elements]
+        local = {u: i for i, u in enumerate(ids)}
+        rows = [U.mul[a] for a in ids]
+        table = cls.__new__(cls)
+        table._set_table(elements, [[local[row[b]] for b in ids] for row in rows])
+        return table
+
+    def _set_table(self, elements, mul):
+        self.elements = elements
+        self.index = {g: i for i, g in enumerate(elements)}
+        self.mul = mul
+        self.identity = self._find_identity()
+        try:
+            self.inv = [row.index(self.identity) for row in mul]
+        except ValueError:
+            raise InvalidCMType("element has no inverse") from None
 
     def _find_identity(self):
         n = len(self.elements)
@@ -823,12 +855,6 @@ class CayleyTable:
             if all(self.mul[e][x] == x and self.mul[x][e] == x for x in range(n)):
                 return e
         raise InvalidCMType("element list has no identity")
-
-    def inverse(self, a):
-        for b in range(len(self.elements)):
-            if self.mul[a][b] == self.identity:
-                return b
-        raise InvalidCMType("element has no inverse")
 
     def element_order(self, a):
         k = 1
@@ -848,11 +874,11 @@ class CayleyTable:
     def commutator_subgroup(self):
         n = len(self.elements)
         comms = set()
+        inv = self.inv
         for a in range(n):
-            ai = self.inverse(a)
+            ai = inv[a]
             for b in range(n):
-                bi = self.inverse(b)
-                comms.add(self.mul[self.mul[a][b]][self.mul[ai][bi]])
+                comms.add(self.mul[self.mul[a][b]][self.mul[ai][inv[b]]])
         # close under multiplication
         els = set(comms)
         els.add(self.identity)

@@ -95,6 +95,12 @@ class InvalidPartition(InputError):
     condition = "dodson:invalid-partition"
 
 
+class InvalidPairCount(InputError):
+    """The number of conjugate pairs N is below 1."""
+
+    condition = "dodson:pair-count"
+
+
 # ---------------------------------------------------------------- tausplit
 
 class SingularTauBar(InputError):

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, diagnostics, determinism, golden files."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -16,6 +17,23 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _child_env():
+    # the child must import the same weakcm as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _limit_address_space():
+    import resource
+
+    limit = 1536 * 2 ** 20
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
 def test_dodson_classify_cy3(capsys):
@@ -129,9 +147,48 @@ def test_custom_partition_block_list(capsys):
 def test_byte_identical_output(capsys):
     _, out1 = run_cli(capsys, "dodson-classify", "--n", "3", "--partition", "abl")
     _, out2 = run_cli(capsys, "dodson-classify", "--n", "3", "--partition", "abl")
-    _, out3 = run_cli(capsys, "dodson-classify", "--n", "3", "--partition", "abl",
-                      "--threads", "4")
-    assert out1 == out2 == out3
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dodson-enum", "--n", "0"],
+    ["dodson-enum", "--n", "-1"],
+    ["dodson-classify", "--n", "0", "--partition", "abl"],
+])
+def test_pair_count_below_one_is_named(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    diag = json.loads(out)["diagnostics"][0]
+    assert diag["condition"] == "dodson:pair-count"
+    assert f"--n {argv[2]} " in diag["message"]
+
+
+def _element(bits, perm):
+    return {"bits": list(bits), "perm": list(perm)}
+
+
+@pytest.mark.parametrize("doc,N", [
+    # the single element rho of Im(6,2)
+    ({"n": 6, "elements": [_element((1,) * 6, range(6))]}, 6),
+    # all of Im(4,2) with the standard Phi: the reflex data live in Im(8,2)
+    ({"n": 4, "elements": [_element(b, p)
+                           for b in itertools.product((0, 1), repeat=4)
+                           for p in itertools.permutations(range(4))]}, 8),
+])
+def test_dodson_reflex_table_bound(tmp_path, doc, N):
+    # a child process under an address-space limit: a table build that
+    # ignored the bound would end in MemoryError, not take the machine
+    path = tmp_path / "ct.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakcm.cli", "dodson-reflex", "--input", str(path)],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1, proc.stdout
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["condition"] == "dodson:bound-exceeded"
+    assert f"Im({N},2)" in diag["message"] and "N <= 5" in diag["message"]
 
 
 def test_emit_text(capsys):
@@ -298,12 +355,9 @@ def test_validate_subcommand(capsys):
 
 
 def test_console_entry_point():
-    # the child must import the same weakcm as this process, installed or not
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weakcm.cli", "dodson-enum", "--n", "2"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["count"] == 3
