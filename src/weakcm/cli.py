@@ -2,8 +2,10 @@
 
 Subcommands map one-to-one onto the library operations; input documents are
 JSON files (see README for the schemas), output is a deterministic report
-envelope on stdout.  Exit codes: 0 ok, 1 invalid input (validation failure
-with a named condition), 2 math/internal error.
+envelope on stdout.  Exit codes: 0 ok (status ``ok``), 1 invalid input
+(status ``invalid-input``, a named condition), 2 a math error (status
+``math-error``) or an unexpected exception, which is a library bug (status
+``internal-error``, condition ``internal``).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 
 from . import cmfield, dodson, hodge, serialize, tausplit
 from .errors import (
+    BadPartitionOption,
     IncompatibleIdentifications,
     InputError,
     InvalidPairCount,
@@ -109,16 +112,37 @@ def _parse_partition(args):
     try:
         doc = json.loads(name)
     except json.JSONDecodeError:
-        raise InputError(
+        raise BadPartitionOption(
             "--partition must be abl, k3, cy3 or an inline JSON block list"
         ) from None
+    if not isinstance(doc, list) or not doc:
+        raise BadPartitionOption(
+            f"--partition block list must be a non-empty JSON list, got {name}"
+        )
     labelled = []
-    for block in doc:
-        label = tuple(int(x) for x in block["label"])
-        for slot in block["slots"]:
-            labelled.append(((int(slot[0]), int(slot[1])), label))
-    weight = sum(labelled[0][1])
+    for i, block in enumerate(doc):
+        if not isinstance(block, dict) or "label" not in block or "slots" not in block:
+            raise BadPartitionOption(
+                f"--partition block {i} must be an object with 'label' and 'slots'"
+            )
+        label = _integer_pair(block["label"], f"--partition block {i} label")
+        slots = block["slots"]
+        if not isinstance(slots, list):
+            raise BadPartitionOption(f"--partition block {i} slots must be a list")
+        for slot in slots:
+            labelled.append((_integer_pair(slot, f"--partition block {i} slot"), label))
+    weight = sum(labelled[0][1]) if labelled else 0
     return "custom", dodson.partition_from_labels(args.n, weight, labelled)
+
+
+def _integer_pair(value, what) -> tuple:
+    """Two JSON integers (not bools or floats), or a named input error."""
+    if (not isinstance(value, list) or len(value) != 2
+            or any(type(x) is not int for x in value)):
+        raise BadPartitionOption(
+            f"{what} must be a pair of integers, got {json.dumps(value)}"
+        )
+    return tuple(value)
 
 
 def _cmd_dodson_classify(args):
@@ -337,9 +361,12 @@ def main(argv=None) -> int:
             "diagnostics": [{"condition": exc.condition, "message": str(exc)}],
         }
         code = 2
-    except Exception as exc:  # malformed input must not crash the process
+    except Exception as exc:  # a library bug: report it, do not crash
+        import traceback  # imported here to keep it out of every start-up
+
+        traceback.print_exc(file=sys.stderr)
         report = {
-            "status": "math-error",
+            "status": "internal-error",
             "payload": None,
             "diagnostics": [{"condition": "internal", "message": repr(exc)}],
         }

@@ -95,6 +95,13 @@ class InvalidPartition(InputError):
     condition = "dodson:invalid-partition"
 
 
+class BadPartitionOption(InputError):
+    """``dodson-classify --partition`` is neither a preset nor a well-formed
+    inline block list."""
+
+    condition = "cli:partition"
+
+
 class InvalidPairCount(InputError):
     """The number of conjugate pairs N is below 1."""
 

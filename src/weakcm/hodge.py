@@ -473,10 +473,13 @@ class RepackagedPair:
 def weil_griffiths(h: CMHodgeStructure) -> RepackagedPair:
     """The two weight-1 relabelings of a weight-3 structure.
 
-    The original structure is CM exactly when both repackagings are CM and
-    the slot-diagonal algebra acts as Hodge endomorphisms of both, i.e.
-    every top-form conjugate is pure for the common refinement of the two
-    weight-1 decompositions.
+    ``weil_cm`` and ``griffiths_cm`` say whether every top-form conjugate is
+    pure for each relabeling; ``common_algebra_ok`` is computed on its own
+    from the weight-3 labels (``h.is_cm()``).  The original structure is CM
+    exactly when both repackagings are CM: the common refinement of the
+    Weil and Griffiths halves is the full weight-3 decomposition, so
+    ``common_algebra_ok == (weil_cm and griffiths_cm)`` is a claim that the
+    tests check, not an identity of the code.
     """
     if h.weight != 3:
         raise WrongWeight(f"weight-3 structure required, got weight {h.weight}")
@@ -486,14 +489,5 @@ def weil_griffiths(h: CMHodgeStructure) -> RepackagedPair:
     def cm_for(labels):
         return all(h.spread_pure(g, labels=labels) for g in h.group)
 
-    weil_cm = cm_for(weil.labels)
-    griffiths_cm = cm_for(griffiths.labels)
-    # pure in both relabelings == pure for the common refinement; the
-    # refinement of the Weil and Griffiths halves is the full weight-3
-    # decomposition, so this is the combinatorial form of the equivalence
-    common = all(
-        h.spread_pure(g, labels=weil.labels)
-        and h.spread_pure(g, labels=griffiths.labels)
-        for g in h.group
-    )
-    return RepackagedPair(weil, griffiths, weil_cm, griffiths_cm, common)
+    return RepackagedPair(weil, griffiths, cm_for(weil.labels),
+                          cm_for(griffiths.labels), h.is_cm())

@@ -1,12 +1,28 @@
-"""Exact dense linear algebra over any exact field.
+"""Exact dense linear algebra over Q and over the towers.
 
-Entries may be ``fractions.Fraction`` or tower elements; anything with
-``+ - * /``, ``bool`` (false exactly at zero) and ``==`` works.  Pivoting is
-deterministic: columns left to right, first row with a nonzero entry.  No
-floating point anywhere.
+Entries are ``fractions.Fraction`` (or ``int``) or tower elements; no
+floating point anywhere.  Pivoting is deterministic: columns left to right,
+first row with a nonzero entry.
+
+Over Q the work is done in integers.  ``mat_mul`` computes each entry as
+one dot product of integer rows over a common denominator; ``mat_det``,
+``mat_inverse`` and ``solve_rational`` scale each row to integers and call
+``bareiss``, the one fraction-free elimination over Z, which
+``FieldElement.inv`` uses too.  Over a tower, ``mat_mul`` hands each entry
+to the tower's fused dot product (``TowerSpec.mat_mul``), and ``mat_det``
+and ``mat_inverse`` eliminate with the field operations of the entries, as
+``row_rank`` and ``solve_columns`` do over either field.
 """
 
+import math
+import operator
+from fractions import Fraction
+
 from .errors import SingularMatrix
+
+
+def _is_rational(x) -> bool:
+    return isinstance(x, (int, Fraction))
 
 
 def transpose(rows):
@@ -18,26 +34,97 @@ def identity_matrix(n, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _integer_row(row):
+    """(den, ints): a rational row as integers over the lcm of its
+    denominators."""
+    den = math.lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
 def mat_mul(A, B):
+    """A B; each entry is one fused dot product (see the module notes)."""
     if not A or not B:
         return []
-    cols = len(B[0])
-    inner = len(B)
+    if not B[0]:
+        return [[] for _ in A]
+    a, b = A[0][0], B[0][0]
+    if not (_is_rational(a) and _is_rational(b)):
+        tower = (b if _is_rational(a) else a).tower
+        return tower.mat_mul(A, B)
+    cols = [_integer_row(col) for col in zip(*B)]
     out = []
     for row in A:
-        new = []
-        for j in range(cols):
-            acc = row[0] * B[0][j]
-            for k in range(1, inner):
-                acc = acc + row[k] * B[k][j]
-            new.append(acc)
-        out.append(new)
+        da, ra = _integer_row(row)
+        out.append([Fraction(sum(map(operator.mul, ra, cb)), da * db)
+                    for db, cb in cols])
     return out
 
 
+def bareiss(R):
+    """Solve A X = det(A) B over Z by fraction-free elimination.
+
+    R is the augmented integer matrix (A | B): n rows of n + m integers
+    (m may be 0), A square.  R is overwritten.  Returns ``(det, X)`` with
+    ``det = det(A)`` and the n x m integer matrix ``X = det * A^-1 B``.
+    Bareiss' elimination (Math. Comp. 22, 1968) keeps every entry an
+    integer minor of R, so each division is exact; back substitution
+    scaled by det is exact by Cramer's rule.  Raises SingularMatrix when
+    det(A) = 0.
+    """
+    n = len(R)
+    w = len(R[0]) if n else 0
+    prev, sign = 1, 1
+    for col in range(n):
+        for r in range(col, n):
+            if R[r][col]:
+                break
+        else:
+            raise SingularMatrix("matrix is singular")
+        if r != col:
+            R[col], R[r] = R[r], R[col]
+            sign = -sign
+        top = R[col]
+        piv = top[col]
+        for r in range(col + 1, n):
+            row = R[r]
+            f = row[col]
+            R[r] = [0] * (col + 1) + [
+                (piv * row[j] - f * top[j]) // prev for j in range(col + 1, w)
+            ]
+        prev = piv
+    det = sign * prev
+    X = [[0] * (w - n) for _ in range(n)]
+    for c in range(n, w):
+        for i in range(n - 1, -1, -1):
+            row = R[i]
+            acc = det * row[c]
+            for j in range(i + 1, n):
+                if row[j]:
+                    acc -= row[j] * X[j][c - n]
+            X[i][c - n] = acc // row[i]
+    return det, X
+
+
+def solve_rational(A, B):
+    """X with A X = B for a square invertible rational A; B is n x m.
+
+    Each row of (A | B) is scaled to integers, which leaves X unchanged,
+    and the integer system goes through ``bareiss``.  Raises
+    SingularMatrix when det(A) = 0.
+    """
+    det, X = bareiss([_integer_row(list(a) + list(b))[1] for a, b in zip(A, B)])
+    return [[Fraction(x, det) for x in row] for row in X]
+
+
 def mat_inverse(A, one):
-    """Gauss-Jordan inverse; raises SingularMatrix when det = 0."""
+    """Inverse; raises SingularMatrix when det = 0.
+
+    Over Q this is ``solve_rational(A, I)``; over a tower, Gauss-Jordan
+    elimination with the tower's field operations.
+    """
     n = len(A)
+    if _is_rational(one):
+        return solve_rational(A, identity_matrix(n, 1))
     aug = [list(A[i]) + list(identity_matrix(n, one)[i]) for i in range(n)]
     for col in range(n):
         pivot = None
@@ -59,9 +146,17 @@ def mat_inverse(A, one):
 
 
 def mat_det(A, one):
+    """Determinant; over Q by ``bareiss`` on the integer-scaled rows."""
     n = len(A)
     if n == 0:
         return one
+    if _is_rational(one):
+        dens, rows = zip(*(_integer_row(row) for row in A))
+        try:
+            det, _ = bareiss(list(rows))
+        except SingularMatrix:
+            return Fraction(0)
+        return Fraction(det, math.prod(dens))
     M = [list(row) for row in A]
     det = one
     for col in range(n):

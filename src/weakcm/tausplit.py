@@ -253,21 +253,27 @@ def _realify_rows(rows, basis_elements):
     """Expand field-valued rows over the Q-basis of their coefficient field.
 
     A row w = sum_k omega_k x_k contributes the rational rows x_1 ... x_m;
-    raises when some entry falls outside the claimed field.
+    the coordinates of every entry come from one multi-column solve.
+    Raises when some entry falls outside the claimed field.
     """
-    m = len(basis_elements)
+    entries = [x for row in rows for x in row]
+    if not entries:
+        return []
+    dim = entries[0].tower.dim
+    A = [[b.coeffs[i] for b in basis_elements] for i in range(dim)]
+    X = linalg.solve_columns(A, [[x.coeffs[i] for x in entries] for i in range(dim)])
+    if X is None:
+        bad = next(x for x in entries
+                   if tw.subspace_coordinates(basis_elements, x) is None)
+        raise MathError(
+            f"entry {bad} is not valued in the claimed coefficient field"
+        )
     out = []
+    start = 0
     for row in rows:
-        coords = []
-        for entry in row:
-            c = tw.subspace_coordinates(basis_elements, entry)
-            if c is None:
-                raise MathError(
-                    f"entry {entry} is not valued in the claimed coefficient field"
-                )
-            coords.append(c)
-        for k in range(m):
-            out.append([c[k] for c in coords])
+        stop = start + len(row)
+        out.extend(coords[start:stop] for coords in X)
+        start = stop
     return out
 
 
@@ -357,19 +363,18 @@ def _choose_renaming(case, delta, eps, p_split):
 
 
 def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
-    """Realify both sides blockwise and solve for the rational S."""
+    """Realify both sides blockwise and solve RW . S = RStd for the rational S."""
     RW, RStd = [], []
     for rows, std_rows, basis in zip(W_rows_blocks, std_rows_blocks, block_bases):
         RW.extend(_realify_rows(rows, basis))
         RStd.extend(_realify_rows(std_rows, basis))
     try:
-        RW_inv = linalg.mat_inverse(RW, Fraction(1))
+        return linalg.solve_rational(RW, RStd)
     except SingularMatrix as exc:
         raise MathError(
             "realified coordinate matrix is singular; coordinate change "
             "is not invertible"
         ) from exc
-    return linalg.mat_mul(RW_inv, RStd)
 
 
 def _certify_membership(M, basis_elements, what):

@@ -14,9 +14,10 @@ a fixed monomial basis over Q:
 
 An element stores integer numerators over one common denominator, and
 each tower keeps its structure constants as a sparse integer table over one
-common denominator, so products, sums and Galois images are computed in
-integers with one gcd per result; ``FieldElement.coeffs`` still exposes the
-coefficients as ``fractions.Fraction``s.  There is no floating point.
+common denominator, so products, sums, Galois images and the entries of
+matrix products (``TowerSpec.mat_mul``) are computed in integers with one
+gcd per result; ``FieldElement.coeffs`` still exposes the coefficients as
+``fractions.Fraction``s.  There is no floating point.
 Galois actions are stored as explicit Q-linear maps on the basis and checked
 to be ring automorphisms at construction time.
 
@@ -39,6 +40,7 @@ from .errors import (
     FactorizationInconclusive,
     MathError,
     NotSquareFree,
+    SingularMatrix,
     SquareClassMismatch,
     TowerMismatch,
     WrongSign,
@@ -307,16 +309,15 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse, by a fraction-free solve over Z.
+        """Multiplicative inverse, by ``linalg.bareiss`` over Z.
 
         The solve runs on the span of the fewest basis monomials that holds
         self and 1 and is closed under products: a subfield, so it holds
         the inverse (for a rational, a 1 x 1 system).  With R the integer
         matrix of multiplication by ``num`` on that span (over den times
-        the table denominator), the inverse is den * table_den * R^-1 e_1.
-        Bareiss elimination keeps every entry an integer minor of R; the
-        last pivot is +-det R, and back substitution yields det * R^-1 e_1
-        with exact integer divisions.
+        the table denominator), ``linalg.bareiss`` on (R | e_1) returns
+        det R and det R * R^-1 e_1, so the inverse is that vector times
+        den * table_den over det R.
         """
         if not self:
             raise DivisionByZero("inverse of zero")
@@ -333,37 +334,15 @@ class FieldElement:
                     for k, c in row[j]:
                         R[pos[k]][q] += a * c
         R[0][n] = 1
-        prev = 1
-        for col in range(n):
-            for r in range(col, n):
-                if R[r][col]:
-                    break
-            else:
-                raise DivisionByZero("element is a zero divisor")
-            R[col], R[r] = R[r], R[col]
-            top = R[col]
-            piv = top[col]
-            for r in range(col + 1, n):
-                row = R[r]
-                f = row[col]
-                R[r] = [0] * (col + 1) + [
-                    (piv * row[j] - f * top[j]) // prev for j in range(col + 1, n + 1)
-                ]
-            prev = piv
-        det = prev
-        x = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = R[i]
-            acc = det * row[n]
-            for j in range(i + 1, n):
-                if row[j]:
-                    acc -= row[j] * x[j]
-            x[i] = acc // row[i]
+        try:
+            det, x = linalg.bareiss(R)
+        except SingularMatrix:
+            raise DivisionByZero("element is a zero divisor") from None
         scale = self.den * t._int_den
         if det < 0:
             det, scale = -det, -scale
         out = [0] * t.dim
-        for k, v in zip(span, x):
+        for k, (v,) in zip(span, x):
             out[k] = scale * v
         return _normalised(t, out, det)
 
@@ -683,6 +662,58 @@ class TowerSpec:
             span = tuple(sorted(span))
             found = self._subalgebras[support] = (span, {k: q for q, k in enumerate(span)})
         return found
+
+    def mat_mul(self, A, B):
+        """A B for matrices of tower elements (rationals are coerced).
+
+        Each entry is one fused dot product: the numerator vectors of the
+        nonzero products are summed through ``_int_table`` over a running
+        lcm of their denominators, and the sum is reduced once.  Zero
+        factors are skipped, so identity and permutation factors cost one
+        table lookup per nonzero entry.
+        """
+        table = self._int_table
+        dim = self.dim
+
+        def terms(x):
+            # (den, nonzero (index, numerator) pairs), or None at zero
+            if not isinstance(x, FieldElement):
+                x = self.rational(x)
+            elif x.tower is not self and x.tower.key != self.key:
+                raise TowerMismatch("elements live in different towers")
+            nz = [(i, a) for i, a in enumerate(x.num) if a]
+            return (x.den, nz) if nz else None
+
+        cols = [[terms(x) for x in col] for col in zip(*B)]
+        out = []
+        for row in A:
+            left = [(k, term) for k, term in enumerate(map(terms, row)) if term]
+            new = []
+            for col in cols:
+                acc = [0] * dim
+                den = 1
+                for k, (da, ta) in left:
+                    right = col[k]
+                    if right is None:
+                        continue
+                    db, tb = right
+                    d = da * db
+                    if den % d:
+                        grown = math.lcm(den, d)
+                        f = grown // den
+                        acc = [v * f for v in acc]
+                        den = grown
+                    f = den // d
+                    for i, a in ta:
+                        trow = table[i]
+                        af = a * f
+                        for j, b in tb:
+                            ab = af * b
+                            for m, c in trow[j]:
+                                acc[m] += ab * c
+                new.append(_normalised(self, acc, den * self._int_den))
+            out.append(new)
+        return out
 
     # -- element constructors
 

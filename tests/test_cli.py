@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from weakcm import cli
+from weakcm.errors import MathError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -114,7 +115,25 @@ def test_internal_error_is_exit_2(monkeypatch, capsys):
     code = cli.main(["presets"])
     out = capsys.readouterr().out
     assert code == 2
-    assert json.loads(out)["status"] == "math-error"
+    assert json.loads(out)["status"] == "internal-error"
+
+
+@pytest.mark.parametrize("exc, status, condition", [
+    (RuntimeError("synthetic library bug"), "internal-error", "internal"),
+    (MathError("synthetic math error"), "math-error", "math-error"),
+])
+def test_library_bug_is_internal_error_not_math_error(monkeypatch, capsys, exc,
+                                                      status, condition):
+    def broken_split(pm):
+        raise exc
+
+    monkeypatch.setattr(cli.tausplit, "split", broken_split)
+    code, out = run_cli(capsys, "split", "--input",
+                        os.path.join(DATA, "torus_a_diag.json"))
+    report = json.loads(out)
+    assert code == 2
+    assert report["status"] == status
+    assert report["diagnostics"][0]["condition"] == condition
 
 
 def test_presets_payload(capsys):
@@ -142,6 +161,32 @@ def test_custom_partition_block_list(capsys):
     payload = json.loads(out)["payload"]
     assert payload["class_count"] == 3
     assert payload["partition"] == "custom"
+
+
+@pytest.mark.parametrize("partition, what", [
+    ("[]", "non-empty JSON list"),
+    ("5", "non-empty JSON list"),
+    ('{"label": [2, 0], "slots": [[0, 0]]}', "non-empty JSON list"),
+    ('[{"label": [2, 0]}]', "'label' and 'slots'"),
+    ('[{"slots": [[0, 0]]}]', "'label' and 'slots'"),
+    ('[7]', "'label' and 'slots'"),
+    ('[{"label": [2, 0], "slots": [["a", 0]]}]', "slot must be a pair of integers"),
+    ('[{"label": [2, 0], "slots": [[0.5, 0]]}]', "slot must be a pair of integers"),
+    ('[{"label": [2, 0], "slots": [[0]]}]', "slot must be a pair of integers"),
+    ('[{"label": [2, 0], "slots": 5}]', "slots must be a list"),
+    ('[{"label": ["2", 0], "slots": [[0, 0]]}]', "label must be a pair of integers"),
+    ('[{"label": [2], "slots": [[0, 0]]}]', "label must be a pair of integers"),
+    ("not json", "abl, k3, cy3 or an inline JSON block list"),
+])
+def test_malformed_partition_is_named(capsys, partition, what):
+    code, out = run_cli(capsys, "dodson-classify", "--n", "2",
+                        "--partition", partition)
+    report = json.loads(out)
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    diag = report["diagnostics"][0]
+    assert diag["condition"] == "cli:partition"
+    assert "--partition" in diag["message"] and what in diag["message"]
 
 
 def test_byte_identical_output(capsys):

@@ -250,6 +250,32 @@ def test_weil_griffiths_label_maps():
     assert g10 == expect_g
 
 
+def _weight3_structures():
+    """The weight-3 structures built above: two presets, case B, and the
+    synthetic structure with a mixed (3,0)/(2,1) conjugate."""
+    out = [hodge.cy3_structure(preset_by_name(name).cm_type.group)
+           for name in ("Z3-3-triv", "S3-3-triv")]
+    field = cmfield.classify({"d": 5, "p": Fraction(-5, 2), "q": Fraction(-1, 2)})
+    out.append(hodge.cy3_structure(cmfield.dodson_type(field).group))
+    h = out[0]
+    spreads = {g: h.spread(g) for g in h.group}
+    some = next(g for g in h.group if g != tuple(h.slots))
+    spreads[some] = frozenset({h.top_slot(), (1, 0)})
+    out.append(hodge.CMHodgeStructure(3, h.slots, h.labels, h.rho, list(h.group),
+                                      top_spreads=spreads))
+    return out
+
+
+def test_weil_griffiths_common_algebra_is_independent_and_agrees():
+    verdicts = []
+    for h in _weight3_structures():
+        pair = hodge.weil_griffiths(h)
+        assert pair.common_algebra_ok == h.is_cm()
+        assert pair.common_algebra_ok == (pair.weil_cm and pair.griffiths_cm)
+        verdicts.append(pair.common_algebra_ok)
+    assert verdicts == [True, True, True, False]
+
+
 def test_weil_griffiths_wrong_weight():
     with pytest.raises(WrongWeight):
         hodge.weil_griffiths(hodge.k3_structure(dodson.universe(1).elements))

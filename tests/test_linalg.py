@@ -1,0 +1,248 @@
+"""The integer kernel of ``linalg`` against the plain field-operation loops
+it replaced: the per-term matrix product and the Gauss-Jordan inverse over
+Q, kept here as oracles."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from test_tower import _oracle_elements, _oracle_towers, all_towers
+from weakcm import linalg
+from weakcm.errors import DivisionByZero, SingularMatrix, TowerMismatch
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def per_term_mat_mul(A, B):
+    """Each entry as a running sum of single products."""
+    out = []
+    for row in A:
+        new = []
+        for j in range(len(B[0])):
+            acc = row[0] * B[0][j]
+            for k in range(1, len(B)):
+                acc = acc + row[k] * B[k][j]
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def gauss_jordan_inverse(A):
+    """Inverse of a rational matrix by Gauss-Jordan elimination over Q."""
+    n = len(A)
+    aug = [[Fraction(x) for x in A[i]] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def leibniz_det(A):
+    n = len(A)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Fraction(sign)
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def _rational(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-5, 5))
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 9))
+
+
+def _with_zero_lines(rng, M, zero):
+    """M with one row and one column cleared, when it has more than one."""
+    if len(M) > 1:
+        M[rng.randrange(len(M))] = [zero] * len(M[0])
+    if len(M[0]) > 1:
+        j = rng.randrange(len(M[0]))
+        for row in M:
+            row[j] = zero
+    return M
+
+
+def _tower_matrix(t, rng, rows, cols):
+    pool = _oracle_elements(t, rng, 6)
+    return [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+
+
+def _rational_matrix(rng, rows, cols):
+    return [[_rational(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+SHAPES = [(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5), (4, 8, 4)]
+
+
+# ---------------------------------------------------------------- mat_mul
+
+
+@pytest.mark.parametrize("t", _oracle_towers(), ids=lambda t: t.case)
+def test_fused_mat_mul_over_towers_matches_per_term(t):
+    rng = random.Random(61)
+    for rows, inner, cols in SHAPES:
+        for zero_lines in (False, True):
+            A = _tower_matrix(t, rng, rows, inner)
+            B = _tower_matrix(t, rng, inner, cols)
+            if zero_lines:
+                A = _with_zero_lines(rng, A, t.zero())
+                B = _with_zero_lines(rng, B, t.zero())
+            got = linalg.mat_mul(A, B)
+            assert got == per_term_mat_mul(A, B)
+            for row in got:
+                for x in row:
+                    assert x.num == t.element(x.coeffs).num
+                    assert x.den == t.element(x.coeffs).den
+
+
+@pytest.mark.parametrize("t", all_towers(), ids=lambda t: t.case)
+def test_fused_mat_mul_identity_permutation_and_rational_factors(t):
+    rng = random.Random(67)
+    n = 4
+    A = _tower_matrix(t, rng, n, n)
+    perm = [2, 0, 3, 1]
+    P = [[t.one() if j == perm[i] else t.zero() for j in range(n)] for i in range(n)]
+    assert linalg.mat_mul(linalg.identity_matrix(n, t.one()), A) == A
+    assert linalg.mat_mul(A, linalg.identity_matrix(n, t.one())) == A
+    assert linalg.mat_mul(P, A) == [A[perm[i]] for i in range(n)]
+    # rational entries on either side are taken as elements of the tower
+    S = _rational_matrix(rng, n, n)
+    S_t = [[t.rational(x) for x in row] for row in S]
+    assert linalg.mat_mul(A, S) == linalg.mat_mul(A, S_t) == per_term_mat_mul(A, S_t)
+    assert linalg.mat_mul(S, A) == per_term_mat_mul(S_t, A)
+
+
+def test_fused_mat_mul_rejects_mixed_towers():
+    t1, t2 = all_towers()[:2]
+    with pytest.raises(TowerMismatch):
+        linalg.mat_mul([[t1.one()]], [[t2.one()]])
+
+
+def test_fused_mat_mul_over_q_matches_per_term():
+    rng = random.Random(71)
+    for rows, inner, cols in SHAPES:
+        for zero_lines in (False, True):
+            A = _rational_matrix(rng, rows, inner)
+            B = _rational_matrix(rng, inner, cols)
+            if zero_lines:
+                A = _with_zero_lines(rng, A, Fraction(0))
+                B = _with_zero_lines(rng, B, Fraction(0))
+            got = linalg.mat_mul(A, B)
+            assert got == per_term_mat_mul(A, B)
+            assert all(type(x) is Fraction for row in got for x in row)
+    assert linalg.mat_mul([[1, -2]], [[3], [4]]) == [[Fraction(-5)]]
+    assert linalg.mat_mul([], [[1]]) == [] and linalg.mat_mul([[1]], []) == []
+
+
+# ---------------------------------------------------------------- Bareiss
+
+
+def _singular_matrix(rng, n):
+    """A random n x n matrix with one row a combination of the others."""
+    A = _rational_matrix(rng, n, n)
+    r = rng.randrange(n)
+    others = [(_rational(rng), A[i]) for i in range(n) if i != r]
+    A[r] = [sum((c * row[j] for c, row in others), Fraction(0)) for j in range(n)]
+    return A
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bareiss_solve_and_det_against_gauss_jordan(n):
+    rng = random.Random(73 + n)
+    solved = 0
+    for _ in range(12):
+        A = _rational_matrix(rng, n, n)
+        B = _rational_matrix(rng, n, rng.randint(1, 2 * n))
+        det = linalg.mat_det(A, Fraction(1))
+        assert det == leibniz_det(A) and type(det) is Fraction
+        if not det:
+            with pytest.raises(SingularMatrix):
+                gauss_jordan_inverse(A)
+            continue
+        A_inv = gauss_jordan_inverse(A)
+        assert linalg.mat_inverse(A, Fraction(1)) == A_inv
+        assert linalg.solve_rational(A, B) == per_term_mat_mul(A_inv, B)
+        solved += 1
+    assert solved >= 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bareiss_singular_systems_raise(n):
+    rng = random.Random(79 + n)
+    for _ in range(6):
+        A, B = _singular_matrix(rng, n), _rational_matrix(rng, n, 2)
+        assert leibniz_det(A) == 0
+        assert linalg.mat_det(A, Fraction(1)) == 0
+        with pytest.raises(SingularMatrix):
+            linalg.solve_rational(A, B)
+        with pytest.raises(SingularMatrix):
+            linalg.mat_inverse(A, Fraction(1))
+
+
+def test_bareiss_integer_contract():
+    rng = random.Random(83)
+    for n in range(0, 6):
+        for m in (0, 1, 3):
+            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            B = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+            want = leibniz_det(A)
+            if not want:
+                with pytest.raises(SingularMatrix):
+                    linalg.bareiss([a + b for a, b in zip(A, B)])
+                continue
+            det, X = linalg.bareiss([a + b for a, b in zip(A, B)])
+            assert det == want
+            assert all(type(x) is int for row in X for x in row)
+            if n and m:
+                assert per_term_mat_mul(A, X) == [[det * b for b in row] for row in B]
+
+
+# ---------------------------------------------------------------- inv
+
+
+def _regular_representation(t, x):
+    """Matrix of multiplication by x on the monomial basis, over Q."""
+    cols = [[sum(c * t.mul_table[i][j][k] for i, c in enumerate(x.coeffs))
+             for k in range(t.dim)] for j in range(t.dim)]
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("t", _oracle_towers(), ids=lambda t: t.case)
+def test_inverse_on_shared_bareiss_matches_gauss_jordan(t):
+    rng = random.Random(89)
+    for x in filter(None, _oracle_elements(t, rng, 10)):
+        R_inv = gauss_jordan_inverse(_regular_representation(t, x))
+        want = tuple(row[0] for row in R_inv)  # R^-1 e_1
+        y = x.inv()
+        assert y.coeffs == want
+        assert (y.num, y.den) == (t.element(want).num, t.element(want).den)
+    with pytest.raises(DivisionByZero):
+        t.zero().inv()
