@@ -6,6 +6,11 @@ envelope on stdout.  Exit codes: 0 ok (status ``ok``), 1 invalid input
 (status ``invalid-input``, a named condition), 2 a math error (status
 ``math-error``) or an unexpected exception, which is a library bug (status
 ``internal-error``, condition ``internal``).
+
+Each subcommand loads only the library modules it runs: the top level
+imports nothing beyond ``argparse``, ``json`` and the error classes, every
+handler imports its own modules when it is called, and the parser is built
+once per process.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import argparse
 import json
 import sys
 
-from . import cmfield, dodson, hodge, serialize, tausplit
 from .errors import (
     BadPartitionOption,
     IncompatibleIdentifications,
@@ -22,7 +26,6 @@ from .errors import (
     InvalidPairCount,
     WeakCMError,
 )
-from .presets import preset_reflex_reports
 
 
 def _load(args) -> dict:
@@ -40,16 +43,27 @@ def _load(args) -> dict:
         raise InputError(f"input is not valid JSON: {exc}") from exc
 
 
+def _load_object(args, what) -> dict:
+    doc = _load(args)
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} document must be an object")
+    return doc
+
+
 # --------------------------------------------------------------------------
 # handlers
 
 
 def _cmd_classify_field(args):
+    from . import serialize
+
     field = serialize.parse_field(_load(args))
     return serialize.field_report(field)
 
 
 def _cmd_galois(args):
+    from . import cmfield, serialize
+
     field = serialize.parse_field(_load(args))
     gg = cmfield.galois_group(field)
     return {
@@ -70,17 +84,23 @@ def _cmd_galois(args):
 
 
 def _cmd_reflex(args):
+    from . import serialize
+
     field = serialize.parse_field(_load(args))
     return serialize.reflex_report(field)
 
 
 def _cmd_validate(args):
+    from . import serialize, tausplit
+
     pm = serialize.parse_period_matrix(_load(args))
     de = tausplit.validate_weak_cm(pm)
     return serialize.validation_report(pm, de)
 
 
 def _cmd_split(args):
+    from . import serialize, tausplit
+
     pm = serialize.parse_period_matrix(_load(args))
     cert, _level = tausplit.split(pm)
     verified = tausplit.verify_certificate(pm, cert)
@@ -94,9 +114,18 @@ def _check_n(args):
         )
 
 
+def _bound(args) -> int:
+    """``--bound``, or dodson's default when it is not given."""
+    from . import dodson
+
+    return dodson.ENUMERATION_BOUND_DEFAULT if args.bound is None else args.bound
+
+
 def _cmd_dodson_enum(args):
+    from . import dodson, serialize
+
     _check_n(args)
-    subgroups = dodson.enumerate_admissible(args.n, bound=args.bound)
+    subgroups = dodson.enumerate_admissible(args.n, bound=_bound(args))
     return {
         "n": args.n,
         "ambient_order": dodson.im_order(args.n),
@@ -106,6 +135,8 @@ def _cmd_dodson_enum(args):
 
 
 def _parse_partition(args):
+    from . import dodson
+
     name = args.partition
     if name in ("abl", "k3", "cy3"):
         return name, dodson.partition_preset(name, args.n)
@@ -146,21 +177,31 @@ def _integer_pair(value, what) -> tuple:
 
 
 def _cmd_dodson_classify(args):
+    from . import dodson, serialize
+
     _check_n(args)
     name, partition = _parse_partition(args)
-    classes = dodson.classify_conjugacy(args.n, partition, bound=args.bound)
+    classes = dodson.classify_conjugacy(args.n, partition, bound=_bound(args))
     return serialize.classification_report(args.n, name, classes)
 
 
 def _cmd_dodson_reflex(args):
+    from . import dodson, serialize
+
     doc = _load(args)
     ct = serialize.parse_cm_type(doc)
-    n = int(doc.get("n", ct.N))
+    try:
+        n = int(doc.get("n", ct.N))
+    except (TypeError, ValueError):
+        raise InputError("cm-type document's 'n' must be an integer") from None
     report = dodson.reflex_from_dodson(ct, n)
     return serialize.reflex_dodson_report(report)
 
 
 def _cmd_presets(args):
+    from . import serialize
+    from .presets import preset_reflex_reports
+
     reports = preset_reflex_reports()
     degrees = sorted({rep.degree for _, rep in reports})
     return {
@@ -188,12 +229,23 @@ def _cmd_presets(args):
 def _character_map(doc_character, ts, ct, e):
     """Translate an element-keyed character into an identification list
     aligned with the canonical group order of the built structure."""
+    from . import dodson, serialize
+
     if doc_character is None:
         return None
+    if not isinstance(doc_character, list):
+        raise InputError("k3t2 'character' must be a list")
     by_element = {}
-    for item in doc_character:
-        el = serialize.parse_imn2_element(item["element"], ct.N)
-        by_element[el] = int(item["value"])
+    for i, item in enumerate(doc_character):
+        try:
+            value = int(item["value"])
+            el = serialize.parse_imn2_element(item["element"], ct.N)
+        except (KeyError, TypeError, ValueError):
+            raise InputError(
+                f"k3t2 'character' entry {i} must be an object with an "
+                "'element' and an integer 'value'"
+            ) from None
+        by_element[el] = value
     ident2 = tuple(e.slots)
     flip_idx = next(i for i, g in enumerate(e.group) if g != ident2)
     ident_idx = e.group.index(ident2)
@@ -213,7 +265,9 @@ def _character_map(doc_character, ts, ct, e):
 
 
 def _cmd_k3t2(args):
-    doc = _load(args)
+    from . import hodge, serialize
+
+    doc = _load_object(args, "k3t2")
     ct = serialize.parse_cm_type(doc.get("transcendental", {}))
     ts = hodge.k3_structure(ct.group)
     e = hodge.elliptic_structure()
@@ -226,7 +280,9 @@ def _cmd_k3t2(args):
 
 
 def _cmd_product(args):
-    doc = _load(args)
+    from . import hodge, serialize
+
+    doc = _load_object(args, "product")
     h1 = serialize.parse_structure(doc.get("factor1", {}))
     h2 = serialize.parse_structure(doc.get("factor2", {}))
     identification = None
@@ -255,7 +311,9 @@ def _cmd_product(args):
 
 
 def _cmd_weil_griffiths(args):
-    doc = _load(args)
+    from . import hodge, serialize
+
+    doc = _load_object(args, "weil-griffiths")
     h = serialize.parse_structure(doc.get("structure", doc))
     pair = hodge.weil_griffiths(h)
     return {
@@ -323,16 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "isogeny splitting",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (handler, help_text, takes_input) in _COMMANDS.items():
+    for name, (_handler, help_text, takes_input) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         if takes_input:
             p.add_argument("--input", "-i", default=None,
                            help="input JSON document ('-' or omit for stdin)")
         if name in ("dodson-enum", "dodson-classify"):
             p.add_argument("--n", type=int, required=True)
-            p.add_argument("--bound", type=int,
-                           default=dodson.ENUMERATION_BOUND_DEFAULT)
+            # None stands for dodson.ENUMERATION_BOUND_DEFAULT (see _bound),
+            # so that building the parser loads no library module
+            p.add_argument("--bound", type=int, default=None)
         if name == "dodson-classify":
             p.add_argument("--partition", required=True,
                            help="abl | k3 | cy3 | inline JSON block list")
@@ -340,11 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        payload = args.handler(args)
+        payload = _COMMANDS[args.subcommand][0](args)
         report = {"status": "ok", "payload": payload, "diagnostics": []}
         code = 0
     except InputError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import dodson, linalg, tower as tw
+from . import linalg, tower as tw
 from .errors import MathError, SquareClassMismatch, WrongCase
 
 DEG2, CASE_A, CASE_B, CASE_C = "deg2", "A", "B", "C"
@@ -174,6 +174,8 @@ def galois_group(field: CMFieldData) -> GaloisGroupData:
 def dodson_type(field: CMFieldData) -> dodson.AbstractCMType:
     """The Galois action on embeddings as a subgroup of Im(n',2), with the
     CM type {phi', s0 phi'} (resp. {phi', s1 phi'} in case A)."""
+    from . import dodson
+
     gg = galois_group(field)
     n_pairs = field.degree // 2
     items = list(range(field.degree))

@@ -4,29 +4,41 @@ Everything is JSON with rationals as "num/den" strings (denominator omitted
 when 1), field elements as arrays of such strings in tower-basis order, and
 fixed key order per schema.  Payload builders insert keys in schema order,
 so serialized output is byte-stable for identical inputs.
+
+Each function imports the library modules it uses when it is called, so a
+subcommand loads only the layers its documents need (a Dodson document never
+loads the field towers).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import cmfield, dodson, hodge, tausplit, tower as tw
 from .errors import InputError
 
 
-def _rat(x) -> str:
-    return tw.format_rational(Fraction(x))
-
-
 def rational_matrix_out(M):
-    return [[_rat(x) for x in row] for row in M]
+    from .tower import format_rational
+
+    return [[format_rational(x) for x in row] for row in M]
 
 
 def element_matrix_out(M):
     return [[x.serialize() for x in row] for row in M]
 
 
+def _int_pairs(doc, what) -> list:
+    """A JSON list of two-entry lists as integer pairs, or a named input
+    error."""
+    if isinstance(doc, list):
+        try:
+            return [(int(a), int(b)) for a, b in doc]
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"{what} must be a list of integer pairs")
+
+
 def parse_rational_matrix(doc, n, what):
+    from .tower import parse_rational
+
     if not isinstance(doc, list) or len(doc) != n:
         raise InputError(f"{what} must be an {n}x{n} matrix")
     out = []
@@ -34,7 +46,7 @@ def parse_rational_matrix(doc, n, what):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"{what} must be an {n}x{n} matrix")
         try:
-            out.append([tw.parse_rational(x) for x in row])
+            out.append([parse_rational(x) for x in row])
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational in {what}: {exc}") from exc
     return out
@@ -45,6 +57,8 @@ def parse_rational_matrix(doc, n, what):
 
 
 def parse_field(doc) -> cmfield.CMFieldData:
+    from . import cmfield
+
     if not isinstance(doc, dict):
         raise InputError("field document must be an object")
     params = {k: doc[k] for k in ("p", "q", "d", "p1", "p2") if k in doc}
@@ -58,10 +72,15 @@ def parse_field(doc) -> cmfield.CMFieldData:
 
 
 def field_report(data: cmfield.CMFieldData) -> dict:
+    from . import cmfield
+
     return cmfield.case_report(data)
 
 
 def reflex_report(data: cmfield.CMFieldData) -> dict:
+    from . import cmfield
+    from .tower import format_rational
+
     r = cmfield.reflex_bc(data)
     return {
         "case": data.case,
@@ -71,7 +90,8 @@ def reflex_report(data: cmfield.CMFieldData) -> dict:
         "equals_field": r.equals_field,
         "type_stabilizer": list(r.stabilizer_words),
         "cm_witness": {
-            k: [_rat(u), _rat(v)] for k, (u, v) in sorted(r.cm_witness.items())
+            k: [format_rational(u), format_rational(v)]
+            for k, (u, v) in sorted(r.cm_witness.items())
         },
     }
 
@@ -81,6 +101,8 @@ def reflex_report(data: cmfield.CMFieldData) -> dict:
 
 
 def parse_period_matrix(doc) -> tausplit.PeriodMatrix:
+    from . import cmfield, tausplit
+
     if not isinstance(doc, dict):
         raise InputError("period-matrix document must be an object")
     try:
@@ -156,6 +178,8 @@ def imn2_element_out(g: dodson.ImN2Element) -> dict:
 
 
 def parse_imn2_element(doc, N) -> dodson.ImN2Element:
+    from . import dodson
+
     try:
         bits = tuple(int(b) for b in doc["bits"])
         perm = tuple(int(x) for x in doc["perm"])
@@ -176,6 +200,8 @@ def triple_out(t: dodson.DodsonTriple) -> dict:
 
 
 def subgroup_out(elements) -> dict:
+    from . import dodson
+
     triple = dodson.triple_from_group(elements)
     return {
         "order": len(elements),
@@ -202,6 +228,8 @@ def classification_report(N, partition_name, classes) -> dict:
 
 
 def parse_cm_type(doc) -> dodson.AbstractCMType:
+    from . import dodson
+
     if not isinstance(doc, dict):
         raise InputError("cm-type document must be an object")
     if "preset" in doc:
@@ -212,6 +240,8 @@ def parse_cm_type(doc) -> dodson.AbstractCMType:
         except KeyError:
             raise InputError(f"unknown preset {doc['preset']!r}") from None
     if "field" in doc:
+        from . import cmfield
+
         return cmfield.dodson_type(parse_field(doc["field"]))
     try:
         n = int(doc["n"])
@@ -220,13 +250,15 @@ def parse_cm_type(doc) -> dodson.AbstractCMType:
         raise InputError(
             "cm-type document needs 'preset', 'field', or 'n' + 'elements'"
         ) from None
+    if not isinstance(raw, list):
+        raise InputError("cm-type 'elements' must be a list")
     elements = tuple(sorted((parse_imn2_element(e, n) for e in raw),
                             key=dodson.element_key))
     phi = doc.get("phi")
     if phi is None:
         phi_t = dodson.standard_phi(n)
     else:
-        phi_t = tuple((int(i), int(b)) for i, b in phi)
+        phi_t = tuple(_int_pairs(phi, "cm-type 'phi'"))
     return dodson.AbstractCMType(elements, phi_t)
 
 
@@ -257,6 +289,8 @@ def reflex_dodson_report(report: dodson.ReflexReport, notes=()) -> dict:
 
 
 def parse_structure(doc) -> hodge.CMHodgeStructure:
+    from . import hodge
+
     if not isinstance(doc, dict):
         raise InputError("structure document must be an object")
     kind = doc.get("type")
@@ -278,6 +312,8 @@ def parse_structure(doc) -> hodge.CMHodgeStructure:
 
 
 def _parse_explicit_structure(doc):
+    from . import dodson, hodge
+
     try:
         weight = int(doc["weight"])
         n = int(doc["pairs"])
@@ -287,23 +323,33 @@ def _parse_explicit_structure(doc):
         raise InputError(
             "explicit structure needs weight, pairs, labels, elements"
         ) from None
+    labels_in = _int_pairs(labels_in, "explicit structure 'labels'")
     if len(labels_in) != n:
         raise InputError("one label per pair required")
+    if not isinstance(raw, list) or not raw:
+        raise InputError("explicit structure 'elements' must be a non-empty list")
     elements = [parse_imn2_element(e, n) for e in raw]
     labels = {}
     for i, (p, q) in enumerate(labels_in):
-        labels[(i, 0)] = (int(p), int(q))
-        labels[(i, 1)] = (int(q), int(p))
+        labels[(i, 0)] = (p, q)
+        labels[(i, 1)] = (q, p)
     h = hodge.from_group(weight, elements, labels)
     spreads_doc = doc.get("spreads")
     if spreads_doc:
+        if not isinstance(spreads_doc, list):
+            raise InputError("explicit structure 'spreads' must be a list")
         spreads = {g: h.spread(g) for g in h.group}
         for item in spreads_doc:
+            if not isinstance(item, dict) or "element" not in item or "slots" not in item:
+                raise InputError("each spread needs an 'element' and 'slots'")
             el = parse_imn2_element(item["element"], n)
             images = tuple(dodson.act_slot(el, s) for s in h.slots)
             if images not in spreads:
                 raise InputError("spread element is not in the group")
-            spreads[images] = frozenset((int(i), int(b)) for i, b in item["slots"])
+            slots = frozenset(_int_pairs(item["slots"], "spread 'slots'"))
+            if not slots <= set(h.slots):
+                raise InputError("spread 'slots' must be slots of the structure")
+            spreads[images] = slots
         h = hodge.CMHodgeStructure(weight, h.slots, h.labels, h.rho,
                                    list(h.group), top_spreads=spreads)
     return h

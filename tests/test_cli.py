@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from weakcm import cli
+from weakcm import cli, tausplit
 from weakcm.errors import MathError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -127,7 +127,7 @@ def test_library_bug_is_internal_error_not_math_error(monkeypatch, capsys, exc,
     def broken_split(pm):
         raise exc
 
-    monkeypatch.setattr(cli.tausplit, "split", broken_split)
+    monkeypatch.setattr(tausplit, "split", broken_split)
     code, out = run_cli(capsys, "split", "--input",
                         os.path.join(DATA, "torus_a_diag.json"))
     report = json.loads(out)
@@ -298,31 +298,29 @@ def test_weil_griffiths_command(tmp_path, capsys):
     assert payload["common_algebra_ok"]
 
 
+# weight-3 structure on two pairs with a declared mixed-type conjugate
+_SYNTHETIC = {
+    "type": "explicit",
+    "weight": 3,
+    "pairs": 2,
+    "labels": [[3, 0], [2, 1]],
+    "elements": [
+        {"bits": [0, 0], "perm": [0, 1]},
+        {"bits": [1, 1], "perm": [0, 1]},
+        {"bits": [0, 1], "perm": [1, 0]},
+        {"bits": [1, 0], "perm": [1, 0]},
+    ],
+    "spreads": [
+        {"element": {"bits": [0, 1], "perm": [1, 0]},
+         "slots": [[0, 0], [1, 0]]},
+    ],
+}
+
+
 def test_weil_griffiths_explicit_synthetic(tmp_path, capsys):
-    # weight-3 structure on two pairs with a declared mixed-type conjugate:
     # the Griffiths relabeling stays pure but the Weil one fails
     doc = tmp_path / "wg.json"
-    doc.write_text(
-        json.dumps({
-            "structure": {
-                "type": "explicit",
-                "weight": 3,
-                "pairs": 2,
-                "labels": [[3, 0], [2, 1]],
-                "elements": [
-                    {"bits": [0, 0], "perm": [0, 1]},
-                    {"bits": [1, 1], "perm": [0, 1]},
-                    {"bits": [0, 1], "perm": [1, 0]},
-                    {"bits": [1, 0], "perm": [1, 0]},
-                ],
-                "spreads": [
-                    {"element": {"bits": [0, 1], "perm": [1, 0]},
-                     "slots": [[0, 0], [1, 0]]},
-                ],
-            },
-        }),
-        encoding="utf-8",
-    )
+    doc.write_text(json.dumps({"structure": _SYNTHETIC}), encoding="utf-8")
     code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
     assert code == 0
     payload = json.loads(out)["payload"]
@@ -406,3 +404,152 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["count"] == 3
+
+
+# the weakcm modules each subcommand may load: a library module imported at
+# the top of cli or serialize (or cmfield importing dodson) shows up here
+_BASE = {"weakcm", "weakcm.cli", "weakcm.errors"}
+_FIELD_FOOTPRINT = _BASE | {"weakcm.serialize", "weakcm.cmfield",
+                            "weakcm.tower", "weakcm.linalg"}
+_FIELD_LAYERS = {"weakcm.tower", "weakcm.linalg", "weakcm.cmfield",
+                 "weakcm.tausplit"}
+_U1 = {"n": 1, "elements": [_element((0,), (0,)), _element((1,), (0,))]}
+_FOOTPRINT_RUN = """
+import contextlib, io, json, sys
+import weakcm.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = weakcm.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "weakcm" or m.startswith("weakcm."))]))
+"""
+
+
+def _footprint(argv):
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_RUN, *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, argv
+    return set(modules)
+
+
+@pytest.mark.parametrize("sub", ["classify-field", "galois", "reflex"])
+def test_field_subcommands_load_no_dodson_or_split(sub):
+    argv = [sub, "--input", os.path.join(DATA, "field_b.json")]
+    assert _footprint(argv) == _FIELD_FOOTPRINT
+
+
+@pytest.mark.parametrize("sub", ["validate", "split"])
+def test_period_matrix_subcommands_load_the_split(sub):
+    argv = [sub, "--input", os.path.join(DATA, "torus_a_diag.json")]
+    assert _footprint(argv) == _FIELD_FOOTPRINT | {"weakcm.tausplit"}
+
+
+def test_cli_import_loads_no_library_module():
+    assert _footprint([]) == _BASE
+
+
+_DODSON_RUNS = [
+    (["dodson-enum", "--n", "2"], None),
+    (["dodson-classify", "--n", "2", "--partition", "abl"], None),
+    (["presets"], None),
+    (["dodson-reflex"], {"preset": "Z3-3-triv"}),
+    (["k3t2"], {"transcendental": _U1}),
+    (["product"], {"factor1": {"type": "elliptic"},
+                   "factor2": {"type": "weight1", "group": _U1}}),
+    (["weil-griffiths"], {"structure": {"type": "cy3",
+                                        "group": {"preset": "Z3-3-triv"}}}),
+]
+
+
+@pytest.mark.parametrize("argv, doc", _DODSON_RUNS,
+                         ids=[argv[0] for argv, _ in _DODSON_RUNS])
+def test_dodson_subcommands_load_no_field_tower(tmp_path, argv, doc):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, "--input", str(path)]
+    modules = _footprint(argv)
+    assert modules >= _BASE | {"weakcm.serialize", "weakcm.dodson"}
+    assert not modules & _FIELD_LAYERS
+
+
+_INPUT_SUBCOMMANDS = ["classify-field", "galois", "reflex", "validate", "split",
+                      "dodson-reflex", "k3t2", "product", "weil-griffiths"]
+
+
+@pytest.mark.parametrize("sub", _INPUT_SUBCOMMANDS)
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"])
+def test_non_object_document_is_named_input_error(tmp_path, capsys, sub, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(capsys, sub, "--input", str(path))
+    report = json.loads(out)
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    assert "must be an object" in report["diagnostics"][0]["message"]
+
+
+def _k3t2_contained(tmp_path, capsys, character):
+    path = tmp_path / "k3t2.json"
+    path.write_text(json.dumps({"transcendental": _U1, "situation": "contained",
+                                "character": character}), encoding="utf-8")
+    code, out = run_cli(capsys, "k3t2", "--input", str(path))
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("character, what", [
+    (5, "'character' must be a list"),
+    ({"element": _element((0,), (0,)), "value": 0}, "'character' must be a list"),
+    ([{"value": 1}], "'character' entry 0"),
+    ([{"element": _element((0,), (0,)), "value": 0}, [1, 0]], "'character' entry 1"),
+    ([{"element": _element((1,), (0,)), "value": "one"}], "'character' entry 0"),
+    ([{"element": "rho", "value": 1}], "group element needs 'bits' and 'perm'"),
+])
+def test_k3t2_malformed_character_is_named(tmp_path, capsys, character, what):
+    code, report = _k3t2_contained(tmp_path, capsys, character)
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    assert what in report["diagnostics"][0]["message"]
+
+
+def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
+    # Q(i) inside Q(i): the character is the nontrivial one on Im(1,2)
+    code, report = _k3t2_contained(tmp_path, capsys, [
+        {"element": _element((0,), (0,)), "value": 0},
+        {"element": _element((1,), (0,)), "value": 1},
+    ])
+    assert code == 0
+    assert report["payload"]["situation"] == "contained"
+    assert report["payload"]["level_dim"] == 2
+
+
+@pytest.mark.parametrize("sub, doc, what", [
+    ("dodson-reflex", {"preset": "B", "n": "x"}, "'n' must be an integer"),
+    ("dodson-reflex", {"n": 1, "elements": 5}, "'elements' must be a list"),
+    ("dodson-reflex", {"n": 1, "elements": [], "phi": 5}, "'phi' must be a list"),
+    ("dodson-reflex", {"n": 1, "elements": [], "phi": [[0]]}, "'phi' must be a list"),
+    ("weil-griffiths", dict(_SYNTHETIC, labels=5), "'labels' must be a list"),
+    ("weil-griffiths", dict(_SYNTHETIC, labels=[[3, 0], 5]),
+     "'labels' must be a list"),
+    ("weil-griffiths", dict(_SYNTHETIC, elements=7), "'elements' must be a non-empty"),
+    ("weil-griffiths", dict(_SYNTHETIC, elements=[]), "'elements' must be a non-empty"),
+    ("weil-griffiths", dict(_SYNTHETIC, spreads=5), "'spreads' must be a list"),
+    ("weil-griffiths", dict(_SYNTHETIC, spreads=[[0, 1]]),
+     "each spread needs an 'element' and 'slots'"),
+    ("weil-griffiths", dict(_SYNTHETIC, spreads=[dict(_SYNTHETIC["spreads"][0],
+                                                      slots=[[0, 0, 1]])]),
+     "spread 'slots' must be a list"),
+    ("weil-griffiths", dict(_SYNTHETIC, spreads=[dict(_SYNTHETIC["spreads"][0],
+                                                      slots=[[0, 0], [2, 0]])]),
+     "spread 'slots' must be slots of the structure"),
+])
+def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(capsys, sub, "--input", str(path))
+    report = json.loads(out)
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    assert what in report["diagnostics"][0]["message"]
