@@ -102,8 +102,7 @@ def _cmd_split(args):
     from . import serialize, tausplit
 
     pm = serialize.parse_period_matrix(_load(args))
-    cert, _level = tausplit.split(pm)
-    verified = tausplit.verify_certificate(pm, cert)
+    cert, verified = tausplit.split(pm)
     return serialize.certificate_report(pm, cert, verified.ok)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, tower as tw
-from .errors import MathError, SquareClassMismatch, WrongCase
+from .errors import BadFactorBound, MathError, SquareClassMismatch, WrongCase
 
 DEG2, CASE_A, CASE_B, CASE_C = "deg2", "A", "B", "C"
 
@@ -45,33 +45,63 @@ class CMFieldData:
         return [self.tower.gen(lbl) for lbl in self.phi_basis]
 
 
+# classify results kept per process, least recently used dropped first
+_CLASSIFY_CACHE_SIZE = 64
+
+_SHAPES = ({"p"}, {"p1", "p2"}, {"d", "p", "q"})
+
+
 def classify(params: dict) -> CMFieldData:
     """Decide the case from a parameter record and build the closure.
 
     {"p": ...} is imaginary quadratic; {"p1": ..., "p2": ...} is biquadratic
     (case A); {"d": ..., "p": ..., "q": ...} is quartic, split into B/C by
     the square class of dp = p^2 - q^2 d.
+
+    Results are cached per process in a bounded LRU cache, so equal
+    parameters return the same object, shared by every caller and not to be
+    modified.  The key is the canonical
+    parameters, each value parsed by ``tower.parse_rational`` (``"-5/2"``,
+    ``Fraction(-5, 2)`` and ``-2.5`` share an entry), together with the
+    trial-division bound ``tower._factor_bound()``, which is read on every
+    call before the lookup, so a changed ``WEAKCM_FACTOR_BOUND`` is
+    followed.  When that bound is unusable the field is built uncached, and
+    ``BadFactorBound`` is raised where the build reads the bound.
     """
     keys = set(k for k in params if k in ("p", "q", "d", "p1", "p2"))
-    if keys == {"p"}:
+    if keys not in _SHAPES:
+        raise SquareClassMismatch(
+            "parameter record must be {p}, {p1,p2} or {d,p,q}"
+        )
+    canon = tuple((k, tw.parse_rational(params[k])) for k in sorted(keys))
+    try:
+        bound = tw._factor_bound()
+    except BadFactorBound:
+        return _build(canon)
+    return _classify_cached(canon, bound)
+
+
+def _build(canon: tuple) -> CMFieldData:
+    params = dict(canon)
+    if params.keys() == {"p"}:
         t = tw.quadratic_tower(params["p"])
         return CMFieldData(2, DEG2, t, ("1", "sqrt(p)"))
-    if keys == {"p1", "p2"}:
+    if params.keys() == {"p1", "p2"}:
         t = tw.biquadratic_tower(params["p1"], params["p2"])
         return CMFieldData(4, CASE_A, t, t.basis)
-    if keys == {"d", "p", "q"}:
-        d = tw.parse_rational(params["d"])
-        p = tw.parse_rational(params["p"])
-        q = tw.parse_rational(params["q"])
-        dprime = p * p - q * q * d
-        if dprime > 0 and tw.square_class_test(dprime, d):
-            t = tw.cyclic_quartic_tower(d, p, q)
-            return CMFieldData(4, CASE_B, t, t.basis)
-        t = tw.quartic_closure_tower(d, p, q)
-        return CMFieldData(4, CASE_C, t, ("1", "sqrt(d)", "xi+", "sqrt(d)*xi+"))
-    raise SquareClassMismatch(
-        "parameter record must be {p}, {p1,p2} or {d,p,q}"
-    )
+    d, p, q = params["d"], params["p"], params["q"]
+    dprime = p * p - q * q * d
+    if dprime > 0 and tw.square_class_test(dprime, d):
+        t = tw.cyclic_quartic_tower(d, p, q)
+        return CMFieldData(4, CASE_B, t, t.basis)
+    t = tw.quartic_closure_tower(d, p, q)
+    return CMFieldData(4, CASE_C, t, ("1", "sqrt(d)", "xi+", "sqrt(d)*xi+"))
+
+
+@lru_cache(maxsize=_CLASSIFY_CACHE_SIZE)
+def _classify_cached(canon: tuple, bound: int) -> CMFieldData:
+    # the build reads the bound itself; it is part of the key only
+    return _build(canon)
 
 
 def build_as_case(case: str, params: dict) -> CMFieldData:

@@ -155,3 +155,10 @@ class MultipleTopForms(InputError):
 
 class WrongWeight(InputError):
     condition = "hodge:wrong-weight"
+
+
+class ElementsNotClosed(InputError):
+    """An explicit structure's group elements are not closed under
+    composition."""
+
+    condition = "hodge:elements-not-closed"

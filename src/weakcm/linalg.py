@@ -8,10 +8,11 @@ Over Q the work is done in integers.  ``mat_mul`` computes each entry as
 one dot product of integer rows over a common denominator; ``mat_det``,
 ``mat_inverse`` and ``solve_rational`` scale each row to integers and call
 ``bareiss``, the one fraction-free elimination over Z, which
-``FieldElement.inv`` uses too.  Over a tower, ``mat_mul`` hands each entry
-to the tower's fused dot product (``TowerSpec.mat_mul``), and ``mat_det``
-and ``mat_inverse`` eliminate with the field operations of the entries, as
-``row_rank`` and ``solve_columns`` do over either field.
+``FieldElement.inv`` uses too; ``row_rank`` scales each row to integers
+before its elimination.  Over a tower, ``mat_mul`` hands each entry to the
+tower's fused dot product (``TowerSpec.mat_mul``), and ``mat_det``,
+``mat_inverse`` and ``row_rank`` eliminate with the field operations of the
+entries, as ``solve_columns`` does over either field.
 """
 
 import math
@@ -181,10 +182,14 @@ def mat_det(A, one):
 
 def row_rank(rows):
     """Rank of the row span; division-free cross-multiplication elimination
-    (matters over towers, where an inverse is itself a linear solve)."""
+    (matters over towers, where an inverse is itself a linear solve).  Over
+    Q each row is first scaled to integers, which leaves the rank unchanged,
+    so the elimination runs in integers."""
     M = [list(r) for r in rows]
     if not M:
         return 0
+    if all(_is_rational(x) for row in M for x in row):
+        M = [_integer_row(row)[1] for row in M]
     ncols = len(M[0])
     rank = 0
     for col in range(ncols):

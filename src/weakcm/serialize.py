@@ -329,6 +329,7 @@ def _parse_explicit_structure(doc):
     if not isinstance(raw, list) or not raw:
         raise InputError("explicit structure 'elements' must be a non-empty list")
     elements = [parse_imn2_element(e, n) for e in raw]
+    _check_closed(elements)
     labels = {}
     for i, (p, q) in enumerate(labels_in):
         labels[(i, 0)] = (p, q)
@@ -353,6 +354,27 @@ def _parse_explicit_structure(doc):
         h = hodge.CMHodgeStructure(weight, h.slots, h.labels, h.rho,
                                    list(h.group), top_spreads=spreads)
     return h
+
+
+def _check_closed(elements):
+    """Raise ElementsNotClosed, naming the first missing product in
+    ``dodson.element_key`` order, unless the elements are closed under
+    composition (a finite closed set is a group)."""
+    from . import dodson
+    from .errors import ElementsNotClosed
+
+    present = set(elements)
+    ordered = sorted(present, key=dodson.element_key)
+    for a in ordered:
+        for b in ordered:
+            ab = dodson.im_mul(a, b)
+            if ab not in present:
+                a_s, b_s, ab_s = (f"(bits {list(g.bits)}, perm {list(g.perm)})"
+                                  for g in (a, b, ab))
+                raise ElementsNotClosed(
+                    "explicit structure 'elements' are not closed under "
+                    f"composition: {a_s} * {b_s} = {ab_s} is missing"
+                )
 
 
 def product_report_out(rep: hodge.ProductReport) -> dict:

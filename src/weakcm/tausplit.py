@@ -10,7 +10,10 @@ matrices
 (g = s1, g' = s2 in the biquadratic case; g = s0, eps = -s0(delta) in the
 quartic cases) and checks the rank split that makes the top-form conjugate
 pure.  Splitting then produces an exact certificate (P, S, renaming, c1/c2
-or M, standard form) whose verification is an independent recomputation.
+or M, standard form) whose verification is an independent recomputation
+from the certificate's data.  Each split verifies its certificate once and
+returns that result with it; the coordinate change C is built from the
+recorded c1/c2 or M by one function, ``coordinate_change``, for both.
 
 The P/S search works on the rational "realification": each coframe row over
 its coefficient field F expands into [F:Q] rational rows; the standard form
@@ -63,21 +66,23 @@ class PeriodMatrix:
                 raise TowerMismatch("B matrices must be n x n")
 
     def tau(self):
-        t = self.field.tower
-        labels = _ASSEMBLY_LABELS[self.field.case]
-        monos = [t.gen(lbl) for lbl in labels]
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = t.zero()
-                for M, mono in zip(self.B, monos):
-                    c = M[i][j]
-                    if c:
-                        acc = acc + mono * c
-                row.append(acc)
-            out.append(row)
-        return out
+        """tau as a fresh list of rows.  The entries are assembled on the
+        first call and kept; each call hands out a copy of the rows."""
+        rows = self.__dict__.get("_tau")
+        if rows is None:
+            t = self.field.tower
+            pos = [t.basis.index(lbl) for lbl in _ASSEMBLY_LABELS[self.field.case]]
+            rows = []
+            for i in range(self.n):
+                row = []
+                for j in range(self.n):
+                    coeffs = [0] * t.dim
+                    for M, k in zip(self.B, pos):
+                        coeffs[k] = M[i][j]
+                    row.append(t.element(coeffs))
+                rows.append(tuple(row))
+            object.__setattr__(self, "_tau", tuple(rows))
+        return [list(row) for row in rows]
 
 
 def period_matrix(field: CMFieldData, *Bs) -> PeriodMatrix:
@@ -113,6 +118,23 @@ def _expected_field_dim(case: str) -> int:
     return 2 if case == DEG2 else 4
 
 
+def _generated_field(pm: PeriodMatrix, tau):
+    """(dimension, echelon basis) of the subfield generated by the entries.
+
+    The entries lie in the span of the assembly monomials, so 1 and the
+    entries span K exactly when the entries' coordinates on the monomials
+    other than 1 (read off B) have rank [K:Q] - 1; then the basis is not
+    computed (None).  Only otherwise is the span closed up by
+    ``tower.generated_subalgebra``.
+    """
+    want = _expected_field_dim(pm.field.case)
+    coords = [[M[i][j] for M in pm.B[1:]] for i in range(pm.n) for j in range(pm.n)]
+    if linalg.row_rank(coords) == want - 1:
+        return want, None
+    alg = tw.generated_subalgebra(pm.field.tower, [x for row in tau for x in row])
+    return len(alg), alg
+
+
 def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
     """Check the weak-CM conditions exactly; raises on any failure.
 
@@ -127,16 +149,14 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
             f"complex dimension (n = {pm.n})"
         )
     tau = pm.tau()
-    entries = [x for row in tau for x in row]
-
-    alg = tw.generated_subalgebra(t, entries)
     want = _expected_field_dim(case)
-    if len(alg) < want:
+    field_dim, alg = _generated_field(pm, tau)
+    if field_dim < want:
         basis_desc = [str(t.element(v)) for v in alg]
         raise ProperSubfield(
-            f"tau entries generate a subfield of dimension {len(alg)} < {want}: "
+            f"tau entries generate a subfield of dimension {field_dim} < {want}: "
             f"spanned by {basis_desc}",
-            subfield_dim=len(alg),
+            subfield_dim=field_dim,
             subfield_basis=tuple(basis_desc),
         )
 
@@ -149,7 +169,7 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
     if case == DEG2:
         delta = diff
         eps = [[t.zero()] * n for _ in range(n)]
-        return DeltaEps(delta, eps, n, 0, n, None, len(alg))
+        return DeltaEps(delta, eps, n, 0, n, None, field_dim)
 
     if case == CASE_A:
         s1 = t.generators["s1"]
@@ -183,7 +203,7 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
         )
     if p == 0 or p == n:
         raise DegenerateP("rank split degenerated; tau lies in a subfield")
-    return DeltaEps(delta, eps, rank_delta, rank_eps, rank_joint, p, len(alg))
+    return DeltaEps(delta, eps, rank_delta, rank_eps, rank_joint, p, field_dim)
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +362,14 @@ def _s0_cubed(t):
 
 
 def _choose_renaming(case, delta, eps, p_split):
-    """Lexicographically first index split with the required independence."""
+    """Lexicographically first index split with the required independence.
+
+    Case A needs n - p independent delta rows whose complement holds p
+    independent eps rows, a common basis of two matroids: the subsets are
+    tried in lexicographic order.  Cases B/C need n/2 independent delta
+    rows; the lexicographically first such subset is the greedy basis of
+    the row matroid, so one pass keeps each row that raises the rank.
+    """
     n = len(delta)
     if case == CASE_A:
         k = n - p_split
@@ -355,11 +382,41 @@ def _choose_renaming(case, delta, eps, p_split):
             return subset + comp
         raise MathError("no index split achieves the delta/eps independence")
     r = n // 2
-    for subset in itertools.combinations(range(n), r):
-        if linalg.row_rank([delta[i] for i in subset]) == r:
-            comp = tuple(i for i in range(n) if i not in subset)
-            return comp + subset  # independent delta rows go to the bottom
+    chosen = []
+    for i in range(n):
+        if linalg.row_rank([delta[j] for j in chosen] + [delta[i]]) > len(chosen):
+            chosen.append(i)
+            if len(chosen) == r:
+                comp = tuple(j for j in range(n) if j not in chosen)
+                return comp + tuple(chosen)  # independent delta rows go to the bottom
     raise MathError("no independent bottom delta rows found")
+
+
+def coordinate_change(t, case, n, block_sizes, c1=None, c2=None, M=None):
+    """The coordinate change C of a certificate, from its recorded data.
+
+    Degree 2: the identity.  Case A, blocks (k, p): rows (I_k | s1(c1)) over
+    rows (c2 | I_p).  Cases B/C, block r: rows (I_r | -M) over rows
+    (I_r | -s0^3(M)).  Used by both ``split`` and ``verify_certificate``.
+    """
+    if case == DEG2:
+        return _identity_tower(t, n)
+    one, zero = t.one(), t.zero()
+    if case == CASE_A:
+        k, p = block_sizes
+        s1 = t.generators["s1"]
+        top = [[one if j == a else zero for j in range(k)]
+               + [s1(c1[a][b]) for b in range(p)] for a in range(k)]
+        bottom = [[c2[b][d] for d in range(k)]
+                  + [one if j == b else zero for j in range(p)] for b in range(p)]
+        return top + bottom
+    r = block_sizes[0]
+    s03 = _s0_cubed(t)
+    top = [[one if j == a else zero for j in range(r)]
+           + [-M[a][b] for b in range(r)] for a in range(r)]
+    bottom = [[one if j == a else zero for j in range(r)]
+              + [-s03(M[a][b]) for b in range(r)] for a in range(r)]
+    return top + bottom
 
 
 def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
@@ -384,231 +441,130 @@ def _certify_membership(M, basis_elements, what):
                 raise MathError(f"{what} has an entry outside its stated field")
 
 
-def split_degree2(pm: PeriodMatrix) -> SplitCertificate:
-    if pm.field.case != DEG2:
-        raise TowerMismatch("split_degree2 expects an imaginary quadratic field")
-    validate_weak_cm(pm)
-    t = pm.field.tower
-    n = pm.n
-    renaming = tuple(range(n))
-    W = _coordinate_matrix(t, pm.tau())
-    std = standard_form(pm.field, n, None)
-    sizes, bases, labels = _blocks_basis(pm.field, n, None)
-    S = _solve_s(t, [W], [std], bases)
-    cert = SplitCertificate(
-        case=DEG2,
-        n=n,
-        renaming=renaming,
-        P=_identity_tower(t, n),
-        block_sizes=sizes,
-        block_fields=labels,
-        S=S,
-        standard_form=std,
-        factors=(
-            FactorDescriptor("elliptic", _field_tag(t.params["p"]), n),
-        ),
-        level=LevelNReport({(n, 0): 1, (0, n): 1}, None),
-    )
-    _selfcheck(pm, cert)
-    return cert
-
-
-def split_caseA(pm: PeriodMatrix):
-    if pm.field.case != CASE_A:
-        raise TowerMismatch("split_caseA expects a biquadratic field")
-    de = validate_weak_cm(pm)
-    t = pm.field.tower
-    n, p = pm.n, de.p_split
-    renaming = _choose_renaming(CASE_A, de.delta, de.eps, p)
-    delta = [de.delta[i] for i in renaming]
-    eps = [de.eps[i] for i in renaming]
-    k = n - p
-
-    # eps_top + c1 . eps_bottom = 0 and c2 . delta_top + delta_bottom = 0
-    c1 = linalg.solve_left(eps[k:], [[-x for x in row] for row in eps[:k]])
-    c2 = linalg.solve_left(delta[:k], [[-x for x in row] for row in delta[k:]])
-    if c1 is None or c2 is None:
-        raise MathError("delta/eps relation rows are not in the claimed spans")
-    one_q = [t.one(), t.gen("sqrt(p1)")]
-    two_q = [t.one(), t.gen("sqrt(p2)")]
-    _certify_membership(c1, one_q, "c1")
-    _certify_membership(c2, two_q, "c2")
-
-    s1 = t.generators["s1"]
-    C = []
-    for a in range(k):
-        C.append(
-            [t.one() if j == a else t.zero() for j in range(k)]
-            + [s1(c1[a][b]) for b in range(p)]
-        )
-    for b in range(p):
-        C.append(
-            [c2[b][d] for d in range(k)]
-            + [t.one() if j == b else t.zero() for j in range(p)]
-        )
-    if not linalg.mat_det(C, t.one()):
-        raise MathError("dw coordinate change is singular")
-
-    L = linalg.mat_mul(C, _perm_matrix(t, renaming))
-    W = linalg.mat_mul(L, _coordinate_matrix(t, pm.tau()))
-    std = standard_form(pm.field, n, p)
-    sizes, bases, labels = _blocks_basis(pm.field, n, p)
-    S = _solve_s(t, [W[:k], W[k:]], [std[:k], std[k:]], bases)
-
-    level = LevelNReport(_level_numbers_A(n, p), p)
-    cert = SplitCertificate(
-        case=CASE_A,
-        n=n,
-        renaming=renaming,
-        P=_identity_tower(t, n),
-        block_sizes=sizes,
-        block_fields=labels,
-        S=S,
-        standard_form=std,
-        factors=(
-            FactorDescriptor("elliptic", _field_tag(t.params["p1"]), k),
-            FactorDescriptor("elliptic", _field_tag(t.params["p2"]), p),
-        ),
-        level=level,
-        c1=c1,
-        c2=c2,
-    )
-    _selfcheck(pm, cert)
-    return cert, level
-
-
-def _level_numbers_A(n, p):
+def _level_numbers(n, p_split):
+    """h^{n,0} = h^{0,n} = 1, plus h^{p,n-p} and h^{n-p,p} when the rank
+    split p is defined (they add up to h^{r,r} = 2 in cases B/C)."""
     numbers = {(n, 0): 1, (0, n): 1}
-    for key in ((p, n - p), (n - p, p)):
-        numbers[key] = numbers.get(key, 0) + 1
+    if p_split is not None:
+        for key in ((p_split, n - p_split), (n - p_split, p_split)):
+            numbers[key] = numbers.get(key, 0) + 1
     return numbers
 
 
-def split_caseBC(pm: PeriodMatrix):
-    if pm.field.case not in (CASE_B, CASE_C):
-        raise TowerMismatch("split_caseBC expects a quartic case B/C field")
-    de = validate_weak_cm(pm)  # raises OddDimension for odd n
-    t = pm.field.tower
-    n = pm.n
-    r = n // 2
-    renaming = _choose_renaming(pm.field.case, de.delta, de.eps, r)
-    delta = [de.delta[i] for i in renaming]
-
-    # delta_top = M . delta_bottom with the bottom rows independent
-    M = linalg.solve_left(delta[r:], delta[:r])
-    if M is None:
-        raise MathError("top delta rows are not spanned by the bottom rows")
-    reflex = reflex_bc(pm.field)
-    _certify_membership(M, list(reflex.basis), "M")
-
-    s03 = _s0_cubed(t)
-    C = []
-    for a in range(r):
-        C.append(
-            [t.one() if j == a else t.zero() for j in range(r)]
-            + [-M[a][b] for b in range(r)]
+def _factors(field: CMFieldData, n: int, p_split):
+    params = field.tower.params
+    if field.case == DEG2:
+        return (FactorDescriptor("elliptic", _field_tag(params["p"]), n),)
+    if field.case == CASE_A:
+        return (
+            FactorDescriptor("elliptic", _field_tag(params["p1"]), n - p_split),
+            FactorDescriptor("elliptic", _field_tag(params["p2"]), p_split),
         )
-    for a in range(r):
-        C.append(
-            [t.one() if j == a else t.zero() for j in range(r)]
-            + [-s03(M[a][b]) for b in range(r)]
-        )
-    if not linalg.mat_det(C, t.one()):
-        raise MathError("dw coordinate change is singular")
-
-    L = linalg.mat_mul(C, _perm_matrix(t, renaming))
-    W = linalg.mat_mul(L, _coordinate_matrix(t, pm.tau()))
-    for a in range(r):  # bottom rows are the s0^3-conjugates of the top rows
-        if W[r + a] != [s03(x) for x in W[a]]:
-            raise MathError("bottom coframe rows are not the s0^3 conjugates")
-
-    std = standard_form(pm.field, n, r)
-    sizes, bases, labels = _blocks_basis(pm.field, n, r)
-    S = _solve_s(t, [W[:r]], [std[:r]], bases)
-
-    dp = dprime_of(pm.field)
-    params = pm.field.tower.params
     tag = (
         f"reflex quartic of Q(xi+) [d={tw.format_rational(params['d'])}, "
         f"p={tw.format_rational(params['p'])}, q={tw.format_rational(params['q'])}, "
-        f"dp={tw.format_rational(dp)}]"
+        f"dp={tw.format_rational(dprime_of(field))}]"
     )
-    level = LevelNReport({(n, 0): 1, (0, n): 1, (r, r): 2}, r)
-    cert = SplitCertificate(
-        case=pm.field.case,
+    return (FactorDescriptor("abelian-surface", tag, n // 2),)
+
+
+class SplitResult(NamedTuple):
+    certificate: SplitCertificate
+    verified: VerifyResult
+
+
+def split(pm: PeriodMatrix) -> SplitResult:
+    """Validate, build the certificate of the case, and verify it once.
+
+    Returns the certificate with the result of its one
+    ``verify_certificate`` call.  A fresh certificate that fails to verify
+    is a library bug and raises MathError.
+    """
+    cert = _certificate(pm)
+    verified = verify_certificate(pm, cert)
+    if not verified.ok:
+        raise MathError(
+            f"internal: fresh certificate failed to verify: {verified.diagnostic}"
+        )
+    return SplitResult(cert, verified)
+
+
+def _certificate(pm: PeriodMatrix) -> SplitCertificate:
+    de = validate_weak_cm(pm)  # raises OddDimension for odd n in cases B/C
+    field = pm.field
+    t, case, n = field.tower, field.case, pm.n
+    renaming = tuple(range(n))
+    p_split = c1 = c2 = M = None
+    if case == CASE_A:
+        p_split = de.p_split
+        k = n - p_split
+        renaming = _choose_renaming(CASE_A, de.delta, de.eps, p_split)
+        delta = [de.delta[i] for i in renaming]
+        eps = [de.eps[i] for i in renaming]
+        # eps_top + c1 . eps_bottom = 0 and c2 . delta_top + delta_bottom = 0
+        c1 = linalg.solve_left(eps[k:], [[-x for x in row] for row in eps[:k]])
+        c2 = linalg.solve_left(delta[:k], [[-x for x in row] for row in delta[k:]])
+        if c1 is None or c2 is None:
+            raise MathError("delta/eps relation rows are not in the claimed spans")
+        _certify_membership(c1, [t.one(), t.gen("sqrt(p1)")], "c1")
+        _certify_membership(c2, [t.one(), t.gen("sqrt(p2)")], "c2")
+    elif case != DEG2:
+        p_split = r = n // 2
+        renaming = _choose_renaming(case, de.delta, de.eps, r)
+        delta = [de.delta[i] for i in renaming]
+        # delta_top = M . delta_bottom with the bottom rows independent
+        M = linalg.solve_left(delta[r:], delta[:r])
+        if M is None:
+            raise MathError("top delta rows are not spanned by the bottom rows")
+        _certify_membership(M, list(reflex_bc(field).basis), "M")
+
+    sizes, bases, labels = _blocks_basis(field, n, p_split)
+    W = _coordinate_matrix(t, pm.tau())
+    if case != DEG2:
+        C = coordinate_change(t, case, n, sizes, c1, c2, M)
+        if not linalg.mat_det(C, t.one()):
+            raise MathError("dw coordinate change is singular")
+        W = linalg.mat_mul(linalg.mat_mul(C, _perm_matrix(t, renaming)), W)
+    if case in (CASE_B, CASE_C):
+        s03 = _s0_cubed(t)
+        for a in range(r):  # bottom rows are the s0^3-conjugates of the top rows
+            if W[r + a] != [s03(x) for x in W[a]]:
+                raise MathError("bottom coframe rows are not the s0^3 conjugates")
+
+    # S maps the rows of each factor block onto the standard form; in cases
+    # B/C the bottom block is the conjugate of the top one
+    std = standard_form(field, n, p_split)
+    ends = list(itertools.accumulate(sizes))
+    starts = [0] + ends[:-1]
+    S = _solve_s(t, [W[a:b] for a, b in zip(starts, ends)],
+                 [std[a:b] for a, b in zip(starts, ends)], bases)
+    return SplitCertificate(
+        case=case,
         n=n,
         renaming=renaming,
-        P=_identity_tower(t, r),
+        P=_identity_tower(t, ends[-1]),
         block_sizes=sizes,
         block_fields=labels,
         S=S,
         standard_form=std,
-        factors=(FactorDescriptor("abelian-surface", tag, r),),
-        level=level,
+        factors=_factors(field, n, p_split),
+        level=LevelNReport(_level_numbers(n, p_split), p_split),
+        c1=c1,
+        c2=c2,
         M=M,
     )
-    _selfcheck(pm, cert)
-    return cert, level
-
-
-def split(pm: PeriodMatrix):
-    """Dispatch on the case; returns (certificate, level report)."""
-    if pm.field.case == DEG2:
-        cert = split_degree2(pm)
-        return cert, cert.level
-    if pm.field.case == CASE_A:
-        return split_caseA(pm)
-    return split_caseBC(pm)
-
-
-def _selfcheck(pm, cert):
-    res = verify_certificate(pm, cert)
-    if not res.ok:
-        raise MathError(f"internal: fresh certificate failed to verify: {res.diagnostic}")
 
 
 # --------------------------------------------------------------------------
 # verification
 
 
-def _rebuild_C(pm: PeriodMatrix, cert: SplitCertificate):
-    t = pm.field.tower
-    n = cert.n
-    if cert.case == DEG2:
-        return _identity_tower(t, n)
-    if cert.case == CASE_A:
-        k, p = cert.block_sizes
-        s1 = t.generators["s1"]
-        C = []
-        for a in range(k):
-            C.append(
-                [t.one() if j == a else t.zero() for j in range(k)]
-                + [s1(cert.c1[a][b]) for b in range(p)]
-            )
-        for b in range(p):
-            C.append(
-                [cert.c2[b][d] for d in range(k)]
-                + [t.one() if j == b else t.zero() for j in range(p)]
-            )
-        return C
-    r = cert.block_sizes[0]
-    s03 = _s0_cubed(t)
-    C = []
-    for a in range(r):
-        C.append(
-            [t.one() if j == a else t.zero() for j in range(r)]
-            + [-cert.M[a][b] for b in range(r)]
-        )
-    for a in range(r):
-        C.append(
-            [t.one() if j == a else t.zero() for j in range(r)]
-            + [-s03(cert.M[a][b]) for b in range(r)]
-        )
-    return C
-
-
 def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult:
-    """Recompute P^-1 (C Pi (1|tau)) S exactly and compare entrywise."""
+    """Recompute P^-1 (C Pi (1|tau)) S exactly and compare entrywise.
+
+    An independent recomputation from the certificate's data; ``split``
+    runs it once on every certificate it returns.
+    """
     t = pm.field.tower
     one = t.one()
     if not linalg.mat_det(cert.S, Fraction(1)):
@@ -621,7 +577,8 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
         return VerifyResult(False, "P is singular over its field")
 
     try:
-        C = _rebuild_C(pm, cert)
+        C = coordinate_change(t, cert.case, cert.n, cert.block_sizes,
+                              cert.c1, cert.c2, cert.M)
     except Exception as exc:  # malformed certificate payloads
         return VerifyResult(False, f"cannot rebuild coordinate change: {exc}")
     if sorted(cert.renaming) != list(range(cert.n)):

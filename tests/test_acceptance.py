@@ -143,11 +143,12 @@ def test_acceptance_05_randomized_split_roundtrips():
     t0 = time.time()
     per_case = {}
     for case, field, pm in _split_corpus():
-        cert, level = tausplit.split(pm)
+        cert, verified = tausplit.split(pm)
+        assert verified.ok, verified.diagnostic
         res = tausplit.verify_certificate(pm, cert)
         assert res.ok, res.diagnostic
         assert cert.standard_form == tausplit.standard_form(
-            field, pm.n, level.p_split
+            field, pm.n, cert.level.p_split
         )
         per_case[case] = per_case.get(case, 0) + 1
     assert all(count >= 100 for count in per_case.values()), per_case
@@ -211,7 +212,8 @@ def test_acceptance_08_level_hodge_numbers():
     fA = cmfield.classify(_FIELDS["A"])
     for n, p in ((2, 1), (3, 1), (3, 2)):
         pm = random_period_matrix(fA, n, rng, p_split=p)
-        cert, level = tausplit.split(pm)
+        cert, _ = tausplit.split(pm)
+        level = cert.level
         expect = {(n, 0): 1, (0, n): 1}
         for key in ((p, n - p), (n - p, p)):
             expect[key] = expect.get(key, 0) + 1
@@ -220,7 +222,8 @@ def test_acceptance_08_level_hodge_numbers():
         field = cmfield.classify(_FIELDS[case])
         for n in (2, 4):
             pm = random_period_matrix(field, n, rng)
-            cert, level = tausplit.split(pm)
+            cert, _ = tausplit.split(pm)
+            level = cert.level
             r = n // 2
             assert level.hodge_numbers == {(n, 0): 1, (0, n): 1, (r, r): 2}
     _report(8, "level Hodge numbers match the two quartic shapes", t0)

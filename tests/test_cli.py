@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -134,6 +135,32 @@ def test_library_bug_is_internal_error_not_math_error(monkeypatch, capsys, exc,
     assert code == 2
     assert report["status"] == status
     assert report["diagnostics"][0]["condition"] == condition
+
+
+def test_split_verifies_once(monkeypatch, tmp_path, capsys):
+    from util import random_period_matrix
+    from weakcm import cmfield
+
+    calls = []
+    verify = tausplit.verify_certificate
+
+    def counting(pm, cert):
+        calls.append(cert.case)
+        return verify(pm, cert)
+
+    monkeypatch.setattr(tausplit, "verify_certificate", counting)
+    pm = random_period_matrix(cmfield.classify({"d": 2, "p": -3, "q": 1}), 2,
+                              random.Random(8))
+    doc = tmp_path / "torus_c.json"
+    doc.write_text(json.dumps({"n": 2, "field": {"d": 2, "p": -3, "q": 1},
+                               "B": [[[str(x) for x in row] for row in M] for M in pm.B]}),
+                   encoding="utf-8")
+    for path in (os.path.join(DATA, "torus_a_diag.json"), str(doc)):
+        calls.clear()
+        code, out = run_cli(capsys, "split", "--input", path)
+        assert code == 0
+        assert json.loads(out)["payload"]["verified"] is True
+        assert len(calls) == 1
 
 
 def test_presets_payload(capsys):
@@ -327,6 +354,32 @@ def test_weil_griffiths_explicit_synthetic(tmp_path, capsys):
     assert payload["griffiths_cm"] is True
     assert payload["weil_cm"] is False
     assert payload["common_algebra_ok"] is False
+
+
+def test_explicit_elements_not_closed_are_named(tmp_path, capsys):
+    # identity, rho and the 3-cycle (1, 2, 0), without the 3-cycle's square
+    structure = {
+        "type": "explicit", "weight": 3, "pairs": 3,
+        "labels": [[3, 0], [2, 1], [2, 1]],
+        "elements": [{"bits": [0, 0, 0], "perm": [0, 1, 2]},
+                     {"bits": [1, 1, 1], "perm": [0, 1, 2]},
+                     {"bits": [0, 0, 0], "perm": [1, 2, 0]}],
+    }
+    doc = tmp_path / "wg.json"
+    doc.write_text(json.dumps({"structure": structure}), encoding="utf-8")
+    code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "invalid-input"
+    diag = report["diagnostics"][0]
+    assert diag["condition"] == "hodge:elements-not-closed"
+    cycle = "(bits [0, 0, 0], perm [1, 2, 0])"
+    assert f"{cycle} * {cycle} = (bits [0, 0, 0], perm [2, 0, 1]) is missing" in diag["message"]
+    # with the square added the elements form Z2 x Z3, and the structure is accepted
+    structure["elements"].append({"bits": [0, 0, 0], "perm": [2, 0, 1]})
+    structure["elements"] += [{"bits": [1, 1, 1], "perm": p} for p in ([1, 2, 0], [2, 0, 1])]
+    doc.write_text(json.dumps({"structure": structure}), encoding="utf-8")
+    code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
+    assert code == 0 and json.loads(out)["status"] == "ok"
 
 
 def test_weil_griffiths_wrong_weight(tmp_path, capsys):

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from weakcm import cmfield, dodson, linalg, tower as tw
-from weakcm.errors import SquareClassMismatch, WrongCase, WrongSign
+from weakcm.errors import (
+    BadFactorBound,
+    FactorizationInconclusive,
+    SquareClassMismatch,
+    WrongCase,
+    WrongSign,
+)
 
 
 def field_B():
@@ -37,6 +43,40 @@ def test_classify_propagates_tower_errors():
         cmfield.classify({"p1": 1, "p2": -3})
     with pytest.raises(SquareClassMismatch):
         cmfield.build_as_case("C", {"d": 5, "p": Fraction(-5, 2), "q": Fraction(-1, 2)})
+
+
+def test_classify_returns_one_object_for_equivalent_spellings():
+    spellings = [
+        {"d": 5, "p": "-5/2", "q": "-1/2"},
+        {"d": "5", "p": Fraction(-5, 2), "q": -0.5},
+        {"d": 5.0, "p": -2.5, "q": " -1/2 "},
+        {"q": "-2/4", "p": "-10/4", "d": "10/2", "case": "B"},
+    ]
+    first = cmfield.classify(spellings[0])
+    assert all(cmfield.classify(params) is first for params in spellings)
+    assert cmfield.classify({"p": "-1"}) is cmfield.classify({"p": -1})
+    assert cmfield.classify({"p": -1}) is not cmfield.classify({"p": -2})
+
+
+def test_classify_follows_the_factor_bound(monkeypatch):
+    params = {"d": 5, "p": "-5/2", "q": "-1/2"}
+    monkeypatch.delenv("WEAKCM_FACTOR_BOUND", raising=False)
+    first = cmfield.classify(params)
+    # trial division up to 2 cannot certify that d = 5 is square-free
+    monkeypatch.setenv("WEAKCM_FACTOR_BOUND", "2")
+    with pytest.raises(FactorizationInconclusive):
+        cmfield.classify(params)
+    for raw in ("abc", "1"):
+        monkeypatch.setenv("WEAKCM_FACTOR_BOUND", raw)
+        for _ in range(2):
+            with pytest.raises(BadFactorBound):
+                cmfield.classify(params)
+    # another usable bound has its own cache entry
+    monkeypatch.setenv("WEAKCM_FACTOR_BOUND", "3")
+    other = cmfield.classify(params)
+    assert other == first and other is not first
+    monkeypatch.delenv("WEAKCM_FACTOR_BOUND")
+    assert cmfield.classify(params) is first
 
 
 # ---------------------------------------------------------------- galois

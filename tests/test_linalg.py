@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from test_tower import _oracle_elements, _oracle_towers, all_towers
-from weakcm import linalg
+from weakcm import linalg, tower as tw
 from weakcm.errors import DivisionByZero, SingularMatrix, TowerMismatch
 
 
@@ -205,6 +205,19 @@ def test_bareiss_singular_systems_raise(n):
             linalg.solve_rational(A, B)
         with pytest.raises(SingularMatrix):
             linalg.mat_inverse(A, Fraction(1))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (4, 4), (9, 3), (16, 3), (2, 5)])
+def test_row_rank_over_q_matches_fraction_echelon(rows, cols):
+    # the integer elimination against the Gauss-Jordan echelon over Fractions
+    rng = random.Random(83 + rows * cols)
+    for _ in range(10):
+        M = _with_zero_lines(rng, _rational_matrix(rng, rows, cols), Fraction(0))
+        if rows > 2 and rng.random() < 0.5:  # a row that depends on two others
+            a, b, c = rng.sample(range(rows), 3)
+            M[a] = [_rational(rng) * x + y for x, y in zip(M[b], M[c])]
+        assert linalg.row_rank(M) == len(tw._echelon(M))
+    assert linalg.row_rank([[0, 0], [Fraction(1, 2), 3], [1, 6]]) == 1
 
 
 def test_bareiss_integer_contract():

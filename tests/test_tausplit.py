@@ -1,14 +1,16 @@
 """Period-matrix validation and certified splitting."""
 
 import copy
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from util import random_period_matrix, rank_by_minors
-from weakcm import cmfield, tausplit, tower as tw
+from weakcm import cmfield, linalg, tausplit, tower as tw
 from weakcm.errors import (
+    MathError,
     NotFullSpan,
     OddDimension,
     ProperSubfield,
@@ -143,13 +145,123 @@ def test_rank_matches_minor_oracle():
     assert rank_by_minors(de.eps, t) == de.rank_eps
 
 
+# ---------------------------------------------------------------- subfield from B
+
+
+def _closure_dim(pm):
+    """The oracle: close the span of the entries under products."""
+    entries = [x for row in pm.tau() for x in row]
+    return len(tw.generated_subalgebra(pm.field.tower, entries))
+
+
+def _subfield_cases():
+    """Seeded corpus matrices, proper-subfield rejects, and matrices whose
+    entries span less than K but generate all of it."""
+    rng = random.Random(2024)
+    out = []
+    for field, shapes in ((f_deg2(), (2, 3)), (f_A(), (2, 3)), (f_B(), (2, 4)),
+                          (f_C(), (2, 4))):
+        for n in shapes:
+            for _ in range(4):
+                out.append(("corpus", random_period_matrix(field, n, rng)))
+    I2 = [[1, 0], [0, 1]]
+    out += [
+        ("reject", tausplit.period_matrix(f_A(), Z2, I2, Z2, Z2)),
+        ("reject", tausplit.period_matrix(f_A(), [[1, 1], [1, 2]], Z2, Z2, [[0, 3], [1, 0]])),
+        ("reject", tausplit.period_matrix(f_deg2(), I2, Z2)),
+        ("reject", tausplit.period_matrix(f_B(), [[2, 1], [0, 1]], I2, Z2, Z2)),
+        ("reject", tausplit.period_matrix(f_C(), Z2, [[1, 2], [3, 4]], Z2, Z2)),
+        ("reject", tausplit.period_matrix(f_C(), I2, Z2, Z2, Z2)),
+        # sqrt(p1) + sqrt(p2) and xi+ + sqrt(d)*xi+ each generate all of K
+        ("closure", tausplit.period_matrix(f_A(), Z2, I2, I2, Z2)),
+        ("closure", tausplit.period_matrix(f_B(), Z2, Z2, I2, I2)),
+        ("closure", tausplit.period_matrix(f_C(), Z2, Z2, [[1, 2], [0, 1]], [[1, 2], [0, 1]])),
+    ]
+    return out
+
+
+def test_subfield_from_b_agrees_with_generated_subalgebra():
+    fast = 0
+    for kind, pm in _subfield_cases():
+        want = 2 if pm.field.case == "deg2" else 4
+        oracle = _closure_dim(pm)
+        dim, basis = tausplit._generated_field(pm, pm.tau())
+        assert dim == oracle, (kind, pm)
+        fast += basis is None
+        assert (basis is None) == (kind == "corpus"), (kind, pm)
+        # the verdict and field_dimension that validate_weak_cm reports
+        try:
+            reported = tausplit.validate_weak_cm(pm).subfield_dim
+        except ProperSubfield as exc:
+            reported = exc.subfield_dim
+            assert oracle < want
+        except (NotFullSpan, SingularTauBar):
+            reported = oracle  # failed a later check: the subfield one passed
+            assert oracle == want
+        assert reported == oracle, (kind, pm)
+    assert fast == 32
+
+
+# ---------------------------------------------------------------- renaming
+
+
+def _renaming_by_subset_search(delta, r):
+    """The C(n, n/2) search the greedy pass replaced: the lexicographically
+    first r-subset of independent delta rows goes to the bottom."""
+    n = len(delta)
+    for subset in itertools.combinations(range(n), r):
+        if linalg.row_rank([delta[i] for i in subset]) == r:
+            return tuple(i for i in range(n) if i not in subset) + subset
+    return None
+
+
+def _low_rank_delta(rng, t, n, r):
+    """X Y for a rational n x r X whose rows are often zero or repeat an
+    earlier row up to a factor, and a random r x n Y over the tower."""
+    X = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 2 and X:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            X.append([c * x for x in rng.choice(X)])
+        elif kind == 1:
+            X.append([Fraction(0)] * r)
+        else:
+            X.append([Fraction(rng.randint(-3, 3)) for _ in range(r)])
+    Y = [[t.element([rng.randint(-3, 3) for _ in range(t.dim)]) for _ in range(n)]
+         for _ in range(r)]
+    return linalg.mat_mul(X, Y)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_greedy_renaming_matches_subset_search(n):
+    rng = random.Random(600 + n)
+    r = n // 2
+    found = failed = 0
+    for field in (f_B(), f_C()):
+        deltas = [tausplit.validate_weak_cm(random_period_matrix(field, n, rng)).delta
+                  for _ in range(2)]
+        deltas += [_low_rank_delta(rng, field.tower, n, r) for _ in range(12)]
+        for delta in deltas:
+            expected = _renaming_by_subset_search(delta, r)
+            if expected is None:
+                failed += 1
+                with pytest.raises(MathError):
+                    tausplit._choose_renaming(field.case, delta, None, r)
+            else:
+                found += 1
+                assert tausplit._choose_renaming(field.case, delta, None, r) == expected
+    assert found >= 8 and (failed >= 1 or n == 2)
+
+
 # ---------------------------------------------------------------- splitting
 
 
 def test_split_deg2_shioda_mitani_shape():
     # tau = sqrt(p) I: isogenous to E x E with CM by Q(sqrt(-1))
     pm = tausplit.period_matrix(f_deg2(), Z2, [[1, 0], [0, 1]])
-    cert, level = tausplit.split(pm)
+    cert, _ = tausplit.split(pm)
+    level = cert.level
     assert cert.factors[0].kind == "elliptic"
     assert cert.factors[0].cm_field == "Q(sqrt(-1))"
     assert cert.factors[0].multiplicity == 2
@@ -176,7 +288,8 @@ def test_split_deg2_n3_diag():
 def test_split_case_a_diagonal():
     field = f_A()
     pm = tausplit.period_matrix(field, Z2, [[1, 0], [0, 0]], [[0, 0], [0, 1]], Z2)
-    cert, level = tausplit.split(pm)
+    cert, _ = tausplit.split(pm)
+    level = cert.level
     kinds = [(f.cm_field, f.multiplicity) for f in cert.factors]
     assert kinds == [("Q(sqrt(-1))", 1), ("Q(sqrt(-3))", 1)]
     assert level.hodge_numbers == {(2, 0): 1, (0, 2): 1, (1, 1): 2}
@@ -190,7 +303,8 @@ def test_split_case_a_n3():
     pm = random_period_matrix(field, 3, rng, p_split=1)
     de = tausplit.validate_weak_cm(pm)
     assert {de.rank_delta, de.rank_eps} == {1, 2}
-    cert, level = tausplit.split(pm)
+    cert, _ = tausplit.split(pm)
+    level = cert.level
     mult = {f.cm_field: f.multiplicity for f in cert.factors}
     assert mult == {"Q(sqrt(-1))": 2, "Q(sqrt(-3))": 1}
     assert tausplit.verify_certificate(pm, cert).ok
@@ -201,7 +315,8 @@ def test_split_case_b_n2():
     rng = random.Random(5)
     field = f_B()
     pm = random_period_matrix(field, 2, rng)
-    cert, level = tausplit.split(pm)
+    cert, _ = tausplit.split(pm)
+    level = cert.level
     assert len(cert.factors) == 1
     assert cert.factors[0].kind == "abelian-surface"
     assert cert.factors[0].multiplicity == 1
@@ -223,7 +338,8 @@ def test_split_case_c_n4_block_diagonal():
                 big[2 + i][2 + j] = M[i][j]
         Bs.append(big)
     pm4 = tausplit.period_matrix(field, *Bs)
-    cert, level = tausplit.split(pm4)
+    cert, _ = tausplit.split(pm4)
+    level = cert.level
     assert cert.factors[0].multiplicity == 2
     assert level.hodge_numbers == {(4, 0): 1, (0, 4): 1, (2, 2): 2}
     assert tausplit.verify_certificate(pm4, cert).ok
@@ -238,7 +354,8 @@ def test_factor_dimensions_sum_to_n():
         (f_C(), 2, {}),
     ):
         pm = random_period_matrix(field, n, rng, **kwargs)
-        cert, level = tausplit.split(pm)
+        cert, _ = tausplit.split(pm)
+        level = cert.level
         total = sum(
             (1 if f.kind == "elliptic" else 2) * f.multiplicity
             for f in cert.factors
