@@ -9,9 +9,13 @@ s ^ bits[perm[i]]).
 A subgroup G is admissible when its projection to S_N is transitive and it
 contains the all-flip central element rho.  Such subgroups are coordinatized
 by triples (G0, V, s): the permutation image, the bit subgroup G cap (Z2)^N,
-and the one-cocycle g -> (bit coset over g).  Classification of admissible
-subgroups is modulo conjugation by the stabilizer of a Hodge-type partition
-of the slots.
+and the one-cocycle g -> (bit coset over g).  ``enumerate_admissible`` lists
+them from the triples: transitive G0 <= S_N, G0-stable V containing rho, and
+the cocycles G0 -> (Z2)^N / V found by propagating generator values over G0.
+The brute-force lattice walk over Im(N,2) (``_enumerate_admissible_walk``
+with ``_Universe.closure``/``closure_extend``) stays as the test oracle.
+Classification of admissible subgroups is modulo conjugation by the
+stabilizer of a Hodge-type partition of the slots.
 """
 
 from __future__ import annotations
@@ -103,6 +107,26 @@ def subgroup_key(elements):
 UNIVERSE_BOUND = 5  # Im(5,2) has order 3840; Im(6,2) would need 46080^2 entries
 
 
+@lru_cache(maxsize=None)
+def _sn_tables(N: int):
+    """S_N and its action on (Z2)^N as index tables.
+
+    Returns ``(bitvecs, perms, pmul, act, pinv)``: the bit vectors in
+    ``itertools.product`` order, so that index == ``bits_int`` (bits[0] is
+    the high bit); the permutations in lexicographic order, so that index 0
+    is the identity; ``pmul[p][q]`` the index of pq; ``act[p][b]`` the index
+    of p.b; ``pinv[p]`` the index of p^-1.
+    """
+    bitvecs = list(itertools.product((0, 1), repeat=N))
+    perms = list(itertools.permutations(range(N)))
+    bit_idx = {b: i for i, b in enumerate(bitvecs)}
+    perm_idx = {p: i for i, p in enumerate(perms)}
+    pmul = [[perm_idx[perm_mul(p, q)] for q in perms] for p in perms]
+    act = [[bit_idx[perm_apply_bits(p, b)] for b in bitvecs] for p in perms]
+    pinv = [perm_idx[perm_inv(p)] for p in perms]
+    return bitvecs, perms, pmul, act, pinv
+
+
 class _Universe:
     """Im(N,2) as integer index tables: ``elements``, ``index``, ``mul``,
     ``inv``, ``identity_idx`` and ``rho_idx``.
@@ -121,14 +145,8 @@ class _Universe:
 
     def __init__(self, N: int):
         self.N = N
-        bitvecs = list(itertools.product((0, 1), repeat=N))
-        perms = list(itertools.permutations(range(N)))
-        bit_idx = {b: i for i, b in enumerate(bitvecs)}
-        perm_idx = {p: i for i, p in enumerate(perms)}
+        bitvecs, perms, pmul, act, pinv = _sn_tables(N)
         B, F = len(bitvecs), len(perms)
-        pmul = [[perm_idx[perm_mul(p, q)] for q in perms] for p in perms]
-        act = [[bit_idx[perm_apply_bits(p, b)] for b in bitvecs] for p in perms]
-        pinv = [perm_idx[perm_inv(p)] for p in perms]
 
         self.elements = [ImN2Element(b, p) for b in bitvecs for p in perms]
         self.index = {g: i for i, g in enumerate(self.elements)}
@@ -146,7 +164,7 @@ class _Universe:
         self.rho_idx = self.index[im_rho(N)]
 
     def closure(self, seed):
-        """Subgroup generated by the seed indices."""
+        """Subgroup generated by the seed indices (for the walk oracle)."""
         return self.closure_extend(frozenset({self.identity_idx}), seed)
 
     def closure_extend(self, closed, extra):
@@ -182,12 +200,16 @@ class _Universe:
 
 @lru_cache(maxsize=None)
 def universe(N: int) -> _Universe:
+    _check_universe_bound(N)
+    return _Universe(N)
+
+
+def _check_universe_bound(N: int):
     if N > UNIVERSE_BOUND:
         raise BoundExceeded(
             f"Im({N},2) has order {im_order(N)}; its tables are built only "
             f"for N <= {UNIVERSE_BOUND}"
         )
-    return _Universe(N)
 
 
 def im_order(N: int) -> int:
@@ -370,23 +392,153 @@ ENUMERATION_BOUND_DEFAULT = 4
 
 @lru_cache(maxsize=None)
 def _enumerate_admissible_cached(N: int):
-    return tuple(_enumerate_admissible_walk(N))
+    return tuple(_enumerate_admissible_triples(N))
 
 
 def enumerate_admissible(N: int, bound: int = ENUMERATION_BOUND_DEFAULT):
-    """All admissible subgroups of Im(N,2), in a deterministic order.
+    """All admissible subgroups of Im(N,2), each as its ``element_key``-sorted
+    element tuple, the list sorted by ``subgroup_key``.
 
-    Brute-force lattice walk: start from the closure of {rho} and repeatedly
-    extend by single generators, deduplicating by the sorted element list.
-    Every admissible subgroup contains rho, so walking the interval above
-    <rho> is exhaustive.
+    Built from the triples (G0, V, s), not by searching Im(N,2): see
+    ``_enumerate_admissible_triples``.  N is capped by ``bound`` and, like
+    every Im(N,2) table, by ``UNIVERSE_BOUND``; both are checked before any
+    work.  The lattice walk ``_enumerate_admissible_walk`` is the test
+    oracle for this list.
     """
     if N > bound:
         raise BoundExceeded(f"N = {N} exceeds the enumeration bound {bound}")
+    _check_universe_bound(N)
     return list(_enumerate_admissible_cached(N))
 
 
+def _enumerate_admissible_triples(N: int):
+    """Every admissible subgroup once, from its coordinates (G0, V, s).
+
+    G0 runs over the transitive subgroups of S_N, V over the G0-stable
+    subspaces of (Z2)^N that contain rho, and s over the one-cocycles
+    G0 -> (Z2)^N / V.  A cocycle is fixed by its values on a generating list
+    of G0, so each choice of coset representatives on the generators is
+    propagated over G0 (``_propagate_cocycle``) and dropped at its first
+    inconsistency.  Distinct triples give distinct subgroups, so nothing is
+    deduplicated.  Elements are handled as ``universe`` indices
+    (bits_int * N! + perm rank), whose order is the ``element_key`` order,
+    without building the Im(N,2) tables.
+    """
+    bitvecs, perms, pmul, act, _ = _sn_tables(N)
+    F = len(perms)
+    subspaces = _rho_subspaces(N)
+    found = []
+    for g0, gens in _sn_subgroups(N).items():
+        if not _is_transitive([perms[x] for x in g0], N):
+            continue
+        for v in subspaces:
+            if any(act[g][w] not in v for g in gens for w in v):
+                continue
+            rep = [min(b ^ w for w in v) for b in range(len(bitvecs))]
+            for values in itertools.product(sorted(set(rep)), repeat=len(gens)):
+                s = _propagate_cocycle(pmul, act, rep, gens, values)
+                if s is not None:
+                    found.append(tuple(sorted((sx ^ w) * F + x
+                                              for x, sx in s.items() for w in v)))
+    found.sort()
+    return [tuple(ImN2Element(bitvecs[i // F], perms[i % F]) for i in idxs)
+            for idxs in found]
+
+
+def _propagate_cocycle(pmul, act, rep, gens, values):
+    """The map s: G0 -> coset representatives with s(gens[i]) = values[i]
+    and s(g x) = s(g) + g.s(x) mod V, or None if there is none.
+
+    Breadth-first over G0 = <gens> from s(1) = 0.  Every (x, generator) pair
+    is checked, so on success the lifts {(s(x) + V, x)} are closed under
+    left multiplication by the lifted generators; they then form a subgroup
+    of (Z2)^N / V x| G0 and s is a one-cocycle on all of G0.
+    """
+    s = {0: 0}
+    order = [0]
+    for x in order:
+        sx = s[x]
+        for g, sg in zip(gens, values):
+            y = pmul[g][x]
+            sy = rep[sg ^ act[g][sx]]
+            known = s.get(y)
+            if known is None:
+                s[y] = sy
+                order.append(y)
+            elif known != sy:
+                return None
+    return s
+
+
+def _sn_subgroups(N: int):
+    """Every subgroup of S_N, as a frozenset of permutation indices, mapped
+    to a generating list of the fewest elements.
+
+    Walks the subgroup lattice up from the trivial group, one layer per
+    added generator: each subgroup H is extended by one candidate g per
+    right coset Hg, since <H, g> = <H, hg>.  A closure multiplies out from
+    the identity by the generators only, |K| * len(gens) table lookups.
+    """
+    _, perms, pmul, _, _ = _sn_tables(N)
+    trivial = frozenset({0})
+    gens_of = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for H in frontier:
+            gens = gens_of[H]
+            tried = set(H)
+            for g in range(len(perms)):
+                if g in tried:
+                    continue
+                tried.update(pmul[h][g] for h in H)
+                K = _closure_by_generators(pmul, gens + (g,))
+                if K not in gens_of:
+                    gens_of[K] = gens + (g,)
+                    new.append(K)
+        frontier = new
+    return gens_of
+
+
+def _closure_by_generators(pmul, gens):
+    """Subgroup of S_N generated by ``gens``, multiplied out from the identity."""
+    els = {0}
+    order = [0]
+    for x in order:
+        for g in gens:
+            y = pmul[g][x]
+            if y not in els:
+                els.add(y)
+                order.append(y)
+    return frozenset(els)
+
+
+def _rho_subspaces(N: int):
+    """The subspaces of (Z2)^N containing rho, as frozensets of bits_int."""
+    start = frozenset({0, (1 << N) - 1})
+    found = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for v in frontier:
+            for b in range(1 << N):
+                if b not in v:
+                    w = v | {x ^ b for x in v}
+                    if w not in found:
+                        found.add(w)
+                        new.append(w)
+        frontier = new
+    return sorted(found, key=sorted)
+
+
 def _enumerate_admissible_walk(N: int):
+    """Brute-force lattice walk, the test oracle for ``enumerate_admissible``.
+
+    Starts from the closure of {rho} and repeatedly extends by single
+    generators, deduplicating by the element set; every admissible subgroup
+    contains rho, so walking the interval above <rho> is exhaustive.  It
+    takes minutes at N = 4, and no library path calls it.
+    """
     U = universe(N)
     start = U.closure([U.rho_idx])
     seen = {start}
@@ -926,7 +1078,8 @@ def _perm_product(perms, cyclic_order):
 
 @lru_cache(maxsize=None)
 def model_group(name: str) -> CayleyTable:
-    """Reference groups for invariant matching in reports and tests."""
+    """Reference groups, built as Cayley tables; the test oracle for the
+    ``_MODEL_INVARIANTS`` that ``identify_group`` matches against."""
     if name == "Z2^3":
         return _cyclic_product(2, 2, 2)
     if name == "Z2xZ4":
@@ -961,6 +1114,16 @@ def _perm_sign(p):
 
 LEVEL_GROUP_MODELS = ("Z2^3", "Z2xZ4", "Z2xD4", "Z2xA4", "Z2xS4")
 
+# model_group(name).invariants() for each name of LEVEL_GROUP_MODELS, in
+# order; tests recompute them from the Cayley tables
+_MODEL_INVARIANTS = (
+    (8, ((1, 1), (2, 7)), 8),
+    (8, ((1, 1), (2, 3), (4, 4)), 8),
+    (16, ((1, 1), (2, 11), (4, 4)), 8),
+    (24, ((1, 1), (2, 7), (3, 8), (6, 8)), 6),
+    (48, ((1, 1), (2, 19), (3, 8), (4, 12), (6, 8)), 4),
+)
+
 
 def identify_group(elements) -> str:
     """Name the abstract isomorphism type of an Im(N,2) subgroup by
@@ -983,7 +1146,7 @@ def identify_group(elements) -> str:
     }
     if inv in small:
         return small[inv]
-    for name in LEVEL_GROUP_MODELS:
-        if model_group(name).invariants() == inv:
+    for name, model_inv in zip(LEVEL_GROUP_MODELS, _MODEL_INVARIANTS):
+        if model_inv == inv:
             return name
     return f"order-{inv[0]}"

@@ -357,8 +357,11 @@ def standard_form(field: CMFieldData, n: int, p_split):
 
 
 def _s0_cubed(t):
-    s0 = t.generators["s0"]
-    return s0.compose(s0).compose(s0)
+    """s0^3, composed once per tower and kept on it."""
+    if t._s0_cubed is None:
+        s0 = t.generators["s0"]
+        t._s0_cubed = s0.compose(s0).compose(s0)
+    return t._s0_cubed
 
 
 def _choose_renaming(case, delta, eps, p_split):

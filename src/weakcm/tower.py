@@ -583,6 +583,7 @@ class TowerSpec:
         )
         self.generators: dict[str, GaloisElement] = {}
         self._galois_cache = None
+        self._s0_cubed = None  # kept by tausplit._s0_cubed
         self._subalgebras = {}
 
     def __eq__(self, other):

@@ -263,6 +263,41 @@ def test_dodson_reflex_table_bound(tmp_path, doc, N):
     assert f"Im({N},2)" in diag["message"] and "N <= 5" in diag["message"]
 
 
+# sha256 of the stdout at N = 4, computed from the lattice walk's output
+_N4_STDOUT_SHA256 = {
+    ("dodson-enum",): "83b6bc2961848f49ee80d8ef5475c86307bd1e9ce62ab9c36f61515a47f32ce2",
+    ("dodson-classify", "--partition", "abl"):
+        "67c6eb704bd884352e9309721962a95457aff16638b8de38259970f2c501ad67",
+    ("dodson-classify", "--partition", "k3"):
+        "a52d327e00a84376cb7e5ed2c4c79a1e3fea2f21d341bfc77cb0b50c40502b6a",
+    ("dodson-classify", "--partition", "cy3"):
+        "4919484d8d349e3ad105799402c82ef50e948551f55a0d84cf4adaa93163c4b9",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_N4_STDOUT_SHA256))
+def test_dodson_n4_stdout_pinned(capsys, argv):
+    import hashlib
+
+    code, out = run_cli(capsys, argv[0], "--n", "4", *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _N4_STDOUT_SHA256[argv]
+
+
+def test_dodson_enum_beyond_tables_is_refused_at_once():
+    # --bound 6 lifts the enumeration bound, but Im(6,2) is past the tables:
+    # the command must stop before any work, in a bounded child process
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakcm.cli", "dodson-enum", "--n", "6", "--bound", "6"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1, proc.stdout
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["condition"] == "dodson:bound-exceeded"
+    assert "Im(6,2)" in diag["message"] and "N <= 5" in diag["message"]
+
+
 def test_emit_text(capsys):
     code, out = run_cli(capsys, "dodson-enum", "--n", "2", "--emit", "text")
     assert code == 0

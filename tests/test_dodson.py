@@ -250,15 +250,78 @@ def _oracle_enumerate_n3():
 
 
 def test_enumerate_n3_against_triple_oracle():
-    walk = set(enumerate_admissible(3))
+    found = set(enumerate_admissible(3))
     oracle = _oracle_enumerate_n3()
-    assert walk == oracle
-    assert len(walk) == 10
+    assert found == oracle
+    assert len(found) == 10
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_enumeration_matches_walk(N):
+    # the lattice walk over Im(N,2) is the oracle, compared as ordered lists
+    assert enumerate_admissible(N) == dodson._enumerate_admissible_walk(N)
+
+
+@pytest.mark.slow
+def test_enumeration_matches_walk_n4():
+    # the walk takes minutes at N = 4
+    walk = dodson._enumerate_admissible_walk(4)
+    assert len(walk) == 202
+    assert enumerate_admissible(4) == walk
+
+
+def _check_admissible_list(N, subgroups):
+    """Own checks of an enumeration: sorted by subgroup_key without
+    duplicates, each entry a subgroup that round-trips through its triple."""
+    U = universe(N)
+    keys = [dodson.subgroup_key(G) for G in subgroups]
+    assert keys == sorted(set(keys))
+    for G in subgroups:
+        assert list(G) == sorted(G, key=element_key)
+        assert U.is_subgroup(U.index[g] for g in G)
+        assert group_from_triple(triple_from_group(G)) == G
+
+
+def test_enumerate_n4_pinned_without_walk():
+    subgroups = enumerate_admissible(4)
+    assert len(subgroups) == 202
+    _check_admissible_list(4, subgroups)
+
+
+@pytest.mark.slow
+def test_enumerate_n5_own_checks():
+    # informational: no independent oracle pins the N = 5 list
+    subgroups = enumerate_admissible(5, bound=5)
+    assert len(subgroups) == 340
+    _check_admissible_list(5, subgroups)
 
 
 def test_enumerate_bound():
     with pytest.raises(BoundExceeded):
         enumerate_admissible(5)
+    with pytest.raises(BoundExceeded) as err:
+        enumerate_admissible(6, bound=6)
+    assert "N <= 5" in str(err.value)
+
+
+def test_enumeration_never_walks(monkeypatch):
+    # the walk and the Im(N,2) closures are test oracles only
+    def refuse(*args, **kwargs):
+        raise AssertionError("production path reached the lattice walk")
+
+    monkeypatch.setattr(dodson, "_enumerate_admissible_walk", refuse)
+    monkeypatch.setattr(dodson._Universe, "closure", refuse)
+    monkeypatch.setattr(dodson._Universe, "closure_extend", refuse)
+    dodson._enumerate_admissible_cached.cache_clear()
+    dodson._classification_cached.cache_clear()
+    try:
+        for N in (1, 2, 3, 4):
+            enumerate_admissible(N)
+        dodson.classify_conjugacy(3, dodson.partition_preset("cy3", 3))
+        preset_reflex_reports()
+    finally:
+        dodson._enumerate_admissible_cached.cache_clear()
+        dodson._classification_cached.cache_clear()
 
 
 # ---------------------------------------------------------------- classification
@@ -266,7 +329,8 @@ def test_enumerate_bound():
 
 @pytest.mark.parametrize(
     "N,name,expect",
-    [(2, "k3", 3), (2, "abl", 3), (3, "cy3", 8), (3, "abl", 6)],
+    [(2, "k3", 3), (2, "abl", 3), (3, "cy3", 8), (3, "abl", 6),
+     (4, "abl", 54), (4, "k3", 38), (4, "cy3", 64)],
 )
 def test_classification_counts(N, name, expect):
     part = dodson.partition_preset(name, N)
@@ -417,6 +481,13 @@ def test_preset_iii_discrepancy_note():
     reports = dict((pr.name, rep) for pr, rep in preset_reflex_reports())
     notes = reports["sum-distinct"].notes
     assert any("flag" in n for n in notes)
+
+
+def test_model_invariants_match_model_groups():
+    # identify_group reads the constants; the Cayley tables are the oracle
+    assert dodson._MODEL_INVARIANTS == tuple(
+        dodson.model_group(n).invariants() for n in dodson.LEVEL_GROUP_MODELS
+    )
 
 
 def test_model_groups_pairwise_distinct():

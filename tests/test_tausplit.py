@@ -375,6 +375,15 @@ def test_standard_forms_match_canonical():
         assert cert.standard_form == tausplit.standard_form(field, n, p_split)
 
 
+@pytest.mark.parametrize("field", [f_B, f_C])
+def test_s0_cubed_composed_once_per_tower(field):
+    t = field().tower
+    s0 = t.generators["s0"]
+    s03 = tausplit._s0_cubed(t)
+    assert tausplit._s0_cubed(t) is s03
+    assert s03.images == s0.compose(s0).compose(s0).images
+
+
 def test_determinism():
     rng1, rng2 = random.Random(99), random.Random(99)
     field = f_B()
