@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .errors import (
     BoundExceeded,
     InvalidCMType,
+    InvalidPairCount,
     InvalidPartition,
     InvalidTriple,
     NotAdmissible,
@@ -296,38 +297,67 @@ def _perm_order(p) -> int:
 
 
 def triple_from_group(elements) -> DodsonTriple:
-    """Extract the (G0, V, s) coordinates; raises NotAdmissible otherwise."""
+    """Extract the (G0, V, s) coordinates; raises NotAdmissible otherwise.
+
+    N is capped by ``UNIVERSE_BOUND``, like every Im(N,2) computation.
+    """
     elements = tuple(elements)
     if not elements:
         raise NotAdmissible("empty element list")
     N = elements[0].N
-    U = universe(N)
-    idxs = frozenset(U.index[g] for g in elements)
-    if not U.is_subgroup(idxs):
+    _check_universe_bound(N)
+    fibres = {}
+    for g in elements:
+        fibres.setdefault(g.perm, set()).add(g.bits)
+    if not _fibres_form_subgroup(fibres, N):
         exc = NotAdmissible("element list is not a subgroup of Im(N,2)")
         exc.condition = "dodson-triple:subgroup"
         raise exc
-    g0 = sorted({g.perm for g in elements})
+    g0 = sorted(fibres)
     if not _is_transitive(g0, N):
         exc = NotAdmissible("permutation image is not transitive")
         exc.condition = "dodson-triple:transitivity"
         raise exc
-    ident = tuple(range(N))
-    v = sorted(g.bits for g in elements if g.perm == ident)
+    v = sorted(fibres[tuple(range(N))])
     if (1,) * N not in v:
         exc = NotAdmissible("bit subgroup does not contain the diagonal rho")
         exc.condition = "dodson-triple:contains-rho"
         raise exc
-    vset = set(v)
-    s = []
-    for p in g0:
-        coset = sorted(g.bits for g in elements if g.perm == p)
-        s.append((p, min(coset)))
-        if {bits for bits in coset} != { _xor(coset[0], w) for w in vset }:
-            exc = NotAdmissible("bit fibre over a permutation is not a V-coset")
-            exc.condition = "dodson-triple:coset"
-            raise exc
-    return DodsonTriple(N=N, g0=tuple(g0), v=tuple(v), s=tuple(sorted(s)))
+    s = sorted((p, min(fibre)) for p, fibre in fibres.items())
+    return DodsonTriple(N=N, g0=tuple(g0), v=tuple(v), s=tuple(s))
+
+
+def _fibres_form_subgroup(fibres, N) -> bool:
+    """Whether the elements with bit fibres ``{perm: set of bits}`` form a
+    subgroup of Im(N,2), decided on the triple coordinates in
+    O(|G0|^2 + |G0| |V|) without the Im(N,2) tables.
+
+    They do exactly when G0 (the perms) is a subgroup of S_N, the fibre V
+    over the identity is a subgroup of (Z2)^N, V is G0-stable, every fibre
+    is a V-coset s(g) + V, and s(gh) = s(g) + g.s(h) mod V.  Bits are
+    handled as ``bits_int`` and perms as indices into ``_sn_tables``.
+    """
+    bitvecs, perms, pmul, act, _ = _sn_tables(N)
+    perm_idx = {p: i for i, p in enumerate(perms)}
+    bit_idx = {b: i for i, b in enumerate(bitvecs)}
+    fib = {perm_idx[p]: {bit_idx[b] for b in bits} for p, bits in fibres.items()}
+    v = fib.get(0)
+    if v is None or any(pmul[g][h] not in fib for g in fib for h in fib):
+        return False
+    span = {0}
+    for x in v:
+        if x not in span:
+            span |= {x ^ y for y in span}
+            if len(span) > len(v):
+                return False
+    if span != v or any(act[g][w] not in v for g in fib for w in v):
+        return False
+    s = {}
+    for g, bits in fib.items():
+        s[g] = rep = min(bits)
+        if len(bits) != len(v) or any(rep ^ w not in bits for w in v):
+            return False
+    return all(s[pmul[g][h]] ^ s[g] ^ act[g][s[h]] in v for g in fib for h in fib)
 
 
 def group_from_triple(t: DodsonTriple):
@@ -402,9 +432,13 @@ def enumerate_admissible(N: int, bound: int = ENUMERATION_BOUND_DEFAULT):
     Built from the triples (G0, V, s), not by searching Im(N,2): see
     ``_enumerate_admissible_triples``.  N is capped by ``bound`` and, like
     every Im(N,2) table, by ``UNIVERSE_BOUND``; both are checked before any
-    work.  The lattice walk ``_enumerate_admissible_walk`` is the test
-    oracle for this list.
+    work, after ``InvalidPairCount`` for N < 1.  The lattice walk
+    ``_enumerate_admissible_walk`` is the test oracle for this list.
     """
+    if N < 1:
+        raise InvalidPairCount(
+            f"N = {N} is below 1: Im(N,2) needs at least one conjugate pair"
+        )
     if N > bound:
         raise BoundExceeded(f"N = {N} exceeds the enumeration bound {bound}")
     _check_universe_bound(N)

@@ -135,6 +135,13 @@ class DegenerateP(InputError):
     condition = "period-matrix:degenerate-split"
 
 
+class SearchBoundExceeded(InputError):
+    """The case-A renaming search tried its capped number of index subsets
+    without finding a split."""
+
+    condition = "tausplit:search-bound"
+
+
 # ---------------------------------------------------------------- hodge
 
 class IncompatibleIdentifications(InputError):

@@ -1,18 +1,19 @@
 """Exact dense linear algebra over Q and over the towers.
 
 Entries are ``fractions.Fraction`` (or ``int``) or tower elements; no
-floating point anywhere.  Pivoting is deterministic: columns left to right,
-first row with a nonzero entry.
+floating point anywhere.  ``mat_mul`` computes each entry as one fused dot
+product: integer rows over a common denominator, or the tower's own
+``TowerSpec.mat_mul``.
 
-Over Q the work is done in integers.  ``mat_mul`` computes each entry as
-one dot product of integer rows over a common denominator; ``mat_det``,
-``mat_inverse`` and ``solve_rational`` scale each row to integers and call
-``bareiss``, the one fraction-free elimination over Z, which
-``FieldElement.inv`` uses too; ``row_rank`` scales each row to integers
-before its elimination.  Over a tower, ``mat_mul`` hands each entry to the
-tower's fused dot product (``TowerSpec.mat_mul``), and ``mat_det``,
-``mat_inverse`` and ``row_rank`` eliminate with the field operations of the
-entries, as ``solve_columns`` does over either field.
+Every rank, determinant, solve, inverse and echelon form comes from one
+fraction-free forward pass (``_forward``) and one back substitution.
+Pivoting is deterministic: columns left to right, first row with a nonzero
+entry.  Rational rows are scaled to integers first, and each update is
+divided exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968), so
+entries stay integer minors.  Over a tower the pass does not divide: an
+inverse is itself a linear solve, and dividing by one measured slower than
+the coefficient growth it saves.  It still multiplies every row below a
+pivot by that pivot, so a determinant costs one inverse at the end.
 """
 
 import math
@@ -61,192 +62,190 @@ def mat_mul(A, B):
     return out
 
 
+def _working_rows(rows):
+    """(a fresh copy of the rows to eliminate, their tower): rational rows
+    are scaled to integers, with tower None, which changes neither the row
+    space nor the solutions of a system."""
+    tower = next((x.tower for row in rows for x in row if not _is_rational(x)), None)
+    if tower is None:
+        return [_integer_row(row)[1] for row in rows], None
+    return [list(row) for row in rows], tower
+
+
+def _forward(M, tower):
+    """Fraction-free forward elimination of the rows M, in place.
+
+    M is m x w, of integers (``tower`` None) or of elements of ``tower``.
+    Columns without a pivot are skipped, and the pass stops once every row
+    holds a pivot.  Returns ``(pivots, sign)``: the pivot column of each of
+    the first ``len(pivots)`` rows (so the rank), in increasing order, and
+    the sign of the row swaps; the rows below are zero.  Each row below a
+    pivot becomes ``piv * row - f * top``, even when f is 0.  Over Z that
+    is divided by the previous pivot: Bareiss' identity makes the division
+    exact, and after stage c every entry is a (c+1)-minor of M.  Over a
+    tower nothing is divided, so stage c multiplies all remaining rows by
+    one common factor (see ``mat_det``); each update is one fused
+    ``TowerSpec.mat_mul``.
+    """
+    m = len(M)
+    w = len(M[0]) if m else 0
+    pivots = []
+    sign = prev = 1
+    r = 0
+    for col in range(w):
+        for i in range(r, m):
+            if M[i][col]:
+                break
+        else:
+            continue
+        if i != r:
+            M[r], M[i] = M[i], M[r]
+            sign = -sign
+        top = M[r]
+        piv = top[col]
+        zero = piv - piv
+        tail = top[col + 1:]
+        for row in M[r + 1:]:
+            f = row[col]
+            row[col] = zero
+            if tower is None:
+                row[col + 1:] = [(piv * x - f * y) // prev
+                                 for x, y in zip(row[col + 1:], tail)]
+            else:
+                row[col + 1:] = tower.mat_mul([[piv, -f]], [row[col + 1:], tail])[0]
+        prev = piv
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return pivots, sign
+
+
+def _back_substitute(U, pivots, cols, scale=None):
+    """Solve the pivot block of the echelon form U against other columns.
+
+    With r = len(pivots) and P the upper-triangular r x r block of U's
+    first r rows at the pivot columns, returns X (r x len(cols)) with
+    P X = scale * U[:r, cols].  Over Z, ``scale`` is an integer multiple of
+    det P (such as the last pivot of ``_forward``), and every division is
+    exact by Cramer's rule.  Over a tower (``scale`` None), each pivot is
+    inverted once and X = P^-1 U[:r, cols].
+    """
+    r = len(pivots)
+    diag = [U[i][p] for i, p in enumerate(pivots)]
+    if scale is None:
+        diag = [1 / d for d in diag]
+    X = [[None] * len(cols) for _ in range(r)]
+    for q, c in enumerate(cols):
+        for i in range(r - 1, -1, -1):
+            row = U[i]
+            acc = row[c] if scale is None else scale * row[c]
+            for j in range(i + 1, r):
+                a = row[pivots[j]]
+                if a:
+                    acc = acc - a * X[j][q]
+            X[i][q] = acc * diag[i] if scale is None else acc // diag[i]
+    return X
+
+
 def bareiss(R):
     """Solve A X = det(A) B over Z by fraction-free elimination.
 
     R is the augmented integer matrix (A | B): n rows of n + m integers
     (m may be 0), A square.  R is overwritten.  Returns ``(det, X)`` with
-    ``det = det(A)`` and the n x m integer matrix ``X = det * A^-1 B``.
-    Bareiss' elimination (Math. Comp. 22, 1968) keeps every entry an
-    integer minor of R, so each division is exact; back substitution
-    scaled by det is exact by Cramer's rule.  Raises SingularMatrix when
-    det(A) = 0.
+    ``det = det(A)`` and the n x m integer matrix ``X = det * A^-1 B``, from
+    the shared forward pass and back substitution.  Raises SingularMatrix
+    when det(A) = 0.
     """
     n = len(R)
-    w = len(R[0]) if n else 0
-    prev, sign = 1, 1
-    for col in range(n):
-        for r in range(col, n):
-            if R[r][col]:
-                break
-        else:
-            raise SingularMatrix("matrix is singular")
-        if r != col:
-            R[col], R[r] = R[r], R[col]
-            sign = -sign
-        top = R[col]
-        piv = top[col]
-        for r in range(col + 1, n):
-            row = R[r]
-            f = row[col]
-            R[r] = [0] * (col + 1) + [
-                (piv * row[j] - f * top[j]) // prev for j in range(col + 1, w)
-            ]
-        prev = piv
-    det = sign * prev
-    X = [[0] * (w - n) for _ in range(n)]
-    for c in range(n, w):
-        for i in range(n - 1, -1, -1):
-            row = R[i]
-            acc = det * row[c]
-            for j in range(i + 1, n):
-                if row[j]:
-                    acc -= row[j] * X[j][c - n]
-            X[i][c - n] = acc // row[i]
-    return det, X
+    pivots, sign = _forward(R, None)
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    det = sign * R[n - 1][n - 1] if n else 1
+    return det, _back_substitute(R, pivots, range(n, len(R[0]) if n else 0), det)
 
 
 def solve_rational(A, B):
     """X with A X = B for a square invertible rational A; B is n x m.
-
-    Each row of (A | B) is scaled to integers, which leaves X unchanged,
-    and the integer system goes through ``bareiss``.  Raises
-    SingularMatrix when det(A) = 0.
-    """
-    det, X = bareiss([_integer_row(list(a) + list(b))[1] for a, b in zip(A, B)])
-    return [[Fraction(x, det) for x in row] for row in X]
+    Raises SingularMatrix when det(A) = 0."""
+    return solve_columns(A, B)
 
 
 def mat_inverse(A, one):
-    """Inverse; raises SingularMatrix when det = 0.
-
-    Over Q this is ``solve_rational(A, I)``; over a tower, Gauss-Jordan
-    elimination with the tower's field operations.
-    """
-    n = len(A)
-    if _is_rational(one):
-        return solve_rational(A, identity_matrix(n, 1))
-    aug = [list(A[i]) + list(identity_matrix(n, one)[i]) for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = one / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    """Inverse, as ``solve_columns(A, I)``; raises SingularMatrix when
+    det = 0."""
+    return solve_columns(A, identity_matrix(len(A), one))
 
 
 def mat_det(A, one):
-    """Determinant; over Q by ``bareiss`` on the integer-scaled rows."""
+    """Determinant, from the last pivot of the shared forward pass.
+
+    Over Q that pivot is the determinant of the integer-scaled rows.  Over
+    a tower, stage c of the pass multiplies every later row by its pivot
+    U[c][c], so det = sign * U[n-1][n-1] / prod_{c <= n-3}
+    U[c][c]^(n-2-c), which costs one inverse.
+    """
     n = len(A)
     if n == 0:
         return one
-    if _is_rational(one):
-        dens, rows = zip(*(_integer_row(row) for row in A))
-        try:
-            det, _ = bareiss(list(rows))
-        except SingularMatrix:
-            return Fraction(0)
-        return Fraction(det, math.prod(dens))
-    M = [list(row) for row in A]
-    det = one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if M[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return one - one
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = (one - one) - det
-        det = det * M[col][col]
-        inv_p = one / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col]:
-                f = M[r][col] * inv_p
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return det
+    U, tower = _working_rows(A)
+    pivots, sign = _forward(U, tower)
+    if len(pivots) < n:
+        return one - one
+    det = U[n - 1][n - 1] if sign > 0 else -U[n - 1][n - 1]
+    if tower is None:
+        return Fraction(det, math.prod(_integer_row(row)[0] for row in A))
+    if n < 3:
+        return det
+    return det / math.prod(U[c][c] ** (n - 2 - c) for c in range(n - 2))
+
+
+def pivot_columns(rows):
+    """Pivot columns of an echelon form of the rows, in increasing order:
+    column j is one exactly when it is not in the span of columns 0..j-1,
+    so they index the lexicographically first basis of the columns."""
+    return _forward(*_working_rows(rows))[0]
 
 
 def row_rank(rows):
-    """Rank of the row span; division-free cross-multiplication elimination
-    (matters over towers, where an inverse is itself a linear solve).  Over
-    Q each row is first scaled to integers, which leaves the rank unchanged,
-    so the elimination runs in integers."""
-    M = [list(r) for r in rows]
-    if not M:
-        return 0
-    if all(_is_rational(x) for row in M for x in row):
-        M = [_integer_row(row)[1] for row in M]
-    ncols = len(M[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(M)):
-            if M[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        piv = M[rank][col]
-        for r in range(rank + 1, len(M)):
-            if M[r][col]:
-                f = M[r][col]
-                M[r] = [x * piv - f * y for x, y in zip(M[r], M[rank])]
-        rank += 1
-        if rank == len(M):
-            break
-    return rank
+    """Rank of the row span: the number of pivots of the forward pass."""
+    return len(pivot_columns(rows))
+
+
+def reduced_echelon(rows):
+    """The reduced row echelon basis of the span of rational rows, as
+    tuples of ``Fraction``s: pivot entries 1, zeros above and below each
+    pivot.  It is unique, so any elimination order gives these rows."""
+    U, _ = _working_rows(rows)
+    pivots, _ = _forward(U, None)
+    if not pivots:
+        return []
+    det = U[len(pivots) - 1][pivots[-1]]
+    X = _back_substitute(U, pivots, range(len(U[0])), det)
+    return [tuple(Fraction(x, det) for x in row) for row in X]
 
 
 def solve_columns(A, B):
     """Solve A X = B for A with full column rank (m x k, k <= m).
 
     Returns X (k x l) or None when the system is inconsistent.  Raises
-    SingularMatrix when the columns of A are dependent.
+    SingularMatrix when the columns of A are dependent.  The forward pass
+    runs over (A | B): the columns of A are independent when they are the
+    first k pivots, and the system is consistent when B holds no pivot.
     """
-    m = len(A)
     k = len(A[0]) if A else 0
-    l = len(B[0]) if B else 0
-    aug = [list(A[i]) + list(B[i]) for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pivot = None
-        for r in range(row, m):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrix("columns are linearly dependent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        piv = aug[row][col]
-        aug[row] = [x / piv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    # consistency: rows below the pivot block must have vanished entirely
-    for r in range(row, m):
-        if any(aug[r]):
-            return None
-    X = [aug[i][k:] for i in range(k)]
-    return X
+    U, tower = _working_rows([list(a) + list(b) for a, b in zip(A, B)])
+    pivots, _ = _forward(U, tower)
+    if pivots[:k] != list(range(k)):
+        raise SingularMatrix("columns are linearly dependent")
+    if len(pivots) > k:
+        return None
+    cols = range(k, len(U[0]) if U else k)
+    if tower is not None:
+        return _back_substitute(U, pivots, cols)
+    det = U[k - 1][k - 1] if k else 1
+    return [[Fraction(x, det) for x in row]
+            for row in _back_substitute(U, pivots, cols, det)]
 
 
 def solve_left(A, B):

@@ -36,10 +36,15 @@ from .errors import (
     NotFullSpan,
     OddDimension,
     ProperSubfield,
+    SearchBoundExceeded,
     SingularMatrix,
     SingularTauBar,
     TowerMismatch,
 )
+
+# Case A renaming tries at most this many index subsets (each costs two
+# rank computations); C(n, n - p) is unbounded in n.
+RENAMING_SEARCH_BOUND = 1000
 
 _ASSEMBLY_LABELS = {
     DEG2: ("1", "sqrt(p)"),
@@ -369,14 +374,21 @@ def _choose_renaming(case, delta, eps, p_split):
 
     Case A needs n - p independent delta rows whose complement holds p
     independent eps rows, a common basis of two matroids: the subsets are
-    tried in lexicographic order.  Cases B/C need n/2 independent delta
-    rows; the lexicographically first such subset is the greedy basis of
-    the row matroid, so one pass keeps each row that raises the rank.
+    tried in lexicographic order, at most ``RENAMING_SEARCH_BOUND`` of them
+    (``SearchBoundExceeded`` past that).  Cases B/C need n/2 independent
+    delta rows; the lexicographically first such subset is the greedy basis
+    of the row matroid, which is the pivot columns of ``transpose(delta)``.
     """
     n = len(delta)
     if case == CASE_A:
         k = n - p_split
-        for subset in itertools.combinations(range(n), k):
+        for tried, subset in enumerate(itertools.combinations(range(n), k)):
+            if tried == RENAMING_SEARCH_BOUND:
+                raise SearchBoundExceeded(
+                    f"case A renaming: no index split among the first "
+                    f"{RENAMING_SEARCH_BOUND} subsets (n = {n}, p = {p_split}), "
+                    "where the search stops"
+                )
             comp = tuple(i for i in range(n) if i not in subset)
             if linalg.row_rank([delta[i] for i in subset]) != k:
                 continue
@@ -385,14 +397,11 @@ def _choose_renaming(case, delta, eps, p_split):
             return subset + comp
         raise MathError("no index split achieves the delta/eps independence")
     r = n // 2
-    chosen = []
-    for i in range(n):
-        if linalg.row_rank([delta[j] for j in chosen] + [delta[i]]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == r:
-                comp = tuple(j for j in range(n) if j not in chosen)
-                return comp + tuple(chosen)  # independent delta rows go to the bottom
-    raise MathError("no independent bottom delta rows found")
+    chosen = linalg.pivot_columns(linalg.transpose(delta))[:r]
+    if len(chosen) < r:
+        raise MathError("no independent bottom delta rows found")
+    comp = tuple(j for j in range(n) if j not in chosen)
+    return comp + tuple(chosen)  # independent delta rows go to the bottom
 
 
 def coordinate_change(t, case, n, block_sizes, c1=None, c2=None, M=None):

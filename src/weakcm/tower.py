@@ -309,7 +309,8 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse, by ``linalg.bareiss`` over Z.
+        """Multiplicative inverse, by ``linalg.bareiss`` over Z: the shared
+        fraction-free elimination of ``linalg``, on integers.
 
         The solve runs on the span of the fewest basis monomials that holds
         self and 1 and is closed under products: a subfield, so it holds
@@ -976,61 +977,32 @@ def serialize_tower(tower: TowerSpec) -> dict:
 
 
 def min_poly_degree(x: FieldElement) -> int:
-    """Degree of x over Q, by exact linear dependence of 1, x, x^2, ..."""
-    rows = []
-    power = x.tower.one()
-    for k in range(1, x.tower.dim + 2):
-        rows.append(list(power.coeffs))
-        if linalg.row_rank(rows) < k:
-            return k - 1
-        power = power * x
-    raise MathError("powers never became dependent; corrupt tower")
+    """Degree of x over Q: the rank of 1, x, ..., x^(dim-1).
+
+    The powers up to x^(d-1) are independent and every later power lies in
+    their span, so the rank of the first dim powers is d.
+    """
+    powers = [x.tower.one()]
+    for _ in range(x.tower.dim - 1):
+        powers.append(powers[-1] * x)
+    return linalg.row_rank([p.coeffs for p in powers])
 
 
 def generated_subalgebra(tower: TowerSpec, elements) -> list:
-    """Echelon basis of the unital Q-subalgebra generated by the elements.
+    """Reduced echelon basis of the unital Q-subalgebra generated by the
+    elements, from ``linalg.reduced_echelon``.
 
     The span is closed under multiplication step by step; in a field this
-    is the subfield generated by the elements.
+    is the subfield generated by the elements.  The reduced echelon basis
+    of a span is unique, so the result does not depend on the elimination.
     """
-    rows = [list(tower.one().coeffs)]
-    for x in elements:
-        rows.append(list(x.coeffs))
-    basis = _echelon(rows)
+    basis = linalg.reduced_echelon([tower.one().coeffs] + [x.coeffs for x in elements])
     while True:
-        new_rows = [list(r) for r in basis]
-        for a in basis:
-            ea = tower.element(a)
-            for b in basis:
-                new_rows.append(list((ea * tower.element(b)).coeffs))
-        new_basis = _echelon(new_rows)
-        if len(new_basis) == len(basis):
-            return new_basis
-        basis = new_basis
-
-
-def _echelon(rows):
-    M = [list(r) for r in rows]
-    ncols = len(M[0]) if M else 0
-    out = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(M)):
-            if M[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        piv = M[rank][col]
-        M[rank] = [x / piv for x in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
-        rank += 1
-    return [tuple(r) for r in M[:rank]]
+        span = [tower.element(a) for a in basis]
+        grown = linalg.reduced_echelon(basis + [(a * b).coeffs for a in span for b in span])
+        if len(grown) == len(basis):
+            return grown
+        basis = grown
 
 
 def subspace_coordinates(basis_elements, x: FieldElement):

@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from weakcm import cli, tausplit
-from weakcm.errors import MathError
+from weakcm import cli, dodson, tausplit
+from weakcm.errors import InvalidPairCount, MathError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -163,6 +163,25 @@ def test_split_verifies_once(monkeypatch, tmp_path, capsys):
         assert len(calls) == 1
 
 
+def test_case_a_renaming_search_is_capped(monkeypatch, tmp_path, capsys):
+    # tau = diag(sqrt(p2), sqrt(p1)): row 0 has delta = 0, so the renaming
+    # search rejects the first index subset and takes the second
+    doc = tmp_path / "torus_a_swapped.json"
+    doc.write_text(json.dumps({"n": 2, "field": {"p1": "-1", "p2": "-3"},
+                               "B": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]],
+                                     [["1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}),
+                   encoding="utf-8")
+    monkeypatch.setattr(tausplit, "RENAMING_SEARCH_BOUND", 2)
+    code, out = run_cli(capsys, "split", "--input", str(doc))
+    assert code == 0 and json.loads(out)["payload"]["renaming"] == [1, 0]
+    monkeypatch.setattr(tausplit, "RENAMING_SEARCH_BOUND", 1)
+    code, out = run_cli(capsys, "split", "--input", str(doc))
+    assert code == 1
+    diag = json.loads(out)["diagnostics"][0]
+    assert diag["condition"] == "tausplit:search-bound"
+    assert "first 1 subsets (n = 2, p = 1)" in diag["message"]
+
+
 def test_presets_payload(capsys):
     code, out = run_cli(capsys, "presets")
     assert code == 0
@@ -233,6 +252,9 @@ def test_pair_count_below_one_is_named(capsys, argv):
     diag = json.loads(out)["diagnostics"][0]
     assert diag["condition"] == "dodson:pair-count"
     assert f"--n {argv[2]} " in diag["message"]
+    # the library call is refused by the same condition
+    with pytest.raises(InvalidPairCount, match=f"N = {argv[2]} is below 1"):
+        dodson.enumerate_admissible(int(argv[2]))
 
 
 def _element(bits, perm):

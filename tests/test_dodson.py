@@ -180,6 +180,43 @@ def test_triple_from_group_rejects():
     assert err.value.condition == "dodson-triple:subgroup"
 
 
+def test_subgroup_test_on_fibres_matches_tables():
+    # triple_from_group decides "subgroup" from the (G0, V, s) conditions;
+    # the O(|G|^2) check over the Im(N,2) tables is the oracle
+    rng = random.Random(97)
+    for N in (1, 2, 3):
+        U = universe(N)
+        order = len(U.elements)
+        candidates = [U.closure(rng.sample(range(order), rng.randint(1, min(3, order))))
+                      for _ in range(60)]
+        candidates += [frozenset(rng.sample(range(order), rng.randint(1, order)))
+                       for _ in range(60)]
+        # unions of V-cosets over the perms of a subgroup, V often not stable
+        for _ in range(60):
+            perms = {U.elements[i].perm for i in U.closure(rng.sample(range(order), 1))}
+            V = {(0,) * N}
+            for _ in range(rng.randint(0, N)):
+                x = tuple(rng.randint(0, 1) for _ in range(N))
+                V |= {tuple(a ^ b for a, b in zip(x, w)) for w in V}
+            shift = {p: tuple(rng.randint(0, 1) for _ in range(N)) for p in perms}
+            shift[tuple(range(N))] = (0,) * N
+            candidates.append(frozenset(
+                U.index[ImN2Element(tuple(a ^ b for a, b in zip(shift[p], w)), p)]
+                for p in perms for w in V))
+        for G in list(candidates):
+            candidates.append(G - {rng.choice(sorted(G))})
+            candidates.append(G | {rng.randrange(order)})
+        subgroups = 0
+        for G in filter(None, candidates):
+            fibres = {}
+            for g in (U.elements[i] for i in G):
+                fibres.setdefault(g.perm, set()).add(g.bits)
+            want = U.is_subgroup(G)
+            subgroups += want
+            assert dodson._fibres_form_subgroup(fibres, N) == want
+        assert 60 <= subgroups < len(candidates) - 60
+
+
 def test_roundtrip_all_admissible():
     for N in (2, 3):
         for G in enumerate_admissible(N):

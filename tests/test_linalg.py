@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from test_tower import _oracle_elements, _oracle_towers, all_towers
+from util import _det_cofactor, echelon, rank_by_minors
 from weakcm import linalg, tower as tw
 from weakcm.errors import DivisionByZero, SingularMatrix, TowerMismatch
 
@@ -216,7 +217,7 @@ def test_row_rank_over_q_matches_fraction_echelon(rows, cols):
         if rows > 2 and rng.random() < 0.5:  # a row that depends on two others
             a, b, c = rng.sample(range(rows), 3)
             M[a] = [_rational(rng) * x + y for x, y in zip(M[b], M[c])]
-        assert linalg.row_rank(M) == len(tw._echelon(M))
+        assert linalg.row_rank(M) == len(echelon(M))
     assert linalg.row_rank([[0, 0], [Fraction(1, 2), 3], [1, 6]]) == 1
 
 
@@ -259,3 +260,128 @@ def test_inverse_on_shared_bareiss_matches_gauss_jordan(t):
         assert (y.num, y.den) == (t.element(want).num, t.element(want).den)
     with pytest.raises(DivisionByZero):
         t.zero().inv()
+
+
+# ---------------------------------------------- shared elimination over towers
+
+
+def _product_matrix(t, rng, rows, cols, rank):
+    """A rows x cols matrix over t of rank at most ``rank``: L R for random
+    L (rows x rank) and R (rank x cols) drawn from small tower elements."""
+    if rank == 0:
+        return [[t.zero()] * cols for _ in range(rows)]
+
+    def element():
+        return t.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(t.dim)])
+
+    L = [[element() for _ in range(rank)] for _ in range(rows)]
+    R = [[element() for _ in range(cols)] for _ in range(rank)]
+    return linalg.mat_mul(L, R)
+
+
+def _tower_cases(t, rng):
+    """(matrix, oracle rank) pairs: full and deficient rank, zero rows and
+    columns, and pivots that need row swaps."""
+    for rows, cols in ((1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 3), (4, 2), (3, 4), (4, 4)):
+        for rank in range(min(rows, cols) + 1):
+            M = _product_matrix(t, rng, rows, cols, rank)
+            yield M, rank_by_minors(M, t)
+            M = _with_zero_lines(rng, [list(row) for row in M], t.zero())
+            yield M, rank_by_minors(M, t)
+
+
+@pytest.mark.parametrize("t", all_towers(), ids=lambda t: t.case)
+def test_rank_and_pivots_over_towers_match_minors_and_gauss_jordan(t):
+    rng = random.Random(101)
+    ranks = set()
+    for M, rank in _tower_cases(t, rng):
+        ranks.add((len(M), len(M[0]), rank))
+        basis = echelon(M)
+        assert linalg.row_rank(M) == rank == len(basis)
+        assert linalg.pivot_columns(M) == [next(j for j, x in enumerate(row) if x)
+                                           for row in basis]
+    assert any(0 < r < min(m, w) for m, w, r in ranks)  # deficient
+    assert any(r == min(m, w) >= 3 for m, w, r in ranks)  # full
+    assert linalg.row_rank([]) == 0 and linalg.row_rank([[t.zero()]]) == 0
+
+
+@pytest.mark.parametrize("t", all_towers(), ids=lambda t: t.case)
+def test_det_and_inverse_over_towers_match_cofactors_and_gauss_jordan(t):
+    rng = random.Random(103)
+    one = t.one()
+    for n in (1, 2, 3, 4, 5):
+        for rank in (n, n, n - 1):
+            A = _product_matrix(t, rng, n, n, rank)
+            if n > 1 and rng.random() < 0.5:  # a zero leading entry forces a swap
+                A[0][0] = t.zero()
+            det = linalg.mat_det(A, one)
+            assert det == _det_cofactor(A, t)
+            if not det:
+                with pytest.raises(SingularMatrix):
+                    linalg.mat_inverse(A, one)
+                continue
+            inverse = [list(row[n:]) for row in echelon(
+                [a + e for a, e in zip(A, linalg.identity_matrix(n, one))])]
+            assert linalg.mat_inverse(A, one) == inverse
+    assert linalg.mat_det([], one) == one and linalg.mat_inverse([], one) == []
+    x = t.element([Fraction(k + 2, 3) for k in range(t.dim)])
+    assert linalg.mat_det([[x]], one) == x
+    assert linalg.mat_inverse([[x]], one) == [[x.inv()]]
+    assert linalg.mat_det([[x, x], [t.zero(), t.zero()]], one) == t.zero()
+
+
+@pytest.mark.parametrize("t", all_towers(), ids=lambda t: t.case)
+def test_solve_columns_over_towers_matches_gauss_jordan(t):
+    rng = random.Random(107)
+    for m, k, l in ((1, 1, 1), (2, 1, 2), (3, 2, 1), (4, 2, 3), (4, 4, 2)):
+        A = _product_matrix(t, rng, m, k, k)
+        if rank_by_minors(A, t) < k:
+            continue
+        X = _product_matrix(t, rng, k, l, min(k, l))
+        B = linalg.mat_mul(A, X)
+        assert linalg.solve_columns(A, B) == X
+        assert linalg.solve_left(linalg.transpose(A), linalg.transpose(B)) \
+            == linalg.transpose(X)
+        if m > k:  # a right-hand side outside the column span
+            B_out = [list(row) for row in B]
+            B_out[m - 1][0] = B_out[m - 1][0] + 1
+            basis = echelon([a + b for a, b in zip(A, B_out)])
+            assert len(basis) > k  # the oracle agrees it is inconsistent
+            assert linalg.solve_columns(A, B_out) is None
+        dependent = [row + [row[0] + row[-1]] for row in A]
+        with pytest.raises(SingularMatrix):
+            linalg.solve_columns(dependent, B)
+    assert linalg.solve_columns([], []) == []
+    zero = t.zero()
+    assert linalg.solve_columns([[], []], [[zero], [zero]]) == []
+    assert linalg.solve_columns([[], []], [[zero], [t.one()]]) is None
+
+
+def _generated_subalgebra_by_gauss_jordan(tower, elements):
+    """The unital subalgebra closed up step by step, each span reduced by
+    the Gauss-Jordan ``echelon``."""
+    basis = echelon([tower.one().coeffs] + [x.coeffs for x in elements])
+    while True:
+        rows = list(basis) + [(tower.element(a) * tower.element(b)).coeffs
+                              for a in basis for b in basis]
+        grown = echelon(rows)
+        if len(grown) == len(basis):
+            return grown
+        basis = grown
+
+
+@pytest.mark.parametrize("t", _oracle_towers(), ids=lambda t: t.case)
+def test_generated_subalgebra_matches_gauss_jordan(t):
+    rng = random.Random(109)
+    pool = _oracle_elements(t, rng, 4)
+    cases = [[], [t.rational(Fraction(5, 7))]] + [[g] for g in pool[4:4 + t.dim]]
+    cases += [rng.sample(pool, 2) for _ in range(4)]
+    cases.append([pool[4 + 1] + pool[4 + t.dim - 1]])
+    dims = set()
+    for elements in cases:
+        got = tw.generated_subalgebra(t, elements)
+        assert got == _generated_subalgebra_by_gauss_jordan(t, elements)
+        assert all(type(x) is Fraction for row in got for x in row)
+        dims.add(len(got))
+    assert 1 in dims and t.dim in dims

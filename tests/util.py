@@ -111,6 +111,32 @@ def _det_cofactor(M, t):
     return acc
 
 
+def echelon(rows):
+    """Reduced row echelon basis by Gauss-Jordan elimination with the field
+    operations of the entries (rationals or tower elements); the oracle for
+    ``linalg``'s fraction-free elimination."""
+    M = [list(r) for r in rows]
+    ncols = len(M[0]) if M else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(M)):
+            if M[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        piv = M[rank][col]
+        M[rank] = [x / piv for x in M[rank]]
+        for r in range(len(M)):
+            if r != rank and M[r][col]:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return [tuple(r) for r in M[:rank]]
+
+
 def factor_integer(n):
     """Trial-division factorization for small test integers."""
     n = abs(n)
