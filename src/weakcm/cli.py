@@ -24,6 +24,7 @@ from .errors import (
     IncompatibleIdentifications,
     InputError,
     InvalidPairCount,
+    RationalTooLarge,
     WeakCMError,
 )
 
@@ -38,9 +39,21 @@ def _load(args) -> dict:
         except OSError as exc:
             raise InputError(f"cannot read input file: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
+
+
+def _json_int(literal: str) -> int:
+    """A JSON integer literal, refused by name when it has more digits than
+    Python converts by default (``main`` lifts that limit for output)."""
+    digits = len(literal.lstrip("-"))
+    if digits > RationalTooLarge.DIGITS:
+        raise RationalTooLarge(
+            f"a JSON integer has {digits} digits; at most "
+            f"{RationalTooLarge.DIGITS} are allowed"
+        )
+    return int(literal)
 
 
 def _load_object(args, what) -> dict:
@@ -189,10 +202,7 @@ def _cmd_dodson_reflex(args):
 
     doc = _load(args)
     ct = serialize.parse_cm_type(doc)
-    try:
-        n = int(doc.get("n", ct.N))
-    except (TypeError, ValueError):
-        raise InputError("cm-type document's 'n' must be an integer") from None
+    n = serialize.document_int(doc, "n", "cm-type document") if "n" in doc else ct.N
     report = dodson.reflex_from_dodson(ct, n)
     return serialize.reflex_dodson_report(report)
 
@@ -237,14 +247,15 @@ def _character_map(doc_character, ts, ct, e):
     by_element = {}
     for i, item in enumerate(doc_character):
         try:
-            value = int(item["value"])
-            el = serialize.parse_imn2_element(item["element"], ct.N)
-        except (KeyError, TypeError, ValueError):
+            value, element = item["value"], item["element"]
+        except (KeyError, TypeError):
+            value = None
+        if not serialize.is_json_integer(value):
             raise InputError(
                 f"k3t2 'character' entry {i} must be an object with an "
                 "'element' and an integer 'value'"
-            ) from None
-        by_element[el] = value
+            )
+        by_element[serialize.parse_imn2_element(element, ct.N)] = value
     ident2 = tuple(e.slots)
     flip_idx = next(i for i, g in enumerate(e.group) if g != ident2)
     ident_idx = e.group.index(ident2)
@@ -401,7 +412,28 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and print its report; returns the exit code.
+
+    Exact results can have more digits than Python converts to a string by
+    default, so the limit is lifted while the command runs and restored
+    afterwards.  The command line is parsed under the default limit, and
+    every number a document supplies is bounded where it is read: rationals
+    by ``parse_rational``, integers as JSON literals of at most
+    ``RationalTooLarge.DIGITS`` digits.
+    """
     args = _PARSER.parse_args(argv)
+    digits = getattr(sys, "get_int_max_str_digits", None)
+    if digits is None:
+        return _run(args)
+    saved = digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(args) -> int:
     try:
         payload = _COMMANDS[args.subcommand][0](args)
         report = {"status": "ok", "payload": payload, "diagnostics": []}

@@ -21,6 +21,22 @@ class InputError(WeakCMError):
     condition = "invalid-input"
 
 
+class RationalTooLarge(InputError):
+    """A number in the input would have more than ``DIGITS`` decimal digits
+    (in its numerator or denominator): Python's default limit for
+    converting integers to and from strings, so work on it is bounded."""
+
+    condition = "input:number-size"
+    DIGITS = 4300
+
+
+class NotAnInteger(InputError):
+    """A document field that must be a JSON integer (not a bool, float or
+    string) is not one, or is below its minimum."""
+
+    condition = "input:integer"
+
+
 class MathError(WeakCMError):
     """Arithmetic impossibility or internal inconsistency (CLI exit code 2)."""
 

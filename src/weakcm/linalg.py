@@ -2,8 +2,10 @@
 
 Entries are ``fractions.Fraction`` (or ``int``) or tower elements; no
 floating point anywhere.  ``mat_mul`` computes each entry as one fused dot
-product: integer rows over a common denominator, or the tower's own
-``TowerSpec.mat_mul``.
+product: integer rows over a common denominator, the tower's own
+``TowerSpec.mat_mul``, or, for a tower matrix times a rational one,
+``TowerSpec.mat_mul_rational`` (integer combinations of numerator vectors,
+no structure table).
 
 Every rank, determinant, solve, inverse and echelon form comes from one
 fraction-free forward pass (``_forward``) and one back substitution.
@@ -13,7 +15,9 @@ divided exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968), so
 entries stay integer minors.  Over a tower the pass does not divide: an
 inverse is itself a linear solve, and dividing by one measured slower than
 the coefficient growth it saves.  It still multiplies every row below a
-pivot by that pivot, so a determinant costs one inverse at the end.
+pivot by that pivot, so a determinant costs one inverse at the end; the
+nonzero terms of the pivot and its row are worked out once per pivot
+(``TowerSpec.pivot_update``).
 """
 
 import math
@@ -44,15 +48,24 @@ def _integer_row(row):
 
 
 def mat_mul(A, B):
-    """A B; each entry is one fused dot product (see the module notes)."""
+    """A B; each entry is one fused dot product.
+
+    Over Q, integer rows over a common denominator; a tower matrix times an
+    all-rational one goes to ``TowerSpec.mat_mul_rational``, which needs no
+    structure table; any other product with tower entries goes to
+    ``TowerSpec.mat_mul``.
+    """
     if not A or not B:
         return []
     if not B[0]:
         return [[] for _ in A]
     a, b = A[0][0], B[0][0]
-    if not (_is_rational(a) and _is_rational(b)):
-        tower = (b if _is_rational(a) else a).tower
-        return tower.mat_mul(A, B)
+    if not _is_rational(a):
+        if _is_rational(b) and all(_is_rational(x) for row in B for x in row):
+            return a.tower.mat_mul_rational(A, [_integer_row(col) for col in zip(*B)])
+        return a.tower.mat_mul(A, B)
+    if not _is_rational(b):
+        return b.tower.mat_mul(A, B)
     cols = [_integer_row(col) for col in zip(*B)]
     out = []
     for row in A:
@@ -105,14 +118,15 @@ def _forward(M, tower):
         piv = top[col]
         zero = piv - piv
         tail = top[col + 1:]
+        update = None if tower is None or r + 1 == m else tower.pivot_update(piv, tail)
         for row in M[r + 1:]:
             f = row[col]
             row[col] = zero
-            if tower is None:
+            if update is None:
                 row[col + 1:] = [(piv * x - f * y) // prev
                                  for x, y in zip(row[col + 1:], tail)]
             else:
-                row[col + 1:] = tower.mat_mul([[piv, -f]], [row[col + 1:], tail])[0]
+                row[col + 1:] = update(f, row[col + 1:])
         prev = piv
         pivots.append(col)
         r += 1

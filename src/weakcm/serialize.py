@@ -12,7 +12,9 @@ loads the field towers).
 
 from __future__ import annotations
 
-from .errors import InputError
+import json
+
+from .errors import InputError, NotAnInteger
 
 
 def rational_matrix_out(M):
@@ -25,14 +27,40 @@ def element_matrix_out(M):
     return [[x.serialize() for x in row] for row in M]
 
 
+def is_json_integer(value) -> bool:
+    """True for a JSON integer: an int that is not a bool.  Floats and
+    strings are refused, not truncated or converted (the CLI's JSON reader
+    bounds the size of integer literals; a string would be unbounded)."""
+    return type(value) is int
+
+
+def document_int(doc, key, what, minimum=None) -> int:
+    """``doc[key]`` when it is a JSON integer (not a bool, a float or a
+    string) and at least ``minimum`` (when given); otherwise NotAnInteger,
+    naming the document, the key and the value."""
+    if key not in doc:
+        raise NotAnInteger(f"{what} needs an integer {key!r}")
+    value = doc[key]
+    if not is_json_integer(value):
+        raise NotAnInteger(
+            f"{what}'s {key!r} must be an integer, got {json.dumps(value)[:40]}"
+        )
+    if minimum is not None and value < minimum:
+        raise NotAnInteger(
+            f"{what}'s {key!r} must be an integer >= {minimum}, got {value}"
+        )
+    return value
+
+
 def _int_pairs(doc, what) -> list:
-    """A JSON list of two-entry lists as integer pairs, or a named input
-    error."""
-    if isinstance(doc, list):
-        try:
-            return [(int(a), int(b)) for a, b in doc]
-        except (TypeError, ValueError):
-            pass
+    """A JSON list of two-entry lists of JSON integers as integer pairs, or
+    a named input error."""
+    if isinstance(doc, list) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2
+        and all(map(is_json_integer, pair))
+        for pair in doc
+    ):
+        return [tuple(pair) for pair in doc]
     raise InputError(f"{what} must be a list of integer pairs")
 
 
@@ -105,10 +133,7 @@ def parse_period_matrix(doc) -> tausplit.PeriodMatrix:
 
     if not isinstance(doc, dict):
         raise InputError("period-matrix document must be an object")
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("document needs an integer 'n'") from None
+    n = document_int(doc, "n", "period-matrix document", minimum=1)
     if "field" not in doc:
         raise InputError("document needs a 'field' parameter object")
     field = parse_field(doc["field"])
@@ -181,10 +206,13 @@ def parse_imn2_element(doc, N) -> dodson.ImN2Element:
     from . import dodson
 
     try:
-        bits = tuple(int(b) for b in doc["bits"])
-        perm = tuple(int(x) for x in doc["perm"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("group element needs 'bits' and 'perm' lists") from None
+        bits, perm = doc["bits"], doc["perm"]
+    except (KeyError, TypeError):
+        bits = perm = None
+    if not (isinstance(bits, list) and isinstance(perm, list)
+            and all(map(is_json_integer, bits + perm))):
+        raise InputError("group element needs 'bits' and 'perm' lists of integers")
+    bits, perm = tuple(bits), tuple(perm)
     if len(bits) != N or sorted(perm) != list(range(N)) or any(b not in (0, 1) for b in bits):
         raise InputError("malformed Im(N,2) element")
     return dodson.ImN2Element(bits, perm)
@@ -243,13 +271,12 @@ def parse_cm_type(doc) -> dodson.AbstractCMType:
         from . import cmfield
 
         return cmfield.dodson_type(parse_field(doc["field"]))
-    try:
-        n = int(doc["n"])
-        raw = doc["elements"]
-    except (KeyError, TypeError, ValueError):
+    if "n" not in doc or "elements" not in doc:
         raise InputError(
             "cm-type document needs 'preset', 'field', or 'n' + 'elements'"
-        ) from None
+        )
+    n = document_int(doc, "n", "cm-type document")
+    raw = doc["elements"]
     if not isinstance(raw, list):
         raise InputError("cm-type 'elements' must be a list")
     elements = tuple(sorted((parse_imn2_element(e, n) for e in raw),
@@ -314,15 +341,14 @@ def parse_structure(doc) -> hodge.CMHodgeStructure:
 def _parse_explicit_structure(doc):
     from . import dodson, hodge
 
-    try:
-        weight = int(doc["weight"])
-        n = int(doc["pairs"])
-        labels_in = doc["labels"]
-        raw = doc["elements"]
-    except (KeyError, TypeError, ValueError):
+    if any(k not in doc for k in ("weight", "pairs", "labels", "elements")):
         raise InputError(
             "explicit structure needs weight, pairs, labels, elements"
-        ) from None
+        )
+    weight = document_int(doc, "weight", "explicit structure")
+    n = document_int(doc, "pairs", "explicit structure")
+    labels_in = doc["labels"]
+    raw = doc["elements"]
     labels_in = _int_pairs(labels_in, "explicit structure 'labels'")
     if len(labels_in) != n:
         raise InputError("one label per pair required")

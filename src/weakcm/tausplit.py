@@ -24,6 +24,7 @@ P can be taken to be the identity block matrix.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -192,7 +193,9 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
             raise MathError("eps != -s0(delta)")
 
     rank_delta = linalg.row_rank(delta)
-    rank_eps = linalg.row_rank(eps)
+    # in cases B/C eps = -s0(delta), and the automorphism s0 keeps ranks; so
+    # the full-span check below also gives rank(delta) = rank(eps) = n/2
+    rank_eps = linalg.row_rank(eps) if case == CASE_A else rank_delta
     rank_joint = linalg.row_rank(delta + eps)
     if rank_joint != n or rank_delta + rank_eps != n:
         raise NotFullSpan(
@@ -201,11 +204,6 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
             "top-form conjugate is not of pure Hodge type"
         )
     p = rank_eps
-    if case in (CASE_B, CASE_C) and (rank_delta != rank_eps or 2 * p != n):
-        raise NotFullSpan(
-            f"cases B/C need rank(delta) = rank(eps) = n/2, got "
-            f"{rank_delta}/{rank_eps}"
-        )
     if p == 0 or p == n:
         raise DegenerateP("rank split degenerated; tau lies in a subfield")
     return DeltaEps(delta, eps, rank_delta, rank_eps, rank_joint, p, field_dim)
@@ -277,28 +275,28 @@ def _coordinate_matrix(t, tau):
 def _realify_rows(rows, basis_elements):
     """Expand field-valued rows over the Q-basis of their coefficient field.
 
-    A row w = sum_k omega_k x_k contributes the rational rows x_1 ... x_m;
-    the coordinates of every entry come from one multi-column solve.
-    Raises when some entry falls outside the claimed field.
+    A row w = sum_k omega_k x_k contributes the rows x_1 ... x_m of the
+    coordinates of its entries, read from the tower's ``CoordinateMap`` of
+    the basis and returned as integers: each rational row is multiplied by
+    one positive integer (its common denominator), which changes no linear
+    relation between the columns.  Raises when some entry falls outside
+    the claimed field.
     """
-    entries = [x for row in rows for x in row]
-    if not entries:
-        return []
-    dim = entries[0].tower.dim
-    A = [[b.coeffs[i] for b in basis_elements] for i in range(dim)]
-    X = linalg.solve_columns(A, [[x.coeffs[i] for x in entries] for i in range(dim)])
-    if X is None:
-        bad = next(x for x in entries
-                   if tw.subspace_coordinates(basis_elements, x) is None)
-        raise MathError(
-            f"entry {bad} is not valued in the claimed coefficient field"
-        )
+    cmap = basis_elements[0].tower.coordinate_map(basis_elements)
     out = []
-    start = 0
     for row in rows:
-        stop = start + len(row)
-        out.extend(coords[start:stop] for coords in X)
-        start = stop
+        nums = []
+        for x in row:
+            a = cmap.numerators(x)
+            if a is None:
+                raise MathError(
+                    f"entry {x} is not valued in the claimed coefficient field"
+                )
+            nums.append(a)
+        den = math.lcm(*(x.den for x in row))
+        scales = [den // x.den for x in row]
+        for j in range(len(basis_elements)):
+            out.append([a[j] * f for a, f in zip(nums, scales)])
     return out
 
 
@@ -432,11 +430,17 @@ def coordinate_change(t, case, n, block_sizes, c1=None, c2=None, M=None):
 
 
 def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
-    """Realify both sides blockwise and solve RW . S = RStd for the rational S."""
+    """Realify both sides blockwise and solve RW . S = RStd for the rational S.
+
+    Each row of W is realified together with its standard-form row, so
+    both sides of every rational equation carry the same scale.
+    """
     RW, RStd = [], []
     for rows, std_rows, basis in zip(W_rows_blocks, std_rows_blocks, block_bases):
-        RW.extend(_realify_rows(rows, basis))
-        RStd.extend(_realify_rows(std_rows, basis))
+        width = len(rows[0])
+        for row in _realify_rows([w + s for w, s in zip(rows, std_rows)], basis):
+            RW.append(row[:width])
+            RStd.append(row[width:])
     try:
         return linalg.solve_rational(RW, RStd)
     except SingularMatrix as exc:
@@ -447,9 +451,10 @@ def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
 
 
 def _certify_membership(M, basis_elements, what):
+    cmap = basis_elements[0].tower.coordinate_map(basis_elements)
     for row in M:
         for x in row:
-            if tw.subspace_coordinates(basis_elements, x) is None:
+            if cmap.numerators(x) is None:
                 raise MathError(f"{what} has an entry outside its stated field")
 
 
@@ -581,8 +586,6 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
     one = t.one()
     if not linalg.mat_det(cert.S, Fraction(1)):
         return VerifyResult(False, "S is singular over Q")
-    if not linalg.mat_det(cert.P, one):
-        return VerifyResult(False, "P is singular over its field")
     try:
         P_inv = linalg.mat_inverse(cert.P, one)
     except SingularMatrix:
@@ -605,7 +608,7 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
         lhs = linalg.mat_mul(P_inv, W[:r]) + linalg.mat_mul(P_inv_conj, W[r:])
     else:
         lhs = linalg.mat_mul(P_inv, W)
-    lhs = linalg.mat_mul(lhs, [[t.rational(x) for x in row] for row in cert.S])
+    lhs = linalg.mat_mul(lhs, cert.S)
 
     for i, (lr, sr) in enumerate(zip(lhs, cert.standard_form)):
         for j, (a, b) in enumerate(zip(lr, sr)):

@@ -17,7 +17,11 @@ each tower keeps its structure constants as a sparse integer table over one
 common denominator, so products, sums, Galois images and the entries of
 matrix products (``TowerSpec.mat_mul``) are computed in integers with one
 gcd per result; ``FieldElement.coeffs`` still exposes the coefficients as
-``fractions.Fraction``s.  There is no floating point.
+``fractions.Fraction``s, and ``serialize`` formats straight from the
+integers.  Coordinates in the Q-span of given elements come from a
+``CoordinateMap``, built once per basis and kept on the tower: integer dot
+products on the numerators and an exact integer membership check.  There
+is no floating point.
 Galois actions are stored as explicit Q-linear maps on the basis and checked
 to be ring automorphisms at construction time.
 
@@ -29,6 +33,7 @@ sqrt(dp) the positive real root.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -40,6 +45,7 @@ from .errors import (
     FactorizationInconclusive,
     MathError,
     NotSquareFree,
+    RationalTooLarge,
     SingularMatrix,
     SquareClassMismatch,
     TowerMismatch,
@@ -57,10 +63,58 @@ _DEFAULT_FACTOR_BOUND = 100_000
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "num/den" (den omitted when 1) into a Fraction."""
+    """Parse "num/den" (den omitted when 1) into a Fraction.
+
+    Decimal and exponent literals ("1.5", "-2e3") are accepted too.  A
+    literal whose numerator or denominator would have more than
+    ``RationalTooLarge.DIGITS`` digits is refused with ``RationalTooLarge``
+    before anything is computed: "1e100000000" would otherwise ask for
+    10**10**8.
+    """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    text = str(text).strip()
+    _check_literal_size(text)
+    return Fraction(text)
+
+
+def _digit_count(part: str) -> int:
+    return sum(ch.isdigit() for ch in part)
+
+
+def _check_literal_size(text: str):
+    """Raise RationalTooLarge when the rational literal ``text`` expands to
+    a numerator or a denominator of more than ``RationalTooLarge.DIGITS``
+    digits (an upper bound: before the fraction is reduced)."""
+    limit = RationalTooLarge.DIGITS
+    if len(text) <= limit and "e" not in text and "E" not in text:
+        return  # without an exponent no part has more digits than the text
+    if "/" in text:
+        sizes = [_digit_count(part) for part in text.split("/", 1)]
+    else:
+        mantissa, _, exponent = text.lower().partition("e")
+        digits = _digit_count(mantissa)
+        decimals = _digit_count(mantissa.partition(".")[2])
+        shift = 0
+        if exponent:
+            exp_digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+            if len(exp_digits) > len(str(limit)):
+                raise RationalTooLarge(
+                    f"rational literal {text[:40]!r} has an exponent of "
+                    f"{len(exp_digits)} digits; at most {limit} digits are allowed "
+                    "in a numerator or denominator"
+                )
+            try:
+                shift = int(exponent)
+            except ValueError:
+                shift = 0  # not a literal; Fraction names the error
+        shift -= decimals
+        sizes = [digits + max(shift, 0), 1 - min(shift, 0)]
+    if max(sizes) > limit:
+        raise RationalTooLarge(
+            f"rational literal {text[:40]!r} expands to {max(sizes)} digits; "
+            f"at most {limit} digits are allowed in a numerator or denominator"
+        )
 
 
 def format_rational(x: Fraction) -> str:
@@ -108,7 +162,8 @@ def _factor_bound() -> int:
     if raw is None:
         return _DEFAULT_FACTOR_BOUND
     try:
-        bound = int(raw)
+        # bounded: the CLI lifts the int-string limit while it runs
+        bound = int(raw) if len(raw) <= RationalTooLarge.DIGITS else None
     except ValueError:
         bound = None
     if bound is None or bound < 2:
@@ -278,7 +333,14 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        da, db = self.den, o.den
+        if da == db:
+            return _normalised(self.tower, [a - b for a, b in zip(self.num, o.num)], da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _normalised(
+            self.tower, [a * fa - b * fb for a, b in zip(self.num, o.num)], da * fa
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -391,7 +453,17 @@ class FieldElement:
         return self.coeffs[0]
 
     def serialize(self):
-        return [format_rational(c) for c in self.coeffs]
+        """The coefficients as "num/den" strings (den omitted when 1), the
+        strings ``format_rational`` gives for ``coeffs``, formatted from
+        ``num`` and ``den`` with one gcd per coefficient."""
+        den = self.den
+        if den == 1:
+            return [str(a) for a in self.num]
+        out = []
+        for a in self.num:
+            g = math.gcd(a, den)
+            out.append(str(a // den) if g == den else f"{a // g}/{den // g}")
+        return out
 
     def __repr__(self):
         return f"FieldElement({self})"
@@ -586,6 +658,7 @@ class TowerSpec:
         self._galois_cache = None
         self._s0_cubed = None  # kept by tausplit._s0_cubed
         self._subalgebras = {}
+        self._coordinate_maps = {}  # kept by coordinate_map
 
     def __eq__(self, other):
         return isinstance(other, TowerSpec) and self.key == other.key
@@ -665,57 +738,127 @@ class TowerSpec:
             found = self._subalgebras[support] = (span, {k: q for q, k in enumerate(span)})
         return found
 
+    def _terms(self, x):
+        """(den, nonzero (index, numerator) pairs) of x, or None at zero;
+        rationals are coerced."""
+        if not isinstance(x, FieldElement):
+            x = self.rational(x)
+        elif x.tower is not self and x.tower.key != self.key:
+            raise TowerMismatch("elements live in different towers")
+        nz = [(i, a) for i, a in enumerate(x.num) if a]
+        return (x.den, nz) if nz else None
+
+    def _fused(self, parts):
+        """The numerator vector, over ``_int_den``, of the sum of ``s * x *
+        y`` over the ``(x terms, y terms, s)`` in ``parts``: one pass
+        through ``_int_table``, shared by every product kernel."""
+        table = self._int_table
+        acc = [0] * self.dim
+        for ta, tb, s in parts:
+            for i, a in ta:
+                trow = table[i]
+                a *= s
+                for j, b in tb:
+                    ab = a * b
+                    for m, c in trow[j]:
+                        acc[m] += ab * c
+        return acc
+
     def mat_mul(self, A, B):
         """A B for matrices of tower elements (rationals are coerced).
 
         Each entry is one fused dot product: the numerator vectors of the
-        nonzero products are summed through ``_int_table`` over a running
-        lcm of their denominators, and the sum is reduced once.  Zero
-        factors are skipped, so identity and permutation factors cost one
-        table lookup per nonzero entry.
+        nonzero products are summed through ``_int_table`` over the lcm of
+        their denominators, and the sum is reduced once.  Zero factors are
+        skipped, so identity and permutation factors cost one table lookup
+        per nonzero entry.
         """
-        table = self._int_table
-        dim = self.dim
-
-        def terms(x):
-            # (den, nonzero (index, numerator) pairs), or None at zero
-            if not isinstance(x, FieldElement):
-                x = self.rational(x)
-            elif x.tower is not self and x.tower.key != self.key:
-                raise TowerMismatch("elements live in different towers")
-            nz = [(i, a) for i, a in enumerate(x.num) if a]
-            return (x.den, nz) if nz else None
-
+        terms = self._terms
+        scale = self._int_den
         cols = [[terms(x) for x in col] for col in zip(*B)]
         out = []
         for row in A:
             left = [(k, term) for k, term in enumerate(map(terms, row)) if term]
             new = []
             for col in cols:
-                acc = [0] * dim
-                den = 1
-                for k, (da, ta) in left:
-                    right = col[k]
-                    if right is None:
-                        continue
-                    db, tb = right
-                    d = da * db
-                    if den % d:
-                        grown = math.lcm(den, d)
-                        f = grown // den
-                        acc = [v * f for v in acc]
-                        den = grown
-                    f = den // d
-                    for i, a in ta:
-                        trow = table[i]
-                        af = a * f
-                        for j, b in tb:
-                            ab = af * b
-                            for m, c in trow[j]:
-                                acc[m] += ab * c
-                new.append(_normalised(self, acc, den * self._int_den))
+                prods = [(da * col[k][0], ta, col[k][1])
+                         for k, (da, ta) in left if col[k] is not None]
+                den = math.lcm(*(d for d, _, _ in prods))
+                acc = self._fused((ta, tb, den // d) for d, ta, tb in prods)
+                new.append(_normalised(self, acc, den * scale))
             out.append(new)
         return out
+
+    def mat_mul_rational(self, A, cols):
+        """A B for a matrix A of tower elements and a rational matrix B,
+        given by its columns as ``(den, integer numerators)`` pairs.
+
+        Each entry is an integer combination of the numerator vectors of a
+        row of A, which are brought to one denominator per row, with the
+        integer column of B: ``dim`` fused dot products and one reduction,
+        no structure-table lookups.
+        """
+        out = []
+        for row in A:
+            row = [x if isinstance(x, FieldElement) else self.rational(x) for x in row]
+            if any(x.tower is not self and x.tower.key != self.key for x in row):
+                raise TowerMismatch("elements live in different towers")
+            den = math.lcm(*(x.den for x in row))
+            # coordinate m of every entry of the row, over den
+            coords = list(zip(*([a * (den // x.den) for a in x.num] for x in row)))
+            out.append([
+                _normalised(self, [sum(map(operator.mul, c, cb)) for c in coords],
+                            den * db)
+                for db, cb in cols
+            ])
+        return out
+
+    def pivot_update(self, piv, top):
+        """The row update below a pivot of a fraction-free elimination.
+
+        Returns a function of (f, row) that gives ``[piv * y - f * z for y,
+        z in zip(row, top)]``, each entry one fused sum reduced once.  The
+        nonzero terms of ``piv`` (nonzero) and of ``top`` are worked out here,
+        once per pivot, not once per row below it.
+        """
+        terms = self._terms
+        scale = self._int_den
+        dp, tp = terms(piv)
+        tops = [terms(z) for z in top]
+
+        def update(f, row):
+            ft = terms(f)
+            if ft is not None:
+                df, nf = ft[0], [(i, -a) for i, a in ft[1]]
+            out = []
+            for y, zt in zip(row, tops):
+                yt = terms(y)
+                if zt is None or ft is None:
+                    if yt is None:
+                        out.append(self.zero())
+                        continue
+                    den = dp * yt[0]
+                    parts = ((tp, yt[1], 1),)
+                elif yt is None:
+                    den = df * zt[0]
+                    parts = ((nf, zt[1], 1),)
+                else:
+                    d1, d2 = dp * yt[0], df * zt[0]
+                    den = d1 if d1 == d2 else math.lcm(d1, d2)
+                    parts = ((tp, yt[1], den // d1), (nf, zt[1], den // d2))
+                out.append(_normalised(self, self._fused(parts), den * scale))
+            return out
+
+        return update
+
+    def coordinate_map(self, basis_elements) -> "CoordinateMap":
+        """The ``CoordinateMap`` of the given independent elements, built
+        on first use and kept on the tower, keyed by their numerators."""
+        key = tuple((b.num, b.den) for b in basis_elements)
+        found = self._coordinate_maps.get(key)
+        if found is None:
+            found = self._coordinate_maps[key] = CoordinateMap(basis_elements)
+        return found
 
     # -- element constructors
 
@@ -1005,12 +1148,69 @@ def generated_subalgebra(tower: TowerSpec, elements) -> list:
         basis = grown
 
 
+class CoordinateMap:
+    """Coordinates in the Q-span of independent tower elements, in integers.
+
+    With the elements b_1..b_k brought to one denominator E, let N be the
+    dim x k integer matrix of their numerators (b_j = N[:, j] / E), R its
+    pivot rows (the first k rows of rank k, from ``linalg.pivot_columns``)
+    and N_R that invertible block.  ``linalg.bareiss`` gives D = det N_R
+    and the integer matrix D * N_R^-1; ``inverse`` is that matrix times E,
+    over ``den`` = |D|.  For x = X / x.den, the numerators
+    a = inverse . X_R give the coordinates a / (den * x.den), and x lies in
+    the span exactly when N[m] . a == E * den * X[m] on every row m outside
+    R (on R it holds by construction).  Raises SingularMatrix when the
+    elements are dependent.
+    """
+
+    __slots__ = ("rows", "inverse", "den", "checks", "scale")
+
+    def __init__(self, basis_elements):
+        k = len(basis_elements)
+        E = math.lcm(*(b.den for b in basis_elements))
+        N = list(zip(*([a * (E // b.den) for a in b.num] for b in basis_elements)))
+        rows = linalg.pivot_columns(linalg.transpose(N))
+        if len(rows) < k:
+            raise SingularMatrix("columns are linearly dependent")
+        det, X = linalg.bareiss(
+            [list(N[r]) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
+        )
+        sign = 1 if det > 0 else -1
+        self.rows = tuple(rows)
+        self.inverse = tuple(tuple(sign * E * v for v in row) for row in X)
+        self.den = abs(det)
+        self.checks = tuple((m, N[m]) for m in range(len(N)) if m not in rows)
+        self.scale = E * self.den
+
+    def numerators(self, x: FieldElement):
+        """The integers a with x = sum_j a_j / (den * x.den) * b_j, or None
+        when x is not in the span."""
+        num = x.num
+        xr = [num[r] for r in self.rows]
+        a = [sum(map(operator.mul, row, xr)) for row in self.inverse]
+        scale = self.scale
+        for m, row in self.checks:
+            if sum(map(operator.mul, row, a)) != scale * num[m]:
+                return None
+        return a
+
+    def coordinates(self, x: FieldElement):
+        """The coordinates of x as ``Fraction``s, or None when x is not in
+        the span."""
+        a = self.numerators(x)
+        if a is None:
+            return None
+        den = self.den * x.den
+        return [Fraction(v, den) for v in a]
+
+
 def subspace_coordinates(basis_elements, x: FieldElement):
-    """Coordinates of x in the Q-span of the given elements, or None."""
+    """Coordinates of x in the Q-span of the given independent elements, as
+    ``Fraction``s, or None when x is outside it (or no element is given).
+
+    They are read from the tower's ``CoordinateMap`` of the elements, built
+    once per basis; a dependent basis raises SingularMatrix.
+    """
     if not basis_elements:
         return None
-    A = [[b.coeffs[i] for b in basis_elements] for i in range(x.tower.dim)]
-    sol = linalg.solve_columns(A, [[c] for c in x.coeffs])
-    if sol is None:
-        return None
-    return [row[0] for row in sol]
+    return x.tower.coordinate_map(basis_elements).coordinates(x)

@@ -3,13 +3,19 @@
 # no bytecode cache, so every subcommand's own imports run cold, outside
 # pytest.  Compares stdout with the golden file byte for byte.
 #
+# Then documents with big numbers, written here: Python's limit on the
+# digits of an int converted to or from a string is set per interpreter, so
+# these run in fresh ones too.  Each checks the exit code and one line of
+# the report (its verdict or its condition).
+#
 # Run from the repository root:  sh tests/golden_cli.sh
 # PYTHON selects the interpreter (default: python).
 set -u
 PYTHON=${PYTHON:-python}
 DATA=tests/data
 OUT=$(mktemp)
-trap 'rm -f "$OUT"' EXIT
+BIG=$(mktemp -d)
+trap 'rm -rf "$OUT" "$BIG"' EXIT
 export PYTHONDONTWRITEBYTECODE=1
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 failed=0
@@ -36,4 +42,53 @@ check 0 torus_a_diag split --input "$DATA/torus_a_diag.json"
 check 1 torus_b_n3 split --input "$DATA/torus_b_n3.json"
 check 0 k3t2_disjoint k3t2 --input "$DATA/k3t2_disjoint.json"
 check 0 classify_cy3 dodson-classify --n 3 --partition cy3
+
+# usage: check_line EXPECTED_EXIT LINE NAME SUBCOMMAND [ARGS...]
+check_line() {
+    want=$1 line=$2 name=$3
+    shift 3
+    "$PYTHON" -m weakcm.cli "$@" > "$OUT"
+    code=$?
+    if [ "$code" != "$want" ]; then
+        echo "FAIL $name: exit $code, expected $want"
+        failed=1
+    elif ! grep -qF "$line" "$OUT"; then
+        echo "FAIL $name: the report has no line $line"
+        failed=1
+    else
+        echo "ok   $name"
+    fi
+}
+
+"$PYTHON" - "$BIG" <<'PY'
+import json
+import random
+import sys
+
+big, rng = sys.argv[1], random.Random(3000)
+
+
+def pm(entries):
+    it = iter(entries)
+    return {"n": 2, "field": {"p": -1},
+            "B": [[[next(it) for _ in range(2)] for _ in range(2)] for _ in range(2)]}
+
+
+rest = ["1", "0", "1", "1", "0", "0", "1"]
+docs = {
+    # 3000-digit entries parse, and the certificate's entries have more
+    # digits than the default limit lets str() print
+    "digits3000": pm(str(rng.randrange(10 ** 2999, 10 ** 3000)) for _ in range(8)),
+    "e5000": pm(["1e5000"] + rest),
+    "e100000000": pm(["1e100000000"] + rest),
+    "p_e5001": {"p": "-1e5001"},
+}
+for name, doc in docs.items():
+    with open(f"{big}/{name}.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+PY
+check_line 0 '"verified": true' big_digits3000 split --input "$BIG/digits3000.json"
+check_line 1 '"condition": "input:number-size"' big_e5000 split --input "$BIG/e5000.json"
+check_line 1 '"condition": "input:number-size"' big_e100000000 split --input "$BIG/e100000000.json"
+check_line 1 '"condition": "input:number-size"' big_p_e5001 classify-field --input "$BIG/p_e5001.json"
 exit $failed

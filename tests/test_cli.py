@@ -616,6 +616,13 @@ def _k3t2_contained(tmp_path, capsys, character):
     ([{"element": _element((0,), (0,)), "value": 0}, [1, 0]], "'character' entry 1"),
     ([{"element": _element((1,), (0,)), "value": "one"}], "'character' entry 0"),
     ([{"element": "rho", "value": 1}], "group element needs 'bits' and 'perm'"),
+    ([{"element": _element((0,), (0,)), "value": True}], "'character' entry 0"),
+    ([{"element": _element((0,), (0,)), "value": 1.5}], "'character' entry 0"),
+    ([{"element": _element((0,), (0,)), "value": "1"}], "'character' entry 0"),
+    ([{"element": {"bits": ["1"], "perm": [0]}, "value": 1}],
+     "group element needs 'bits' and 'perm'"),
+    ([{"element": {"bits": [1], "perm": [0.0]}, "value": 1}],
+     "group element needs 'bits' and 'perm'"),
 ])
 def test_k3t2_malformed_character_is_named(tmp_path, capsys, character, what):
     code, report = _k3t2_contained(tmp_path, capsys, character)
@@ -654,6 +661,17 @@ def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
     ("weil-griffiths", dict(_SYNTHETIC, spreads=[dict(_SYNTHETIC["spreads"][0],
                                                       slots=[[0, 0], [2, 0]])]),
      "spread 'slots' must be slots of the structure"),
+    ("dodson-reflex", {"preset": "B", "n": 3.0}, "'n' must be an integer"),
+    ("dodson-reflex", {"n": True, "elements": []}, "'n' must be an integer"),
+    ("weil-griffiths", dict(_SYNTHETIC, weight=3.0), "'weight' must be an integer"),
+    ("weil-griffiths", dict(_SYNTHETIC, pairs=True), "'pairs' must be an integer"),
+    ("weil-griffiths", dict(_SYNTHETIC, pairs="2"), "'pairs' must be an integer"),
+    ("weil-griffiths", dict(_SYNTHETIC, labels=[[3, 0], [1.5, 1]]),
+     "'labels' must be a list of integer pairs"),
+    ("weil-griffiths", dict(_SYNTHETIC, labels=[[3, 0], ["2", 1]]),
+     "'labels' must be a list of integer pairs"),
+    ("weil-griffiths", dict(_SYNTHETIC, labels=[[3, 0], [True, 1]]),
+     "'labels' must be a list of integer pairs"),
 ])
 def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     path = tmp_path / "doc.json"
@@ -663,3 +681,109 @@ def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     assert code == 1
     assert report["status"] == "invalid-input"
     assert what in report["diagnostics"][0]["message"]
+
+
+# ---------------------------------------------------------------- document integers
+
+
+@pytest.mark.parametrize("n, what", [
+    (1.0, "'n' must be an integer, got 1.0"),
+    (1.5, "'n' must be an integer, got 1.5"),
+    (True, "'n' must be an integer, got true"),
+    ("1", "'n' must be an integer, got \"1\""),
+    (None, "'n' must be an integer, got null"),
+    (0, "'n' must be an integer >= 1, got 0"),
+    (-2, "'n' must be an integer >= 1, got -2"),
+])
+def test_period_matrix_n_must_be_a_positive_json_integer(tmp_path, capsys, n, what):
+    # each of these used to be truncated by int(): 1.0, 1.5, true and "1"
+    # split as n = 1, and 0 reported a proper subfield
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps({"n": n, "field": {"p": -1}, "B": [[[0]], [[1]]]}),
+                    encoding="utf-8")
+    code, out = run_cli(capsys, "split", "--input", str(path))
+    report = json.loads(out)
+    assert code == 1
+    assert report["diagnostics"][0]["condition"] == "input:integer"
+    assert what in report["diagnostics"][0]["message"]
+    path.write_text(json.dumps({"field": {"p": -1}, "B": [[[0]], [[1]]]}), encoding="utf-8")
+    code, out = run_cli(capsys, "split", "--input", str(path))
+    assert code == 1 and "needs an integer 'n'" in out
+
+
+# ---------------------------------------------------------------- big numbers
+
+
+def _big(rng, digits):
+    return str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+
+
+def test_large_exact_results_print(tmp_path, capsys):
+    # 3000-digit inputs parse, and the certificate's entries have more
+    # digits than Python converts to a string by default
+    rng = random.Random(97)
+    B = [[[_big(rng, 3000) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "field": {"p": -1}, "B": B}), encoding="utf-8")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out = run_cli(capsys, "split", "--input", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "ok"
+    assert report["payload"]["verified"] is True
+    longest = max(len(x) for row in report["payload"]["S"] for x in row)
+    assert longest > 4300
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored after the call
+
+
+def _pm_text(entry):
+    return json.dumps({"n": 2, "field": {"p": -1},
+                       "B": [[[entry, "1"], ["0", "1"]], [["1", "0"], ["0", "1"]]]})
+
+
+_HUGE = "7" * 5000  # more digits than any document number may have
+
+
+@pytest.mark.parametrize("sub, doc, what", [
+    ("weil-griffiths", dict(_SYNTHETIC, labels=[[3, 0], [_HUGE, 1]]),
+     "'labels' must be a list of integer pairs"),
+    ("weil-griffiths", dict(_SYNTHETIC, elements=[{"bits": [_HUGE, 0], "perm": [0, 1]}]),
+     "group element needs 'bits' and 'perm'"),
+    ("k3t2", {"transcendental": _U1, "situation": "contained",
+              "character": [{"element": _element((0,), (0,)), "value": _HUGE}]},
+     "'character' entry 0"),
+], ids=["label", "bits", "character-value"])
+def test_huge_integer_strings_are_refused(tmp_path, capsys, sub, doc, what):
+    # integers are JSON literals, so a string of digits is refused before
+    # it is converted (the CLI lifts the int-string limit while it runs)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(capsys, sub, "--input", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "invalid-input"
+    assert what in report["diagnostics"][0]["message"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-string limit before Python 3.11")
+def test_command_line_is_parsed_under_the_int_string_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dodson-enum", "--n", _HUGE])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, text", [
+    ("split", _pm_text("1e5000")),
+    ("split", _pm_text("1e100000000")),
+    ("classify-field", json.dumps({"p": "-1e5001"})),
+    ("classify-field", '{"p": -%s}' % ("7" * 4301)),
+], ids=["B-1e5000", "B-1e100000000", "p-1e5001", "p-json-int-4301-digits"])
+def test_oversized_numbers_are_named_input_errors(tmp_path, capsys, sub, text):
+    # each ended in internal-error (exit 2); "1e100000000" computed 10**10**8
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(capsys, sub, "--input", str(path))
+    report = json.loads(out)
+    assert code == 1
+    assert report["diagnostics"][0]["condition"] == "input:number-size"

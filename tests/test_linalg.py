@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_tower import _oracle_elements, _oracle_towers, all_towers
+from test_tower import _assert_normal_form, _oracle_elements, _oracle_towers, all_towers
 from util import _det_cofactor, echelon, rank_by_minors
 from weakcm import linalg, tower as tw
 from weakcm.errors import DivisionByZero, SingularMatrix, TowerMismatch
@@ -139,6 +139,31 @@ def test_fused_mat_mul_identity_permutation_and_rational_factors(t):
     S_t = [[t.rational(x) for x in row] for row in S]
     assert linalg.mat_mul(A, S) == linalg.mat_mul(A, S_t) == per_term_mat_mul(A, S_t)
     assert linalg.mat_mul(S, A) == per_term_mat_mul(S_t, A)
+
+
+@pytest.mark.parametrize("t", _oracle_towers(), ids=lambda t: t.case)
+def test_tower_times_rational_mat_mul_matches_per_term(t):
+    # the rational right factor takes its own path: integer combinations
+    # of the numerator vectors, no structure table
+    rng = random.Random(73)
+    for rows, inner, cols in SHAPES:
+        for zero_lines in (False, True):
+            A = _tower_matrix(t, rng, rows, inner)
+            S = _rational_matrix(rng, inner, cols)
+            if zero_lines:
+                A = _with_zero_lines(rng, A, t.zero())
+                S = _with_zero_lines(rng, S, Fraction(0))
+            if rows * inner > 1:
+                A[-1][-1] = Fraction(-2, 9)  # rationals in A are coerced
+            S_t = [[t.rational(x) for x in row] for row in S]
+            got = linalg.mat_mul(A, S)
+            assert got == per_term_mat_mul(A, S_t)
+            for row in got:
+                for x in row:
+                    _assert_normal_form(x)
+    with pytest.raises(TowerMismatch):
+        other = all_towers()[0] if t.dim != 2 else all_towers()[1]
+        linalg.mat_mul([[t.one(), other.one()]], [[1], [2]])
 
 
 def test_fused_mat_mul_rejects_mixed_towers():

@@ -145,6 +145,30 @@ def test_rank_matches_minor_oracle():
     assert rank_by_minors(de.eps, t) == de.rank_eps
 
 
+def test_rank_eps_is_rank_delta_in_cases_b_c():
+    # validation reads rank(eps) off rank(delta), since eps = -s0(delta);
+    # checked against the elimination on seeded corpus matrices and on
+    # rejects whose ranks the NotFullSpan message reports
+    rng = random.Random(37)
+    for field in (f_B(), f_C()):
+        for n in (2, 4):
+            for _ in range(3):
+                de = tausplit.validate_weak_cm(random_period_matrix(field, n, rng))
+                assert de.rank_eps == linalg.row_rank(de.eps) == de.rank_delta == n // 2
+        t = field.tower
+        s0 = t.generators["s0"]
+        I2 = [[1, 0], [0, 1]]
+        for Bs in ((Z2, Z2, I2, Z2), (Z2, I2, I2, [[0, 1], [1, 0]])):
+            pm = tausplit.period_matrix(field, *Bs)
+            tau = pm.tau()
+            delta = [[x - s0(x) for x in row] for row in tau]
+            eps = [[-s0(x) for x in row] for row in delta]
+            with pytest.raises(NotFullSpan) as info:
+                tausplit.validate_weak_cm(pm)
+            assert (f"rank(delta) = {linalg.row_rank(delta)}, "
+                    f"rank(eps) = {linalg.row_rank(eps)}") in str(info.value)
+
+
 # ---------------------------------------------------------------- subfield from B
 
 

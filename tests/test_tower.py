@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from util import square_class_oracle
+from util import square_class_oracle, subspace_coordinates_by_solve
 from weakcm import linalg, tower as tw
 from weakcm.errors import (
     DegenerateBiquadratic,
     DivisionByZero,
     NotSquareFree,
+    RationalTooLarge,
+    SingularMatrix,
     SquareClassMismatch,
     TowerMismatch,
     WrongSign,
@@ -35,6 +37,29 @@ def test_rational_serialization():
     assert tw.format_rational(Fraction(-5, 2)) == "-5/2"
     assert tw.parse_rational("-5/2") == Fraction(-5, 2)
     assert tw.parse_rational("7") == 7
+
+
+@pytest.mark.parametrize("text", [
+    "1e4300", "-1e5001", "1e100000000", "0e100000000", "2.5e" + "9" * 30,
+    "1e-4300", "1" * 4301, "-3/" + "7" * 4301, "0." + "0" * 4300 + "1",
+    "1_0e4299",
+], ids=lambda text: text if len(text) < 40 else f"{text[:12]}...({len(text)} chars)")
+def test_parse_rational_refuses_literals_past_the_digit_limit(text):
+    # refused before any expansion is computed: 10**10**8 would take minutes
+    with pytest.raises(RationalTooLarge):
+        tw.parse_rational(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1e4299", Fraction(10 ** 4299)),
+    ("-1e-4299", Fraction(-1, 10 ** 4299)),
+    ("1" * 4300, Fraction(int("1" * 4300))),
+    ("2.5e3", Fraction(2500)),
+    ("-0.125", Fraction(-1, 8)),
+    (" 3/6 ", Fraction(1, 2)),
+], ids=["1e4299", "-1e-4299", "4300-ones", "2.5e3", "-0.125", "3/6"])
+def test_parse_rational_accepts_literals_up_to_the_digit_limit(text, want):
+    assert tw.parse_rational(text) == want
 
 
 @pytest.mark.parametrize(
@@ -573,3 +598,57 @@ def test_kernel_equality_hash_and_coeffs_roundtrip():
             assert x != x + 1
         assert t.zero() == 0 and not t.zero() and t.zero().den == 1
         assert t.rational(Fraction(6, 4)).coeffs[0] == Fraction(3, 2)
+
+
+def test_serialize_matches_format_rational_over_coeffs():
+    rng = random.Random(83)
+    for t in _oracle_towers():
+        els = _oracle_elements(t, rng, 12)
+        els.append(t.element([Fraction((-1) ** k * 10 ** (40 + k), 3 ** k)
+                              for k in range(t.dim)]))
+        els.append(t.element([0] * (t.dim - 1) + [Fraction(-6, 4)]))
+        for x in els:
+            assert x.serialize() == [tw.format_rational(c) for c in x.coeffs]
+
+
+# ---------------------------------------------------------------- coordinate maps
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SingularMatrix:
+        return SingularMatrix
+
+
+def test_coordinate_maps_match_the_solve_oracle():
+    rng = random.Random(89)
+    for t in _oracle_towers():
+        els = _oracle_elements(t, rng, 8)
+        randoms = [t.element([_oracle_coeff(rng) for _ in range(t.dim)])
+                   for _ in range(t.dim)]
+        bases = [[t.one()], [t.one(), t.gen_index(1)], [t.gen_index(t.dim - 1), t.one()],
+                 randoms[:2], randoms[:max(1, t.dim // 2)], randoms]
+        for basis in bases:
+            members = []
+            for _ in range(4):
+                c = [_oracle_coeff(rng) for _ in basis]
+                x = t.zero()
+                for cj, b in zip(c, basis):
+                    x = x + b * cj
+                members.append((x, c))
+            for x, c in members:
+                assert tw.subspace_coordinates(basis, x) == c
+                assert subspace_coordinates_by_solve(basis, x) == c
+            for x in els + [b + 1 for b in els]:
+                assert (tw.subspace_coordinates(basis, x)
+                        == subspace_coordinates_by_solve(basis, x))
+            # one map per basis, kept on the tower
+            assert t.coordinate_map(list(basis)) is t.coordinate_map(basis)
+        for dependent in ([t.one(), t.rational(Fraction(-3, 7))],
+                          [randoms[0], randoms[1], randoms[0] * 2 - randoms[1]],
+                          [t.zero()]):
+            for x in (t.one(), randoms[0]):
+                assert _outcome(subspace_coordinates_by_solve, dependent, x) is SingularMatrix
+                assert _outcome(tw.subspace_coordinates, dependent, x) is SingularMatrix
+        assert tw.subspace_coordinates([], t.one()) is None

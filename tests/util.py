@@ -137,6 +137,17 @@ def echelon(rows):
     return [tuple(r) for r in M[:rank]]
 
 
+def subspace_coordinates_by_solve(basis_elements, x):
+    """Coordinates of x in the Q-span of the elements by one rational
+    ``linalg.solve_columns`` on their ``coeffs``, or None; the oracle for
+    the tower's integer ``CoordinateMap``."""
+    A = [[b.coeffs[i] for b in basis_elements] for i in range(x.tower.dim)]
+    sol = linalg.solve_columns(A, [[c] for c in x.coeffs])
+    if sol is None:
+        return None
+    return [row[0] for row in sol]
+
+
 def factor_integer(n):
     """Trial-division factorization for small test integers."""
     n = abs(n)
