@@ -278,11 +278,10 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
     gg = galois_group(field)
     type_set = {0, 1}
     stab = [
-        (g, w) for g, perm, w in zip(gg.elements, gg.action,
-                                     _element_words(gg))
+        g for g, perm in zip(gg.elements, gg.action)
         if {perm[0], perm[1]} == type_set
     ]
-    for g, _ in stab:
+    for g in stab:
         for b in basis:
             if g(b) != b:
                 raise MathError(
@@ -308,13 +307,9 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
         basis=basis,
         degree=4,
         equals_field=equals_field,
-        stabilizer_words=tuple(w for _, w in stab),
+        stabilizer_words=tuple(g.label for g in stab),
         cm_witness=witness,
     )
-
-
-def _element_words(gg: GaloisGroupData):
-    return [g.label for g in gg.elements]
 
 
 # --------------------------------------------------------------------------

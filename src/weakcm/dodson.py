@@ -723,6 +723,26 @@ def element_from_key(key, N) -> ImN2Element:
     return ImN2Element(bits, tuple(perm))
 
 
+def _conjugacy_orbit(U, stab_idx, elements):
+    """(canonical key, size) of the orbit of a subgroup under conjugation by
+    the stabiliser elements ``stab_idx`` (indices into U), found breadth
+    first; the canonical key is the minimal ``subgroup_key`` in the orbit."""
+    H = frozenset(U.index[g] for g in elements)
+    orbit = {H}
+    frontier = [H]
+    while frontier:
+        new = []
+        for K in frontier:
+            for s in stab_idx:
+                C = U.conjugate(s, K)
+                if C not in orbit:
+                    orbit.add(C)
+                    new.append(C)
+        frontier = new
+    canonical = min(subgroup_key(tuple(U.elements[i] for i in K)) for K in orbit)
+    return canonical, len(orbit)
+
+
 def classify_conjugacy(N: int, partition: HodgePartition,
                        bound: int = ENUMERATION_BOUND_DEFAULT):
     """Orbits of the admissible subgroups under conjugation by S~, sorted by
@@ -731,29 +751,9 @@ def classify_conjugacy(N: int, partition: HodgePartition,
         raise InvalidPartition("partition is for a different N")
     U = universe(N)
     stab_idx = [U.index[g] for g in partition.stabilizer()]
-    subgroups = enumerate_admissible(N, bound=bound)
-
-    def orbit_key(elements):
-        H = frozenset(U.index[g] for g in elements)
-        orbit = {H}
-        frontier = [H]
-        while frontier:
-            new = []
-            for K in frontier:
-                for s in stab_idx:
-                    C = U.conjugate(s, K)
-                    if C not in orbit:
-                        orbit.add(C)
-                        new.append(C)
-            frontier = new
-        canonical = min(
-            subgroup_key(tuple(U.elements[i] for i in K)) for K in orbit
-        )
-        return canonical, len(orbit)
-
     by_class: dict = {}
-    for elements in subgroups:
-        canonical, orbit_size = orbit_key(elements)
+    for elements in enumerate_admissible(N, bound=bound):
+        canonical, orbit_size = _conjugacy_orbit(U, stab_idx, elements)
         by_class.setdefault(canonical, orbit_size)
     classes = []
     for canonical in sorted(by_class):
@@ -767,25 +767,15 @@ def classify_conjugacy(N: int, partition: HodgePartition,
 
 
 def find_class(elements, classes, partition: HodgePartition):
-    """Index of the S~-conjugacy class containing the given subgroup."""
+    """Index of the S~-conjugacy class containing the given subgroup: the
+    class whose representative, the minimal key of its orbit, is the
+    minimal key of the subgroup's orbit."""
     U = universe(partition.N)
-    H = frozenset(U.index[g] for g in elements)
-    orbit = {H}
-    frontier = [H]
     stab_idx = [U.index[g] for g in partition.stabilizer()]
-    rep_keys = {subgroup_key(c.representative): i for i, c in enumerate(classes)}
-    while frontier:
-        new = []
-        for K in frontier:
-            key = subgroup_key(tuple(U.elements[i] for i in sorted(K)))
-            if key in rep_keys:
-                return rep_keys[key]
-            for s in stab_idx:
-                C = U.conjugate(s, K)
-                if C not in orbit:
-                    orbit.add(C)
-                    new.append(C)
-        frontier = new
+    canonical, _ = _conjugacy_orbit(U, stab_idx, elements)
+    for i, c in enumerate(classes):
+        if subgroup_key(c.representative) == canonical:
+            return i
     raise InvalidCMType("subgroup is not in any enumerated class")
 
 
@@ -846,13 +836,8 @@ class ReflexReport:
     bound_ok: bool
     pair_labels: dict           # induced pair index -> (p, q) of its unbarred slot
     group_name: str = ""
-    class_index: int | None = None
     class_tag: str | None = None
     notes: tuple = ()
-
-
-def _coset_label_key(coset):
-    return tuple(sorted(coset))
 
 
 def induced_pair_group(items, rho_map, actions, labels):
@@ -989,8 +974,7 @@ def _attach_class_info(report: ReflexReport):
             labelled.append(((i, 1), (q, p)))
         part = partition_from_labels(3, report.n, labelled)
         classes = _classification_cached(3, part)
-        report.class_index = find_class(report.group, classes, part)
-        report.class_tag = classes[report.class_index].tag
+        report.class_tag = classes[find_class(report.group, classes, part)].tag
         return
     report.class_tag = report.tag
 

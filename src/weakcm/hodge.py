@@ -34,7 +34,7 @@ class CMHodgeStructure:
     """Slots, labels, conjugation pairing and a pairing-respecting group."""
 
     def __init__(self, weight, slots, labels, rho, group, top_spreads=None,
-                 factor_info=None, simple=False):
+                 factor_info=None):
         self.weight = weight
         self.slots = tuple(sorted(slots))
         self.index = {s: i for i, s in enumerate(self.slots)}
@@ -44,7 +44,6 @@ class CMHodgeStructure:
         self.group = tuple(sorted(set(group)))
         self.top_spreads = dict(top_spreads or {})
         self.factor_info = factor_info
-        self.simple = simple
         self._validate()
 
     # elements are stored as image tuples aligned with the sorted slot list
@@ -112,9 +111,6 @@ class CMHodgeStructure:
         """All Galois conjugates of the top form are of pure Hodge type."""
         return all(self.spread_pure(g) for g in self.group)
 
-    def impure_witnesses(self):
-        return [g for g in self.group if not self.spread_pure(g)]
-
     def hodge_numbers(self):
         out = {}
         for s in self.slots:
@@ -144,10 +140,7 @@ class CMHodgeStructure:
 
 
 def from_group(weight, group_elements, labels_by_slot):
-    """Structure on the 2N signed slots of an Im(N,2) subgroup.
-
-    The structure is flagged simple when the group moves the top pair onto
-    every other pair (so the level subspace is everything)."""
+    """Structure on the 2N signed slots of an Im(N,2) subgroup."""
     elements = tuple(group_elements)
     N = elements[0].N
     slots = [(i, b) for i in range(N) for b in (0, 1)]
@@ -155,10 +148,7 @@ def from_group(weight, group_elements, labels_by_slot):
     group = []
     for g in elements:
         group.append({s: dodson.act_slot(g, s) for s in slots})
-    orbit = {dodson.act_slot(g, (0, 0)) for g in elements}
-    simple = {i for i, _ in orbit} == set(range(N))
-    return CMHodgeStructure(weight, slots, labels_by_slot, rho, group,
-                            simple=simple)
+    return CMHodgeStructure(weight, slots, labels_by_slot, rho, group)
 
 
 def weight1_structure(group_elements):
@@ -317,7 +307,6 @@ class ProductReport:
     coset_types: dict          # (p,q) label of the top-form image per coset
     level_group_name: str
     level_case_alias: str | None
-    diagnostics: tuple = ()
 
 
 def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,

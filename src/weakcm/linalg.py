@@ -179,12 +179,6 @@ def bareiss(R):
     return det, _back_substitute(R, pivots, range(n, len(R[0]) if n else 0), det)
 
 
-def solve_rational(A, B):
-    """X with A X = B for a square invertible rational A; B is n x m.
-    Raises SingularMatrix when det(A) = 0."""
-    return solve_columns(A, B)
-
-
 def mat_inverse(A, one):
     """Inverse, as ``solve_columns(A, I)``; raises SingularMatrix when
     det = 0."""

@@ -12,13 +12,16 @@ quartic cases) and checks the rank split that makes the top-form conjugate
 pure.  Splitting then produces an exact certificate (P, S, renaming, c1/c2
 or M, standard form) whose verification is an independent recomputation
 from the certificate's data.  Each split verifies its certificate once and
-returns that result with it; the coordinate change C is built from the
-recorded c1/c2 or M by one function, ``coordinate_change``, for both.
+returns that result with it.  Split and verify build each piece with the
+same function: the coordinate change C from the recorded c1/c2 or M with
+``coordinate_change``, and the coframe C . Pi . (1 | tau) with ``_coframe``,
+which writes the renamed rows (e_j | tau[j]) down directly.
 
-The P/S search works on the rational "realification": each coframe row over
+The S search works on the rational "realification": each coframe row over
 its coefficient field F expands into [F:Q] rational rows; the standard form
 realifies to a permutation matrix, so S is a single exact linear solve and
-P can be taken to be the identity block matrix.
+P is the identity block matrix, which verification checks rather than
+inverts.
 """
 
 from __future__ import annotations
@@ -229,15 +232,18 @@ class FactorDescriptor(NamedTuple):
 class SplitCertificate:
     """Exact witness of the isogeny decomposition.
 
-    verify_certificate recomputes P^-1 . (C . Pi . (1|tau)) . S entrywise
-    where Pi is the renaming permutation and C the recorded c1/c2 or M
-    coordinate change, and compares with standard_form.
+    verify_certificate recomputes C . Pi . (1|tau) . S entrywise, where Pi
+    is the renaming permutation and C the recorded c1/c2 or M coordinate
+    change, and compares it with standard_form.  P is always the identity
+    block matrix (one block over the field of each factor, a single r x r
+    block in cases B/C); it is recorded for the report and checked, not
+    applied.
     """
 
     case: str
     n: int
     renaming: tuple            # row i of the renamed tau is tau[renaming[i]]
-    P: list                    # block-diagonal over the stated fields
+    P: list                    # identity, sum(block_sizes) square
     block_sizes: tuple
     block_fields: tuple        # basis labels of each block's field
     S: list                    # 2n x 2n rational
@@ -252,24 +258,6 @@ class SplitCertificate:
 class VerifyResult(NamedTuple):
     ok: bool
     diagnostic: str | None
-
-
-def _identity_tower(t, n):
-    return linalg.identity_matrix(n, t.one())
-
-
-def _perm_matrix(t, renaming):
-    n = len(renaming)
-    out = [[t.zero() for _ in range(n)] for _ in range(n)]
-    for i, j in enumerate(renaming):
-        out[i][j] = t.one()
-    return out
-
-
-def _coordinate_matrix(t, tau):
-    n = len(tau)
-    left = _identity_tower(t, n)
-    return [left[i] + list(tau[i]) for i in range(n)]
 
 
 def _realify_rows(rows, basis_elements):
@@ -324,39 +312,26 @@ def _blocks_basis(field: CMFieldData, n: int, p_split):
 
 
 def standard_form(field: CMFieldData, n: int, p_split):
-    """The target coframe matrix, rows grouped by factor blocks."""
+    """The target coframe matrix, rows grouped by factor blocks.
+
+    Degree 2 and case A: row a is (e_a | m e_a), where (1, m) is the basis
+    of its block's field: m = sqrt(p), or sqrt(p1) on the first n - p rows
+    and sqrt(p2) on the last p.  Cases B/C: row a < n/2 carries the
+    reflex basis (1, sqrt(dp), xi+ + xi-, sqrt(d)(xi+ - xi-)) at column a of
+    four n/2-wide blocks, and the bottom rows are their s0^3-conjugates.
+    """
     t = field.tower
-    zero, one = t.zero(), t.one()
-    case = field.case
-    if case == DEG2:
-        sp = t.gen("sqrt(p)")
-        return [
-            [one if j == a else zero for j in range(n)]
-            + [sp if j == a else zero for j in range(n)]
-            for a in range(n)
-        ]
-    if case == CASE_A:
-        sp1, sp2 = t.gen("sqrt(p1)"), t.gen("sqrt(p2)")
-        rows = []
-        for a in range(n):
-            mult = sp1 if a < n - p_split else sp2
-            rows.append(
-                [one if j == a else zero for j in range(n)]
-                + [mult if j == a else zero for j in range(n)]
-            )
-        return rows
+    zero = t.zero()
+    if field.case in (DEG2, CASE_A):
+        sizes, bases, _ = _blocks_basis(field, n, p_split)
+        row_bases = [basis for size, basis in zip(sizes, bases) for _ in range(size)]
+        return [[w if j == a else zero for w in basis for j in range(n)]
+                for a, basis in enumerate(row_bases)]
     r = n // 2
-    _, (basis,), _ = _blocks_basis(field, n, p_split)
-    omega = basis  # (1, sqrt(dp), xi+ + xi-, sqrt(d)(xi+ - xi-))
-    top = []
-    for a in range(r):
-        row = []
-        for k in range(4):
-            row.extend(omega[k] if j == a else zero for j in range(r))
-        top.append(row)
+    top = [[w if j == a else zero for w in reflex_bc(field).basis for j in range(r)]
+           for a in range(r)]
     s03 = _s0_cubed(t)
-    bottom = [[s03(x) for x in row] for row in top]
-    return top + bottom
+    return top + [[s03(x) for x in row] for row in top]
 
 
 def _s0_cubed(t):
@@ -409,9 +384,9 @@ def coordinate_change(t, case, n, block_sizes, c1=None, c2=None, M=None):
     rows (c2 | I_p).  Cases B/C, block r: rows (I_r | -M) over rows
     (I_r | -s0^3(M)).  Used by both ``split`` and ``verify_certificate``.
     """
-    if case == DEG2:
-        return _identity_tower(t, n)
     one, zero = t.one(), t.zero()
+    if case == DEG2:
+        return linalg.identity_matrix(n, one)
     if case == CASE_A:
         k, p = block_sizes
         s1 = t.generators["s1"]
@@ -429,6 +404,20 @@ def coordinate_change(t, case, n, block_sizes, c1=None, c2=None, M=None):
     return top + bottom
 
 
+def _coframe(t, tau, C, renaming):
+    """C . Pi . (1 | tau): the coframe rows of a certificate.
+
+    Row i of Pi . (1 | tau) is (e_j | tau[j]) for j = renaming[i], written
+    down directly, so C is the one tower factor.  Used by both ``split``
+    and ``verify_certificate``.
+    """
+    zero, one = t.zero(), t.one()
+    n = len(tau)
+    rows = [[one if k == j else zero for k in range(n)] + list(tau[j])
+            for j in renaming]
+    return linalg.mat_mul(C, rows)
+
+
 def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
     """Realify both sides blockwise and solve RW . S = RStd for the rational S.
 
@@ -442,7 +431,7 @@ def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
             RW.append(row[:width])
             RStd.append(row[width:])
     try:
-        return linalg.solve_rational(RW, RStd)
+        return linalg.solve_columns(RW, RStd)
     except SingularMatrix as exc:
         raise MathError(
             "realified coordinate matrix is singular; coordinate change "
@@ -536,12 +525,10 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
         _certify_membership(M, list(reflex_bc(field).basis), "M")
 
     sizes, bases, labels = _blocks_basis(field, n, p_split)
-    W = _coordinate_matrix(t, pm.tau())
-    if case != DEG2:
-        C = coordinate_change(t, case, n, sizes, c1, c2, M)
-        if not linalg.mat_det(C, t.one()):
-            raise MathError("dw coordinate change is singular")
-        W = linalg.mat_mul(linalg.mat_mul(C, _perm_matrix(t, renaming)), W)
+    C = coordinate_change(t, case, n, sizes, c1, c2, M)
+    if case != DEG2 and not linalg.mat_det(C, t.one()):
+        raise MathError("dw coordinate change is singular")
+    W = _coframe(t, pm.tau(), C, renaming)
     if case in (CASE_B, CASE_C):
         s03 = _s0_cubed(t)
         for a in range(r):  # bottom rows are the s0^3-conjugates of the top rows
@@ -559,7 +546,7 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
         case=case,
         n=n,
         renaming=renaming,
-        P=_identity_tower(t, ends[-1]),
+        P=linalg.identity_matrix(ends[-1], t.one()),
         block_sizes=sizes,
         block_fields=labels,
         S=S,
@@ -577,38 +564,28 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
 
 
 def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult:
-    """Recompute P^-1 (C Pi (1|tau)) S exactly and compare entrywise.
+    """Recompute C Pi (1|tau) S exactly and compare it entrywise with the
+    standard form.
 
-    An independent recomputation from the certificate's data; ``split``
-    runs it once on every certificate it returns.
+    An independent recomputation from the certificate's data: C from the
+    recorded c1/c2 or M, the renaming Pi and S.  P must be the identity
+    block matrix, which ``split`` always records, and is compared with it
+    rather than inverted.  ``split`` runs this once on every certificate it
+    returns.
     """
     t = pm.field.tower
-    one = t.one()
     if not linalg.mat_det(cert.S, Fraction(1)):
         return VerifyResult(False, "S is singular over Q")
-    try:
-        P_inv = linalg.mat_inverse(cert.P, one)
-    except SingularMatrix:
-        return VerifyResult(False, "P is singular over its field")
-
+    if cert.P != linalg.identity_matrix(sum(cert.block_sizes), t.one()):
+        return VerifyResult(False, "P is not the identity block matrix")
     try:
         C = coordinate_change(t, cert.case, cert.n, cert.block_sizes,
                               cert.c1, cert.c2, cert.M)
     except Exception as exc:  # malformed certificate payloads
         return VerifyResult(False, f"cannot rebuild coordinate change: {exc}")
-    if sorted(cert.renaming) != list(range(cert.n)):
+    if sorted(cert.renaming) != list(range(pm.n)):
         return VerifyResult(False, "renaming is not a permutation")
-    L = linalg.mat_mul(C, _perm_matrix(t, cert.renaming))
-    W = linalg.mat_mul(L, _coordinate_matrix(t, pm.tau()))
-
-    if cert.case in (CASE_B, CASE_C):
-        r = cert.block_sizes[0]
-        s03 = _s0_cubed(t)
-        P_inv_conj = [[s03(x) for x in row] for row in P_inv]
-        lhs = linalg.mat_mul(P_inv, W[:r]) + linalg.mat_mul(P_inv_conj, W[r:])
-    else:
-        lhs = linalg.mat_mul(P_inv, W)
-    lhs = linalg.mat_mul(lhs, cert.S)
+    lhs = linalg.mat_mul(_coframe(t, pm.tau(), C, cert.renaming), cert.S)
 
     for i, (lr, sr) in enumerate(zip(lhs, cert.standard_form)):
         for j, (a, b) in enumerate(zip(lr, sr)):

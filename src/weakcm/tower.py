@@ -628,7 +628,7 @@ class TowerSpec:
     """A tower presented by structure constants on a monomial basis."""
 
     def __init__(self, case, params, radicals, square_rules, basis_monomials,
-                 basis_labels, orientation):
+                 basis_labels):
         self.case = case
         self.params = {k: Fraction(v) for k, v in params.items()}
         self.key = (case, tuple(sorted(self.params.items())))
@@ -638,7 +638,6 @@ class TowerSpec:
         self._index = {m: i for i, m in enumerate(self._monomials)}
         self.basis = tuple(basis_labels)
         self.dim = len(self._monomials)
-        self.orientation = dict(orientation)
         self.mul_table = self._build_mul_table()
         # the same structure constants as sparse integers over one common
         # denominator: basis_i * basis_j = sum(c * basis_k for k, c in
@@ -949,7 +948,6 @@ def quadratic_tower(p) -> TowerSpec:
         square_rules={"sp": {(): p}},
         basis_monomials=[(), ("sp",)],
         basis_labels=["1", "sqrt(p)"],
-        orientation={"sqrt(p)": "upper-half-plane"},
     )
     rho = tower._monomial_map({"sp": (Fraction(-1), "sp")}, "rho")
     tower.generators = {"rho": rho}
@@ -970,7 +968,6 @@ def biquadratic_tower(p1, p2) -> TowerSpec:
         square_rules={"s1": {(): p1}, "s2": {(): p2}},
         basis_monomials=[(), ("s1",), ("s2",), ("s1", "s2")],
         basis_labels=["1", "sqrt(p1)", "sqrt(p2)", "sqrt(p1)*sqrt(p2)"],
-        orientation={"sqrt(p1)": "upper-half-plane", "sqrt(p2)": "upper-half-plane"},
     )
     s1 = tower._monomial_map(
         {"s1": (Fraction(-1), "s1"), "s2": (Fraction(1), "s2")}, "s1"
@@ -1013,8 +1010,6 @@ def cyclic_quartic_tower(d, p, q) -> TowerSpec:
         square_rules={"sd": {(): d}, "xp": {(): p, ("sd",): q}},
         basis_monomials=[(), ("sd",), ("xp",), ("sd", "xp")],
         basis_labels=["1", "sqrt(d)", "xi+", "sqrt(d)*xi+"],
-        orientation={"sqrt(d)": "positive", "xi+": "upper-half-plane",
-                     "sqrt(dp)": "positive"},
     )
     # sigma0: sqrt(d) -> -sqrt(d), xi+ -> xi- = -sqrt(dp)/xi+
     #   xi- = (q/e)*xi+ - (p/(d*e))*sqrt(d)*xi+
@@ -1066,8 +1061,6 @@ def quartic_closure_tower(d, p, q) -> TowerSpec:
             "1", "sqrt(d)", "sqrt(dp)", "sqrt(d)*sqrt(dp)",
             "xi+", "xi-", "sqrt(d)*xi+", "sqrt(d)*xi-",
         ],
-        orientation={"sqrt(d)": "positive", "sqrt(dp)": "positive",
-                     "xi+": "upper-half-plane"},
     )
     one, mone = Fraction(1), Fraction(-1)
     s0 = tower._monomial_map(

@@ -516,6 +516,19 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["payload"]["count"] == 3
 
 
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py wraps library functions by name, so deleting or
+    # renaming one of them fails here, not only in a benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], os.path.join(root, "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.Tracer().install()"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # the weakcm modules each subcommand may load: a library module imported at
 # the top of cli or serialize (or cmfield importing dodson) shows up here
 _BASE = {"weakcm", "weakcm.cli", "weakcm.errors"}

@@ -413,6 +413,25 @@ def test_conjugation_preserves_admissibility():
             triple_from_group(elements)  # raises if not admissible
 
 
+@pytest.mark.parametrize("name", ["cy3", "abl", "k3"])
+def test_find_class_against_direct_orbit(name):
+    # the stabiliser is a group, so one conjugation by each of its elements
+    # gives the whole orbit, without the breadth-first search
+    U = universe(3)
+    part = dodson.partition_preset(name, 3)
+    stab = [U.index[s] for s in part.stabilizer()]
+    classes = dodson.classify_conjugacy(3, part)
+    seen = set()
+    for G in enumerate_admissible(3):
+        orbit = {U.conjugate(s, frozenset(U.index[g] for g in G)) for s in stab}
+        i = dodson.find_class(G, classes, part)
+        rep = classes[i]
+        assert frozenset(U.index[g] for g in rep.representative) in orbit
+        assert rep.orbit_size == len(orbit)
+        seen.add(i)
+    assert seen == set(range(len(classes)))
+
+
 def test_partition_validation():
     with pytest.raises(Exception):
         dodson.HodgePartition(

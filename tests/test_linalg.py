@@ -215,7 +215,7 @@ def test_bareiss_solve_and_det_against_gauss_jordan(n):
             continue
         A_inv = gauss_jordan_inverse(A)
         assert linalg.mat_inverse(A, Fraction(1)) == A_inv
-        assert linalg.solve_rational(A, B) == per_term_mat_mul(A_inv, B)
+        assert linalg.solve_columns(A, B) == per_term_mat_mul(A_inv, B)
         solved += 1
     assert solved >= 6
 
@@ -228,7 +228,7 @@ def test_bareiss_singular_systems_raise(n):
         assert leibniz_det(A) == 0
         assert linalg.mat_det(A, Fraction(1)) == 0
         with pytest.raises(SingularMatrix):
-            linalg.solve_rational(A, B)
+            linalg.solve_columns(A, B)
         with pytest.raises(SingularMatrix):
             linalg.mat_inverse(A, Fraction(1))
 

@@ -1,13 +1,14 @@
 """Period-matrix validation and certified splitting."""
 
 import copy
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from util import random_period_matrix, rank_by_minors
+from util import coframe_by_products, random_period_matrix, rank_by_minors
 from weakcm import cmfield, linalg, tausplit, tower as tw
 from weakcm.errors import (
     MathError,
@@ -447,3 +448,71 @@ def test_verify_rejects_bad_renaming():
     bad = copy.deepcopy(cert)
     bad.renaming = (0, 0)
     assert not tausplit.verify_certificate(pm, bad).ok
+
+
+# one seeded period matrix per split class of the benchmark corpus
+_SPLIT_CLASSES = [
+    (f_deg2, 2), (f_deg2, 3), (f_deg2, 4), (f_A, 2), (f_A, 3),
+    (f_B, 2), (f_B, 4), (f_C, 2), (f_C, 4),
+]
+
+
+def test_coframe_matches_product_oracle():
+    rng = random.Random(2024)
+    for field_of, n in _SPLIT_CLASSES:
+        field = field_of()
+        t = field.tower
+        pm = random_period_matrix(field, n, rng)
+        cert, _ = tausplit.split(pm)
+        C = tausplit.coordinate_change(t, cert.case, n, cert.block_sizes,
+                                       cert.c1, cert.c2, cert.M)
+        tau = pm.tau()
+        renamings = [cert.renaming, tuple(range(n))[::-1]]
+        renamings += [tuple(rng.sample(range(n), n)) for _ in range(3)]
+        for renaming in renamings:
+            assert (tausplit._coframe(t, tau, C, renaming)
+                    == coframe_by_products(t, tau, C, renaming))
+
+
+def _single_mutations(cert, t):
+    """(name, certificate) for each single mutation of a valid certificate:
+    +1 on one entry of S, c1, c2 or M, one transposition of the renaming,
+    P = 2 I, and P a non-identity permutation matrix."""
+    for attr in ("S", "c1", "c2", "M"):
+        M = getattr(cert, attr)
+        for i, row in enumerate(M or ()):
+            for j in range(len(row)):
+                bumped = [list(r) for r in M]
+                bumped[i][j] = bumped[i][j] + 1
+                yield f"{attr}[{i}][{j}] + 1", dataclasses.replace(cert, **{attr: bumped})
+    for a, b in itertools.combinations(range(cert.n), 2):
+        renaming = list(cert.renaming)
+        renaming[a], renaming[b] = renaming[b], renaming[a]
+        yield f"renaming ({a} {b})", dataclasses.replace(cert, renaming=tuple(renaming))
+    size = sum(cert.block_sizes)
+    two_i = linalg.identity_matrix(size, t.rational(2))
+    yield "P = 2 I", dataclasses.replace(cert, P=two_i)
+    one, zero = t.one(), t.zero()
+    for perm in itertools.permutations(range(size)):
+        if perm != tuple(range(size)):
+            P = [[one if j == perm[i] else zero for j in range(size)] for i in range(size)]
+            yield f"P = permutation {perm}", dataclasses.replace(cert, P=P)
+
+
+@pytest.mark.parametrize("field_of, n", [(f_deg2, 3), (f_A, 3), (f_B, 4), (f_C, 4)])
+def test_verify_rejects_every_single_mutation(field_of, n):
+    field = field_of()
+    t = field.tower
+    pm = random_period_matrix(field, n, random.Random(31 + n))
+    cert, verified = tausplit.split(pm)
+    assert verified.ok
+    names = []
+    for name, bad in _single_mutations(cert, t):
+        res = tausplit.verify_certificate(pm, bad)
+        assert not res.ok and res.diagnostic, name
+        names.append(name)
+    # every kind of mutation was tried
+    kinds = {name.split("[")[0].split(" ")[0] for name in names}
+    recorded = {"deg2": set(), "A": {"c1", "c2"}, "B": {"M"}, "C": {"M"}}[field.case]
+    assert kinds == {"S", "renaming", "P"} | recorded
+    assert any("permutation" in name for name in names)

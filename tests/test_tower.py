@@ -344,8 +344,8 @@ def test_generators_permute_signed_monomials():
 
 
 def _complex_embedding(t):
-    """Numerical embedding honoring the recorded orientations: real square
-    roots positive, imaginary ones in the upper half plane.  Test-only
+    """Numerical embedding honoring the tower module's sign conventions:
+    real square roots positive, imaginary ones in the upper half plane.  Test-only
     oracle; the library itself never touches floats."""
     import cmath
 

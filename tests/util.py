@@ -137,6 +137,18 @@ def echelon(rows):
     return [tuple(r) for r in M[:rank]]
 
 
+def coframe_by_products(t, tau, C, renaming):
+    """C . Pi . (1 | tau) as two tower products, with Pi the 0/1 renaming
+    matrix and (1 | tau) the identity block beside tau; the oracle for
+    ``tausplit._coframe``."""
+    n = len(tau)
+    one, zero = t.one(), t.zero()
+    Pi = [[one if j == renaming[i] else zero for j in range(n)] for i in range(n)]
+    coords = [[one if j == i else zero for j in range(n)] + list(tau[i])
+              for i in range(n)]
+    return linalg.mat_mul(linalg.mat_mul(C, Pi), coords)
+
+
 def subspace_coordinates_by_solve(basis_elements, x):
     """Coordinates of x in the Q-span of the elements by one rational
     ``linalg.solve_columns`` on their ``coeffs``, or None; the oracle for
