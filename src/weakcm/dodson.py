@@ -77,12 +77,6 @@ def im_mul(a: ImN2Element, b: ImN2Element) -> ImN2Element:
     return ImN2Element(bits, perm_mul(a.perm, b.perm))
 
 
-def im_inv(a: ImN2Element) -> ImN2Element:
-    pinv = perm_inv(a.perm)
-    return ImN2Element(tuple(a.bits[a.perm[i]] for i in range(len(a.bits))),
-                       pinv)
-
-
 def act_slot(g: ImN2Element, slot: Slot) -> Slot:
     i, s = slot
     j = g.perm[i]
@@ -187,12 +181,6 @@ class _Universe:
                         els.add(c)
                         work.append(c)
         return frozenset(els)
-
-    def is_subgroup(self, idxs) -> bool:
-        s = set(idxs)
-        if self.identity_idx not in s:
-            return False
-        return all(self.mul[a][b] in s for a in s for b in s)
 
     def conjugate(self, g_idx, idxs):
         gi = self.inv[g_idx]
@@ -306,9 +294,7 @@ def triple_from_group(elements) -> DodsonTriple:
         raise NotAdmissible("empty element list")
     N = elements[0].N
     _check_universe_bound(N)
-    fibres = {}
-    for g in elements:
-        fibres.setdefault(g.perm, set()).add(g.bits)
+    fibres = _fibres(elements)
     if not _fibres_form_subgroup(fibres, N):
         exc = NotAdmissible("element list is not a subgroup of Im(N,2)")
         exc.condition = "dodson-triple:subgroup"
@@ -325,6 +311,14 @@ def triple_from_group(elements) -> DodsonTriple:
         raise exc
     s = sorted((p, min(fibre)) for p, fibre in fibres.items())
     return DodsonTriple(N=N, g0=tuple(g0), v=tuple(v), s=tuple(s))
+
+
+def _fibres(elements):
+    """The bit fibres ``{perm: set of bits}`` of Im(N,2) elements."""
+    fibres = {}
+    for g in elements:
+        fibres.setdefault(g.perm, set()).add(g.bits)
+    return fibres
 
 
 def _fibres_form_subgroup(fibres, N) -> bool:
@@ -534,13 +528,15 @@ def _sn_subgroups(N: int):
     return gens_of
 
 
-def _closure_by_generators(pmul, gens):
-    """Subgroup of S_N generated by ``gens``, multiplied out from the identity."""
+def _closure_by_generators(mul, gens):
+    """Subgroup generated by ``gens`` in a multiplication table whose
+    identity is index 0 (the S_N tables, or ``universe(N)``), multiplied out
+    from the identity by the generators only."""
     els = {0}
     order = [0]
     for x in order:
         for g in gens:
-            y = pmul[g][x]
+            y = mul[g][x]
             if y not in els:
                 els.add(y)
                 order.append(y)
@@ -717,47 +713,45 @@ def quartic_case_alias(triple: DodsonTriple):
     return _N2_CASE_TAGS.get(triple.tag())
 
 
-def element_from_key(key, N) -> ImN2Element:
-    bits_int, perm = key
-    bits = tuple((bits_int >> (N - 1 - i)) & 1 for i in range(N))
-    return ImN2Element(bits, tuple(perm))
+def _conjugacy_orbit(U, stab_idx, H):
+    """The orbit of the subgroup H (a frozenset of indices into U) under
+    conjugation by S~, given as the indices ``stab_idx`` of all its
+    elements: S~ is a group, so one conjugation by each element gives the
+    whole orbit."""
+    return {U.conjugate(s, H) for s in stab_idx}
 
 
-def _conjugacy_orbit(U, stab_idx, elements):
-    """(canonical key, size) of the orbit of a subgroup under conjugation by
-    the stabiliser elements ``stab_idx`` (indices into U), found breadth
-    first; the canonical key is the minimal ``subgroup_key`` in the orbit."""
-    H = frozenset(U.index[g] for g in elements)
-    orbit = {H}
-    frontier = [H]
-    while frontier:
-        new = []
-        for K in frontier:
-            for s in stab_idx:
-                C = U.conjugate(s, K)
-                if C not in orbit:
-                    orbit.add(C)
-                    new.append(C)
-        frontier = new
-    canonical = min(subgroup_key(tuple(U.elements[i] for i in K)) for K in orbit)
-    return canonical, len(orbit)
+def _canonical(orbit):
+    """The orbit's minimal member as a sorted index tuple.  Indices follow
+    the ``element_key`` order, so this is the minimal ``subgroup_key``."""
+    return min(tuple(sorted(K)) for K in orbit)
 
 
 def classify_conjugacy(N: int, partition: HodgePartition,
                        bound: int = ENUMERATION_BOUND_DEFAULT):
     """Orbits of the admissible subgroups under conjugation by S~, sorted by
-    the canonical (minimal) representative of each orbit."""
+    the canonical (minimal) representative of each orbit.
+
+    One orbit is computed per class, |S~| conjugations: every member of an
+    orbit is marked as seen, so the later subgroups of the class are
+    skipped.
+    """
     if partition.N != N:
         raise InvalidPartition("partition is for a different N")
     U = universe(N)
     stab_idx = [U.index[g] for g in partition.stabilizer()]
-    by_class: dict = {}
+    seen = set()
+    by_class = {}
     for elements in enumerate_admissible(N, bound=bound):
-        canonical, orbit_size = _conjugacy_orbit(U, stab_idx, elements)
-        by_class.setdefault(canonical, orbit_size)
+        H = frozenset(U.index[g] for g in elements)
+        if H in seen:
+            continue
+        orbit = _conjugacy_orbit(U, stab_idx, H)
+        seen |= orbit
+        by_class[_canonical(orbit)] = len(orbit)
     classes = []
     for canonical in sorted(by_class):
-        rep = tuple(element_from_key(k, N) for k in canonical)
+        rep = tuple(U.elements[i] for i in canonical)
         triple = triple_from_group(rep)
         classes.append(SubgroupClass(representative=rep, triple=triple,
                                      orbit_size=by_class[canonical],
@@ -768,13 +762,14 @@ def classify_conjugacy(N: int, partition: HodgePartition,
 
 def find_class(elements, classes, partition: HodgePartition):
     """Index of the S~-conjugacy class containing the given subgroup: the
-    class whose representative, the minimal key of its orbit, is the
-    minimal key of the subgroup's orbit."""
+    class whose representative is the canonical member of the subgroup's
+    orbit, computed as in ``classify_conjugacy``."""
     U = universe(partition.N)
     stab_idx = [U.index[g] for g in partition.stabilizer()]
-    canonical, _ = _conjugacy_orbit(U, stab_idx, elements)
+    H = frozenset(U.index[g] for g in elements)
+    canonical = _canonical(_conjugacy_orbit(U, stab_idx, H))
     for i, c in enumerate(classes):
-        if subgroup_key(c.representative) == canonical:
+        if tuple(U.index[g] for g in c.representative) == canonical:
             return i
     raise InvalidCMType("subgroup is not in any enumerated class")
 
@@ -799,11 +794,11 @@ class AbstractCMType:
         if not self.group:
             raise InvalidCMType("empty group")
         N = self.group[0].N
-        U = universe(N)
-        idxs = frozenset(U.index[g] for g in self.group)
-        if not U.is_subgroup(idxs):
+        _check_universe_bound(N)
+        fibres = _fibres(self.group)
+        if not _fibres_form_subgroup(fibres, N):
             raise InvalidCMType("elements do not form a subgroup")
-        if U.rho_idx not in idxs:
+        if (1,) * N not in fibres[tuple(range(N))]:
             raise InvalidCMType("group does not contain the conjugation rho")
         pairs = sorted(i for i, _ in self.phi)
         if pairs != list(range(N)):
@@ -988,152 +983,10 @@ def _classification_cached(N, partition):
 # abstract group invariants (for isomorphism-by-invariants checks)
 
 
-class CayleyTable:
-    """Finite group as an index table; enough for order statistics."""
-
-    def __init__(self, elements, mul_fn):
-        elements = list(elements)
-        index = {g: i for i, g in enumerate(elements)}
-        self._set_table(elements,
-                        [[index[mul_fn(a, b)] for b in elements] for a in elements])
-
-    @classmethod
-    def from_imn2(cls, elements):
-        """Table of a subgroup of Im(N,2), read off ``universe(N).mul``."""
-        elements = list(elements)
-        U = universe(elements[0].N)
-        ids = [U.index[g] for g in elements]
-        local = {u: i for i, u in enumerate(ids)}
-        rows = [U.mul[a] for a in ids]
-        table = cls.__new__(cls)
-        table._set_table(elements, [[local[row[b]] for b in ids] for row in rows])
-        return table
-
-    def _set_table(self, elements, mul):
-        self.elements = elements
-        self.index = {g: i for i, g in enumerate(elements)}
-        self.mul = mul
-        self.identity = self._find_identity()
-        try:
-            self.inv = [row.index(self.identity) for row in mul]
-        except ValueError:
-            raise InvalidCMType("element has no inverse") from None
-
-    def _find_identity(self):
-        n = len(self.elements)
-        for e in range(n):
-            if all(self.mul[e][x] == x and self.mul[x][e] == x for x in range(n)):
-                return e
-        raise InvalidCMType("element list has no identity")
-
-    def element_order(self, a):
-        k = 1
-        x = a
-        while x != self.identity:
-            x = self.mul[x][a]
-            k += 1
-        return k
-
-    def order_histogram(self):
-        hist = {}
-        for a in range(len(self.elements)):
-            k = self.element_order(a)
-            hist[k] = hist.get(k, 0) + 1
-        return dict(sorted(hist.items()))
-
-    def commutator_subgroup(self):
-        n = len(self.elements)
-        comms = set()
-        inv = self.inv
-        for a in range(n):
-            ai = inv[a]
-            for b in range(n):
-                comms.add(self.mul[self.mul[a][b]][self.mul[ai][inv[b]]])
-        # close under multiplication
-        els = set(comms)
-        els.add(self.identity)
-        frontier = list(els)
-        while frontier:
-            new = []
-            for a in list(els):
-                for b in frontier:
-                    c = self.mul[a][b]
-                    if c not in els:
-                        els.add(c)
-                        new.append(c)
-            frontier = new
-        return els
-
-    def abelianization_order(self):
-        return len(self.elements) // len(self.commutator_subgroup())
-
-    def invariants(self):
-        """(order, element-order histogram, |G^ab|): iso invariants."""
-        return (
-            len(self.elements),
-            tuple(sorted(self.order_histogram().items())),
-            self.abelianization_order(),
-        )
-
-
-def _cyclic_product(*orders):
-    elems = list(itertools.product(*(range(k) for k in orders)))
-
-    def mul(a, b):
-        return tuple((x + y) % k for x, y, k in zip(a, b, orders))
-
-    return CayleyTable(elems, mul)
-
-
-def _perm_product(perms, cyclic_order):
-    elems = [(c, p) for c in range(cyclic_order) for p in perms]
-
-    def mul(a, b):
-        return ((a[0] + b[0]) % cyclic_order, perm_mul(a[1], b[1]))
-
-    return CayleyTable(elems, mul)
-
-
-@lru_cache(maxsize=None)
-def model_group(name: str) -> CayleyTable:
-    """Reference groups, built as Cayley tables; the test oracle for the
-    ``_MODEL_INVARIANTS`` that ``identify_group`` matches against."""
-    if name == "Z2^3":
-        return _cyclic_product(2, 2, 2)
-    if name == "Z2xZ4":
-        return _cyclic_product(2, 4)
-    if name == "Z2xD4":
-        # D4 realized as Im(2,2)
-        d4 = universe(2).elements
-        elems = [(c, (g.bits, g.perm)) for c in range(2) for g in d4]
-
-        def mul(a, b):
-            prod = im_mul(ImN2Element(*a[1]), ImN2Element(*b[1]))
-            return ((a[0] + b[0]) % 2, (prod.bits, prod.perm))
-
-        return CayleyTable(elems, mul)
-    if name == "Z2xA4":
-        a4 = [p for p in itertools.permutations(range(4)) if _perm_sign(p) == 1]
-        return _perm_product(a4, 2)
-    if name == "Z2xS4":
-        s4 = list(itertools.permutations(range(4)))
-        return _perm_product(s4, 2)
-    raise KeyError(name)
-
-
-def _perm_sign(p):
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
 LEVEL_GROUP_MODELS = ("Z2^3", "Z2xZ4", "Z2xD4", "Z2xA4", "Z2xS4")
 
-# model_group(name).invariants() for each name of LEVEL_GROUP_MODELS, in
-# order; tests recompute them from the Cayley tables
+# the invariants of each group of LEVEL_GROUP_MODELS, in order; tests
+# recompute them from Cayley tables of the models
 _MODEL_INVARIANTS = (
     (8, ((1, 1), (2, 7)), 8),
     (8, ((1, 1), (2, 3), (4, 4)), 8),
@@ -1143,11 +996,29 @@ _MODEL_INVARIANTS = (
 )
 
 
+def _group_invariants(mul, inv, G):
+    """(order, element-order histogram, |G^ab|) of the subgroup G, given as
+    indices into a multiplication table ``mul`` with inverses ``inv`` whose
+    identity is index 0 (``universe(N)``, or the S_N tables): invariants of
+    the isomorphism type."""
+    hist = {}
+    for a in G:
+        k, x = 1, a
+        while x:
+            x = mul[x][a]
+            k += 1
+        hist[k] = hist.get(k, 0) + 1
+    comms = {mul[mul[a][b]][mul[inv[a]][inv[b]]] for a in G for b in G}
+    derived = _closure_by_generators(mul, tuple(comms))
+    return len(G), tuple(sorted(hist.items())), len(G) // len(derived)
+
+
 def identify_group(elements) -> str:
-    """Name the abstract isomorphism type of an Im(N,2) subgroup by
-    invariants; names beyond the known models fall back to 'order-k'."""
-    table = CayleyTable.from_imn2(elements)
-    inv = table.invariants()
+    """Name the abstract isomorphism type of an Im(N,2) subgroup by the
+    invariants of ``_group_invariants``, read off the ``universe(N)``
+    tables; names beyond the known models fall back to 'order-k'."""
+    U = universe(elements[0].N)
+    inv = _group_invariants(U.mul, U.inv, [U.index[g] for g in elements])
     small = {
         (1, ((1, 1),), 1): "1",
         (2, ((1, 1), (2, 1)), 2): "Z2",

@@ -125,15 +125,6 @@ class CMHodgeStructure:
                                 self.group, top_spreads=self.top_spreads,
                                 factor_info=self.factor_info)
 
-    def same_structure(self, other) -> bool:
-        return (
-            self.weight == other.weight
-            and self.slots == other.slots
-            and self.labels == other.labels
-            and self.rho == other.rho
-            and self.group == other.group
-        )
-
 
 # --------------------------------------------------------------------------
 # builders

@@ -121,6 +121,7 @@ class DeltaEps:
     rank_joint: int
     p_split: int | None
     subfield_dim: int
+    delta_pivots: tuple = ()   # cases B/C: pivot columns of transpose(delta)
 
 
 def _expected_field_dim(case: str) -> int:
@@ -195,10 +196,17 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
         if eps != minus_s0_delta:
             raise MathError("eps != -s0(delta)")
 
-    rank_delta = linalg.row_rank(delta)
-    # in cases B/C eps = -s0(delta), and the automorphism s0 keeps ranks; so
-    # the full-span check below also gives rank(delta) = rank(eps) = n/2
-    rank_eps = linalg.row_rank(eps) if case == CASE_A else rank_delta
+    if case == CASE_A:
+        delta_pivots = ()
+        rank_delta = linalg.row_rank(delta)
+        rank_eps = linalg.row_rank(eps)
+    else:
+        # the pivot columns of transpose(delta) index the independent delta
+        # rows that the renaming needs, so delta is eliminated once, here;
+        # eps = -s0(delta), and the automorphism s0 keeps ranks, so the
+        # full-span check below also gives rank(delta) = rank(eps) = n/2
+        delta_pivots = tuple(linalg.pivot_columns(linalg.transpose(delta)))
+        rank_delta = rank_eps = len(delta_pivots)
     rank_joint = linalg.row_rank(delta + eps)
     if rank_joint != n or rank_delta + rank_eps != n:
         raise NotFullSpan(
@@ -209,7 +217,8 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
     p = rank_eps
     if p == 0 or p == n:
         raise DegenerateP("rank split degenerated; tau lies in a subfield")
-    return DeltaEps(delta, eps, rank_delta, rank_eps, rank_joint, p, field_dim)
+    return DeltaEps(delta, eps, rank_delta, rank_eps, rank_joint, p, field_dim,
+                    delta_pivots)
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +351,7 @@ def _s0_cubed(t):
     return t._s0_cubed
 
 
-def _choose_renaming(case, delta, eps, p_split):
+def _choose_renaming(case, delta, eps, p_split, delta_pivots):
     """Lexicographically first index split with the required independence.
 
     Case A needs n - p independent delta rows whose complement holds p
@@ -350,7 +359,8 @@ def _choose_renaming(case, delta, eps, p_split):
     tried in lexicographic order, at most ``RENAMING_SEARCH_BOUND`` of them
     (``SearchBoundExceeded`` past that).  Cases B/C need n/2 independent
     delta rows; the lexicographically first such subset is the greedy basis
-    of the row matroid, which is the pivot columns of ``transpose(delta)``.
+    of the row matroid, which is ``delta_pivots``, the pivot columns of
+    ``transpose(delta)`` that ``validate_weak_cm`` records.
     """
     n = len(delta)
     if case == CASE_A:
@@ -370,7 +380,7 @@ def _choose_renaming(case, delta, eps, p_split):
             return subset + comp
         raise MathError("no index split achieves the delta/eps independence")
     r = n // 2
-    chosen = linalg.pivot_columns(linalg.transpose(delta))[:r]
+    chosen = delta_pivots[:r]
     if len(chosen) < r:
         raise MathError("no independent bottom delta rows found")
     comp = tuple(j for j in range(n) if j not in chosen)
@@ -504,7 +514,7 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
     if case == CASE_A:
         p_split = de.p_split
         k = n - p_split
-        renaming = _choose_renaming(CASE_A, de.delta, de.eps, p_split)
+        renaming = _choose_renaming(CASE_A, de.delta, de.eps, p_split, ())
         delta = [de.delta[i] for i in renaming]
         eps = [de.eps[i] for i in renaming]
         # eps_top + c1 . eps_bottom = 0 and c2 . delta_top + delta_bottom = 0
@@ -516,7 +526,7 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
         _certify_membership(c2, [t.one(), t.gen("sqrt(p2)")], "c2")
     elif case != DEG2:
         p_split = r = n // 2
-        renaming = _choose_renaming(case, de.delta, de.eps, r)
+        renaming = _choose_renaming(case, de.delta, de.eps, r, de.delta_pivots)
         delta = [de.delta[i] for i in renaming]
         # delta_top = M . delta_bottom with the bottom rows independent
         M = linalg.solve_left(delta[r:], delta[:r])

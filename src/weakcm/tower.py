@@ -447,11 +447,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise TowerMismatch("element is not rational")
-        return self.coeffs[0]
-
     def serialize(self):
         """The coefficients as "num/den" strings (den omitted when 1), the
         strings ``format_rational`` gives for ``coeffs``, formatted from
@@ -561,11 +556,6 @@ class GaloisElement:
 
     def __hash__(self):
         return hash(self.images)
-
-    def is_identity(self) -> bool:
-        return all(
-            img == self.tower.gen_index(i) for i, img in enumerate(self.images)
-        )
 
     def is_multiplicative(self) -> bool:
         """Exhaustive check on basis pairs; suffices by bilinearity."""
@@ -1110,18 +1100,6 @@ def serialize_tower(tower: TowerSpec) -> dict:
 
 # --------------------------------------------------------------------------
 # queries used across modules
-
-
-def min_poly_degree(x: FieldElement) -> int:
-    """Degree of x over Q: the rank of 1, x, ..., x^(dim-1).
-
-    The powers up to x^(d-1) are independent and every later power lies in
-    their span, so the rank of the first dim powers is d.
-    """
-    powers = [x.tower.one()]
-    for _ in range(x.tower.dim - 1):
-        powers.append(powers[-1] * x)
-    return linalg.row_rank([p.coeffs for p in powers])
 
 
 def generated_subalgebra(tower: TowerSpec, elements) -> list:

@@ -3,10 +3,10 @@
 # no bytecode cache, so every subcommand's own imports run cold, outside
 # pytest.  Compares stdout with the golden file byte for byte.
 #
-# Then documents with big numbers, written here: Python's limit on the
-# digits of an int converted to or from a string is set per interpreter, so
-# these run in fresh ones too.  Each checks the exit code and one line of
-# the report (its verdict or its condition).
+# Then the N = 5 class tables, and documents with big numbers, written here:
+# Python's limit on the digits of an int converted to or from a string is
+# set per interpreter, so these run in fresh ones too.  Each checks the exit
+# code and one line of the report (its class count, verdict or condition).
 #
 # Run from the repository root:  sh tests/golden_cli.sh
 # PYTHON selects the interpreter (default: python).
@@ -59,6 +59,12 @@ check_line() {
         echo "ok   $name"
     fi
 }
+
+# the N = 5 class tables, cold: a few seconds each (Burnside's lemma gives
+# the same counts in tests/test_dodson.py)
+check_line 0 '"class_count": 10' classify_n5_k3 dodson-classify --n 5 --bound 5 --partition k3
+check_line 0 '"class_count": 20' classify_n5_abl dodson-classify --n 5 --bound 5 --partition abl
+check_line 0 '"class_count": 33' classify_n5_cy3 dodson-classify --n 5 --bound 5 --partition cy3
 
 "$PYTHON" - "$BIG" <<'PY'
 import json

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from util import random_period_matrix
+from util import CayleyTable, model_group, random_period_matrix
 from weakcm import cli, cmfield, dodson, hodge, tausplit
 from weakcm.errors import OddDimension
 from weakcm.presets import preset_reflex_reports
@@ -80,14 +80,14 @@ def test_acceptance_03_degree8_reflex_galois_groups():
     for pr, rep in preset_reflex_reports():
         if rep.degree != 8:
             continue
-        table = dodson.CayleyTable.from_imn2(rep.group)
-        inv = table.invariants()
-        model = dodson.model_group(expected_models[pr.name])
+        inv = CayleyTable(rep.group, dodson.im_mul).invariants()
+        model = model_group(expected_models[pr.name])
         assert inv == model.invariants(), pr.name
+        assert rep.group_name == expected_models[pr.name], pr.name
         seen[pr.name] = inv
     assert set(seen) == set(expected_models)
     # the five models are pairwise non-isomorphic, so the matching is sharp
-    assert len({dodson.model_group(m).invariants()
+    assert len({model_group(m).invariants()
                 for m in expected_models.values()}) == 5
     # the reading-discrepancy flag for the triple-sum preset must be reported
     code, out = _run_cli(["presets"])

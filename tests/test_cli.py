@@ -306,6 +306,28 @@ def test_dodson_n4_stdout_pinned(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _N4_STDOUT_SHA256[argv]
 
 
+# sha256 of the stdout at N = 5.  The class counts are also found by
+# Burnside's lemma (test_dodson.py); the 340-subgroup list passes only its
+# own checks, as no independent oracle pins it
+_N5_STDOUT_SHA256 = {
+    "abl": "0ec31b332c48477b3cad5284ada58c11235ce20fd55f816d2b126d91f6ef94b4",
+    "k3": "0eac37534fd0b17980f89bde6b3399ad9d641a4bcb20ee34d1c069e13cc21f32",
+    "cy3": "8356a34adc209486c96bca9cb5476e9bad7e72c0f94a4f5fd9a0bbc549b4fb82",
+}
+_N5_CLASS_COUNTS = {"abl": 20, "k3": 10, "cy3": 33}
+
+
+@pytest.mark.parametrize("partition", sorted(_N5_STDOUT_SHA256))
+def test_dodson_n5_stdout_pinned(capsys, partition):
+    import hashlib
+
+    code, out = run_cli(capsys, "dodson-classify", "--n", "5", "--bound", "5",
+                        "--partition", partition)
+    assert code == 0
+    assert json.loads(out)["payload"]["class_count"] == _N5_CLASS_COUNTS[partition]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _N5_STDOUT_SHA256[partition]
+
+
 def test_dodson_enum_beyond_tables_is_refused_at_once():
     # --bound 6 lifts the enumeration bound, but Im(6,2) is past the tables:
     # the command must stop before any work, in a bounded child process

@@ -5,6 +5,15 @@ import random
 
 import pytest
 
+from util import (
+    CayleyTable,
+    burnside_class_count,
+    classify_by_bfs,
+    conjugacy_orbit_bfs,
+    im_inv,
+    is_subgroup,
+    model_group,
+)
 from weakcm import dodson
 from weakcm.dodson import (
     AbstractCMType,
@@ -14,7 +23,6 @@ from weakcm.dodson import (
     enumerate_admissible,
     group_from_triple,
     im_identity,
-    im_inv,
     im_mul,
     im_rho,
     perm_apply_bits,
@@ -96,14 +104,37 @@ def _cayley_groups():
 
 
 def test_cayley_from_imn2_matches_element_product():
+    # the universe tables restricted to a subgroup, and the invariants that
+    # identify_group reads off them, against a Cayley table of im_mul
     for G in _cayley_groups():
-        fast = dodson.CayleyTable.from_imn2(G)
-        slow = dodson.CayleyTable(G, im_mul)
-        assert fast.elements == slow.elements
-        assert fast.mul == slow.mul
-        assert fast.identity == slow.identity
-        assert fast.inv == slow.inv == [fast.index[im_inv(g)] for g in G]
-        assert fast.invariants() == slow.invariants()
+        U = universe(G[0].N)
+        ids = [U.index[g] for g in G]
+        local = {u: i for i, u in enumerate(ids)}
+        slow = CayleyTable(G, im_mul)
+        assert slow.elements == list(G)
+        assert [[local[U.mul[a][b]] for b in ids] for a in ids] == slow.mul
+        assert local[U.identity_idx] == slow.identity
+        assert [local[U.inv[a]] for a in ids] == slow.inv == [slow.index[im_inv(g)] for g in G]
+        assert dodson._group_invariants(U.mul, U.inv, ids) == slow.invariants()
+
+
+def test_group_invariants_match_cayley_tables():
+    # every admissible subgroup at N <= 3 on the Im(N,2) tables, and every
+    # subgroup of S_3 and S_4 on the S_N tables
+    for N in (1, 2, 3):
+        U = universe(N)
+        for G in enumerate_admissible(N):
+            ids = [U.index[g] for g in G]
+            assert dodson._group_invariants(U.mul, U.inv, ids) == \
+                CayleyTable(G, im_mul).invariants()
+    for N in (3, 4):
+        _, perms, pmul, _, pinv = dodson._sn_tables(N)
+        subgroups = dodson._sn_subgroups(N)
+        assert len(subgroups) == {3: 6, 4: 30}[N]
+        for H in subgroups:
+            ids = sorted(H)
+            assert dodson._group_invariants(pmul, pinv, ids) == \
+                CayleyTable([perms[x] for x in ids], perm_mul).invariants()
 
 
 # ---------------------------------------------------------------- triples
@@ -211,7 +242,7 @@ def test_subgroup_test_on_fibres_matches_tables():
             fibres = {}
             for g in (U.elements[i] for i in G):
                 fibres.setdefault(g.perm, set()).add(g.bits)
-            want = U.is_subgroup(G)
+            want = is_subgroup(U, G)
             subgroups += want
             assert dodson._fibres_form_subgroup(fibres, N) == want
         assert 60 <= subgroups < len(candidates) - 60
@@ -315,7 +346,7 @@ def _check_admissible_list(N, subgroups):
     assert keys == sorted(set(keys))
     for G in subgroups:
         assert list(G) == sorted(G, key=element_key)
-        assert U.is_subgroup(U.index[g] for g in G)
+        assert is_subgroup(U, (U.index[g] for g in G))
         assert group_from_triple(triple_from_group(G)) == G
 
 
@@ -375,6 +406,30 @@ def test_classification_counts(N, name, expect):
     assert len(classes) == expect
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("name", ["abl", "k3", "cy3"])
+def test_classification_matches_bfs_oracle(N, name):
+    # one breadth-first orbit per subgroup, the classification before the
+    # direct orbit, is the oracle: representatives, orbit sizes and tags
+    part = dodson.partition_preset(name, N)
+    classes = dodson.classify_conjugacy(N, part)
+    assert [(c.representative, c.orbit_size, c.tag) for c in classes] == \
+        classify_by_bfs(N, part)
+
+
+@pytest.mark.parametrize(
+    "N,name,expect",
+    [(2, "k3", 3), (2, "abl", 3), (3, "cy3", 8), (3, "abl", 6),
+     (4, "cy3", 64), (4, "abl", 54), (4, "k3", 38),
+     (5, "cy3", 33), (5, "abl", 20), (5, "k3", 10)],
+)
+def test_class_counts_by_burnside(N, name, expect):
+    # Burnside's lemma counts the classes without assembling any orbit; the
+    # classifications give the same counts in test_classification_counts
+    # (N <= 4) and test_dodson_n5_stdout_pinned (N = 5)
+    assert burnside_class_count(N, dodson.partition_preset(name, N), bound=5) == expect
+
+
 def test_classification_n2_matches_cases():
     part = dodson.partition_preset("k3", 2)
     classes = dodson.classify_conjugacy(2, part)
@@ -415,15 +470,15 @@ def test_conjugation_preserves_admissibility():
 
 @pytest.mark.parametrize("name", ["cy3", "abl", "k3"])
 def test_find_class_against_direct_orbit(name):
-    # the stabiliser is a group, so one conjugation by each of its elements
-    # gives the whole orbit, without the breadth-first search
+    # find_class conjugates once by each stabiliser element; the
+    # breadth-first orbit is the oracle
     U = universe(3)
     part = dodson.partition_preset(name, 3)
     stab = [U.index[s] for s in part.stabilizer()]
     classes = dodson.classify_conjugacy(3, part)
     seen = set()
     for G in enumerate_admissible(3):
-        orbit = {U.conjugate(s, frozenset(U.index[g] for g in G)) for s in stab}
+        orbit = conjugacy_orbit_bfs(U, stab, frozenset(U.index[g] for g in G))
         i = dodson.find_class(G, classes, part)
         rep = classes[i]
         assert frozenset(U.index[g] for g in rep.representative) in orbit
@@ -542,12 +597,12 @@ def test_preset_iii_discrepancy_note():
 def test_model_invariants_match_model_groups():
     # identify_group reads the constants; the Cayley tables are the oracle
     assert dodson._MODEL_INVARIANTS == tuple(
-        dodson.model_group(n).invariants() for n in dodson.LEVEL_GROUP_MODELS
+        model_group(n).invariants() for n in dodson.LEVEL_GROUP_MODELS
     )
 
 
 def test_model_groups_pairwise_distinct():
-    invs = [dodson.model_group(n).invariants() for n in dodson.LEVEL_GROUP_MODELS]
+    invs = [model_group(n).invariants() for n in dodson.LEVEL_GROUP_MODELS]
     assert len(set(invs)) == len(invs)
 
 

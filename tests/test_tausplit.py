@@ -269,13 +269,14 @@ def test_greedy_renaming_matches_subset_search(n):
         deltas += [_low_rank_delta(rng, field.tower, n, r) for _ in range(12)]
         for delta in deltas:
             expected = _renaming_by_subset_search(delta, r)
+            pivots = tuple(linalg.pivot_columns(linalg.transpose(delta)))
             if expected is None:
                 failed += 1
                 with pytest.raises(MathError):
-                    tausplit._choose_renaming(field.case, delta, None, r)
+                    tausplit._choose_renaming(field.case, delta, None, r, pivots)
             else:
                 found += 1
-                assert tausplit._choose_renaming(field.case, delta, None, r) == expected
+                assert tausplit._choose_renaming(field.case, delta, None, r, pivots) == expected
     assert found >= 8 and (failed >= 1 or n == 2)
 
 

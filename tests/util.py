@@ -2,9 +2,10 @@
 weak-CM period matrices from the standard forms, and small exact oracles
 that are independent of the library code paths they check."""
 
+import itertools
 from fractions import Fraction
 
-from weakcm import linalg, tausplit, tower as tw
+from weakcm import linalg, tausplit
 from weakcm.cmfield import CASE_A, CASE_B, CASE_C, DEG2
 
 _ASSEMBLY_COORDS = {
@@ -81,8 +82,6 @@ def _dot(row, T, j, t):
 def rank_by_minors(rows, t):
     """Rank via explicit minor determinants; independent of the elimination
     code path used by the library."""
-    import itertools
-
     rows = [list(r) for r in rows]
     if not rows:
         return 0
@@ -185,3 +184,212 @@ def square_class_oracle(a, d):
     for p, e in factor_integer(x.denominator).items():
         merged[p] = merged.get(p, 0) + e
     return all(e % 2 == 0 for e in merged.values())
+
+
+# ---------------------------------------------------------------- tower oracles
+
+
+def min_poly_degree(x):
+    """Degree of x over Q: the rank of 1, x, ..., x^(dim-1).
+
+    The powers up to x^(d-1) are independent and every later power lies in
+    their span, so the rank of the first dim powers is d.
+    """
+    powers = [x.tower.one()]
+    for _ in range(x.tower.dim - 1):
+        powers.append(powers[-1] * x)
+    return linalg.row_rank([p.coeffs for p in powers])
+
+
+def rational_value(x):
+    """The rational number a rational tower element stands for."""
+    assert x.is_rational()
+    return x.coeffs[0]
+
+
+def is_identity(g):
+    """Whether a Galois element fixes every tower generator."""
+    return all(img == g.tower.gen_index(i) for i, img in enumerate(g.images))
+
+
+def same_structure(a, b):
+    """Whether two CM Hodge structures have the same weight, slots, labels,
+    pairing and group."""
+    return (a.weight, a.slots, a.labels, a.rho, a.group) == (
+        b.weight, b.slots, b.labels, b.rho, b.group)
+
+
+# ---------------------------------------------------------------- Dodson oracles
+
+
+def im_inv(a):
+    """Inverse of an Im(N,2) element from the group law: (bits, perm)^-1 =
+    (perm^-1 . bits, perm^-1)."""
+    from weakcm.dodson import ImN2Element, perm_inv
+
+    return ImN2Element(tuple(a.bits[a.perm[i]] for i in range(len(a.bits))),
+                       perm_inv(a.perm))
+
+
+def is_subgroup(U, idxs):
+    """Whether universe indices form a subgroup: the identity, and every
+    product over the Im(N,2) tables; O(|G|^2) lookups."""
+    s = set(idxs)
+    return U.identity_idx in s and all(U.mul[a][b] in s for a in s for b in s)
+
+
+def conjugacy_orbit_bfs(U, stab_idx, H):
+    """Orbit of the index set H under conjugation by ``stab_idx``, found
+    breadth first: every orbit member is conjugated by every element, so it
+    does not rely on ``stab_idx`` being a group."""
+    orbit = {H}
+    frontier = [H]
+    while frontier:
+        new = []
+        for K in frontier:
+            for s in stab_idx:
+                C = U.conjugate(s, K)
+                if C not in orbit:
+                    orbit.add(C)
+                    new.append(C)
+        frontier = new
+    return orbit
+
+
+def classify_by_bfs(N, partition, bound=4):
+    """(representative, orbit size, tag) per S~-class: one breadth-first
+    orbit per admissible subgroup, each class named by the minimal
+    ``subgroup_key`` in its orbit, sorted by it; the oracle for
+    ``dodson.classify_conjugacy``."""
+    from weakcm import dodson
+
+    U = dodson.universe(N)
+    stab_idx = [U.index[g] for g in partition.stabilizer()]
+    by_class = {}
+    for G in dodson.enumerate_admissible(N, bound=bound):
+        orbit = conjugacy_orbit_bfs(U, stab_idx, frozenset(U.index[g] for g in G))
+        members = [tuple(sorted((U.elements[i] for i in K), key=dodson.element_key))
+                   for K in orbit]
+        rep = min(members, key=dodson.subgroup_key)
+        by_class.setdefault(dodson.subgroup_key(rep), (rep, len(orbit)))
+    return [(rep, size, dodson.triple_from_group(rep).tag())
+            for _, (rep, size) in sorted(by_class.items())]
+
+
+def burnside_class_count(N, partition, bound=4):
+    """Number of S~-classes of admissible subgroups by Burnside's lemma,
+    (1/|S~|) sum over s in S~ of #{H : s H s^-1 = H}, with no orbit and no
+    canonical choice; each fixed point is tested element by element."""
+    from weakcm import dodson
+
+    U = dodson.universe(N)
+    mul, inv = U.mul, U.inv
+    stab = [U.index[g] for g in partition.stabilizer()]
+    subgroups = [frozenset(U.index[g] for g in G)
+                 for G in dodson.enumerate_admissible(N, bound=bound)]
+    fixed = 0
+    for s in stab:
+        row, si = mul[s], inv[s]
+        fixed += sum(all(mul[row[h]][si] in H for h in H) for H in subgroups)
+    assert fixed % len(stab) == 0
+    return fixed // len(stab)
+
+
+class CayleyTable:
+    """Finite group as an index table, built from an element product; the
+    oracle for ``dodson._group_invariants``."""
+
+    def __init__(self, elements, mul_fn):
+        self.elements = list(elements)
+        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.mul = [[self.index[mul_fn(a, b)] for b in self.elements]
+                    for a in self.elements]
+        n = len(self.elements)
+        self.identity = next(e for e in range(n)
+                             if all(self.mul[e][x] == x == self.mul[x][e]
+                                    for x in range(n)))
+        self.inv = [row.index(self.identity) for row in self.mul]
+
+    def element_order(self, a):
+        k, x = 1, a
+        while x != self.identity:
+            x = self.mul[x][a]
+            k += 1
+        return k
+
+    def commutator_subgroup(self):
+        inv = self.inv
+        els = {self.mul[self.mul[a][b]][self.mul[inv[a]][inv[b]]]
+               for a in range(len(self.elements)) for b in range(len(self.elements))}
+        els.add(self.identity)
+        frontier = list(els)
+        while frontier:
+            new = []
+            for a in list(els):
+                for b in frontier:
+                    c = self.mul[a][b]
+                    if c not in els:
+                        els.add(c)
+                        new.append(c)
+            frontier = new
+        return els
+
+    def invariants(self):
+        """(order, element-order histogram, |G^ab|): iso invariants."""
+        hist = {}
+        for a in range(len(self.elements)):
+            k = self.element_order(a)
+            hist[k] = hist.get(k, 0) + 1
+        n = len(self.elements)
+        return n, tuple(sorted(hist.items())), n // len(self.commutator_subgroup())
+
+
+def _cyclic_product(*orders):
+    elems = list(itertools.product(*(range(k) for k in orders)))
+
+    def mul(a, b):
+        return tuple((x + y) % k for x, y, k in zip(a, b, orders))
+
+    return CayleyTable(elems, mul)
+
+
+def _perm_product(perms, cyclic_order):
+    from weakcm.dodson import perm_mul
+
+    elems = [(c, p) for c in range(cyclic_order) for p in perms]
+
+    def mul(a, b):
+        return ((a[0] + b[0]) % cyclic_order, perm_mul(a[1], b[1]))
+
+    return CayleyTable(elems, mul)
+
+
+def _perm_sign(p):
+    sign = 1
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            if p[i] > p[j]:
+                sign = -sign
+    return sign
+
+
+def model_group(name):
+    """The reference groups of ``dodson.LEVEL_GROUP_MODELS`` as Cayley
+    tables; the oracle for ``dodson._MODEL_INVARIANTS``."""
+    from weakcm.dodson import im_mul, universe
+
+    if name == "Z2^3":
+        return _cyclic_product(2, 2, 2)
+    if name == "Z2xZ4":
+        return _cyclic_product(2, 4)
+    if name == "Z2xD4":
+        # D4 realized as Im(2,2)
+        d4 = universe(2).elements
+        return CayleyTable([(c, g) for c in range(2) for g in d4],
+                           lambda a, b: ((a[0] + b[0]) % 2, im_mul(a[1], b[1])))
+    if name == "Z2xA4":
+        a4 = [p for p in itertools.permutations(range(4)) if _perm_sign(p) == 1]
+        return _perm_product(a4, 2)
+    if name == "Z2xS4":
+        return _perm_product(list(itertools.permutations(range(4))), 2)
+    raise KeyError(name)
