@@ -18,9 +18,9 @@ totally imaginary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg, tower as tw
 from .errors import BadFactorBound, MathError, SquareClassMismatch, WrongCase
@@ -28,8 +28,7 @@ from .errors import BadFactorBound, MathError, SquareClassMismatch, WrongCase
 DEG2, CASE_A, CASE_B, CASE_C = "deg2", "A", "B", "C"
 
 
-@dataclass(frozen=True)
-class CMFieldData:
+class CMFieldData(NamedTuple):
     """A classified CM field with its normal closure."""
 
     degree: int          # [K':Q], 2 or 4
@@ -125,8 +124,7 @@ def dprime_of(field: CMFieldData) -> Fraction | None:
 # Galois group on the embeddings
 
 
-@dataclass(frozen=True)
-class GaloisGroupData:
+class GaloisGroupData(NamedTuple):
     """The closure's automorphism group with its action on the embeddings
     of K', ordered (phi', s0 phi', s0^2 phi', s0^3 phi') in cases B/C and
     (phi', s1 phi', s2 phi', s1 s2 phi') in case A."""
@@ -229,8 +227,7 @@ def dodson_type(field: CMFieldData) -> dodson.AbstractCMType:
 # reflex field for cases B and C
 
 
-@dataclass(frozen=True)
-class ReflexFieldData:
+class ReflexFieldData(NamedTuple):
     basis: tuple               # 4 FieldElements spanning (K')^r in the closure
     degree: int
     equals_field: bool         # case B: reflex span coincides with phi'(K')

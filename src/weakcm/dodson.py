@@ -21,7 +21,6 @@ stabilizer of a Hodge-type partition of the slots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -211,8 +210,7 @@ def im_order(N: int) -> int:
 # triples
 
 
-@dataclass(frozen=True)
-class DodsonTriple:
+class DodsonTriple(NamedTuple):
     """Coordinates (G0, V, s) of an admissible subgroup of Im(N,2)."""
 
     N: int
@@ -598,8 +596,7 @@ def _enumerate_admissible_walk(N: int):
     return out
 
 
-@dataclass(frozen=True)
-class HodgePartition:
+class HodgePartition(NamedTuple):
     """Partition of the 2N signed slots into Hodge-type blocks."""
 
     N: int
@@ -693,8 +690,7 @@ def partition_from_labels(N: int, weight: int, labelled_slots) -> HodgePartition
     ).validate()
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     representative: tuple      # sorted ImN2Element list, minimal in its orbit
     triple: DodsonTriple
     orbit_size: int
@@ -778,35 +774,36 @@ def find_class(elements, classes, partition: HodgePartition):
 # abstract CM types and the reflex computation
 
 
-@dataclass(frozen=True)
 class AbstractCMType:
-    """A subgroup of Im(N,2) together with a CM type Phi (one slot per pair).
+    """A subgroup of Im(N,2) together with a CM type Phi (one slot per pair),
+    checked when it is built.
 
     Simple weight-1 structures have a transitive permutation image; direct
     sums of smaller CM fields are block groups and need not be transitive.
     """
 
-    group: tuple
-    phi: tuple
-    simple: bool = False
+    __slots__ = ("group", "phi", "simple")
 
-    def __post_init__(self):
-        if not self.group:
+    def __init__(self, group: tuple, phi: tuple, simple: bool = False):
+        if not group:
             raise InvalidCMType("empty group")
-        N = self.group[0].N
+        N = group[0].N
         _check_universe_bound(N)
-        fibres = _fibres(self.group)
+        fibres = _fibres(group)
         if not _fibres_form_subgroup(fibres, N):
             raise InvalidCMType("elements do not form a subgroup")
         if (1,) * N not in fibres[tuple(range(N))]:
             raise InvalidCMType("group does not contain the conjugation rho")
-        pairs = sorted(i for i, _ in self.phi)
+        pairs = sorted(i for i, _ in phi)
         if pairs != list(range(N)):
             raise InvalidCMType("phi must pick exactly one slot per pair")
-        if self.simple:
-            perms = sorted({g.perm for g in self.group})
+        if simple:
+            perms = sorted({g.perm for g in group})
             if not _is_transitive(perms, N):
                 raise InvalidCMType("simple type needs a transitive group")
+        self.group = group
+        self.phi = phi
+        self.simple = simple
 
     @property
     def N(self) -> int:
@@ -817,8 +814,7 @@ def standard_phi(N: int):
     return tuple((i, 0) for i in range(N))
 
 
-@dataclass
-class ReflexReport:
+class ReflexReport(NamedTuple):
     """Outcome of the level-n computation for an abstract weight-1 CM type."""
 
     n: int
@@ -949,19 +945,16 @@ def reflex_from_dodson(ct: AbstractCMType, n: int) -> ReflexReport:
         pair_labels=pair_labels,
         group_name=identify_group(induced),
     )
-    _attach_class_info(report)
-    return report
+    return report._replace(class_tag=_class_tag(report))
 
 
-def _attach_class_info(report: ReflexReport):
-    """Resolve the conjugacy class of the induced data when cheap (n' <= 3)."""
+def _class_tag(report: ReflexReport):
+    """The conjugacy class of the induced data, resolved when cheap (n' <= 3)."""
     np = report.n_prime
     if np == 1:
-        report.class_tag = "Deg2"
-        return
+        return "Deg2"
     if np == 2:
-        report.class_tag = quartic_case_alias(report.triple)
-        return
+        return quartic_case_alias(report.triple)
     if np == 3:
         labelled = []
         for i, (p, q) in report.pair_labels.items():
@@ -969,9 +962,8 @@ def _attach_class_info(report: ReflexReport):
             labelled.append(((i, 1), (q, p)))
         part = partition_from_labels(3, report.n, labelled)
         classes = _classification_cached(3, part)
-        report.class_tag = classes[find_class(report.group, classes, part)].tag
-        return
-    report.class_tag = report.tag
+        return classes[find_class(report.group, classes, part)].tag
+    return report.tag
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ blocks is the combinatorial shadow of a top-form conjugate of mixed type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dodson
 from .errors import (
@@ -285,8 +285,7 @@ def level_dodson_data(h: CMHodgeStructure):
 # K3 x T^2
 
 
-@dataclass
-class ProductReport:
+class ProductReport(NamedTuple):
     level_dim: int
     endo_field_degree: int
     situation: str
@@ -441,8 +440,7 @@ _WEIL_MAP = {(2, 1): (1, 0), (0, 3): (1, 0), (1, 2): (0, 1), (3, 0): (0, 1)}
 _GRIFFITHS_MAP = {(3, 0): (1, 0), (2, 1): (1, 0), (0, 3): (0, 1), (1, 2): (0, 1)}
 
 
-@dataclass
-class RepackagedPair:
+class RepackagedPair(NamedTuple):
     weil: CMHodgeStructure
     griffiths: CMHodgeStructure
     weil_cm: bool

@@ -20,7 +20,7 @@ identification is a fibre product over the shared quadratic quotient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dodson import (
     AbstractCMType,
@@ -105,8 +105,7 @@ def _bits_only(bit_vectors):
     return tuple(sorted(ImN2Element(b, _ID3) for b in bit_vectors))
 
 
-@dataclass(frozen=True)
-class Weight1Preset:
+class Weight1Preset(NamedTuple):
     name: str
     description: str
     cm_type: AbstractCMType
@@ -201,6 +200,6 @@ def preset_reflex_reports() -> list[tuple[Weight1Preset, ReflexReport]]:
     for pr in weight1_presets():
         report = reflex_from_dodson(pr.cm_type, 3)
         if pr.note:
-            report.notes = report.notes + (pr.note,)
+            report = report._replace(notes=report.notes + (pr.note,))
         out.append((pr, report))
     return out

@@ -70,13 +70,18 @@ def parse_rational_matrix(doc, n, what):
     if not isinstance(doc, list) or len(doc) != n:
         raise InputError(f"{what} must be an {n}x{n} matrix")
     out = []
-    for row in doc:
+    for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"{what} must be an {n}x{n} matrix")
-        try:
-            out.append([parse_rational(x) for x in row])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational in {what}: {exc}") from exc
+        parsed = []
+        for j, x in enumerate(row):
+            try:
+                parsed.append(parse_rational(x))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(
+                    f"bad rational in {what} at row {i}, column {j}: {exc}"
+                ) from exc
+        out.append(parsed)
     return out
 
 

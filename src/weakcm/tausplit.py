@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -58,26 +57,33 @@ _ASSEMBLY_LABELS = {
 }
 
 
-@dataclass(frozen=True)
 class PeriodMatrix:
-    """tau = sum_k B_k * (assembly monomial k), all B_k rational n x n."""
+    """tau = sum_k B_k * (assembly monomial k), all B_k rational n x n.
 
-    field: CMFieldData
-    n: int
-    B: tuple  # 2 matrices for deg2, else 4; row-major tuples of Fractions
+    The number and shape of the B_k are checked when it is built."""
 
-    def __post_init__(self):
-        want = 2 if self.field.case == DEG2 else 4
-        if len(self.B) != want:
-            raise TowerMismatch(f"case {self.field.case} needs {want} B-matrices")
-        for M in self.B:
-            if len(M) != self.n or any(len(r) != self.n for r in M):
+    __slots__ = ("field", "n", "B", "_tau")
+
+    def __init__(self, field: CMFieldData, n: int, B: tuple):
+        # B: 2 matrices for deg2, else 4; row-major tuples of Fractions
+        want = 2 if field.case == DEG2 else 4
+        if len(B) != want:
+            raise TowerMismatch(f"case {field.case} needs {want} B-matrices")
+        for M in B:
+            if len(M) != n or any(len(r) != n for r in M):
                 raise TowerMismatch("B matrices must be n x n")
+        self.field = field
+        self.n = n
+        self.B = B
+        self._tau = None
+
+    def __repr__(self):
+        return f"PeriodMatrix(field={self.field!r}, n={self.n!r}, B={self.B!r})"
 
     def tau(self):
         """tau as a fresh list of rows.  The entries are assembled on the
         first call and kept; each call hands out a copy of the rows."""
-        rows = self.__dict__.get("_tau")
+        rows = self._tau
         if rows is None:
             t = self.field.tower
             pos = [t.basis.index(lbl) for lbl in _ASSEMBLY_LABELS[self.field.case]]
@@ -90,7 +96,7 @@ class PeriodMatrix:
                         coeffs[k] = M[i][j]
                     row.append(t.element(coeffs))
                 rows.append(tuple(row))
-            object.__setattr__(self, "_tau", tuple(rows))
+            rows = self._tau = tuple(rows)
         return [list(row) for row in rows]
 
 
@@ -110,8 +116,7 @@ def _mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-@dataclass
-class DeltaEps:
+class DeltaEps(NamedTuple):
     """Galois difference data of a validated period matrix."""
 
     delta: list
@@ -225,8 +230,7 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
 # certificates
 
 
-@dataclass
-class LevelNReport:
+class LevelNReport(NamedTuple):
     hodge_numbers: dict   # (p, q) -> count
     p_split: int | None
 
@@ -237,8 +241,7 @@ class FactorDescriptor(NamedTuple):
     multiplicity: int
 
 
-@dataclass
-class SplitCertificate:
+class SplitCertificate(NamedTuple):
     """Exact witness of the isogeny decomposition.
 
     verify_certificate recomputes C . Pi . (1|tau) . S entrywise, where Pi

@@ -65,8 +65,9 @@ _DEFAULT_FACTOR_BOUND = 100_000
 def parse_rational(text) -> Fraction:
     """Parse "num/den" (den omitted when 1) into a Fraction.
 
-    Decimal and exponent literals ("1.5", "-2e3") are accepted too.  A
-    literal whose numerator or denominator would have more than
+    Decimal and exponent literals ("1.5", "-2e3") are accepted too.  A zero
+    denominator raises ZeroDivisionError naming the literal.  A literal
+    whose numerator or denominator would have more than
     ``RationalTooLarge.DIGITS`` digits is refused with ``RationalTooLarge``
     before anything is computed: "1e100000000" would otherwise ask for
     10**10**8.
@@ -75,7 +76,10 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     text = str(text).strip()
     _check_literal_size(text)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {text!r}") from None
 
 
 def _digit_count(part: str) -> int:

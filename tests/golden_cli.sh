@@ -3,6 +3,9 @@
 # no bytecode cache, so every subcommand's own imports run cold, outside
 # pytest.  Compares stdout with the golden file byte for byte.
 #
+# Then, from the -X importtime trace of four subcommands, that none imports
+# dataclasses or inspect.
+#
 # Then the N = 5 class tables, and documents with big numbers, written here:
 # Python's limit on the digits of an int converted to or from a string is
 # set per interpreter, so these run in fresh ones too.  Each checks the exit
@@ -59,6 +62,29 @@ check_line() {
         echo "ok   $name"
     fi
 }
+
+# usage: check_imports NAME SUBCOMMAND [ARGS...]
+# No subcommand may import dataclasses or inspect: dataclasses pulls in
+# inspect, ast, dis and tokenize, about 10 ms of every fresh process.
+check_imports() {
+    name=$1
+    shift
+    "$PYTHON" -X importtime -m weakcm.cli "$@" 2> "$OUT" > /dev/null
+    if ! grep -qE '\| +weakcm\.errors$' "$OUT"; then
+        echo "FAIL imports_$name: no import trace"
+        failed=1
+    elif grep -qE '\| +(dataclasses|inspect)$' "$OUT"; then
+        echo "FAIL imports_$name: imports dataclasses or inspect"
+        failed=1
+    else
+        echo "ok   imports_$name"
+    fi
+}
+
+check_imports classify_field classify-field --input "$DATA/field_b.json"
+check_imports split split --input "$DATA/torus_a_diag.json"
+check_imports dodson_classify dodson-classify --n 3 --partition cy3
+check_imports k3t2 k3t2 --input "$DATA/k3t2_disjoint.json"
 
 # the N = 5 class tables, cold: a few seconds each (Burnside's lemma gives
 # the same counts in tests/test_dodson.py)

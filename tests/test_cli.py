@@ -559,23 +559,30 @@ _FIELD_FOOTPRINT = _BASE | {"weakcm.serialize", "weakcm.cmfield",
 _FIELD_LAYERS = {"weakcm.tower", "weakcm.linalg", "weakcm.cmfield",
                  "weakcm.tausplit"}
 _U1 = {"n": 1, "elements": [_element((0,), (0,)), _element((1,), (0,))]}
+# stdlib modules no subcommand may load: importing dataclasses pulls in
+# inspect, ast, dis and tokenize, about 10 ms of every fresh process
+_HEAVY = ("dataclasses", "inspect")
 _FOOTPRINT_RUN = """
 import contextlib, io, json, sys
 import weakcm.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = weakcm.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "weakcm" or m.startswith("weakcm."))]))
-"""
+                               if m == "weakcm" or m.startswith("weakcm.")),
+                  [m for m in %r if m in sys.modules]]))
+""" % (_HEAVY,)
 
 
 def _footprint(argv):
+    """The weakcm modules a fresh interpreter loads to run ``argv``; it
+    must load none of ``_HEAVY``."""
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_RUN, *argv],
                           capture_output=True, text=True, env=_child_env(),
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, modules, heavy = json.loads(proc.stdout)
     assert code == 0, argv
+    assert heavy == [], argv
     return set(modules)
 
 
@@ -593,6 +600,13 @@ def test_period_matrix_subcommands_load_the_split(sub):
 
 def test_cli_import_loads_no_library_module():
     assert _footprint([]) == _BASE
+
+
+def test_k3t2_on_a_field_document_loads_no_split():
+    # the transcendental factor given by its field: the towers, the Dodson
+    # tables and the Hodge layer all load
+    argv = ["k3t2", "--input", os.path.join(DATA, "k3t2_disjoint.json")]
+    assert _footprint(argv) == _FIELD_FOOTPRINT | {"weakcm.dodson", "weakcm.hodge"}
 
 
 _DODSON_RUNS = [
@@ -707,6 +721,17 @@ def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
      "'labels' must be a list of integer pairs"),
     ("weil-griffiths", dict(_SYNTHETIC, labels=[[3, 0], [True, 1]]),
      "'labels' must be a list of integer pairs"),
+    # a zero denominator names the literal, and in a matrix its entry
+    ("classify-field", {"p": "1/0"},
+     "bad rational parameter: zero denominator in '1/0'"),
+    ("k3t2", {"transcendental": {"field": {"d": 5, "p": "-5/2", "q": "-1/0"}}},
+     "bad rational parameter: zero denominator in '-1/0'"),
+    ("split", {"n": 2, "field": {"p": -1},
+               "B": [[["0", "0"], ["0", "0"]], [["1", "0"], ["3/0", "1"]]]},
+     "bad rational in B2 at row 1, column 0: zero denominator in '3/0'"),
+    ("validate", {"n": 2, "field": {"p": -1},
+                  "B": [[["0", "abc"], ["0", "0"]], [["1", "0"], ["0", "1"]]]},
+     "bad rational in B1 at row 0, column 1: Invalid literal"),
 ])
 def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     path = tmp_path / "doc.json"

@@ -76,6 +76,11 @@ def test_classify_follows_the_factor_bound(monkeypatch):
     monkeypatch.setenv("WEAKCM_FACTOR_BOUND", "3")
     other = cmfield.classify(params)
     assert other == first and other is not first
+    # equal fields hash alike, so they share galois_group's and reflex_bc's
+    # cache entries
+    assert hash(other) == hash(first)
+    assert cmfield.galois_group(other) is cmfield.galois_group(first)
+    assert cmfield.reflex_bc(other) is cmfield.reflex_bc(first)
     monkeypatch.delenv("WEAKCM_FACTOR_BOUND")
     assert cmfield.classify(params) is first
 

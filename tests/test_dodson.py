@@ -494,6 +494,31 @@ def test_partition_validation():
         ).validate()
 
 
+def test_equal_partitions_share_the_class_table():
+    a, b = dodson.partition_preset("k3", 3), dodson.partition_preset("k3", 3)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != dodson.partition_preset("cy3", 3)
+    assert dodson._classification_cached(3, a) is dodson._classification_cached(3, b)
+
+
+_RHO2 = ImN2Element((1, 1), (0, 1))
+_ID2 = ImN2Element((0, 0), (0, 1))
+_SWAP2 = ImN2Element((0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("group, phi, simple, message", [
+    ((), standard_phi(2), False, "empty group"),
+    ((_ID2, _SWAP2), standard_phi(2), False, "does not contain the conjugation rho"),
+    ((_ID2, _RHO2, ImN2Element((1, 0), (0, 1))), standard_phi(2), False,
+     "do not form a subgroup"),
+    ((_ID2, _RHO2), ((0, 0), (0, 1)), False, "one slot per pair"),
+    ((_ID2, _RHO2), standard_phi(2), True, "needs a transitive group"),
+])
+def test_cm_type_is_checked_when_built(group, phi, simple, message):
+    with pytest.raises(InvalidCMType, match=message):
+        AbstractCMType(group, phi, simple=simple)
+
+
 # ---------------------------------------------------------------- reflex
 
 

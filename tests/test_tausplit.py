@@ -1,7 +1,6 @@
 """Period-matrix validation and certified splitting."""
 
 import copy
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -16,6 +15,7 @@ from weakcm.errors import (
     OddDimension,
     ProperSubfield,
     SingularTauBar,
+    TowerMismatch,
 )
 
 Z2 = [[0, 0], [0, 0]]
@@ -38,6 +38,20 @@ def f_C():
 
 
 # ---------------------------------------------------------------- validation
+
+
+def test_period_matrix_checks_its_shape_when_built():
+    with pytest.raises(TowerMismatch, match="case deg2 needs 2 B-matrices"):
+        tausplit.period_matrix(f_deg2(), Z2)
+    with pytest.raises(TowerMismatch, match="case A needs 4 B-matrices"):
+        tausplit.period_matrix(f_A(), Z2, Z2)
+    with pytest.raises(TowerMismatch, match="B matrices must be n x n"):
+        tausplit.period_matrix(f_deg2(), Z2, [[1, 0]])
+    # tau is assembled once; each call hands out its own rows
+    pm = tausplit.period_matrix(f_deg2(), Z2, [[1, 0], [0, 1]])
+    tau = pm.tau()
+    tau[0][0] = tau[0][1]
+    assert pm.tau() != tau and pm.tau()[0][0] == pm.field.tower.gen("sqrt(p)")
 
 
 def test_validate_deg2_identity_times_sqrt_p():
@@ -437,8 +451,7 @@ def test_verify_rejects_singular_p():
     pm = tausplit.period_matrix(f_deg2(), Z2, [[1, 0], [0, 1]])
     cert, _ = tausplit.split(pm)
     t = pm.field.tower
-    bad = copy.deepcopy(cert)
-    bad.P = [[t.zero(), t.zero()], [t.zero(), t.zero()]]
+    bad = cert._replace(P=[[t.zero(), t.zero()], [t.zero(), t.zero()]])
     res = tausplit.verify_certificate(pm, bad)
     assert not res.ok and "P" in res.diagnostic
 
@@ -446,8 +459,7 @@ def test_verify_rejects_singular_p():
 def test_verify_rejects_bad_renaming():
     pm = tausplit.period_matrix(f_deg2(), Z2, [[1, 0], [0, 1]])
     cert, _ = tausplit.split(pm)
-    bad = copy.deepcopy(cert)
-    bad.renaming = (0, 0)
+    bad = cert._replace(renaming=(0, 0))
     assert not tausplit.verify_certificate(pm, bad).ok
 
 
@@ -485,19 +497,19 @@ def _single_mutations(cert, t):
             for j in range(len(row)):
                 bumped = [list(r) for r in M]
                 bumped[i][j] = bumped[i][j] + 1
-                yield f"{attr}[{i}][{j}] + 1", dataclasses.replace(cert, **{attr: bumped})
+                yield f"{attr}[{i}][{j}] + 1", cert._replace(**{attr: bumped})
     for a, b in itertools.combinations(range(cert.n), 2):
         renaming = list(cert.renaming)
         renaming[a], renaming[b] = renaming[b], renaming[a]
-        yield f"renaming ({a} {b})", dataclasses.replace(cert, renaming=tuple(renaming))
+        yield f"renaming ({a} {b})", cert._replace(renaming=tuple(renaming))
     size = sum(cert.block_sizes)
     two_i = linalg.identity_matrix(size, t.rational(2))
-    yield "P = 2 I", dataclasses.replace(cert, P=two_i)
+    yield "P = 2 I", cert._replace(P=two_i)
     one, zero = t.one(), t.zero()
     for perm in itertools.permutations(range(size)):
         if perm != tuple(range(size)):
             P = [[one if j == perm[i] else zero for j in range(size)] for i in range(size)]
-            yield f"P = permutation {perm}", dataclasses.replace(cert, P=P)
+            yield f"P = permutation {perm}", cert._replace(P=P)
 
 
 @pytest.mark.parametrize("field_of, n", [(f_deg2, 3), (f_A, 3), (f_B, 4), (f_C, 4)])
