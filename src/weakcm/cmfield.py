@@ -18,12 +18,13 @@ totally imaginary).
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg, tower as tw
-from .errors import BadFactorBound, MathError, SquareClassMismatch, WrongCase
+from .errors import MathError, SquareClassMismatch, WrongCase
 
 DEG2, CASE_A, CASE_B, CASE_C = "deg2", "A", "B", "C"
 
@@ -59,28 +60,30 @@ def classify(params: dict) -> CMFieldData:
 
     Results are cached per process in a bounded LRU cache, so equal
     parameters return the same object, shared by every caller and not to be
-    modified.  The key is the canonical
-    parameters, each value parsed by ``tower.parse_rational`` (``"-5/2"``,
-    ``Fraction(-5, 2)`` and ``-2.5`` share an entry), together with the
-    trial-division bound ``tower._factor_bound()``, which is read on every
-    call before the lookup, so a changed ``WEAKCM_FACTOR_BOUND`` is
-    followed.  When that bound is unusable the field is built uncached, and
-    ``BadFactorBound`` is raised where the build reads the bound.
+    modified.  The key is the canonical parameters, each value parsed by
+    ``tower.parse_rational`` (``"-5/2"``, ``Fraction(-5, 2)`` and ``-2.5``
+    share an entry; a value that does not parse raises ValueError or
+    ZeroDivisionError naming its key), with the raw ``WEAKCM_FACTOR_BOUND``
+    setting, read on every call, so a changed bound is followed.  The build
+    reads the bound itself and raises ``BadFactorBound`` if it is unusable.
     """
     keys = set(k for k in params if k in ("p", "q", "d", "p1", "p2"))
     if keys not in _SHAPES:
         raise SquareClassMismatch(
             "parameter record must be {p}, {p1,p2} or {d,p,q}"
         )
-    canon = tuple((k, tw.parse_rational(params[k])) for k in sorted(keys))
-    try:
-        bound = tw._factor_bound()
-    except BadFactorBound:
-        return _build(canon)
-    return _classify_cached(canon, bound)
+    canon = []
+    for k in sorted(keys):
+        try:
+            canon.append((k, tw.parse_rational(params[k])))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise type(exc)(f"{exc} (parameter {k!r})") from exc
+    return _classify_cached(tuple(canon), os.environ.get(tw._FACTOR_BOUND_ENV))
 
 
-def _build(canon: tuple) -> CMFieldData:
+@lru_cache(maxsize=_CLASSIFY_CACHE_SIZE)
+def _classify_cached(canon: tuple, raw_bound) -> CMFieldData:
+    # the build reads the bound itself; its raw setting is part of the key only
     params = dict(canon)
     if params.keys() == {"p"}:
         t = tw.quadratic_tower(params["p"])
@@ -95,12 +98,6 @@ def _build(canon: tuple) -> CMFieldData:
         return CMFieldData(4, CASE_B, t, t.basis)
     t = tw.quartic_closure_tower(d, p, q)
     return CMFieldData(4, CASE_C, t, ("1", "sqrt(d)", "xi+", "sqrt(d)*xi+"))
-
-
-@lru_cache(maxsize=_CLASSIFY_CACHE_SIZE)
-def _classify_cached(canon: tuple, bound: int) -> CMFieldData:
-    # the build reads the bound itself; it is part of the key only
-    return _build(canon)
 
 
 def build_as_case(case: str, params: dict) -> CMFieldData:
@@ -145,48 +142,35 @@ class GaloisGroupData(NamedTuple):
 def galois_group(field: CMFieldData) -> GaloisGroupData:
     t = field.tower
     elements = t.galois_elements()
-    conj = t.conjugation
-    conj_index = next(i for i, g in enumerate(elements) if g == conj)
+    conj_index = next(i for i, g in enumerate(elements) if g == t.conjugation)
 
-    # embeddings of K' = cosets of the pointwise stabilizer H of phi'(K')
-    field_basis = field.field_basis_elements()
-    H = [g for g in elements
-         if all(g(x) == x for x in field_basis)]
-    if len(elements) != field.degree * len(H):
-        raise MathError("stabilizer of the field has unexpected order")
-
-    index_of = {g: i for i, g in enumerate(elements)}
-
-    def coset(g):
-        return frozenset(index_of[g.compose(h)] for h in H)
-
+    # each embedding of K' as its restriction to phi'(K'): the images of the
+    # basis under a word in the named generators
+    r0 = tuple(field.field_basis_elements())
+    gens = t.generators
     if field.case == DEG2:
-        reps = [elements[0], t.generators["rho"]]
-        words = ("1", "rho")
+        words, restrictions = ("1", "rho"), [r0, _images(gens["rho"], r0)]
     elif field.case == CASE_A:
-        s1, s2 = t.generators["s1"], t.generators["s2"]
-        reps = [elements[0], s1, s2, s1.compose(s2)]
+        s1, s2 = gens["s1"], gens["s2"]
         words = ("1", "s1", "s2", "s1*s2")
+        restrictions = [r0, _images(s1, r0), _images(s2, r0),
+                        _images(s1, _images(s2, r0))]
     else:
-        s0 = t.generators["s0"]
-        reps = [elements[0], s0, s0.compose(s0), s0.compose(s0).compose(s0)]
-        words = ("1", "s0", "s0^2", "s0^3")
+        words, restrictions = ("1", "s0", "s0^2", "s0^3"), [r0]
+        for _ in range(3):
+            restrictions.append(_images(gens["s0"], restrictions[-1]))
 
-    cosets = [coset(r) for r in reps]
-    if len(set(cosets)) != len(cosets):
-        raise MathError("embedding cosets are not distinct")
-    coset_index = {c: i for i, c in enumerate(cosets)}
+    index_of = {r: i for i, r in enumerate(restrictions)}
+    if len(index_of) != len(restrictions):
+        raise MathError("embedding restrictions are not distinct")
+    try:
+        action = tuple(tuple(index_of[_images(g, r)] for r in restrictions)
+                       for g in elements)
+    except KeyError:
+        raise MathError("an embedding's image is not a known restriction") from None
 
-    action = []
-    for g in elements:
-        perm = []
-        for r in reps:
-            perm.append(coset_index[coset(g.compose(r))])
-        action.append(tuple(perm))
-
-    rho_perm = action[conj_index]
-    pairing = tuple(rho_perm[i] for i in range(len(reps)))
-    if any(pairing[i] == i for i in range(len(reps))):
+    pairing = action[conj_index]
+    if any(pairing[i] == i for i in range(len(restrictions))):
         raise MathError("conjugation pairing has a fixed embedding")
 
     return GaloisGroupData(
@@ -194,9 +178,13 @@ def galois_group(field: CMFieldData) -> GaloisGroupData:
         elements=elements,
         conj_index=conj_index,
         embedding_words=words,
-        action=tuple(action),
+        action=action,
         pairing=pairing,
     )
+
+
+def _images(g, xs) -> tuple:
+    return tuple(g(x) for x in xs)
 
 
 def dodson_type(field: CMFieldData) -> dodson.AbstractCMType:
@@ -208,15 +196,9 @@ def dodson_type(field: CMFieldData) -> dodson.AbstractCMType:
     n_pairs = field.degree // 2
     items = list(range(field.degree))
     rho_map = {i: gg.pairing[i] for i in items}
-    # weight-1 style labels orient the pairs: CM-type embeddings unbarred
-    phi_members = set(range(n_pairs))  # reps were ordered phi', s?phi', ...
-    if field.case in (CASE_B, CASE_C):
-        phi_members = {0, 1}
-    if field.case == CASE_A:
-        phi_members = {0, 1}
-    if field.case == DEG2:
-        phi_members = {0}
-    labels = {i: ((1, 0) if i in phi_members else (0, 1)) for i in items}
+    # weight-1 style labels orient the pairs: the CM-type embeddings, the
+    # first n_pairs of (phi', s? phi', ...), are unbarred
+    labels = {i: ((1, 0) if i < n_pairs else (0, 1)) for i in items}
     actions = [{i: perm[i] for i in items} for perm in gg.action]
     elements, _ = dodson.induced_pair_group(items, rho_map, actions, labels)
     return dodson.AbstractCMType(elements, dodson.standard_phi(n_pairs),
@@ -266,9 +248,8 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
 
     # compare the reflex span with phi'(K') inside the closure: equal in
     # case B (both are the whole quartic field), distinct in case C
-    field_span = [t.gen(lbl) for lbl in field.phi_basis]
     stacked = [list(b.coeffs) for b in basis]
-    stacked += [list(b.coeffs) for b in field_span]
+    stacked += [list(b.coeffs) for b in field.field_basis_elements()]
     equals_field = linalg.row_rank(stacked) == 4
 
     # stabilizer of the type {phi', s0 phi'} fixes the reflex span pointwise
@@ -284,8 +265,7 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
                 raise MathError(
                     "reflex span is not fixed by the stabilizer of the CM type"
                 )
-    expected_stab = len(gg.elements) // 4
-    if len(stab) != expected_stab:
+    if len(stab) != len(gg.elements) // 4:
         raise MathError("CM-type stabilizer has unexpected order")
 
     # CM witness: both imaginary generators square to totally negative values

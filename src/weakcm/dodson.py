@@ -102,6 +102,14 @@ UNIVERSE_BOUND = 5  # Im(5,2) has order 3840; Im(6,2) would need 46080^2 entries
 
 
 @lru_cache(maxsize=None)
+def _sn_index(N: int):
+    """``(bit_idx, perm_idx)``: each bit vector's and permutation's index in
+    ``_sn_tables``, the dicts in that order."""
+    return ({b: i for i, b in enumerate(itertools.product((0, 1), repeat=N))},
+            {p: i for i, p in enumerate(itertools.permutations(range(N)))})
+
+
+@lru_cache(maxsize=None)
 def _sn_tables(N: int):
     """S_N and its action on (Z2)^N as index tables.
 
@@ -111,10 +119,8 @@ def _sn_tables(N: int):
     is the identity; ``pmul[p][q]`` the index of pq; ``act[p][b]`` the index
     of p.b; ``pinv[p]`` the index of p^-1.
     """
-    bitvecs = list(itertools.product((0, 1), repeat=N))
-    perms = list(itertools.permutations(range(N)))
-    bit_idx = {b: i for i, b in enumerate(bitvecs)}
-    perm_idx = {p: i for i, p in enumerate(perms)}
+    bit_idx, perm_idx = _sn_index(N)
+    bitvecs, perms = list(bit_idx), list(perm_idx)
     pmul = [[perm_idx[perm_mul(p, q)] for q in perms] for p in perms]
     act = [[bit_idx[perm_apply_bits(p, b)] for b in bitvecs] for p in perms]
     pinv = [perm_idx[perm_inv(p)] for p in perms]
@@ -249,10 +255,6 @@ def _is_transitive(perms, N) -> bool:
     return len(reached) == N
 
 
-def _xor(a, b):
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
 def perm_group_name(perms, N: int) -> str:
     """Conventional name of a permutation group on N points (small N only)."""
     import math
@@ -282,6 +284,64 @@ def _perm_order(p) -> int:
     return k
 
 
+# the message of condition "dodson-triple:<name>" for a triple or an element list
+_CONDITIONS = {
+    (InvalidTriple, "g0-subgroup"): "G0 is not a subgroup of S_N",
+    (InvalidTriple, "v-subgroup"): "V is not a subgroup of (Z2)^N",
+    (InvalidTriple, "v-stability"): "V is not stable under the G0 action",
+    (InvalidTriple, "cocycle-domain"): "cocycle is not defined on exactly G0",
+    (InvalidTriple, "cocycle-normalized"): "cocycle is not normalized: s(1) not in V",
+    (InvalidTriple, "cocycle"): "s violates the one-cocycle identity",
+    (InvalidTriple, "transitivity"): "G0 does not act transitively on the N pairs",
+    (InvalidTriple, "contains-rho"): "V does not contain the diagonal rho",
+    (NotAdmissible, "subgroup"): "element list is not a subgroup of Im(N,2)",
+    (NotAdmissible, "transitivity"): "permutation image is not transitive",
+    (NotAdmissible, "contains-rho"): "bit subgroup does not contain the diagonal rho",
+}
+
+
+def _violation(error, name):
+    """The ``error`` for the named condition, with its message."""
+    exc = error(_CONDITIONS[error, name])
+    exc.condition = f"dodson-triple:{name}"
+    return exc
+
+
+def _triple_violation(N, g0, v, s):
+    """The first subgroup condition the triple (G0, V, s) violates, or None,
+    on ``_sn_tables`` indices: ``g0`` and ``v`` sets, ``s`` a dict on G0;
+    None stands for an entry outside S_N or (Z2)^N."""
+    _, _, pmul, act, _ = _sn_tables(N)
+    if None in g0 or 0 not in g0 or any(pmul[g][h] not in g0 for g in g0 for h in g0):
+        return "g0-subgroup"
+    span = {0}
+    for x in v:
+        if x not in span and x is not None and len(span) <= len(v):
+            span |= {x ^ y for y in span}
+    if span != v:
+        return "v-subgroup"
+    if any(act[g][w] not in v for g in g0 for w in v):
+        return "v-stability"
+    if s.keys() != g0:
+        return "cocycle-domain"
+    if s[0] not in v:
+        return "cocycle-normalized"
+    if None in s.values() or any(s[pmul[g][h]] ^ s[g] ^ act[g][s[h]] not in v
+                                 for g in g0 for h in g0):
+        return "cocycle"
+    return None
+
+
+def _lift(N, s, v):
+    """The elements (s(x) + w, x), w in V, in ``element_key`` order, for
+    ``s`` a dict on ``_sn_tables`` indices: sorted as ``universe`` indices
+    (bits_int * N! + perm rank), without building the Im(N,2) tables."""
+    bitvecs, perms, _, _, _ = _sn_tables(N)
+    F = len(perms)
+    idxs = sorted((sx ^ w) * F + x for x, sx in s.items() for w in v)
+    return tuple(ImN2Element(bitvecs[i // F], perms[i % F]) for i in idxs)
+
+
 def triple_from_group(elements) -> DodsonTriple:
     """Extract the (G0, V, s) coordinates; raises NotAdmissible otherwise.
 
@@ -294,19 +354,13 @@ def triple_from_group(elements) -> DodsonTriple:
     _check_universe_bound(N)
     fibres = _fibres(elements)
     if not _fibres_form_subgroup(fibres, N):
-        exc = NotAdmissible("element list is not a subgroup of Im(N,2)")
-        exc.condition = "dodson-triple:subgroup"
-        raise exc
+        raise _violation(NotAdmissible, "subgroup")
     g0 = sorted(fibres)
     if not _is_transitive(g0, N):
-        exc = NotAdmissible("permutation image is not transitive")
-        exc.condition = "dodson-triple:transitivity"
-        raise exc
+        raise _violation(NotAdmissible, "transitivity")
     v = sorted(fibres[tuple(range(N))])
     if (1,) * N not in v:
-        exc = NotAdmissible("bit subgroup does not contain the diagonal rho")
-        exc.condition = "dodson-triple:contains-rho"
-        raise exc
+        raise _violation(NotAdmissible, "contains-rho")
     s = sorted((p, min(fibre)) for p, fibre in fibres.items())
     return DodsonTriple(N=N, g0=tuple(g0), v=tuple(v), s=tuple(s))
 
@@ -321,89 +375,36 @@ def _fibres(elements):
 
 def _fibres_form_subgroup(fibres, N) -> bool:
     """Whether the elements with bit fibres ``{perm: set of bits}`` form a
-    subgroup of Im(N,2), decided on the triple coordinates in
-    O(|G0|^2 + |G0| |V|) without the Im(N,2) tables.
-
-    They do exactly when G0 (the perms) is a subgroup of S_N, the fibre V
-    over the identity is a subgroup of (Z2)^N, V is G0-stable, every fibre
-    is a V-coset s(g) + V, and s(gh) = s(g) + g.s(h) mod V.  Bits are
-    handled as ``bits_int`` and perms as indices into ``_sn_tables``.
-    """
-    bitvecs, perms, pmul, act, _ = _sn_tables(N)
-    perm_idx = {p: i for i, p in enumerate(perms)}
-    bit_idx = {b: i for i, b in enumerate(bitvecs)}
+    subgroup of Im(N,2), in O(|G0|^2 + |G0| |V|) without the Im(N,2)
+    tables: exactly when each fibre is a coset s(g) + V of the fibre V over
+    the identity and the triple (G0, V, s) passes ``_triple_violation``."""
+    bit_idx, perm_idx = _sn_index(N)
     fib = {perm_idx[p]: {bit_idx[b] for b in bits} for p, bits in fibres.items()}
-    v = fib.get(0)
-    if v is None or any(pmul[g][h] not in fib for g in fib for h in fib):
+    v = fib.get(0, set())
+    s = {g: min(bits) for g, bits in fib.items()}
+    if any(len(bits) != len(v) or any(s[g] ^ w not in bits for w in v)
+           for g, bits in fib.items()):
         return False
-    span = {0}
-    for x in v:
-        if x not in span:
-            span |= {x ^ y for y in span}
-            if len(span) > len(v):
-                return False
-    if span != v or any(act[g][w] not in v for g in fib for w in v):
-        return False
-    s = {}
-    for g, bits in fib.items():
-        s[g] = rep = min(bits)
-        if len(bits) != len(v) or any(rep ^ w not in bits for w in v):
-            return False
-    return all(s[pmul[g][h]] ^ s[g] ^ act[g][s[h]] in v for g in fib for h in fib)
+    return _triple_violation(N, fib.keys(), v, s) is None
 
 
 def group_from_triple(t: DodsonTriple):
-    """Reconstruct the subgroup; validates every triple condition by name."""
+    """Reconstruct the subgroup; validates every triple condition by name,
+    those of ``_triple_violation`` first.  N is capped by ``UNIVERSE_BOUND``."""
     N = t.N
-    ident = tuple(range(N))
-    g0 = set(t.g0)
-    if ident not in g0 or any(perm_mul(a, b) not in g0 for a in g0 for b in g0):
-        exc = InvalidTriple("G0 is not a subgroup of S_N")
-        exc.condition = "dodson-triple:g0-subgroup"
-        raise exc
-    if not _is_transitive(t.g0, N):
-        exc = InvalidTriple("G0 does not act transitively on the N pairs")
-        exc.condition = "dodson-triple:transitivity"
-        raise exc
-    v = set(t.v)
-    zero = (0,) * N
-    if zero not in v or any(_xor(a, b) not in v for a in v for b in v):
-        exc = InvalidTriple("V is not a subgroup of (Z2)^N")
-        exc.condition = "dodson-triple:v-subgroup"
-        raise exc
-    if (1,) * N not in v:
-        exc = InvalidTriple("V does not contain the diagonal rho")
-        exc.condition = "dodson-triple:contains-rho"
-        raise exc
-    for p in g0:
-        for w in v:
-            if perm_apply_bits(p, w) not in v:
-                exc = InvalidTriple("V is not stable under the G0 action")
-                exc.condition = "dodson-triple:v-stability"
-                raise exc
-    s = dict(t.s)
-    if set(s) != g0:
-        exc = InvalidTriple("cocycle is not defined on exactly G0")
-        exc.condition = "dodson-triple:cocycle-domain"
-        raise exc
-    if s[ident] not in v:
-        exc = InvalidTriple("cocycle is not normalized: s(1) not in V")
-        exc.condition = "dodson-triple:cocycle-normalized"
-        raise exc
-    for g in g0:
-        for h in g0:
-            lhs = s[perm_mul(g, h)]
-            rhs = _xor(s[g], perm_apply_bits(g, s[h]))
-            if _xor(lhs, rhs) not in v:
-                exc = InvalidTriple("s violates the one-cocycle identity")
-                exc.condition = "dodson-triple:cocycle"
-                raise exc
-    elements = []
-    for g in sorted(g0):
-        base = s[g]
-        for w in sorted(v):
-            elements.append(ImN2Element(_xor(base, w), g))
-    return tuple(sorted(elements, key=element_key))
+    _check_universe_bound(N)
+    bit_idx, perm_idx = _sn_index(N)
+    g0 = {perm_idx.get(p) for p in t.g0}
+    v = {bit_idx.get(b) for b in t.v}
+    s = {perm_idx.get(p): bit_idx.get(b) for p, b in t.s}
+    name = _triple_violation(N, g0, v, s)
+    if name is None and not _is_transitive(t.g0, N):
+        name = "transitivity"
+    if name is None and len(bit_idx) - 1 not in v:
+        name = "contains-rho"
+    if name is not None:
+        raise _violation(InvalidTriple, name)
+    return _lift(N, s, v)
 
 
 # --------------------------------------------------------------------------
@@ -446,12 +447,10 @@ def _enumerate_admissible_triples(N: int):
     of G0, so each choice of coset representatives on the generators is
     propagated over G0 (``_propagate_cocycle``) and dropped at its first
     inconsistency.  Distinct triples give distinct subgroups, so nothing is
-    deduplicated.  Elements are handled as ``universe`` indices
-    (bits_int * N! + perm rank), whose order is the ``element_key`` order,
-    without building the Im(N,2) tables.
+    deduplicated.  Each subgroup is built by ``_lift``; (bits, perm) tuples
+    compare in the ``element_key`` order, so the sort is by ``subgroup_key``.
     """
     bitvecs, perms, pmul, act, _ = _sn_tables(N)
-    F = len(perms)
     subspaces = _rho_subspaces(N)
     found = []
     for g0, gens in _sn_subgroups(N).items():
@@ -464,11 +463,8 @@ def _enumerate_admissible_triples(N: int):
             for values in itertools.product(sorted(set(rep)), repeat=len(gens)):
                 s = _propagate_cocycle(pmul, act, rep, gens, values)
                 if s is not None:
-                    found.append(tuple(sorted((sx ^ w) * F + x
-                                              for x, sx in s.items() for w in v)))
-    found.sort()
-    return [tuple(ImN2Element(bitvecs[i // F], perms[i % F]) for i in idxs)
-            for idxs in found]
+                    found.append(_lift(N, s, v))
+    return sorted(found)
 
 
 def _propagate_cocycle(pmul, act, rep, gens, values):
@@ -795,7 +791,7 @@ class AbstractCMType:
         if (1,) * N not in fibres[tuple(range(N))]:
             raise InvalidCMType("group does not contain the conjugation rho")
         pairs = sorted(i for i, _ in phi)
-        if pairs != list(range(N)):
+        if pairs != list(range(N)) or any(bar not in (0, 1) for _, bar in phi):
             raise InvalidCMType("phi must pick exactly one slot per pair")
         if simple:
             perms = sorted({g.perm for g in group})

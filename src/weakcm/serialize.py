@@ -134,7 +134,7 @@ def reflex_report(data: cmfield.CMFieldData) -> dict:
 
 
 def parse_period_matrix(doc) -> tausplit.PeriodMatrix:
-    from . import cmfield, tausplit
+    from . import tausplit
 
     if not isinstance(doc, dict):
         raise InputError("period-matrix document must be an object")
@@ -143,7 +143,7 @@ def parse_period_matrix(doc) -> tausplit.PeriodMatrix:
         raise InputError("document needs a 'field' parameter object")
     field = parse_field(doc["field"])
     mats = doc.get("B")
-    want = 2 if field.case == cmfield.DEG2 else 4
+    want = field.degree
     if not isinstance(mats, list) or len(mats) != want:
         raise InputError(f"'B' must list {want} rational matrices for case {field.case}")
     Bs = [parse_rational_matrix(M, n, f"B{k + 1}") for k, M in enumerate(mats)]

@@ -49,26 +49,17 @@ from .errors import (
 # rank computations); C(n, n - p) is unbounded in n.
 RENAMING_SEARCH_BOUND = 1000
 
-_ASSEMBLY_LABELS = {
-    DEG2: ("1", "sqrt(p)"),
-    CASE_A: ("1", "sqrt(p1)", "sqrt(p2)", "sqrt(p1)*sqrt(p2)"),
-    CASE_B: ("1", "sqrt(d)", "xi+", "sqrt(d)*xi+"),
-    CASE_C: ("1", "sqrt(d)", "xi+", "sqrt(d)*xi+"),
-}
-
-
 class PeriodMatrix:
-    """tau = sum_k B_k * (assembly monomial k), all B_k rational n x n.
+    """tau = sum_k B_k * (field.phi_basis monomial k), all B_k rational n x n,
+    given as row-major tuples of Fractions.
 
     The number and shape of the B_k are checked when it is built."""
 
     __slots__ = ("field", "n", "B", "_tau")
 
     def __init__(self, field: CMFieldData, n: int, B: tuple):
-        # B: 2 matrices for deg2, else 4; row-major tuples of Fractions
-        want = 2 if field.case == DEG2 else 4
-        if len(B) != want:
-            raise TowerMismatch(f"case {field.case} needs {want} B-matrices")
+        if len(B) != field.degree:
+            raise TowerMismatch(f"case {field.case} needs {field.degree} B-matrices")
         for M in B:
             if len(M) != n or any(len(r) != n for r in M):
                 raise TowerMismatch("B matrices must be n x n")
@@ -86,7 +77,7 @@ class PeriodMatrix:
         rows = self._tau
         if rows is None:
             t = self.field.tower
-            pos = [t.basis.index(lbl) for lbl in _ASSEMBLY_LABELS[self.field.case]]
+            pos = [t.basis.index(lbl) for lbl in self.field.phi_basis]
             rows = []
             for i in range(self.n):
                 row = []
@@ -129,10 +120,6 @@ class DeltaEps(NamedTuple):
     delta_pivots: tuple = ()   # cases B/C: pivot columns of transpose(delta)
 
 
-def _expected_field_dim(case: str) -> int:
-    return 2 if case == DEG2 else 4
-
-
 def _generated_field(pm: PeriodMatrix, tau):
     """(dimension, echelon basis) of the subfield generated by the entries.
 
@@ -142,7 +129,7 @@ def _generated_field(pm: PeriodMatrix, tau):
     computed (None).  Only otherwise is the span closed up by
     ``tower.generated_subalgebra``.
     """
-    want = _expected_field_dim(pm.field.case)
+    want = pm.field.degree
     coords = [[M[i][j] for M in pm.B[1:]] for i in range(pm.n) for j in range(pm.n)]
     if linalg.row_rank(coords) == want - 1:
         return want, None
@@ -164,7 +151,7 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
             f"complex dimension (n = {pm.n})"
         )
     tau = pm.tau()
-    want = _expected_field_dim(case)
+    want = pm.field.degree
     field_dim, alg = _generated_field(pm, tau)
     if field_dim < want:
         basis_desc = [str(t.element(v)) for v in alg]

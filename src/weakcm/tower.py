@@ -177,6 +177,25 @@ def _factor_bound() -> int:
     return bound
 
 
+def _trial_division(n: int, bound: int):
+    """``(s, rest, square)``: n > 0 divided fully by 2 and the odd p with p * p
+    <= rest and p <= bound; s is the product of the p dividing n to an odd
+    power, rest what is left, square whether some p divides n twice."""
+    s, square = 1, False
+    p = 2
+    while p * p <= n and p <= bound:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e % 2:
+                s *= p
+            square = square or e > 1
+        p += 1 if p == 2 else 2
+    return s, n, square
+
+
 def is_square_free(n: int, bound: int | None = None) -> bool:
     """Square-free test by trial division up to a configurable bound.
 
@@ -190,13 +209,9 @@ def is_square_free(n: int, bound: int | None = None) -> bool:
     if n <= 3:
         return True
     bound = bound or _factor_bound()
-    p = 2
-    while p * p <= n and p <= bound:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-        p += 1 if p == 2 else 2
+    _, n, square = _trial_division(n, bound)
+    if square:
+        return False
     if n == 1 or n <= bound:
         return True
     root = math.isqrt(n)
@@ -217,19 +232,8 @@ def squarefree_part(x: Fraction, bound: int | None = None) -> int:
         return 0
     n = x.numerator * x.denominator
     sign = 1 if n > 0 else -1
-    n = abs(n)
     bound = bound or _factor_bound()
-    s = 1
-    p = 2
-    while p * p <= n and p <= bound:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                s *= p
-        p += 1 if p == 2 else 2
+    s, n, _ = _trial_division(abs(n), bound)
     root = math.isqrt(n)
     if root * root == n:
         return sign * s
@@ -361,16 +365,10 @@ class FieldElement:
             return NotImplemented
         o = self._coerce(other)
         t = self.tower
-        out = [0] * t.dim
+        left = [(i, a) for i, a in enumerate(self.num) if a]
         right = [(j, b) for j, b in enumerate(o.num) if b]
-        for a, row in zip(self.num, t._int_table):
-            if not a:
-                continue
-            for j, b in right:
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] += ab * c
-        return _normalised(t, out, self.den * o.den * t._int_den)
+        return _normalised(t, t._fused(((left, right, 1),)),
+                           self.den * o.den * t._int_den)
 
     __rmul__ = __mul__
 
@@ -587,15 +585,6 @@ def _join_words(a: str, b: str) -> str:
     if b == "1":
         return a
     return _compress_word(f"{a}*{b}")
-
-
-def _word_length(label: str) -> int:
-    if label == "1":
-        return 0
-    return sum(
-        int(part.split("^")[1]) if "^" in part else 1
-        for part in label.split("*")
-    )
 
 
 def _compress_word(word: str) -> str:
@@ -903,26 +892,28 @@ class TowerSpec:
         """The full automorphism group, closed over the named generators.
 
         Deterministic order: identity first, then by (word length, word).
+        Breadth first, each element is first found at the depth of its label.
         """
         if self._galois_cache is not None:
             return self._galois_cache
         identity = GaloisElement(
             self, [self.gen_index(i) for i in range(self.dim)], "1"
         )
-        seen = {identity: identity}
+        seen = {identity}
+        elems = []
         frontier = [identity]
-        gens = [(name, g) for name, g in sorted(self.generators.items())
+        gens = [g for name, g in sorted(self.generators.items())
                 if name != "rho" or self.case == QUADRATIC]
         while frontier:
+            elems += sorted(frontier, key=lambda g: g.label)
             new = []
             for h in frontier:
-                for name, g in gens:
+                for g in gens:
                     prod = g.compose(h)
                     if prod not in seen:
-                        seen[prod] = prod
+                        seen.add(prod)
                         new.append(prod)
             frontier = new
-        elems = sorted(seen, key=lambda g: (_word_length(g.label), g.label))
         self._galois_cache = tuple(elems)
         return self._galois_cache
 
@@ -1021,7 +1012,6 @@ def cyclic_quartic_tower(d, p, q) -> TowerSpec:
         "s0",
     )
     tower.generators = {"s0": s0, "rho": s0.compose(s0)}
-    tower.generators["rho"].label = "s0^2"
     _check_generators(tower)
     return tower
 
@@ -1068,7 +1058,6 @@ def quartic_closure_tower(d, p, q) -> TowerSpec:
         "s3",
     )
     tower.generators = {"s0": s0, "s3": s3, "rho": s0.compose(s0)}
-    tower.generators["rho"].label = "s0^2"
     _check_generators(tower)
     return tower
 
@@ -1079,20 +1068,6 @@ def _check_generators(tower: TowerSpec):
             raise MathError(
                 f"generator {name} is not a ring automorphism; inconsistent parameters"
             )
-
-
-def build_tower(spec: dict) -> TowerSpec:
-    """Build a tower from a case descriptor, e.g. from a parsed document."""
-    case = spec.get("case")
-    if case in (QUADRATIC, "Quadratic", "deg2"):
-        return quadratic_tower(spec["p"])
-    if case in (BIQUADRATIC, "BiQuadratic", "A"):
-        return biquadratic_tower(spec["p1"], spec["p2"])
-    if case in (CYCLIC_QUARTIC, "CyclicQuartic", "B"):
-        return cyclic_quartic_tower(spec["d"], spec["p"], spec["q"])
-    if case in (QUARTIC_CLOSURE, "NonGaloisQuarticClosure", "C"):
-        return quartic_closure_tower(spec["d"], spec["p"], spec["q"])
-    raise SquareClassMismatch(f"unknown tower case {case!r}")
 
 
 def serialize_tower(tower: TowerSpec) -> dict:

@@ -41,6 +41,10 @@ check() {
 }
 
 check 0 field_b classify-field --input "$DATA/field_b.json"
+check 0 galois_b galois --input "$DATA/field_b.json"
+check 0 reflex_b reflex --input "$DATA/field_b.json"
+check 0 galois_c galois --input "$DATA/field_c.json"
+check 0 reflex_c reflex --input "$DATA/field_c.json"
 check 0 torus_a_diag split --input "$DATA/torus_a_diag.json"
 check 1 torus_b_n3 split --input "$DATA/torus_b_n3.json"
 check 0 k3t2_disjoint k3t2 --input "$DATA/k3t2_disjoint.json"

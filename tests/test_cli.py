@@ -261,6 +261,26 @@ def _element(bits, perm):
     return {"bits": list(bits), "perm": list(perm)}
 
 
+_QUADRATIC_PAIR = [_element((0, 0), (0, 1)), _element((1, 1), (0, 1))]
+
+
+@pytest.mark.parametrize("phi", [
+    [[0, 0], [1, 7]],   # a bar flag outside {0, 1} used to act as 7 mod 2
+    [[0, 0], [1, -1]],
+    [[0, 0], [0, 1]],   # pair 1 has no slot
+    [[0, 0], [2, 0]],
+])
+def test_dodson_reflex_phi_must_pick_slots(tmp_path, capsys, phi):
+    path = tmp_path / "ct.json"
+    path.write_text(json.dumps({"n": 2, "elements": _QUADRATIC_PAIR, "phi": phi}),
+                    encoding="utf-8")
+    code, out = run_cli(capsys, "dodson-reflex", "--input", str(path))
+    assert code == 1
+    diag = json.loads(out)["diagnostics"][0]
+    assert diag["condition"] == "dodson:invalid-cm-type"
+    assert diag["message"] == "phi must pick exactly one slot per pair"
+
+
 @pytest.mark.parametrize("doc,N", [
     # the single element rho of Im(6,2)
     ({"n": 6, "elements": [_element((1,) * 6, range(6))]}, 6),
@@ -732,6 +752,11 @@ def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
     ("validate", {"n": 2, "field": {"p": -1},
                   "B": [[["0", "abc"], ["0", "0"]], [["1", "0"], ["0", "1"]]]},
      "bad rational in B1 at row 0, column 1: Invalid literal"),
+    # a bad field parameter names its key
+    ("k3t2", {"transcendental": {"field": {"d": 5, "p": "-5/2", "q": "-1/0"}}},
+     "bad rational parameter: zero denominator in '-1/0' (parameter 'q')"),
+    ("classify-field", {"p1": "-1", "p2": "x"},
+     "bad rational parameter: Invalid literal for Fraction: 'x' (parameter 'p2')"),
 ])
 def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     path = tmp_path / "doc.json"

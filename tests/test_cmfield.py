@@ -1,10 +1,11 @@
 """Case classification, Galois data on embeddings, and reflex fields."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from util import is_identity
+from util import galois_action_by_cosets, is_identity, random_field_params
 from weakcm import cmfield, dodson, linalg, tower as tw
 from weakcm.errors import (
     BadFactorBound,
@@ -97,6 +98,17 @@ def test_galois_group_orders():
     ):
         gg = cmfield.galois_group(cmfield.classify(params))
         assert gg.order == order
+
+
+def test_galois_action_matches_coset_oracle():
+    # each embedding read as a restriction to phi'(K') against the cosets of
+    # the pointwise stabiliser of phi'(K')
+    rng = random.Random(1301)
+    for case in (cmfield.DEG2, cmfield.CASE_A, cmfield.CASE_B, cmfield.CASE_C):
+        for _ in range(4):
+            field = cmfield.classify(random_field_params(rng, case))
+            gg = cmfield.galois_group(field)
+            assert (gg.action, gg.pairing) == galois_action_by_cosets(field)
 
 
 def test_galois_group_axioms_exhaustive():

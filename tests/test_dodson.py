@@ -10,6 +10,7 @@ from util import (
     burnside_class_count,
     classify_by_bfs,
     conjugacy_orbit_bfs,
+    group_from_triple_by_tuples,
     im_inv,
     is_subgroup,
     model_group,
@@ -186,6 +187,101 @@ def test_group_from_triple_rejects_intransitive_and_no_rho():
     with pytest.raises(InvalidTriple) as err:
         group_from_triple(t2)
     assert err.value.condition == "dodson-triple:contains-rho"
+
+
+S2 = ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("triple, condition", [
+    # G0 = {1, c} misses c^2
+    (DodsonTriple(N=3, g0=(ID3, C3), v=((0, 0, 0), (1, 1, 1)),
+                  s=((ID3, (0, 0, 0)), (C3, (0, 0, 0)))), "g0-subgroup"),
+    # 01 + 11 = 10 is missing
+    (DodsonTriple(N=2, g0=S2, v=((0, 0), (0, 1), (1, 1)),
+                  s=((S2[0], (0, 0)), (S2[1], (0, 0)))), "v-subgroup"),
+    # c moves 100 to 010
+    (DodsonTriple(N=3, g0=(ID3, C3, (2, 0, 1)),
+                  v=((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)),
+                  s=((ID3, (0, 0, 0)), (C3, (0, 0, 0)), ((2, 0, 1), (0, 0, 0)))),
+     "v-stability"),
+    # s is not defined on the swap
+    (DodsonTriple(N=2, g0=S2, v=((0, 0), (1, 1)), s=((S2[0], (0, 0)),)),
+     "cocycle-domain"),
+    # s(1) = 10 is not in V
+    (DodsonTriple(N=2, g0=S2, v=((0, 0), (1, 1)),
+                  s=((S2[0], (1, 0)), (S2[1], (0, 0)))), "cocycle-normalized"),
+])
+def test_group_from_triple_names_each_subgroup_condition(triple, condition):
+    with pytest.raises(InvalidTriple) as err:
+        group_from_triple(triple)
+    assert err.value.condition == f"dodson-triple:{condition}"
+
+
+@pytest.mark.parametrize("triple, condition", [
+    (DodsonTriple(N=2, g0=((0, 1), (1, 0), (0, 0)), v=((0, 0), (1, 1)),
+                  s=(((0, 1), (0, 0)), ((1, 0), (0, 0)))), "g0-subgroup"),
+    (DodsonTriple(N=2, g0=S2, v=((0, 0), (1, 1), (1, 1, 1)),
+                  s=((S2[0], (0, 0)), (S2[1], (0, 0)))), "v-subgroup"),
+    (DodsonTriple(N=2, g0=S2, v=((0, 0), (1, 1)),
+                  s=((S2[0], (0, 0)), (S2[1], (2, 0)))), "cocycle"),
+])
+def test_group_from_triple_names_entries_outside_sn(triple, condition):
+    # a permutation or bit vector outside S_N or (Z2)^N fails the condition
+    # that reads it, instead of a lookup error
+    with pytest.raises(InvalidTriple) as err:
+        group_from_triple(triple)
+    assert err.value.condition == f"dodson-triple:{condition}"
+
+
+def _single_mutations(t, rng):
+    """The triple t with one entry of G0, V or s added, dropped or changed,
+    or with V grown by one generator."""
+    N = t.N
+    perms = list(itertools.permutations(range(N)))
+    bitvecs = list(itertools.product((0, 1), repeat=N))
+    out = []
+    for p in t.g0:
+        out.append(t._replace(g0=tuple(x for x in t.g0 if x != p)))
+    for p in perms:
+        if p not in t.g0:
+            out.append(t._replace(g0=tuple(sorted(t.g0 + (p,)))))
+            out.append(t._replace(s=t.s + ((p, rng.choice(bitvecs)),)))
+    for w in t.v:
+        out.append(t._replace(v=tuple(x for x in t.v if x != w)))
+    for w in bitvecs:
+        if w not in t.v:
+            out.append(t._replace(v=tuple(sorted(t.v + (w,)))))
+            grown = {tuple(a ^ b for a, b in zip(w, x)) for x in t.v}
+            out.append(t._replace(v=tuple(sorted(set(t.v) | grown))))
+    for k, (p, _) in enumerate(t.s):
+        out.append(t._replace(s=t.s[:k] + t.s[k + 1:]))
+        out.append(t._replace(s=t.s[:k] + ((p, rng.choice(bitvecs)),) + t.s[k + 1:]))
+    return out
+
+
+def test_group_from_triple_matches_tuple_oracle():
+    # every admissible triple, and (G0, {0, rho}, 0) for every subgroup G0 of
+    # S_N, transitive or not, each with its single mutations
+    rng = random.Random(1303)
+    tried = set()
+    for N in (2, 3):
+        _, perms, _, _, _ = dodson._sn_tables(N)
+        bases = [triple_from_group(G) for G in enumerate_admissible(N)]
+        for H in dodson._sn_subgroups(N):
+            g0 = tuple(sorted(perms[x] for x in H))
+            bases.append(DodsonTriple(N=N, g0=g0, v=((0,) * N, (1,) * N),
+                                      s=tuple((p, (0,) * N) for p in g0)))
+        for t in bases:
+            for triple in [t] + _single_mutations(t, rng):
+                want, elements = group_from_triple_by_tuples(triple)
+                tried.add(want)
+                if want is None:
+                    assert group_from_triple(triple) == elements
+                    continue
+                with pytest.raises(InvalidTriple) as err:
+                    group_from_triple(triple)
+                assert err.value.condition == f"dodson-triple:{want}"
+    assert len(tried) == 9  # every condition, and valid triples
 
 
 def test_triple_from_group_full_im22():

@@ -8,15 +8,18 @@ import pytest
 
 from util import (
     is_identity,
+    is_square_free_by_loop,
     min_poly_degree,
     rational_value,
     square_class_oracle,
+    squarefree_part_by_loop,
     subspace_coordinates_by_solve,
 )
 from weakcm import linalg, tower as tw
 from weakcm.errors import (
     DegenerateBiquadratic,
     DivisionByZero,
+    FactorizationInconclusive,
     NotSquareFree,
     RationalTooLarge,
     SingularMatrix,
@@ -116,15 +119,27 @@ def test_square_free_inconclusive_with_tiny_bound():
     assert not tw.is_square_free(101 ** 2, bound=10)  # perfect square remainder
 
 
-def test_build_tower_dispatch():
-    assert tw.build_tower({"case": "deg2", "p": "-1"}).case == tw.QUADRATIC
-    assert tw.build_tower({"case": "A", "p1": "-1", "p2": "-3"}).dim == 4
-    assert tw.build_tower(
-        {"case": "B", "d": 5, "p": "-5/2", "q": "-1/2"}
-    ).case == tw.CYCLIC_QUARTIC
-    assert tw.build_tower({"case": "C", "d": 2, "p": "-3", "q": "1"}).dim == 8
-    with pytest.raises(SquareClassMismatch):
-        tw.build_tower({"case": "quintic"})
+def _division_outcomes(fn, xs, bound):
+    out = []
+    for x in xs:
+        try:
+            out.append(fn(x, bound))
+        except FactorizationInconclusive as exc:
+            out.append(("inconclusive", str(exc)))
+    return out
+
+
+def test_trial_division_matches_both_loops():
+    # one trial division serves is_square_free and squarefree_part; the two
+    # loops it replaced are the oracles, inconclusive raises included
+    fractions = [Fraction(-n, 7) for n in range(1, 300)]
+    for bound in range(2, 51):
+        ns = range(5001)
+        assert _division_outcomes(tw.is_square_free, ns, bound) == \
+            _division_outcomes(is_square_free_by_loop, ns, bound)
+        for xs in (ns[1:], fractions):
+            assert _division_outcomes(tw.squarefree_part, xs, bound) == \
+                _division_outcomes(squarefree_part_by_loop, xs, bound)
 
 
 # ---------------------------------------------------------------- building

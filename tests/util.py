@@ -3,9 +3,11 @@ weak-CM period matrices from the standard forms, and small exact oracles
 that are independent of the library code paths they check."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from weakcm import linalg, tausplit
+from weakcm.errors import FactorizationInconclusive, InputError
 from weakcm.cmfield import CASE_A, CASE_B, CASE_C, DEG2
 
 _ASSEMBLY_COORDS = {
@@ -219,7 +221,175 @@ def same_structure(a, b):
         b.weight, b.slots, b.labels, b.rho, b.group)
 
 
+def is_square_free_by_loop(n, bound):
+    """Square-free test by trial division, a prime dividing n once divided
+    out once; the oracle for ``tower.is_square_free``."""
+    n = abs(int(n))
+    if n == 0:
+        return False
+    if n <= 3:
+        return True
+    p = 2
+    while p * p <= n and p <= bound:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    if n == 1 or n <= bound:
+        return True
+    root = math.isqrt(n)
+    if root * root == n:
+        return False
+    if n <= bound * bound:
+        return True
+    raise FactorizationInconclusive(
+        f"cannot certify square-freeness of remainder {n}; raise WEAKCM_FACTOR_BOUND"
+    )
+
+
+def squarefree_part_by_loop(x, bound):
+    """Square-free part by trial division, each prime divided out fully;
+    the oracle for ``tower.squarefree_part``."""
+    x = Fraction(x)
+    if x == 0:
+        return 0
+    n = x.numerator * x.denominator
+    sign = 1 if n > 0 else -1
+    n = abs(n)
+    s = 1
+    p = 2
+    while p * p <= n and p <= bound:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e % 2:
+                s *= p
+        p += 1 if p == 2 else 2
+    root = math.isqrt(n)
+    if root * root == n:
+        return sign * s
+    if n <= bound * bound:
+        return sign * s * n
+    raise FactorizationInconclusive(
+        f"cannot extract square-free part of remainder {n}; raise WEAKCM_FACTOR_BOUND"
+    )
+
+
+# ---------------------------------------------------------------- cmfield oracles
+
+
+def random_field_params(rng, case):
+    """Parameters of a random CM field of the given case (deg2, A, B, C),
+    checked by ``cmfield.classify``."""
+    from weakcm import cmfield
+
+    def neg():
+        return -Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))
+
+    while True:
+        if case == DEG2:
+            params = {"p": neg()}
+        elif case == CASE_A:
+            params = {"p1": neg(), "p2": neg()}
+        elif case == CASE_B:
+            # p^2 = d (q^2 + e^2) with (q, e) = k (a, b) and d = a^2 + b^2
+            d, (a, b) = rng.choice(((2, (1, 1)), (5, (1, 2)), (10, (1, 3)),
+                                    (13, (2, 3)), (17, (1, 4)), (29, (2, 5))))
+            k = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
+            params = {"d": d, "p": -d * k, "q": rng.choice((a, b)) * k * rng.choice((1, -1))}
+        else:
+            params = {"d": rng.randint(2, 30), "p": -Fraction(rng.randint(1, 9)),
+                      "q": Fraction(rng.randint(1, 3) * rng.choice((1, -1)))}
+        try:
+            if cmfield.classify(params).case == case:
+                return params
+        except InputError:
+            continue
+
+
+def galois_action_by_cosets(field):
+    """(action, pairing) of the closure's automorphisms on the embeddings
+    of K', each embedding found as the coset g H of the pointwise
+    stabiliser H of phi'(K'), by composing automorphisms; the oracle for
+    ``cmfield.galois_group``."""
+    t = field.tower
+    elements = t.galois_elements()
+    field_basis = field.field_basis_elements()
+    H = [g for g in elements if all(g(x) == x for x in field_basis)]
+    assert len(elements) == field.degree * len(H)
+    index_of = {g: i for i, g in enumerate(elements)}
+
+    def coset(g):
+        return frozenset(index_of[g.compose(h)] for h in H)
+
+    if field.case == DEG2:
+        reps = [elements[0], t.generators["rho"]]
+    elif field.case == CASE_A:
+        s1, s2 = t.generators["s1"], t.generators["s2"]
+        reps = [elements[0], s1, s2, s1.compose(s2)]
+    else:
+        s0 = t.generators["s0"]
+        reps = [elements[0], s0, s0.compose(s0), s0.compose(s0).compose(s0)]
+    cosets = [coset(r) for r in reps]
+    assert len(set(cosets)) == len(cosets)
+    coset_index = {c: i for i, c in enumerate(cosets)}
+    action = tuple(tuple(coset_index[coset(g.compose(r))] for r in reps)
+                   for g in elements)
+    conj_index = next(i for i, g in enumerate(elements) if g == t.conjugation)
+    return action, action[conj_index]
+
+
 # ---------------------------------------------------------------- Dodson oracles
+
+
+def group_from_triple_by_tuples(t):
+    """``(condition, elements)`` of the triple (G0, V, s) by tuple
+    arithmetic: the name of the first violated triple condition, the six
+    subgroup conditions before transitivity and rho, or None and the
+    subgroup's elements in ``element_key`` order; the oracle for
+    ``dodson.group_from_triple``."""
+    from weakcm.dodson import (
+        ImN2Element, _is_transitive, element_key, perm_apply_bits, perm_mul,
+    )
+
+    def xor(a, b):
+        return tuple(x ^ y for x, y in zip(a, b))
+
+    N = t.N
+    ident = tuple(range(N))
+    g0, v, s = set(t.g0), set(t.v), dict(t.s)
+    zero = (0,) * N
+
+    def first_violation():
+        if ident not in g0 or any(perm_mul(a, b) not in g0 for a in g0 for b in g0):
+            return "g0-subgroup"
+        if zero not in v or any(xor(a, b) not in v for a in v for b in v):
+            return "v-subgroup"
+        if any(perm_apply_bits(p, w) not in v for p in g0 for w in v):
+            return "v-stability"
+        if set(s) != g0:
+            return "cocycle-domain"
+        if s[ident] not in v:
+            return "cocycle-normalized"
+        if any(xor(s[perm_mul(g, h)], xor(s[g], perm_apply_bits(g, s[h]))) not in v
+               for g in g0 for h in g0):
+            return "cocycle"
+        if not _is_transitive(t.g0, N):
+            return "transitivity"
+        if (1,) * N not in v:
+            return "contains-rho"
+        return None
+
+    condition = first_violation()
+    if condition is not None:
+        return condition, None
+    elements = [ImN2Element(xor(s[g], w), g) for g in g0 for w in v]
+    return None, tuple(sorted(elements, key=element_key))
+
+
 
 
 def im_inv(a):
