@@ -237,14 +237,15 @@ def _cmd_presets(args):
 
 def _character_map(doc_character, ts, ct, e):
     """Translate an element-keyed character into an identification list
-    aligned with the canonical group order of the built structure."""
+    aligned with the canonical group order of the built structure.  Each
+    element is keyed by its slot images, the form ``ts.group`` holds."""
     from . import dodson, serialize
 
     if doc_character is None:
         return None
     if not isinstance(doc_character, list):
         raise InputError("k3t2 'character' must be a list")
-    by_element = {}
+    by_images = {}
     for i, item in enumerate(doc_character):
         try:
             value, element = item["value"], item["element"]
@@ -255,23 +256,22 @@ def _character_map(doc_character, ts, ct, e):
                 f"k3t2 'character' entry {i} must be an object with an "
                 "'element' and an integer 'value'"
             )
-        by_element[serialize.parse_imn2_element(element, ct.N)] = value
+        if value not in (0, 1):
+            raise InputError(
+                f"k3t2 'character' entry {i} has value {value}; a character "
+                "onto Z2 takes the values 0 and 1"
+            )
+        g = serialize.parse_imn2_element(element, ct.N)
+        by_images[tuple(dodson.act_slot(g, s) for s in ts.slots)] = value
     ident2 = tuple(e.slots)
     flip_idx = next(i for i, g in enumerate(e.group) if g != ident2)
     ident_idx = e.group.index(ident2)
-    mapping = []
-    for images in ts.group:
-        src = None
-        for g in ct.group:
-            if tuple(dodson.act_slot(g, s) for s in ts.slots) == images:
-                src = g
-                break
-        if src is None or src not in by_element:
-            raise IncompatibleIdentifications(
-                "character must assign a value to every group element"
-            )
-        mapping.append(flip_idx if by_element[src] else ident_idx)
-    return mapping
+    try:
+        return [flip_idx if by_images[images] else ident_idx for images in ts.group]
+    except KeyError:
+        raise IncompatibleIdentifications(
+            "character must assign a value to every group element"
+        ) from None
 
 
 def _cmd_k3t2(args):

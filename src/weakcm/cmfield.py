@@ -194,13 +194,11 @@ def dodson_type(field: CMFieldData) -> dodson.AbstractCMType:
 
     gg = galois_group(field)
     n_pairs = field.degree // 2
-    items = list(range(field.degree))
-    rho_map = {i: gg.pairing[i] for i in items}
     # weight-1 style labels orient the pairs: the CM-type embeddings, the
     # first n_pairs of (phi', s? phi', ...), are unbarred
-    labels = {i: ((1, 0) if i < n_pairs else (0, 1)) for i in items}
-    actions = [{i: perm[i] for i in items} for perm in gg.action]
-    elements, _ = dodson.induced_pair_group(items, rho_map, actions, labels)
+    labels = [(1, 0)] * n_pairs + [(0, 1)] * n_pairs
+    elements, _ = dodson.induced_pair_group(range(field.degree), gg.pairing,
+                                            gg.action, labels)
     return dodson.AbstractCMType(elements, dodson.standard_phi(n_pairs),
                                  simple=True)
 

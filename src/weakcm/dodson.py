@@ -16,6 +16,11 @@ The brute-force lattice walk over Im(N,2) (``_enumerate_admissible_walk``
 with ``_Universe.closure``/``closure_extend``) stays as the test oracle.
 Classification of admissible subgroups is modulo conjugation by the
 stabilizer of a Hodge-type partition of the slots.
+
+The |Im(N,2)|^2 table ``universe(N)`` is built only for that
+classification (``HodgePartition.stabilizer``, ``classify_conjugacy``,
+``find_class``) and the walk oracle.  The triple checks, the enumeration,
+the reflex data and the group names work on the S_N tables (``_sn_tables``).
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ def act_slot(g: ImN2Element, slot: Slot) -> Slot:
 
 def element_key(g: ImN2Element):
     """Total order: bits as a binary integer, then one-line permutation."""
-    n = len(g.bits)
     bits_int = 0
     for b in g.bits:
         bits_int = (bits_int << 1) | b
@@ -229,9 +233,6 @@ class DodsonTriple(NamedTuple):
         n = len(self.v)
         return n.bit_length() - 1  # |V| = 2^v
 
-    def cocycle(self) -> dict:
-        return dict(self.s)
-
     def is_trivial_cocycle(self) -> bool:
         return all(bits in set(self.v) for _, bits in self.s)
 
@@ -243,15 +244,10 @@ class DodsonTriple(NamedTuple):
 def _is_transitive(perms, N) -> bool:
     reached = {0}
     frontier = [0]
-    while frontier:
-        new = []
-        for i in frontier:
-            for p in perms:
-                j = p[i]
-                if j not in reached:
-                    reached.add(j)
-                    new.append(j)
-        frontier = new
+    for i in frontier:
+        for j in {p[i] for p in perms} - reached:
+            reached.add(j)
+            frontier.append(j)
     return len(reached) == N
 
 
@@ -524,8 +520,8 @@ def _sn_subgroups(N: int):
 
 def _closure_by_generators(mul, gens):
     """Subgroup generated by ``gens`` in a multiplication table whose
-    identity is index 0 (the S_N tables, or ``universe(N)``), multiplied out
-    from the identity by the generators only."""
+    identity is index 0 (the S_N tables, or a subgroup's own table),
+    multiplied out from the identity by the generators only."""
     els = {0}
     order = [0]
     for x in order:
@@ -620,22 +616,11 @@ class HodgePartition(NamedTuple):
                 )
         return self
 
-    def hodge_numbers(self):
-        return {label: len(slots) for label, slots in self.blocks}
-
     def stabilizer(self):
         """Elements of Im(N,2) preserving every block (the group S~)."""
-        U = universe(self.N)
-        out = []
-        for g in U.elements:
-            ok = True
-            for _, slots in self.blocks:
-                if any(act_slot(g, s) not in slots for s in slots):
-                    ok = False
-                    break
-            if ok:
-                out.append(g)
-        return tuple(out)
+        return tuple(g for g in universe(self.N).elements
+                     if all(act_slot(g, s) in slots for _, slots in self.blocks
+                            for s in slots))
 
 
 def partition_abl(N: int) -> HodgePartition:
@@ -832,8 +817,9 @@ def induced_pair_group(items, rho_map, actions, labels):
 
     ``items``: hashable level objects; ``rho_map``: the conjugation pairing;
     ``actions``: one item->item map per group element; ``labels``: item ->
-    (p, q).  Orientation is pinned by the labels: the slot with p > q is
-    unbarred; ties broken by the item sort key.  Pairs are ordered by
+    (p, q).  Each map is indexed by the item, so a tuple serves when the
+    items are 0..k-1.  Orientation is pinned by the labels: the slot with
+    p > q is unbarred; ties broken by the item sort key.  Pairs are ordered by
     (descending p of the unbarred slot, its key), so the top-form pair, when
     present, comes first.
     """
@@ -882,57 +868,44 @@ def _sort_key(item):
 def reflex_from_dodson(ct: AbstractCMType, n: int) -> ReflexReport:
     """Level-n data of a weight-1 CM type: reflex degree, Hodge numbers,
     and the induced Dodson data of the group acting on the type orbit.
+
+    The elements sending Phi to one image form one coset of its stabiliser,
+    kept as the frozenset of their ``universe`` indices (bits_int * N! +
+    perm rank, from ``_sn_index``); rho and the group act on the cosets
+    through the images.  No Im(N,2) table is built.
     """
     if n != ct.N:
         raise InvalidCMType(
             f"n = {n} does not match the {ct.N} pairs carried by the type"
         )
-    U = universe(ct.N)
+    bit_idx, perm_idx = _sn_index(ct.N)
+    F = len(perm_idx)
     phi = frozenset(ct.phi)
-    idx = {g: U.index[g] for g in ct.group}
 
     def act_phi(g, subset):
         return frozenset(act_slot(g, s) for s in subset)
 
-    stab = [g for g in ct.group if act_phi(g, phi) == phi]
-    stab_idx = {idx[g] for g in stab}
-    cosets = {}
-    coset_of = {}
+    members = {}
     for g in ct.group:
-        members = frozenset(U.mul[idx[g]][h] for h in stab_idx)
-        if members not in cosets:
-            cosets[members] = act_phi(g, phi)
-        coset_of[idx[g]] = members
-    degree = len(cosets)
-    n_prime = degree // 2
-
+        index = bit_idx[g.bits] * F + perm_idx[g.perm]
+        members.setdefault(act_phi(g, phi), set()).add(index)
+    coset = {image: frozenset(idxs) for image, idxs in members.items()}
+    degree = len(coset)
+    labels = {c: (len(image & phi), n - len(image & phi)) for image, c in coset.items()}
     hodge = {}
-    labels = {}
-    for members, image in cosets.items():
-        p = len(image & phi)
-        hodge[(p, n - p)] = hodge.get((p, n - p), 0) + 1
-        labels[members] = (p, n - p)
+    for label in labels.values():
+        hodge[label] = hodge.get(label, 0) + 1
 
-    rho_map = {}
-    for members in cosets:
-        rep = next(iter(members))
-        rho_map[members] = coset_of[U.mul[U.rho_idx][rep]]
+    rho_map = {c: coset[act_phi(im_rho(ct.N), image)] for image, c in coset.items()}
+    actions = [{c: coset[act_phi(g, image)] for image, c in coset.items()}
+               for g in ct.group]
 
-    actions = []
-    for g in ct.group:
-        act = {}
-        for members in cosets:
-            rep = next(iter(members))
-            act[members] = coset_of[U.mul[idx[g]][rep]]
-        actions.append(act)
-
-    items = sorted(cosets, key=_sort_key)
-    induced, pair_labels = induced_pair_group(items, rho_map, actions, labels)
+    induced, pair_labels = induced_pair_group(coset.values(), rho_map, actions, labels)
     triple = triple_from_group(induced)
     report = ReflexReport(
         n=n,
         degree=degree,
-        n_prime=n_prime,
+        n_prime=degree // 2,
         hodge_numbers=dict(sorted(hodge.items(), key=lambda kv: (-kv[0][0],))),
         group=induced,
         triple=triple,
@@ -984,11 +957,27 @@ _MODEL_INVARIANTS = (
 )
 
 
+# the names of the invariants of small groups and of LEVEL_GROUP_MODELS
+_GROUP_NAMES = {
+    (1, ((1, 1),), 1): "1",
+    (2, ((1, 1), (2, 1)), 2): "Z2",
+    (4, ((1, 1), (2, 3)), 4): "Z2^2",
+    (4, ((1, 1), (2, 1), (4, 2)), 4): "Z4",
+    (6, ((1, 1), (2, 1), (3, 2), (6, 2)), 6): "Z6",
+    (6, ((1, 1), (2, 3), (3, 2)), 2): "S3",
+    (8, ((1, 1), (2, 5), (4, 2)), 4): "D4",
+    (8, ((1, 1), (2, 1), (4, 2), (8, 4)), 8): "Z8",
+    (12, ((1, 1), (2, 3), (3, 8)), 3): "A4",
+    (12, ((1, 1), (2, 7), (3, 2), (6, 2)), 4): "Z2xS3",
+    **dict(zip(_MODEL_INVARIANTS, LEVEL_GROUP_MODELS)),
+}
+
+
 def _group_invariants(mul, inv, G):
     """(order, element-order histogram, |G^ab|) of the subgroup G, given as
     indices into a multiplication table ``mul`` with inverses ``inv`` whose
-    identity is index 0 (``universe(N)``, or the S_N tables): invariants of
-    the isomorphism type."""
+    identity is index 0 (a subgroup's own table, or the S_N tables):
+    invariants of the isomorphism type."""
     hist = {}
     for a in G:
         k, x = 1, a
@@ -1001,29 +990,27 @@ def _group_invariants(mul, inv, G):
     return len(G), tuple(sorted(hist.items())), len(G) // len(derived)
 
 
+def _subgroup_table(elements):
+    """``(mul, inv)``: the Cayley table of an Im(N,2) subgroup on its
+    elements in ``element_key`` order, so the identity is index 0,
+    tabulated from the S_N tables: |G|^2 products, no ``universe(N)``."""
+    bit_idx, perm_idx = _sn_index(elements[0].N)
+    _, _, pmul, act, pinv = _sn_tables(elements[0].N)
+    F = len(pinv)
+    G = sorted((bit_idx[g.bits], perm_idx[g.perm]) for g in elements)
+    local = {b * F + p: i for i, (b, p) in enumerate(G)}
+    mul = [[local[(ba ^ act[pa][bb]) * F + pmul[pa][pb]] for bb, pb in G]
+           for ba, pa in G]
+    return mul, [local[act[pinv[pa]][ba] * F + pinv[pa]] for ba, pa in G]
+
+
 def identify_group(elements) -> str:
     """Name the abstract isomorphism type of an Im(N,2) subgroup by the
-    invariants of ``_group_invariants``, read off the ``universe(N)``
-    tables; names beyond the known models fall back to 'order-k'."""
-    U = universe(elements[0].N)
-    inv = _group_invariants(U.mul, U.inv, [U.index[g] for g in elements])
-    small = {
-        (1, ((1, 1),), 1): "1",
-        (2, ((1, 1), (2, 1)), 2): "Z2",
-        (4, ((1, 1), (2, 3)), 4): "Z2^2",
-        (4, ((1, 1), (2, 1), (4, 2)), 4): "Z4",
-        (6, ((1, 1), (2, 1), (3, 2), (6, 2)), 6): "Z6",
-        (6, ((1, 1), (2, 3), (3, 2)), 2): "S3",
-        (8, ((1, 1), (2, 7)), 8): "Z2^3",
-        (8, ((1, 1), (2, 5), (4, 2)), 4): "D4",
-        (8, ((1, 1), (2, 3), (4, 4)), 8): "Z2xZ4",
-        (8, ((1, 1), (2, 1), (4, 2), (8, 4)), 8): "Z8",
-        (12, ((1, 1), (2, 3), (3, 8)), 3): "A4",
-        (12, ((1, 1), (2, 7), (3, 2), (6, 2)), 4): "Z2xS3",
-    }
-    if inv in small:
-        return small[inv]
-    for name, model_inv in zip(LEVEL_GROUP_MODELS, _MODEL_INVARIANTS):
-        if model_inv == inv:
-            return name
-    return f"order-{inv[0]}"
+    invariants of ``_group_invariants`` on its own table (``_subgroup_table``,
+    faster than ``universe(N)`` for the small level groups, slower for all
+    of Im(4,2)); other names fall back to 'order-k'.  N is capped by
+    ``UNIVERSE_BOUND`` before any table is built."""
+    _check_universe_bound(elements[0].N)
+    mul, inv = _subgroup_table(elements)
+    invariants = _group_invariants(mul, inv, range(len(mul)))
+    return _GROUP_NAMES.get(invariants, f"order-{invariants[0]}")

@@ -271,9 +271,9 @@ def level_subspace(h: CMHodgeStructure) -> CMHodgeStructure:
                             top_spreads=spreads)
 
 
-def level_dodson_data(h: CMHodgeStructure):
-    """Induced Im(N',2) subgroup of a level-type structure, with its triple."""
-    level = level_subspace(h)
+def level_dodson_data(level: CMHodgeStructure):
+    """Induced Im(N',2) subgroup of a level subspace (the output of
+    ``level_subspace``), with its triple and pair labels."""
     actions = [{s: level.apply(g, s) for s in level.slots} for g in level.group]
     elements, pair_labels = dodson.induced_pair_group(
         level.slots, level.rho, actions, level.labels
@@ -359,28 +359,22 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
             f"situation (expected {expected})"
         )
 
-    # tau_E orbit: images of the elliptic slots inside the joint group
-    e_top = e.top_slot()
-    orbit_e = set()
-    for images, (g, h) in product.factor_info["components"].items():
-        orbit_e.add(e.apply(h, e_top))
-    tau_orbit_size = len(orbit_e)
-
-    # classify elements against the two pure-(2,1) mechanisms, and record
-    # the Hodge type of the top-form image per stabilizer coset
-    top = tops[0]
+    # the tau_E orbit (the images of the elliptic top slot in the joint
+    # group), the elements of the two pure-(2,1) mechanisms, and the Hodge
+    # type of the top-form image per stabilizer coset
+    top, e_top = tops[0], e.top_slot()
+    product_top = product.index[product.top_slot()]
+    orbit_e, coset_images = set(), set()
     star1 = star2 = 0
-    product_top = product.top_slot()
-    coset_images = set()
     for images, (g, h) in product.factor_info["components"].items():
-        s_image = ts.apply(g, top)
-        e_image = e.apply(h, e_top)
+        s_image, e_image = ts.apply(g, top), e.apply(h, e_top)
+        orbit_e.add(e_image)
+        coset_images.add(images[product_top])
         if s_image == top and e_image == e.rho[e_top]:
             star1 += 1
         elif ts.labels[s_image] == (1, 1) and e_image == e_top:
             star2 += 1
-        idx = product.index[product_top]
-        coset_images.add(images[idx])
+    tau_orbit_size = len(orbit_e)
     coset_types = {}
     for slot in coset_images:
         lab = tuple(product.labels[slot])
@@ -393,7 +387,7 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
         and level.is_cm()
     )
 
-    elements, triple, _ = level_dodson_data(product)
+    elements, triple, _ = level_dodson_data(level)
     alias = dodson.quartic_case_alias(triple)
     return ProductReport(
         level_dim=level_dim,

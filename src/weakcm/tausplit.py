@@ -564,30 +564,47 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
 
 
 def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult:
-    """Recompute C Pi (1|tau) S exactly and compare it entrywise with the
-    standard form.
+    """Recompute C Pi (1|tau) S exactly and compare it entrywise with
+    ``standard_form(field, n, p)``, the canonical target, which the
+    recorded standard form must also equal.
 
-    An independent recomputation from the certificate's data: C from the
-    recorded c1/c2 or M, the renaming Pi and S.  P must be the identity
-    block matrix, which ``split`` always records, and is compared with it
-    rather than inverted.  ``split`` runs this once on every certificate it
-    returns.
+    An independent recomputation from the certificate's data, for the
+    period matrix's case and n: p is read from the block sizes, checked
+    against the case (degree 2 ``(n,)``, case A ``(n - p, p)`` with
+    0 < p < n, cases B/C ``(n/2,)``); C is rebuilt from the recorded c1/c2
+    or M.  P must be the identity block matrix, which ``split`` always
+    records.  ``split`` runs this once on every certificate it returns.
     """
-    t = pm.field.tower
+    field, n = pm.field, pm.n
+    t = field.tower
+    if (cert.case, cert.n) != (field.case, n):
+        return VerifyResult(False, f"certificate is for case {cert.case} with n = "
+                                   f"{cert.n}, not {field.case} with n = {n}")
+    sizes = tuple(cert.block_sizes)
+    if field.case == DEG2:
+        p_split, fits = None, sizes == (n,)
+    elif field.case == CASE_A:
+        p_split = sizes[1] if len(sizes) == 2 else None
+        fits = type(p_split) is int and 0 < p_split < n and sizes[0] == n - p_split
+    else:
+        p_split = n // 2
+        fits = n % 2 == 0 and sizes == (p_split,)
+    if not fits:
+        return VerifyResult(False, f"block sizes {list(sizes)} do not fit case "
+                                   f"{field.case} with n = {n}")
     if not linalg.mat_det(cert.S, Fraction(1)):
         return VerifyResult(False, "S is singular over Q")
-    if cert.P != linalg.identity_matrix(sum(cert.block_sizes), t.one()):
+    if cert.P != linalg.identity_matrix(sum(sizes), t.one()):
         return VerifyResult(False, "P is not the identity block matrix")
     try:
-        C = coordinate_change(t, cert.case, cert.n, cert.block_sizes,
-                              cert.c1, cert.c2, cert.M)
+        C = coordinate_change(t, cert.case, n, sizes, cert.c1, cert.c2, cert.M)
     except Exception as exc:  # malformed certificate payloads
         return VerifyResult(False, f"cannot rebuild coordinate change: {exc}")
-    if sorted(cert.renaming) != list(range(pm.n)):
+    if sorted(cert.renaming) != list(range(n)):
         return VerifyResult(False, "renaming is not a permutation")
     lhs = linalg.mat_mul(_coframe(t, pm.tau(), C, cert.renaming), cert.S)
-
-    for i, (lr, sr) in enumerate(zip(lhs, cert.standard_form)):
+    std = standard_form(field, n, p_split)
+    for i, (lr, sr) in enumerate(zip(lhs, std)):
         for j, (a, b) in enumerate(zip(lr, sr)):
             if a != b:
                 return VerifyResult(
@@ -595,4 +612,6 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
                     f"standard form mismatch at row {i}, column {j}: "
                     f"{a} != {b}",
                 )
+    if cert.standard_form != std:
+        return VerifyResult(False, "recorded standard form is not the canonical one")
     return VerifyResult(True, None)

@@ -757,6 +757,19 @@ def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
      "bad rational parameter: zero denominator in '-1/0' (parameter 'q')"),
     ("classify-field", {"p1": "-1", "p2": "x"},
      "bad rational parameter: Invalid literal for Fraction: 'x' (parameter 'p2')"),
+    # a character onto Z2 takes the values 0 and 1; 7 used to run as 1
+    ("k3t2", {"transcendental": _U1, "situation": "contained",
+              "character": [{"element": _element((0,), (0,)), "value": 0},
+                            {"element": _element((1,), (0,)), "value": 7}]},
+     "'character' entry 1 has value 7"),
+    ("k3t2", {"transcendental": _U1, "situation": "contained",
+              "character": [{"element": _element((0,), (0,)), "value": -1},
+                            {"element": _element((1,), (0,)), "value": 1}]},
+     "'character' entry 0 has value -1"),
+    ("k3t2", {"transcendental": _U1, "situation": "contained",
+              "character": [{"element": _element((0,), (0,)), "value": 0},
+                            {"element": _element((1,), (0,)), "value": 2}]},
+     "'character' entry 1 has value 2"),
 ])
 def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     path = tmp_path / "doc.json"

@@ -1,6 +1,8 @@
 """Im(N,2) machinery: triples, enumeration, classification, reflex data."""
 
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -11,11 +13,13 @@ from util import (
     classify_by_bfs,
     conjugacy_orbit_bfs,
     group_from_triple_by_tuples,
+    identify_group_by_universe,
     im_inv,
     is_subgroup,
     model_group,
+    reflex_by_cosets,
 )
-from weakcm import dodson
+from weakcm import dodson, serialize
 from weakcm.dodson import (
     AbstractCMType,
     DodsonTriple,
@@ -117,6 +121,8 @@ def test_cayley_from_imn2_matches_element_product():
         assert local[U.identity_idx] == slow.identity
         assert [local[U.inv[a]] for a in ids] == slow.inv == [slow.index[im_inv(g)] for g in G]
         assert dodson._group_invariants(U.mul, U.inv, ids) == slow.invariants()
+        # the subgroup's own table, tabulated without the universe
+        assert dodson._subgroup_table(G) == (slow.mul, slow.inv)
 
 
 def test_group_invariants_match_cayley_tables():
@@ -629,6 +635,49 @@ def test_reflex_composite_case_a_level2():
     assert report.degree == 4
     assert report.hodge_numbers == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
     assert report.class_tag == "A"
+
+
+def test_reflex_and_group_names_match_universe_oracles():
+    # every admissible subgroup at N = 1..4, with the standard Phi and with
+    # the last pair barred: the type orbit against the coset search on the
+    # universe(N) tables, the subgroup's own table against universe(N')
+    types = 0
+    for N in (1, 2, 3, 4):
+        for G in enumerate_admissible(N):
+            for phi in (standard_phi(N), standard_phi(N - 1) + ((N - 1, 1),)):
+                ct = AbstractCMType(G, phi)
+                types += 1
+                try:
+                    want = reflex_by_cosets(ct, N)
+                except BoundExceeded as exc:
+                    with pytest.raises(BoundExceeded) as got_exc:
+                        reflex_from_dodson(ct, N)
+                    assert str(got_exc.value) == str(exc)
+                    continue
+                got = reflex_from_dodson(ct, N)
+                assert got == want
+                assert list(got.hodge_numbers.items()) == list(want.hodge_numbers.items())
+                assert list(got.pair_labels.items()) == list(want.pair_labels.items())
+                U = universe(got.n_prime)
+                mul, inv = dodson._subgroup_table(got.group)
+                assert dodson._group_invariants(mul, inv, range(len(mul))) == \
+                    dodson._group_invariants(U.mul, U.inv, [U.index[g] for g in got.group])
+    assert types == 432
+    for G in enumerate_admissible(3):
+        assert dodson.identify_group(G) == identify_group_by_universe(G)
+
+
+def test_level_data_build_no_universe_tables():
+    # the N = 5 reflex of degree 10 and its group name on the S_N tables:
+    # no Im(5,2) or Im(N',2) table is built
+    path = os.path.join(os.path.dirname(__file__), "data", "cm_type_n5.json")
+    with open(path, encoding="utf-8") as fh:
+        ct = serialize.parse_cm_type(json.load(fh))
+    dodson.universe.cache_clear()
+    report = reflex_from_dodson(ct, 5)
+    assert (report.degree, report.group_name) == (10, "order-240")
+    assert dodson.identify_group(ct.group) == "order-240"
+    assert dodson.universe.cache_info().currsize == 0
 
 
 def test_reflex_requires_matching_n():

@@ -490,7 +490,8 @@ def test_coframe_matches_product_oracle():
 def _single_mutations(cert, t):
     """(name, certificate) for each single mutation of a valid certificate:
     +1 on one entry of S, c1, c2 or M, one transposition of the renaming,
-    P = 2 I, and P a non-identity permutation matrix."""
+    P = 2 I, P a non-identity permutation matrix, block sizes that do not
+    fit the case or record another split, and another case or n."""
     for attr in ("S", "c1", "c2", "M"):
         M = getattr(cert, attr)
         for i, row in enumerate(M or ()):
@@ -510,6 +511,13 @@ def _single_mutations(cert, t):
         if perm != tuple(range(size)):
             P = [[one if j == perm[i] else zero for j in range(size)] for i in range(size)]
             yield f"P = permutation {perm}", cert._replace(P=P)
+    n = cert.n
+    sizes = {(n + 1,), (n, 0), (0, n), (n - 1, 1, 0), (), (n // 2,), (n,),
+             (1, n - 1), (n - 1, True)} - {tuple(cert.block_sizes)}
+    for bad in sorted(sizes, key=repr):
+        yield f"block_sizes {bad}", cert._replace(block_sizes=bad)
+    yield "case", cert._replace(case="B" if cert.case != "B" else "C")
+    yield "n + 1", cert._replace(n=n + 1)
 
 
 @pytest.mark.parametrize("field_of, n", [(f_deg2, 3), (f_A, 3), (f_B, 4), (f_C, 4)])
@@ -527,5 +535,28 @@ def test_verify_rejects_every_single_mutation(field_of, n):
     # every kind of mutation was tried
     kinds = {name.split("[")[0].split(" ")[0] for name in names}
     recorded = {"deg2": set(), "A": {"c1", "c2"}, "B": {"M"}, "C": {"M"}}[field.case]
-    assert kinds == {"S", "renaming", "P"} | recorded
+    assert kinds == {"S", "renaming", "P", "block_sizes", "case", "n"} | recorded
     assert any("permutation" in name for name in names)
+
+
+@pytest.mark.parametrize("field_of, n", _SPLIT_CLASSES)
+def test_verify_rejects_forged_standard_form(field_of, n):
+    # any invertible S' with the recorded standard form set to coframe . S'
+    # is consistent with itself, but not with the field's canonical form
+    field = field_of()
+    t = field.tower
+    pm = random_period_matrix(field, n, random.Random(500 + 10 * n + len(field.case)))
+    cert, verified = tausplit.split(pm)
+    assert verified.ok
+    forged_s = [list(row) for row in cert.S]
+    for row in forged_s:  # add column 0 to column 1: still invertible
+        row[1] += row[0]
+    assert linalg.mat_det(forged_s, Fraction(1))
+    C = tausplit.coordinate_change(t, cert.case, n, cert.block_sizes,
+                                   cert.c1, cert.c2, cert.M)
+    coframe = tausplit._coframe(t, pm.tau(), C, cert.renaming)
+    forged = cert._replace(S=forged_s, standard_form=linalg.mat_mul(coframe, forged_s))
+    res = tausplit.verify_certificate(pm, forged)
+    assert not res.ok and "standard form mismatch" in res.diagnostic
+    res = tausplit.verify_certificate(pm, cert._replace(standard_form=forged.standard_form))
+    assert not res.ok and "not the canonical one" in res.diagnostic

@@ -465,6 +465,72 @@ def burnside_class_count(N, partition, bound=4):
     return fixed // len(stab)
 
 
+def reflex_by_cosets(ct, n):
+    """The level-n data of a weight-1 CM type by a coset search on the
+    ``universe(N)`` tables: the stabiliser of Phi, every left coset
+    multiplied out through ``U.mul``, rho and the action on cosets by
+    multiplying a representative; the group named by
+    ``identify_group_by_universe``.  The oracle for
+    ``dodson.reflex_from_dodson``."""
+    from weakcm import dodson
+
+    if n != ct.N:
+        raise dodson.InvalidCMType(
+            f"n = {n} does not match the {ct.N} pairs carried by the type"
+        )
+    U = dodson.universe(ct.N)
+    phi = frozenset(ct.phi)
+    idx = {g: U.index[g] for g in ct.group}
+
+    def act_phi(g, subset):
+        return frozenset(dodson.act_slot(g, s) for s in subset)
+
+    stab_idx = {idx[g] for g in ct.group if act_phi(g, phi) == phi}
+    cosets = {}
+    coset_of = {}
+    for g in ct.group:
+        members = frozenset(U.mul[idx[g]][h] for h in stab_idx)
+        if members not in cosets:
+            cosets[members] = act_phi(g, phi)
+        coset_of[idx[g]] = members
+    hodge = {}
+    labels = {}
+    for members, image in cosets.items():
+        p = len(image & phi)
+        hodge[(p, n - p)] = hodge.get((p, n - p), 0) + 1
+        labels[members] = (p, n - p)
+    rho_map = {members: coset_of[U.mul[U.rho_idx][next(iter(members))]]
+               for members in cosets}
+    actions = [{members: coset_of[U.mul[idx[g]][next(iter(members))]]
+                for members in cosets} for g in ct.group]
+    items = sorted(cosets, key=dodson._sort_key)
+    induced, pair_labels = dodson.induced_pair_group(items, rho_map, actions, labels)
+    triple = dodson.triple_from_group(induced)
+    report = dodson.ReflexReport(
+        n=n,
+        degree=len(cosets),
+        n_prime=len(cosets) // 2,
+        hodge_numbers=dict(sorted(hodge.items(), key=lambda kv: (-kv[0][0],))),
+        group=induced,
+        triple=triple,
+        tag=triple.tag(),
+        bound_ok=len(cosets) <= 2 ** n,
+        pair_labels=pair_labels,
+        group_name=identify_group_by_universe(induced),
+    )
+    return report._replace(class_tag=dodson._class_tag(report))
+
+
+def identify_group_by_universe(elements):
+    """The name ``dodson.identify_group`` gives, with the invariants read
+    off the ``universe(N)`` tables restricted to the subgroup; its oracle."""
+    from weakcm import dodson
+
+    U = dodson.universe(elements[0].N)
+    invariants = dodson._group_invariants(U.mul, U.inv, [U.index[g] for g in elements])
+    return dodson._GROUP_NAMES.get(invariants, f"order-{invariants[0]}")
+
+
 class CayleyTable:
     """Finite group as an index table, built from an element product; the
     oracle for ``dodson._group_invariants``."""
