@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import linalg, tower as tw
+from . import tower as tw
 from .errors import MathError, SquareClassMismatch, WrongCase
 
 DEG2, CASE_A, CASE_B, CASE_C = "deg2", "A", "B", "C"
@@ -220,6 +220,8 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
     """The reflex field of (K', {phi', s0 phi'}) inside the closure."""
     if field.case not in (CASE_B, CASE_C):
         raise WrongCase(f"reflex basis is defined for cases B/C, not {field.case}")
+    from . import linalg
+
     t = field.tower
     d = t.params["d"]
     dprime = dprime_of(field)
@@ -240,7 +242,7 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
         raise MathError("reflex basis is linearly dependent")
 
     # the span is closed under multiplication
-    span = tw.generated_subalgebra(t, basis)
+    span = linalg.generated_subalgebra(t, basis)
     if len(span) != 4:
         raise MathError("reflex span is not closed under multiplication")
 
@@ -270,7 +272,7 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
     witness = {}
     for label, g in (("xi+ + xi-", basis[2]), ("sqrt(d)*(xi+ - xi-)", basis[3])):
         sq = g * g
-        coords = tw.subspace_coordinates([one, sdp], sq)
+        coords = linalg.subspace_coordinates([one, sdp], sq)
         if coords is None:
             raise MathError("squared reflex generator left Q(sqrt(dp))")
         u, v = coords

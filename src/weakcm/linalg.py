@@ -2,10 +2,10 @@
 
 Entries are ``fractions.Fraction`` (or ``int``) or tower elements; no
 floating point anywhere.  ``mat_mul`` computes each entry as one fused dot
-product: integer rows over a common denominator, the tower's own
-``TowerSpec.mat_mul``, or, for a tower matrix times a rational one,
-``TowerSpec.mat_mul_rational`` (integer combinations of numerator vectors,
-no structure table).
+product: integer rows over a common denominator, or, over a tower, sums
+of numerator vectors through the tower's integer structure table
+(``_tower_mat_mul``); a tower matrix times a rational one needs no table
+(``_tower_mat_mul_rational``).
 
 Every rank, determinant, solve, inverse and echelon form comes from one
 fraction-free forward pass (``_forward``) and one back substitution.
@@ -17,14 +17,17 @@ inverse is itself a linear solve, and dividing by one measured slower than
 the coefficient growth it saves.  It still multiplies every row below a
 pivot by that pivot, so a determinant costs one inverse at the end; the
 nonzero terms of the pivot and its row are worked out once per pivot
-(``TowerSpec.pivot_update``).
+(``_pivot_update``).  Generated subalgebras and coordinates in the Q-span
+of tower elements (``CoordinateMap``) live here too; ``tower`` imports this
+module only to invert an element.
 """
 
 import math
 import operator
 from fractions import Fraction
 
-from .errors import SingularMatrix
+from .errors import SingularMatrix, TowerMismatch
+from .tower import FieldElement, _normalised
 
 
 def _is_rational(x) -> bool:
@@ -51,9 +54,9 @@ def mat_mul(A, B):
     """A B; each entry is one fused dot product.
 
     Over Q, integer rows over a common denominator; a tower matrix times an
-    all-rational one goes to ``TowerSpec.mat_mul_rational``, which needs no
+    all-rational one goes to ``_tower_mat_mul_rational``, which needs no
     structure table; any other product with tower entries goes to
-    ``TowerSpec.mat_mul``.
+    ``_tower_mat_mul``.
     """
     if not A or not B:
         return []
@@ -62,10 +65,10 @@ def mat_mul(A, B):
     a, b = A[0][0], B[0][0]
     if not _is_rational(a):
         if _is_rational(b) and all(_is_rational(x) for row in B for x in row):
-            return a.tower.mat_mul_rational(A, [_integer_row(col) for col in zip(*B)])
-        return a.tower.mat_mul(A, B)
+            return _tower_mat_mul_rational(a.tower, A, [_integer_row(col) for col in zip(*B)])
+        return _tower_mat_mul(a.tower, A, B)
     if not _is_rational(b):
-        return b.tower.mat_mul(A, B)
+        return _tower_mat_mul(b.tower, A, B)
     cols = [_integer_row(col) for col in zip(*B)]
     out = []
     for row in A:
@@ -97,8 +100,8 @@ def _forward(M, tower):
     is divided by the previous pivot: Bareiss' identity makes the division
     exact, and after stage c every entry is a (c+1)-minor of M.  Over a
     tower nothing is divided, so stage c multiplies all remaining rows by
-    one common factor (see ``mat_det``); each update is one fused
-    ``TowerSpec.mat_mul``.
+    one common factor (see ``mat_det``), and the updated rows come from
+    ``_pivot_update``.
     """
     m = len(M)
     w = len(M[0]) if m else 0
@@ -118,7 +121,7 @@ def _forward(M, tower):
         piv = top[col]
         zero = piv - piv
         tail = top[col + 1:]
-        update = None if tower is None or r + 1 == m else tower.pivot_update(piv, tail)
+        update = None if tower is None or r + 1 == m else _pivot_update(tower, piv, tail)
         for row in M[r + 1:]:
             f = row[col]
             row[col] = zero
@@ -266,3 +269,202 @@ def solve_left(A, B):
     if X_t is None:
         return None
     return transpose(X_t)
+
+
+# --------------------------------------------------------------------------
+# the tower matrix layer, on the integer numerators of tower elements
+
+
+def _terms(t, x):
+    """(den, nonzero (index, numerator) pairs) of x in the tower t, or None
+    at zero; rationals are coerced."""
+    if not isinstance(x, FieldElement):
+        x = t.rational(x)
+    elif x.tower is not t and x.tower.key != t.key:
+        raise TowerMismatch("elements live in different towers")
+    nz = [(i, a) for i, a in enumerate(x.num) if a]
+    return (x.den, nz) if nz else None
+
+
+def _tower_mat_mul(t, A, B):
+    """A B for matrices of elements of the tower t (rationals are coerced).
+
+    Each entry is one fused dot product: the numerator vectors of the
+    nonzero products are summed through the tower's integer structure table
+    (``TowerSpec._fused``) over the lcm of their denominators, and the sum
+    is reduced once.  Zero factors are skipped, so identity and permutation
+    factors cost one table lookup per nonzero entry.
+    """
+    scale = t._int_den
+    cols = [[_terms(t, x) for x in col] for col in zip(*B)]
+    out = []
+    for row in A:
+        left = [(k, term) for k, term in enumerate([_terms(t, x) for x in row]) if term]
+        new = []
+        for col in cols:
+            prods = [(da * col[k][0], ta, col[k][1])
+                     for k, (da, ta) in left if col[k] is not None]
+            den = math.lcm(*(d for d, _, _ in prods))
+            acc = t._fused((ta, tb, den // d) for d, ta, tb in prods)
+            new.append(_normalised(t, acc, den * scale))
+        out.append(new)
+    return out
+
+
+def _tower_mat_mul_rational(t, A, cols):
+    """A B for a matrix A of elements of the tower t and a rational matrix
+    B, given by its columns as ``(den, integer numerators)`` pairs.
+
+    Each entry is an integer combination of the numerator vectors of a
+    row of A, which are brought to one denominator per row, with the
+    integer column of B: ``dim`` fused dot products and one reduction,
+    no structure-table lookups.
+    """
+    out = []
+    for row in A:
+        row = [x if isinstance(x, FieldElement) else t.rational(x) for x in row]
+        if any(x.tower is not t and x.tower.key != t.key for x in row):
+            raise TowerMismatch("elements live in different towers")
+        den = math.lcm(*(x.den for x in row))
+        # coordinate m of every entry of the row, over den
+        coords = list(zip(*([a * (den // x.den) for a in x.num] for x in row)))
+        out.append([
+            _normalised(t, [sum(map(operator.mul, c, cb)) for c in coords], den * db)
+            for db, cb in cols
+        ])
+    return out
+
+
+def _pivot_update(t, piv, top):
+    """The row update below a pivot of a fraction-free elimination over the
+    tower t.
+
+    Returns a function of (f, row) that gives ``[piv * y - f * z for y,
+    z in zip(row, top)]``, each entry one fused sum reduced once.  The
+    nonzero terms of ``piv`` (nonzero) and of ``top`` are worked out here,
+    once per pivot, not once per row below it.
+    """
+    scale = t._int_den
+    dp, tp = _terms(t, piv)
+    tops = [_terms(t, z) for z in top]
+
+    def update(f, row):
+        ft = _terms(t, f)
+        if ft is not None:
+            df, nf = ft[0], [(i, -a) for i, a in ft[1]]
+        out = []
+        for y, zt in zip(row, tops):
+            yt = _terms(t, y)
+            if zt is None or ft is None:
+                if yt is None:
+                    out.append(t.zero())
+                    continue
+                den = dp * yt[0]
+                parts = ((tp, yt[1], 1),)
+            elif yt is None:
+                den = df * zt[0]
+                parts = ((nf, zt[1], 1),)
+            else:
+                d1, d2 = dp * yt[0], df * zt[0]
+                den = d1 if d1 == d2 else math.lcm(d1, d2)
+                parts = ((tp, yt[1], den // d1), (nf, zt[1], den // d2))
+            out.append(_normalised(t, t._fused(parts), den * scale))
+        return out
+
+    return update
+
+
+def generated_subalgebra(tower, elements) -> list:
+    """Reduced echelon basis of the unital Q-subalgebra generated by the
+    elements, from ``reduced_echelon``.
+
+    The span is closed under multiplication step by step; in a field this
+    is the subfield generated by the elements.  The reduced echelon basis
+    of a span is unique, so the result does not depend on the elimination.
+    """
+    basis = reduced_echelon([tower.one().coeffs] + [x.coeffs for x in elements])
+    while True:
+        span = [tower.element(a) for a in basis]
+        grown = reduced_echelon(basis + [(a * b).coeffs for a in span for b in span])
+        if len(grown) == len(basis):
+            return grown
+        basis = grown
+
+
+class CoordinateMap:
+    """Coordinates in the Q-span of independent tower elements, in integers.
+
+    With the elements b_1..b_k brought to one denominator E, let N be the
+    dim x k integer matrix of their numerators (b_j = N[:, j] / E), R its
+    pivot rows (the first k rows of rank k, from ``pivot_columns``) and N_R
+    that invertible block.  ``bareiss`` gives D = det N_R and the integer
+    matrix D * N_R^-1; ``inverse`` is that matrix times E, over ``den`` =
+    |D|.  For x = X / x.den, the numerators a = inverse . X_R give the
+    coordinates a / (den * x.den), and x lies in the span exactly when
+    N[m] . a == E * den * X[m] on every row m outside R (on R it holds by
+    construction).  Raises SingularMatrix when the elements are dependent.
+    """
+
+    __slots__ = ("rows", "inverse", "den", "checks", "scale")
+
+    def __init__(self, basis_elements):
+        k = len(basis_elements)
+        E = math.lcm(*(b.den for b in basis_elements))
+        N = list(zip(*([a * (E // b.den) for a in b.num] for b in basis_elements)))
+        rows = pivot_columns(transpose(N))
+        if len(rows) < k:
+            raise SingularMatrix("columns are linearly dependent")
+        det, X = bareiss(
+            [list(N[r]) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
+        )
+        sign = 1 if det > 0 else -1
+        self.rows = tuple(rows)
+        self.inverse = tuple(tuple(sign * E * v for v in row) for row in X)
+        self.den = abs(det)
+        self.checks = tuple((m, N[m]) for m in range(len(N)) if m not in rows)
+        self.scale = E * self.den
+
+    def numerators(self, x):
+        """The integers a with x = sum_j a_j / (den * x.den) * b_j, or None
+        when x is not in the span."""
+        num = x.num
+        xr = [num[r] for r in self.rows]
+        a = [sum(map(operator.mul, row, xr)) for row in self.inverse]
+        scale = self.scale
+        for m, row in self.checks:
+            if sum(map(operator.mul, row, a)) != scale * num[m]:
+                return None
+        return a
+
+    def coordinates(self, x):
+        """The coordinates of x as ``Fraction``s, or None when x is not in
+        the span."""
+        a = self.numerators(x)
+        if a is None:
+            return None
+        den = self.den * x.den
+        return [Fraction(v, den) for v in a]
+
+
+def coordinate_map(basis_elements) -> CoordinateMap:
+    """The ``CoordinateMap`` of the given independent elements of one
+    tower, built on first use and kept on the tower
+    (``TowerSpec._coordinate_maps``), keyed by their numerators."""
+    maps = basis_elements[0].tower._coordinate_maps
+    key = tuple((b.num, b.den) for b in basis_elements)
+    found = maps.get(key)
+    if found is None:
+        found = maps[key] = CoordinateMap(basis_elements)
+    return found
+
+
+def subspace_coordinates(basis_elements, x):
+    """Coordinates of x in the Q-span of the given independent elements, as
+    ``Fraction``s, or None when x is outside it (or no element is given).
+
+    They are read from the tower's ``CoordinateMap`` of the elements, built
+    once per basis; a dependent basis raises SingularMatrix.
+    """
+    if not basis_elements:
+        return None
+    return coordinate_map(basis_elements).coordinates(x)

@@ -13,8 +13,38 @@ loads the field towers).
 from __future__ import annotations
 
 import json
+import sys
 
-from .errors import InputError, NotAnInteger
+from .errors import InputError, NotAnInteger, RationalTooLarge
+
+
+def load_document(path):
+    """The JSON document in the file ``path``, or on stdin when ``path`` is
+    None or "-"; a named input error when it cannot be read or parsed."""
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read input file: {exc}") from exc
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"input is not valid JSON: {exc}") from exc
+
+
+def _json_int(literal: str) -> int:
+    """A JSON integer literal, refused by name when it has more digits than
+    Python converts by default (``cli.main`` lifts that limit for output)."""
+    digits = len(literal.lstrip("-"))
+    if digits > RationalTooLarge.DIGITS:
+        raise RationalTooLarge(
+            f"a JSON integer has {digits} digits; at most "
+            f"{RationalTooLarge.DIGITS} are allowed"
+        )
+    return int(literal)
 
 
 def rational_matrix_out(M):

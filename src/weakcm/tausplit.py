@@ -127,13 +127,13 @@ def _generated_field(pm: PeriodMatrix, tau):
     entries span K exactly when the entries' coordinates on the monomials
     other than 1 (read off B) have rank [K:Q] - 1; then the basis is not
     computed (None).  Only otherwise is the span closed up by
-    ``tower.generated_subalgebra``.
+    ``linalg.generated_subalgebra``.
     """
     want = pm.field.degree
     coords = [[M[i][j] for M in pm.B[1:]] for i in range(pm.n) for j in range(pm.n)]
     if linalg.row_rank(coords) == want - 1:
         return want, None
-    alg = tw.generated_subalgebra(pm.field.tower, [x for row in tau for x in row])
+    alg = linalg.generated_subalgebra(pm.field.tower, [x for row in tau for x in row])
     return len(alg), alg
 
 
@@ -269,7 +269,7 @@ def _realify_rows(rows, basis_elements):
     relation between the columns.  Raises when some entry falls outside
     the claimed field.
     """
-    cmap = basis_elements[0].tower.coordinate_map(basis_elements)
+    cmap = linalg.coordinate_map(basis_elements)
     out = []
     for row in rows:
         nums = []
@@ -440,7 +440,7 @@ def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
 
 
 def _certify_membership(M, basis_elements, what):
-    cmap = basis_elements[0].tower.coordinate_map(basis_elements)
+    cmap = linalg.coordinate_map(basis_elements)
     for row in M:
         for x in row:
             if cmap.numerators(x) is None:
@@ -571,9 +571,11 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
     An independent recomputation from the certificate's data, for the
     period matrix's case and n: p is read from the block sizes, checked
     against the case (degree 2 ``(n,)``, case A ``(n - p, p)`` with
-    0 < p < n, cases B/C ``(n/2,)``); C is rebuilt from the recorded c1/c2
-    or M.  P must be the identity block matrix, which ``split`` always
-    records.  ``split`` runs this once on every certificate it returns.
+    0 < p < n, cases B/C ``(n/2,)``); S must be 2n x 2n, and the factor
+    list and level numbers those that the field, n and p give; C is rebuilt
+    from the recorded c1/c2 or M.  P must be the identity block matrix,
+    which ``split`` always records.  ``split`` runs this once on every
+    certificate it returns.
     """
     field, n = pm.field, pm.n
     t = field.tower
@@ -592,6 +594,14 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
     if not fits:
         return VerifyResult(False, f"block sizes {list(sizes)} do not fit case "
                                    f"{field.case} with n = {n}")
+    widths = sorted({len(row) for row in cert.S})
+    if len(cert.S) != 2 * n or widths != [2 * n]:
+        shape = f"{len(cert.S)} x {'/'.join(map(str, widths)) or 0}"
+        return VerifyResult(False, f"S is {shape}, not {2 * n} x {2 * n}")
+    if cert.factors != _factors(field, n, p_split):
+        return VerifyResult(False, "recorded factors are not the field's")
+    if cert.level != LevelNReport(_level_numbers(n, p_split), p_split):
+        return VerifyResult(False, "recorded level numbers are not the split's")
     if not linalg.mat_det(cert.S, Fraction(1)):
         return VerifyResult(False, "S is singular over Q")
     if cert.P != linalg.identity_matrix(sum(sizes), t.one()):

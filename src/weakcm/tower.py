@@ -14,14 +14,13 @@ a fixed monomial basis over Q:
 
 An element stores integer numerators over one common denominator, and
 each tower keeps its structure constants as a sparse integer table over one
-common denominator, so products, sums, Galois images and the entries of
-matrix products (``TowerSpec.mat_mul``) are computed in integers with one
-gcd per result; ``FieldElement.coeffs`` still exposes the coefficients as
+common denominator, so products, sums and Galois images are computed in
+integers with one gcd per result (``TowerSpec._fused`` is the product
+kernel); ``FieldElement.coeffs`` still exposes the coefficients as
 ``fractions.Fraction``s, and ``serialize`` formats straight from the
-integers.  Coordinates in the Q-span of given elements come from a
-``CoordinateMap``, built once per basis and kept on the tower: integer dot
-products on the numerators and an exact integer membership check.  There
-is no floating point.
+integers.  Matrices over a tower, generated subalgebras and coordinates in
+the Q-span of given elements live in ``linalg``, which this module imports
+only to invert an element.  There is no floating point.
 Galois actions are stored as explicit Q-linear maps on the basis and checked
 to be ring automorphisms at construction time.
 
@@ -33,11 +32,9 @@ sqrt(dp) the positive real root.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from fractions import Fraction
 
-from . import linalg
 from .errors import (
     BadFactorBound,
     DegenerateBiquadratic,
@@ -384,6 +381,8 @@ class FieldElement:
         det R and det R * R^-1 e_1, so the inverse is that vector times
         den * table_den over det R.
         """
+        from . import linalg
+
         if not self:
             raise DivisionByZero("inverse of zero")
         t = self.tower
@@ -640,7 +639,7 @@ class TowerSpec:
         self._galois_cache = None
         self._s0_cubed = None  # kept by tausplit._s0_cubed
         self._subalgebras = {}
-        self._coordinate_maps = {}  # kept by coordinate_map
+        self._coordinate_maps = {}  # kept by linalg.coordinate_map
 
     def __eq__(self, other):
         return isinstance(other, TowerSpec) and self.key == other.key
@@ -720,16 +719,6 @@ class TowerSpec:
             found = self._subalgebras[support] = (span, {k: q for q, k in enumerate(span)})
         return found
 
-    def _terms(self, x):
-        """(den, nonzero (index, numerator) pairs) of x, or None at zero;
-        rationals are coerced."""
-        if not isinstance(x, FieldElement):
-            x = self.rational(x)
-        elif x.tower is not self and x.tower.key != self.key:
-            raise TowerMismatch("elements live in different towers")
-        nz = [(i, a) for i, a in enumerate(x.num) if a]
-        return (x.den, nz) if nz else None
-
     def _fused(self, parts):
         """The numerator vector, over ``_int_den``, of the sum of ``s * x *
         y`` over the ``(x terms, y terms, s)`` in ``parts``: one pass
@@ -745,102 +734,6 @@ class TowerSpec:
                     for m, c in trow[j]:
                         acc[m] += ab * c
         return acc
-
-    def mat_mul(self, A, B):
-        """A B for matrices of tower elements (rationals are coerced).
-
-        Each entry is one fused dot product: the numerator vectors of the
-        nonzero products are summed through ``_int_table`` over the lcm of
-        their denominators, and the sum is reduced once.  Zero factors are
-        skipped, so identity and permutation factors cost one table lookup
-        per nonzero entry.
-        """
-        terms = self._terms
-        scale = self._int_den
-        cols = [[terms(x) for x in col] for col in zip(*B)]
-        out = []
-        for row in A:
-            left = [(k, term) for k, term in enumerate(map(terms, row)) if term]
-            new = []
-            for col in cols:
-                prods = [(da * col[k][0], ta, col[k][1])
-                         for k, (da, ta) in left if col[k] is not None]
-                den = math.lcm(*(d for d, _, _ in prods))
-                acc = self._fused((ta, tb, den // d) for d, ta, tb in prods)
-                new.append(_normalised(self, acc, den * scale))
-            out.append(new)
-        return out
-
-    def mat_mul_rational(self, A, cols):
-        """A B for a matrix A of tower elements and a rational matrix B,
-        given by its columns as ``(den, integer numerators)`` pairs.
-
-        Each entry is an integer combination of the numerator vectors of a
-        row of A, which are brought to one denominator per row, with the
-        integer column of B: ``dim`` fused dot products and one reduction,
-        no structure-table lookups.
-        """
-        out = []
-        for row in A:
-            row = [x if isinstance(x, FieldElement) else self.rational(x) for x in row]
-            if any(x.tower is not self and x.tower.key != self.key for x in row):
-                raise TowerMismatch("elements live in different towers")
-            den = math.lcm(*(x.den for x in row))
-            # coordinate m of every entry of the row, over den
-            coords = list(zip(*([a * (den // x.den) for a in x.num] for x in row)))
-            out.append([
-                _normalised(self, [sum(map(operator.mul, c, cb)) for c in coords],
-                            den * db)
-                for db, cb in cols
-            ])
-        return out
-
-    def pivot_update(self, piv, top):
-        """The row update below a pivot of a fraction-free elimination.
-
-        Returns a function of (f, row) that gives ``[piv * y - f * z for y,
-        z in zip(row, top)]``, each entry one fused sum reduced once.  The
-        nonzero terms of ``piv`` (nonzero) and of ``top`` are worked out here,
-        once per pivot, not once per row below it.
-        """
-        terms = self._terms
-        scale = self._int_den
-        dp, tp = terms(piv)
-        tops = [terms(z) for z in top]
-
-        def update(f, row):
-            ft = terms(f)
-            if ft is not None:
-                df, nf = ft[0], [(i, -a) for i, a in ft[1]]
-            out = []
-            for y, zt in zip(row, tops):
-                yt = terms(y)
-                if zt is None or ft is None:
-                    if yt is None:
-                        out.append(self.zero())
-                        continue
-                    den = dp * yt[0]
-                    parts = ((tp, yt[1], 1),)
-                elif yt is None:
-                    den = df * zt[0]
-                    parts = ((nf, zt[1], 1),)
-                else:
-                    d1, d2 = dp * yt[0], df * zt[0]
-                    den = d1 if d1 == d2 else math.lcm(d1, d2)
-                    parts = ((tp, yt[1], den // d1), (nf, zt[1], den // d2))
-                out.append(_normalised(self, self._fused(parts), den * scale))
-            return out
-
-        return update
-
-    def coordinate_map(self, basis_elements) -> "CoordinateMap":
-        """The ``CoordinateMap`` of the given independent elements, built
-        on first use and kept on the tower, keyed by their numerators."""
-        key = tuple((b.num, b.den) for b in basis_elements)
-        found = self._coordinate_maps.get(key)
-        if found is None:
-            found = self._coordinate_maps[key] = CoordinateMap(basis_elements)
-        return found
 
     # -- element constructors
 
@@ -1075,92 +968,3 @@ def serialize_tower(tower: TowerSpec) -> dict:
         "case": tower.case,
         "params": {k: format_rational(v) for k, v in sorted(tower.params.items())},
     }
-
-
-# --------------------------------------------------------------------------
-# queries used across modules
-
-
-def generated_subalgebra(tower: TowerSpec, elements) -> list:
-    """Reduced echelon basis of the unital Q-subalgebra generated by the
-    elements, from ``linalg.reduced_echelon``.
-
-    The span is closed under multiplication step by step; in a field this
-    is the subfield generated by the elements.  The reduced echelon basis
-    of a span is unique, so the result does not depend on the elimination.
-    """
-    basis = linalg.reduced_echelon([tower.one().coeffs] + [x.coeffs for x in elements])
-    while True:
-        span = [tower.element(a) for a in basis]
-        grown = linalg.reduced_echelon(basis + [(a * b).coeffs for a in span for b in span])
-        if len(grown) == len(basis):
-            return grown
-        basis = grown
-
-
-class CoordinateMap:
-    """Coordinates in the Q-span of independent tower elements, in integers.
-
-    With the elements b_1..b_k brought to one denominator E, let N be the
-    dim x k integer matrix of their numerators (b_j = N[:, j] / E), R its
-    pivot rows (the first k rows of rank k, from ``linalg.pivot_columns``)
-    and N_R that invertible block.  ``linalg.bareiss`` gives D = det N_R
-    and the integer matrix D * N_R^-1; ``inverse`` is that matrix times E,
-    over ``den`` = |D|.  For x = X / x.den, the numerators
-    a = inverse . X_R give the coordinates a / (den * x.den), and x lies in
-    the span exactly when N[m] . a == E * den * X[m] on every row m outside
-    R (on R it holds by construction).  Raises SingularMatrix when the
-    elements are dependent.
-    """
-
-    __slots__ = ("rows", "inverse", "den", "checks", "scale")
-
-    def __init__(self, basis_elements):
-        k = len(basis_elements)
-        E = math.lcm(*(b.den for b in basis_elements))
-        N = list(zip(*([a * (E // b.den) for a in b.num] for b in basis_elements)))
-        rows = linalg.pivot_columns(linalg.transpose(N))
-        if len(rows) < k:
-            raise SingularMatrix("columns are linearly dependent")
-        det, X = linalg.bareiss(
-            [list(N[r]) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
-        )
-        sign = 1 if det > 0 else -1
-        self.rows = tuple(rows)
-        self.inverse = tuple(tuple(sign * E * v for v in row) for row in X)
-        self.den = abs(det)
-        self.checks = tuple((m, N[m]) for m in range(len(N)) if m not in rows)
-        self.scale = E * self.den
-
-    def numerators(self, x: FieldElement):
-        """The integers a with x = sum_j a_j / (den * x.den) * b_j, or None
-        when x is not in the span."""
-        num = x.num
-        xr = [num[r] for r in self.rows]
-        a = [sum(map(operator.mul, row, xr)) for row in self.inverse]
-        scale = self.scale
-        for m, row in self.checks:
-            if sum(map(operator.mul, row, a)) != scale * num[m]:
-                return None
-        return a
-
-    def coordinates(self, x: FieldElement):
-        """The coordinates of x as ``Fraction``s, or None when x is not in
-        the span."""
-        a = self.numerators(x)
-        if a is None:
-            return None
-        den = self.den * x.den
-        return [Fraction(v, den) for v in a]
-
-
-def subspace_coordinates(basis_elements, x: FieldElement):
-    """Coordinates of x in the Q-span of the given independent elements, as
-    ``Fraction``s, or None when x is outside it (or no element is given).
-
-    They are read from the tower's ``CoordinateMap`` of the elements, built
-    once per basis; a dependent basis raises SingularMatrix.
-    """
-    if not basis_elements:
-        return None
-    return x.tower.coordinate_map(basis_elements).coordinates(x)

@@ -4,7 +4,8 @@
 # pytest.  Compares stdout with the golden file byte for byte.
 #
 # Then, from the -X importtime trace of four subcommands, that none imports
-# dataclasses or inspect where the interpreter's own start-up does not.
+# dataclasses or inspect where the interpreter's own start-up does not, nor
+# weakcm.cli as a module, and that classify-field does not import linalg.
 #
 # Then the N = 5 class tables, and documents with big numbers, written here:
 # Python's limit on the digits of an int converted to or from a string is
@@ -69,20 +70,27 @@ check_line() {
     fi
 }
 
-# usage: check_imports NAME SUBCOMMAND [ARGS...]
+# usage: check_imports NAME 'MODULES' SUBCOMMAND [ARGS...]
 # No subcommand may import dataclasses or inspect: dataclasses pulls in
 # inspect, ast, dis and tokenize, about 10 ms of every fresh process.  Some
 # interpreters import inspect at start-up (a conda-built 3.13 does, through
 # importlib.resources), so a module counts only if the interpreter's own
-# trace, of -c pass, lacks it.
+# trace, of -c pass, lacks it.  Nor may it import weakcm.cli as a module:
+# it runs as __main__, so that import would compile cli.py a second time.
+# MODULES names further weakcm modules the subcommand must not import.
 "$PYTHON" -X importtime -c pass 2> "$BASE"
 check_imports() {
-    name=$1
-    shift
+    name=$1 forbidden=$2
+    shift 2
     "$PYTHON" -X importtime -m weakcm.cli "$@" 2> "$OUT" > /dev/null
     extra=
     for module in dataclasses inspect; do
         if grep -qE "\| +$module\$" "$OUT" && ! grep -qE "\| +$module\$" "$BASE"; then
+            extra="$extra $module"
+        fi
+    done
+    for module in weakcm.cli $forbidden; do
+        if grep -qE "\| +$module\$" "$OUT"; then
             extra="$extra $module"
         fi
     done
@@ -97,10 +105,10 @@ check_imports() {
     fi
 }
 
-check_imports classify_field classify-field --input "$DATA/field_b.json"
-check_imports split split --input "$DATA/torus_a_diag.json"
-check_imports dodson_classify dodson-classify --n 3 --partition cy3
-check_imports k3t2 k3t2 --input "$DATA/k3t2_disjoint.json"
+check_imports classify_field weakcm.linalg classify-field --input "$DATA/field_b.json"
+check_imports split '' split --input "$DATA/torus_a_diag.json"
+check_imports dodson_classify '' dodson-classify --n 3 --partition cy3
+check_imports k3t2 weakcm.linalg k3t2 --input "$DATA/k3t2_disjoint.json"
 
 # the N = 5 class tables, cold: a few seconds each (Burnside's lemma gives
 # the same counts in tests/test_dodson.py)

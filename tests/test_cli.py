@@ -109,14 +109,55 @@ def test_internal_error_is_exit_2(monkeypatch, capsys):
 
     monkeypatch.setitem(cli._COMMANDS, "presets",
                         (boom, "broken", False))
-    parser = cli.build_parser()
-    args = parser.parse_args(["presets"])
+    parser = cli.build_parser("presets")
+    assert parser.parse_args(["presets"]).subcommand == "presets"
     # go through main to exercise the envelope
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: parser)
     code = cli.main(["presets"])
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["status"] == "internal-error"
+
+
+_PARSER_RUNS = [[], ["bogus"], ["split", "extra"], ["dodson-enum"],
+                ["split", "--emit", "xml"], ["--help"], ["split", "--help"]]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parsing argv, which ends in argparse's
+    exit: a usage error or help."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", _PARSER_RUNS, ids=[" ".join(a) or "-" for a in _PARSER_RUNS])
+def test_parser_output_matches_the_full_parser(monkeypatch, capsys, argv):
+    # main parses with a parser holding only the subcommand argv[0] names,
+    # or the full one; usage, errors and help are the full parser's, byte
+    # for byte
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    got = _parse_outcome(capsys, cli.main, argv)
+    assert set(cli._PARSERS) == {argv[0] if argv and argv[0] in cli._COMMANDS else None}
+    assert got == _parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert got[0] == (0 if "--help" in argv else 2)
+    assert "usage: weakcm" in (got[1] if "--help" in argv else got[2])
+
+
+def test_main_builds_each_parser_once(monkeypatch, capsys):
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
+    for _ in range(3):
+        code, _ = run_cli(capsys, "classify-field", "--input", os.path.join(DATA, "field_b.json"))
+        assert code == 0
+    assert built == ["classify-field"]
+    # and importing the CLI builds none
+    proc = subprocess.run([sys.executable, "-c", "import weakcm.cli as c; print(c._PARSERS)"],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.stdout == "{}\n", proc.stderr
 
 
 @pytest.mark.parametrize("exc, status, condition", [
@@ -572,10 +613,10 @@ def test_benchmark_tracer_installs():
 
 
 # the weakcm modules each subcommand may load: a library module imported at
-# the top of cli or serialize (or cmfield importing dodson) shows up here
+# the top of cli or serialize (or cmfield importing dodson or linalg) shows
+# up here
 _BASE = {"weakcm", "weakcm.cli", "weakcm.errors"}
-_FIELD_FOOTPRINT = _BASE | {"weakcm.serialize", "weakcm.cmfield",
-                            "weakcm.tower", "weakcm.linalg"}
+_FIELD_FOOTPRINT = _BASE | {"weakcm.serialize", "weakcm.cmfield", "weakcm.tower"}
 _FIELD_LAYERS = {"weakcm.tower", "weakcm.linalg", "weakcm.cmfield",
                  "weakcm.tausplit"}
 _U1 = {"n": 1, "elements": [_element((0,), (0,)), _element((1,), (0,))]}
@@ -608,14 +649,16 @@ def _footprint(argv):
 
 @pytest.mark.parametrize("sub", ["classify-field", "galois", "reflex"])
 def test_field_subcommands_load_no_dodson_or_split(sub):
+    # only the reflex field is certified by solving over the tower
     argv = [sub, "--input", os.path.join(DATA, "field_b.json")]
-    assert _footprint(argv) == _FIELD_FOOTPRINT
+    solves = {"weakcm.linalg"} if sub == "reflex" else set()
+    assert _footprint(argv) == _FIELD_FOOTPRINT | solves
 
 
 @pytest.mark.parametrize("sub", ["validate", "split"])
 def test_period_matrix_subcommands_load_the_split(sub):
     argv = [sub, "--input", os.path.join(DATA, "torus_a_diag.json")]
-    assert _footprint(argv) == _FIELD_FOOTPRINT | {"weakcm.tausplit"}
+    assert _footprint(argv) == _FIELD_FOOTPRINT | {"weakcm.linalg", "weakcm.tausplit"}
 
 
 def test_cli_import_loads_no_library_module():
@@ -624,33 +667,41 @@ def test_cli_import_loads_no_library_module():
 
 def test_k3t2_on_a_field_document_loads_no_split():
     # the transcendental factor given by its field: the towers, the Dodson
-    # tables and the Hodge layer all load
+    # tables and the Hodge layer all load, but not linalg, since nothing is
+    # solved over the tower
     argv = ["k3t2", "--input", os.path.join(DATA, "k3t2_disjoint.json")]
-    assert _footprint(argv) == _FIELD_FOOTPRINT | {"weakcm.dodson", "weakcm.hodge"}
+    assert _footprint(argv) == _FIELD_FOOTPRINT | {"weakcm.dodson", "weakcm.hodge",
+                                                   "weakcm.cli_hodge"}
 
 
+_DODSON = _BASE | {"weakcm.serialize", "weakcm.dodson", "weakcm.cli_dodson"}
+_HODGE = _BASE | {"weakcm.serialize", "weakcm.dodson", "weakcm.hodge", "weakcm.cli_hodge"}
+_PRESETS = {"weakcm.presets"}
+# (argv, input document, the modules it loads): each loads its own handler
+# module, and a preset loads the preset table
 _DODSON_RUNS = [
-    (["dodson-enum", "--n", "2"], None),
-    (["dodson-classify", "--n", "2", "--partition", "abl"], None),
-    (["presets"], None),
-    (["dodson-reflex"], {"preset": "Z3-3-triv"}),
-    (["k3t2"], {"transcendental": _U1}),
+    (["dodson-enum", "--n", "2"], None, _DODSON),
+    (["dodson-classify", "--n", "2", "--partition", "abl"], None, _DODSON),
+    (["presets"], None, _DODSON | _PRESETS),
+    (["dodson-reflex"], {"preset": "Z3-3-triv"}, _DODSON | _PRESETS),
+    (["k3t2"], {"transcendental": _U1}, _HODGE),
     (["product"], {"factor1": {"type": "elliptic"},
-                   "factor2": {"type": "weight1", "group": _U1}}),
+                   "factor2": {"type": "weight1", "group": _U1}}, _HODGE),
     (["weil-griffiths"], {"structure": {"type": "cy3",
-                                        "group": {"preset": "Z3-3-triv"}}}),
+                                        "group": {"preset": "Z3-3-triv"}}},
+     _HODGE | _PRESETS),
 ]
 
 
-@pytest.mark.parametrize("argv, doc", _DODSON_RUNS,
-                         ids=[argv[0] for argv, _ in _DODSON_RUNS])
-def test_dodson_subcommands_load_no_field_tower(tmp_path, argv, doc):
+@pytest.mark.parametrize("argv, doc, expected", _DODSON_RUNS,
+                         ids=[argv[0] for argv, _, _ in _DODSON_RUNS])
+def test_dodson_subcommands_load_no_field_tower(tmp_path, argv, doc, expected):
     if doc is not None:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = [*argv, "--input", str(path)]
     modules = _footprint(argv)
-    assert modules >= _BASE | {"weakcm.serialize", "weakcm.dodson"}
+    assert modules == expected
     assert not modules & _FIELD_LAYERS
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from util import galois_action_by_cosets, is_identity, random_field_params
-from weakcm import cmfield, dodson, linalg, tower as tw
+from weakcm import cmfield, dodson, linalg
 from weakcm.errors import (
     BadFactorBound,
     FactorizationInconclusive,
@@ -205,11 +205,11 @@ def test_reflex_case_c_proper_subspace_fixed_by_stabilizer():
 def test_reflex_span_multiplicatively_closed():
     for field in (field_B(), field_C()):
         r = cmfield.reflex_bc(field)
-        span = tw.generated_subalgebra(field.tower, r.basis)
+        span = linalg.generated_subalgebra(field.tower, r.basis)
         assert len(span) == 4
         for a in r.basis:
             for b in r.basis:
-                assert tw.subspace_coordinates(list(r.basis), a * b) is not None
+                assert linalg.subspace_coordinates(list(r.basis), a * b) is not None
 
 
 def test_reflex_cm_witness_totally_negative():

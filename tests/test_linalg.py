@@ -10,7 +10,7 @@ import pytest
 
 from test_tower import _assert_normal_form, _oracle_elements, _oracle_towers, all_towers
 from util import _det_cofactor, echelon, rank_by_minors
-from weakcm import linalg, tower as tw
+from weakcm import linalg
 from weakcm.errors import DivisionByZero, SingularMatrix, TowerMismatch
 
 
@@ -405,7 +405,7 @@ def test_generated_subalgebra_matches_gauss_jordan(t):
     cases.append([pool[4 + 1] + pool[4 + t.dim - 1]])
     dims = set()
     for elements in cases:
-        got = tw.generated_subalgebra(t, elements)
+        got = linalg.generated_subalgebra(t, elements)
         assert got == _generated_subalgebra_by_gauss_jordan(t, elements)
         assert all(type(x) is Fraction for row in got for x in row)
         dims.add(len(got))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from util import coframe_by_products, random_period_matrix, rank_by_minors
-from weakcm import cmfield, linalg, tausplit, tower as tw
+from weakcm import cmfield, linalg, tausplit
 from weakcm.errors import (
     MathError,
     NotFullSpan,
@@ -190,7 +190,7 @@ def test_rank_eps_is_rank_delta_in_cases_b_c():
 def _closure_dim(pm):
     """The oracle: close the span of the entries under products."""
     entries = [x for row in pm.tau() for x in row]
-    return len(tw.generated_subalgebra(pm.field.tower, entries))
+    return len(linalg.generated_subalgebra(pm.field.tower, entries))
 
 
 def _subfield_cases():
@@ -461,6 +461,44 @@ def test_verify_rejects_bad_renaming():
     cert, _ = tausplit.split(pm)
     bad = cert._replace(renaming=(0, 0))
     assert not tausplit.verify_certificate(pm, bad).ok
+
+
+def _reshaped(S, how):
+    S = [list(row) for row in S]
+    if how == "extra column":
+        return [row + [0] for row in S]
+    if how == "extra row":
+        return S + [[0] * len(S[0])]
+    if how == "dropped row":
+        return S[:-1]
+    return [row[:-1] for row in S]
+
+
+@pytest.mark.parametrize("how, shape", [
+    ("extra column", "4 x 5"), ("extra row", "5 x 4"),
+    ("dropped row", "3 x 4"), ("dropped column", "4 x 3"),
+])
+def test_verify_rejects_a_mis_shaped_s(how, shape):
+    # an extra column passed: mat_det took the non-square S, and the zip
+    # over the coframe product truncated the extra entries
+    pm = random_period_matrix(f_A(), 2, random.Random(7))
+    cert, _ = tausplit.split(pm)
+    res = tausplit.verify_certificate(pm, cert._replace(S=_reshaped(cert.S, how)))
+    assert not res.ok and res.diagnostic == f"S is {shape}, not 4 x 4"
+
+
+def test_verify_rejects_forged_factors_and_level_numbers():
+    pm = random_period_matrix(f_A(), 3, random.Random(8))
+    cert, _ = tausplit.split(pm)
+    first = cert.factors[0]
+    forged = (first._replace(multiplicity=first.multiplicity + 1),) + cert.factors[1:]
+    res = tausplit.verify_certificate(pm, cert._replace(factors=forged))
+    assert not res.ok and "factors" in res.diagnostic
+    numbers = dict(cert.level.hodge_numbers)
+    numbers[(3, 0)] += 1
+    res = tausplit.verify_certificate(
+        pm, cert._replace(level=cert.level._replace(hodge_numbers=numbers)))
+    assert not res.ok and "level numbers" in res.diagnostic
 
 
 # one seeded period matrix per split class of the benchmark corpus

@@ -153,7 +153,7 @@ def coframe_by_products(t, tau, C, renaming):
 def subspace_coordinates_by_solve(basis_elements, x):
     """Coordinates of x in the Q-span of the elements by one rational
     ``linalg.solve_columns`` on their ``coeffs``, or None; the oracle for
-    the tower's integer ``CoordinateMap``."""
+    ``linalg``'s integer ``CoordinateMap``."""
     A = [[b.coeffs[i] for b in basis_elements] for i in range(x.tower.dim)]
     sol = linalg.solve_columns(A, [[c] for c in x.coeffs])
     if sol is None:
