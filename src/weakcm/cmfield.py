@@ -45,7 +45,8 @@ class CMFieldData(NamedTuple):
         return [self.tower.gen(lbl) for lbl in self.phi_basis]
 
 
-# classify results kept per process, least recently used dropped first
+# classify results kept per process, least recently used dropped first; the
+# Galois group and reflex caches, which hold the field's tower, alike
 _CLASSIFY_CACHE_SIZE = 64
 
 _SHAPES = ({"p"}, {"p1", "p2"}, {"d", "p", "q"})
@@ -91,9 +92,9 @@ def _classify_cached(canon: tuple, raw_bound) -> CMFieldData:
     if params.keys() == {"p1", "p2"}:
         t = tw.biquadratic_tower(params["p1"], params["p2"])
         return CMFieldData(4, CASE_A, t, t.basis)
-    d, p, q = params["d"], params["p"], params["q"]
-    dprime = p * p - q * q * d
-    if dprime > 0 and tw.square_class_test(dprime, d):
+    # d first: the square class of dp against d = 0 is undefined
+    d, p, q, dprime = tw._check_quartic_params(params["d"], params["p"], params["q"])
+    if tw.square_class_test(dprime, d):
         t = tw.cyclic_quartic_tower(d, p, q)
         return CMFieldData(4, CASE_B, t, t.basis)
     t = tw.quartic_closure_tower(d, p, q)
@@ -138,7 +139,7 @@ class GaloisGroupData(NamedTuple):
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CLASSIFY_CACHE_SIZE)
 def galois_group(field: CMFieldData) -> GaloisGroupData:
     t = field.tower
     elements = t.galois_elements()
@@ -215,7 +216,7 @@ class ReflexFieldData(NamedTuple):
     cm_witness: dict           # generator label -> (u, v) with square u+v*sqrt(dp)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CLASSIFY_CACHE_SIZE)
 def reflex_bc(field: CMFieldData) -> ReflexFieldData:
     """The reflex field of (K', {phi', s0 phi'}) inside the closure."""
     if field.case not in (CASE_B, CASE_C):

@@ -12,15 +12,15 @@ by triples (G0, V, s): the permutation image, the bit subgroup G cap (Z2)^N,
 and the one-cocycle g -> (bit coset over g).  ``enumerate_admissible`` lists
 them from the triples: transitive G0 <= S_N, G0-stable V containing rho, and
 the cocycles G0 -> (Z2)^N / V found by propagating generator values over G0.
-The brute-force lattice walk over Im(N,2) (``_enumerate_admissible_walk``
-with ``_Universe.closure``/``closure_extend``) stays as the test oracle.
 Classification of admissible subgroups is modulo conjugation by the
 stabilizer of a Hodge-type partition of the slots.
 
-The |Im(N,2)|^2 table ``universe(N)`` is built only for that
-classification (``HodgePartition.stabilizer``, ``classify_conjugacy``,
-``find_class``) and the walk oracle.  The triple checks, the enumeration,
-the reflex data and the group names work on the S_N tables (``_sn_tables``).
+Every library computation works on the S_N tables (``_sn_tables``): the
+triple checks, the enumeration, the stabilizers, the conjugacy orbits, the
+reflex data and the group names.  The |Im(N,2)|^2 table ``universe(N)``
+(``_Universe``) is built only by the brute-force lattice walk
+``_enumerate_admissible_walk`` and by the test oracles.  All three stay in
+this module because ``perfbench/spans.py`` wraps them here by name.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _sn_tables(N: int):
 
 class _Universe:
     """Im(N,2) as integer index tables: ``elements``, ``index``, ``mul``,
-    ``inv``, ``identity_idx`` and ``rho_idx``.
+    ``inv``, ``identity_idx`` and ``rho_idx``, for the walk and the oracles.
 
     Element (bits, perm) has index ``bits_int * N! + rank(perm)``, where
     ``bits_int`` reads bits[0] as the high bit and ``rank`` is the
@@ -198,6 +198,7 @@ class _Universe:
 
 @lru_cache(maxsize=None)
 def universe(N: int) -> _Universe:
+    """The ``_Universe`` tables of Im(N,2), for the walk and the test oracles."""
     _check_universe_bound(N)
     return _Universe(N)
 
@@ -330,12 +331,25 @@ def _triple_violation(N, g0, v, s):
 
 def _lift(N, s, v):
     """The elements (s(x) + w, x), w in V, in ``element_key`` order, for
-    ``s`` a dict on ``_sn_tables`` indices: sorted as ``universe`` indices
-    (bits_int * N! + perm rank), without building the Im(N,2) tables."""
+    ``s`` a dict on ``_sn_tables`` indices."""
+    F = len(_sn_tables(N)[1])
+    return _elements(N, sorted((sx ^ w) * F + x for x, sx in s.items() for w in v))
+
+
+def _elements(N, idxs):
+    """The Im(N,2) elements with the given indices, in that order.  The
+    index of (bits, perm) is bits_int * N! + perm rank (from ``_sn_index``),
+    so increasing indices are in ``element_key`` order."""
     bitvecs, perms, _, _, _ = _sn_tables(N)
     F = len(perms)
-    idxs = sorted((sx ^ w) * F + x for x, sx in s.items() for w in v)
     return tuple(ImN2Element(bitvecs[i // F], perms[i % F]) for i in idxs)
+
+
+def _indices(elements):
+    """The indices of Im(N,2) elements, as ``_elements`` reads them."""
+    bit_idx, perm_idx = _sn_index(elements[0].N)
+    F = len(perm_idx)
+    return [bit_idx[g.bits] * F + perm_idx[g.perm] for g in elements]
 
 
 def triple_from_group(elements) -> DodsonTriple:
@@ -617,8 +631,10 @@ class HodgePartition(NamedTuple):
         return self
 
     def stabilizer(self):
-        """Elements of Im(N,2) preserving every block (the group S~)."""
-        return tuple(g for g in universe(self.N).elements
+        """Elements of Im(N,2) preserving every block (the group S~), in
+        ``element_key`` order; N is capped by ``UNIVERSE_BOUND``."""
+        _check_universe_bound(self.N)
+        return tuple(g for g in _elements(self.N, range(im_order(self.N)))
                      if all(act_slot(g, s) in slots for _, slots in self.blocks
                             for s in slots))
 
@@ -690,12 +706,28 @@ def quartic_case_alias(triple: DodsonTriple):
     return _N2_CASE_TAGS.get(triple.tag())
 
 
-def _conjugacy_orbit(U, stab_idx, H):
-    """The orbit of the subgroup H (a frozenset of indices into U) under
-    conjugation by S~, given as the indices ``stab_idx`` of all its
-    elements: S~ is a group, so one conjugation by each element gives the
-    whole orbit."""
-    return {U.conjugate(s, H) for s in stab_idx}
+def _conjugacy_orbit(stab, H):
+    """The orbit of H (a frozenset of ``_indices``) under conjugation by
+    each element of the group S~, given as the list ``stab``.  t = (c, q)
+    conjugates (b, g) to (c ^ q.b ^ g'.c, g') with g' = q g q^-1, so the
+    conjugate of the lift of s over V (``_lift``) is the lift of
+    g' -> c ^ q.s(g) ^ g'.c over q.V."""
+    _, _, pmul, act, pinv = _sn_tables(stab[0].N)
+    F = len(pinv)
+    fibres = {}
+    for h in H:
+        b, g = divmod(h, F)
+        fibres.setdefault(g, []).append(b)
+    orbit = set()
+    for c, q in (divmod(t, F) for t in _indices(stab)):
+        aq = act[q]
+        qv = [aq[w] for w in fibres[0]]
+        s = {}
+        for g, bits in fibres.items():
+            x = pmul[pmul[q][g]][pinv[q]]
+            s[x] = c ^ aq[bits[0]] ^ act[x][c]
+        orbit.add(frozenset([(sx ^ u) * F + x for x, sx in s.items() for u in qv]))
+    return orbit
 
 
 def _canonical(orbit):
@@ -715,40 +747,25 @@ def classify_conjugacy(N: int, partition: HodgePartition,
     """
     if partition.N != N:
         raise InvalidPartition("partition is for a different N")
-    U = universe(N)
-    stab_idx = [U.index[g] for g in partition.stabilizer()]
+    stab = partition.stabilizer()
     seen = set()
     by_class = {}
     for elements in enumerate_admissible(N, bound=bound):
-        H = frozenset(U.index[g] for g in elements)
+        H = frozenset(_indices(elements))
         if H in seen:
             continue
-        orbit = _conjugacy_orbit(U, stab_idx, H)
+        orbit = _conjugacy_orbit(stab, H)
         seen |= orbit
         by_class[_canonical(orbit)] = len(orbit)
     classes = []
     for canonical in sorted(by_class):
-        rep = tuple(U.elements[i] for i in canonical)
+        rep = _elements(N, canonical)
         triple = triple_from_group(rep)
         classes.append(SubgroupClass(representative=rep, triple=triple,
                                      orbit_size=by_class[canonical],
                                      tag=triple.tag(),
                                      case_alias=quartic_case_alias(triple)))
     return classes
-
-
-def find_class(elements, classes, partition: HodgePartition):
-    """Index of the S~-conjugacy class containing the given subgroup: the
-    class whose representative is the canonical member of the subgroup's
-    orbit, computed as in ``classify_conjugacy``."""
-    U = universe(partition.N)
-    stab_idx = [U.index[g] for g in partition.stabilizer()]
-    H = frozenset(U.index[g] for g in elements)
-    canonical = _canonical(_conjugacy_orbit(U, stab_idx, H))
-    for i, c in enumerate(classes):
-        if tuple(U.index[g] for g in c.representative) == canonical:
-            return i
-    raise InvalidCMType("subgroup is not in any enumerated class")
 
 
 # --------------------------------------------------------------------------
@@ -870,24 +887,20 @@ def reflex_from_dodson(ct: AbstractCMType, n: int) -> ReflexReport:
     and the induced Dodson data of the group acting on the type orbit.
 
     The elements sending Phi to one image form one coset of its stabiliser,
-    kept as the frozenset of their ``universe`` indices (bits_int * N! +
-    perm rank, from ``_sn_index``); rho and the group act on the cosets
-    through the images.  No Im(N,2) table is built.
+    kept as the frozenset of their ``_indices``; rho and the group act on
+    the cosets through the images.  No Im(N,2) table is built.
     """
     if n != ct.N:
         raise InvalidCMType(
             f"n = {n} does not match the {ct.N} pairs carried by the type"
         )
-    bit_idx, perm_idx = _sn_index(ct.N)
-    F = len(perm_idx)
     phi = frozenset(ct.phi)
 
     def act_phi(g, subset):
         return frozenset(act_slot(g, s) for s in subset)
 
     members = {}
-    for g in ct.group:
-        index = bit_idx[g.bits] * F + perm_idx[g.perm]
+    for g, index in zip(ct.group, _indices(ct.group)):
         members.setdefault(act_phi(g, phi), set()).add(index)
     coset = {image: frozenset(idxs) for image, idxs in members.items()}
     degree = len(coset)
@@ -918,7 +931,10 @@ def reflex_from_dodson(ct: AbstractCMType, n: int) -> ReflexReport:
 
 
 def _class_tag(report: ReflexReport):
-    """The conjugacy class of the induced data, resolved when cheap (n' <= 3)."""
+    """The conjugacy class of the induced data, resolved when cheap (n' <= 3).
+    For n' = 3, the tag of the canonical member of the induced group's orbit
+    under the S~ of its pair labels (the group is admissible: transitive on
+    the pairs, with rho), as ``classify_conjugacy`` tags that class."""
     np = report.n_prime
     if np == 1:
         return "Deg2"
@@ -930,14 +946,9 @@ def _class_tag(report: ReflexReport):
             labelled.append(((i, 0), (p, q)))
             labelled.append(((i, 1), (q, p)))
         part = partition_from_labels(3, report.n, labelled)
-        classes = _classification_cached(3, part)
-        return classes[find_class(report.group, classes, part)].tag
+        orbit = _conjugacy_orbit(part.stabilizer(), frozenset(_indices(report.group)))
+        return triple_from_group(_elements(3, _canonical(orbit))).tag()
     return report.tag
-
-
-@lru_cache(maxsize=None)
-def _classification_cached(N, partition):
-    return tuple(classify_conjugacy(N, partition))
 
 
 # --------------------------------------------------------------------------

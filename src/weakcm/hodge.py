@@ -17,6 +17,7 @@ blocks is the combinatorial shadow of a top-form conjugate of mixed type.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from . import dodson
@@ -142,37 +143,30 @@ def from_group(weight, group_elements, labels_by_slot):
     return CMHodgeStructure(weight, slots, labels_by_slot, rho, group)
 
 
-def weight1_structure(group_elements):
+def _preset_structure(preset, group_elements):
+    """Structure on the slots of an Im(N,2) subgroup, labelled by the blocks
+    of ``dodson.partition_preset(preset, N)``."""
     elements = tuple(group_elements)
-    N = elements[0].N
-    labels = {(i, b): ((1, 0) if b == 0 else (0, 1))
-              for i in range(N) for b in (0, 1)}
-    return from_group(1, elements, labels)
+    partition = dodson.partition_preset(preset, elements[0].N)
+    labels = {s: label for label, slots in partition.blocks for s in slots}
+    return from_group(partition.weight, elements, labels)
+
+
+def weight1_structure(group_elements):
+    return _preset_structure("abl", group_elements)
 
 
 def k3_structure(group_elements):
     """Transcendental-lattice shape: h^{2,0} = 1 on the first pair."""
-    elements = tuple(group_elements)
-    N = elements[0].N
-    labels = {(0, 0): (2, 0), (0, 1): (0, 2)}
-    for i in range(1, N):
-        labels[(i, 0)] = (1, 1)
-        labels[(i, 1)] = (1, 1)
-    return from_group(2, elements, labels)
+    return _preset_structure("k3", group_elements)
 
 
 def cy3_structure(group_elements):
-    elements = tuple(group_elements)
-    N = elements[0].N
-    labels = {(0, 0): (3, 0), (0, 1): (0, 3)}
-    for i in range(1, N):
-        labels[(i, 0)] = (2, 1)
-        labels[(i, 1)] = (1, 2)
-    return from_group(3, elements, labels)
+    return _preset_structure("cy3", group_elements)
 
 
 def elliptic_structure():
-    return weight1_structure(dodson.universe(1).elements)
+    return weight1_structure((dodson.im_identity(1), dodson.im_rho(1)))
 
 
 # --------------------------------------------------------------------------
@@ -187,6 +181,9 @@ def tensor_cm(h1: CMHodgeStructure, h2: CMHodgeStructure, identification=None):
     list of h2 element indices, one per h1 element); it declares that the
     second coefficient field lies inside the closure of the first, and the
     joint group is the graph {(g, chi(g))}.
+
+    When a factor declares conjugate spreads, the spread of (g, h) is the
+    product of the factors' spreads of g and h.
     """
     pairs = None
     if identification is not None:
@@ -227,6 +224,7 @@ def tensor_cm(h1: CMHodgeStructure, h2: CMHodgeStructure, identification=None):
 
     group = []
     components = {}
+    spreads = {} if h1.top_spreads or h2.top_spreads else None
     for g, h in pairs:
         action = {
             (s, t): (h1.apply(g, s), h2.apply(h, t)) for s, t in slots
@@ -234,9 +232,11 @@ def tensor_cm(h1: CMHodgeStructure, h2: CMHodgeStructure, identification=None):
         images = tuple(action[st] for st in sorted(slots))
         group.append(action)
         components[images] = (g, h)
+        if spreads is not None:
+            spreads[images] = frozenset(itertools.product(h1.spread(g), h2.spread(h)))
 
     return CMHodgeStructure(
-        h1.weight + h2.weight, slots, labels, rho, group,
+        h1.weight + h2.weight, slots, labels, rho, group, top_spreads=spreads,
         factor_info={"factors": (h1, h2), "components": components},
     )
 

@@ -30,7 +30,6 @@ from .dodson import (
     group_from_triple,
     reflex_from_dodson,
     standard_phi,
-    universe,
 )
 
 _ID3 = (0, 1, 2)
@@ -94,11 +93,9 @@ _K2A = tuple(ImN2Element(b, p) for b, p in
              (((0, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 0), _SW2), ((1, 1), _SW2)))
 _K2B = tuple(ImN2Element(b, p) for b, p in
              (((0, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), _SW2), ((1, 0), _SW2)))
+_K2C = tuple(ImN2Element(b, p) for b in itertools.product((0, 1), repeat=2)
+             for p in ((0, 1), _SW2))  # all of Im(2,2)
 _Z2_ONE_PAIR = (ImN2Element((0,), (0,)), ImN2Element((1,), (0,)))
-
-
-def _k2c():
-    return tuple(universe(2).elements)
 
 
 def _bits_only(bit_vectors):
@@ -146,7 +143,7 @@ def weight1_presets() -> list[Weight1Preset]:
         ),
         Weight1Preset(
             "C", "non-Galois quartic + imaginary quadratic",
-            AbstractCMType(_block_product(((0, 1), _k2c()), ((2,), _Z2_ONE_PAIR)),
+            AbstractCMType(_block_product(((0, 1), _K2C), ((2,), _Z2_ONE_PAIR)),
                            phi),
         ),
         Weight1Preset(

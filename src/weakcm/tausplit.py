@@ -177,16 +177,11 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
         s1 = t.generators["s1"]
         delta = _mat_sub(tau, _apply_galois(s1, tau))
         eps = _mat_sub(taubar, _apply_galois(s1, tau))  # rho = s1 s2 here
-        if _mat_sub(delta, eps) != diff:
-            raise MathError("delta - eps != tau - taubar")
     else:
         s0 = t.generators["s0"]
         tau_s0 = _apply_galois(s0, tau)
         delta = _mat_sub(tau, tau_s0)
         eps = _mat_sub(_apply_galois(s0, tau_s0), tau_s0)
-        minus_s0_delta = [[-s0(x) for x in row] for row in delta]
-        if eps != minus_s0_delta:
-            raise MathError("eps != -s0(delta)")
 
     if case == CASE_A:
         delta_pivots = ()
@@ -439,14 +434,6 @@ def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
         ) from exc
 
 
-def _certify_membership(M, basis_elements, what):
-    cmap = linalg.coordinate_map(basis_elements)
-    for row in M:
-        for x in row:
-            if cmap.numerators(x) is None:
-                raise MathError(f"{what} has an entry outside its stated field")
-
-
 def _level_numbers(n, p_split):
     """h^{n,0} = h^{0,n} = 1, plus h^{p,n-p} and h^{n-p,p} when the rank
     split p is defined (they add up to h^{r,r} = 2 in cases B/C)."""
@@ -512,8 +499,6 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
         c2 = linalg.solve_left(delta[:k], [[-x for x in row] for row in delta[k:]])
         if c1 is None or c2 is None:
             raise MathError("delta/eps relation rows are not in the claimed spans")
-        _certify_membership(c1, [t.one(), t.gen("sqrt(p1)")], "c1")
-        _certify_membership(c2, [t.one(), t.gen("sqrt(p2)")], "c2")
     elif case != DEG2:
         p_split = r = n // 2
         renaming = _choose_renaming(case, de.delta, de.eps, r, de.delta_pivots)
@@ -522,12 +507,13 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
         M = linalg.solve_left(delta[r:], delta[:r])
         if M is None:
             raise MathError("top delta rows are not spanned by the bottom rows")
-        _certify_membership(M, list(reflex_bc(field).basis), "M")
 
     sizes, bases, labels = _blocks_basis(field, n, p_split)
     C = coordinate_change(t, case, n, sizes, c1, c2, M)
     if case != DEG2 and not linalg.mat_det(C, t.one()):
         raise MathError("dw coordinate change is singular")
+    # W's left half is C with its columns permuted, so realifying W in
+    # _solve_s also checks that c1/c2 or M lie in their block fields
     W = _coframe(t, pm.tau(), C, renaming)
     if case in (CASE_B, CASE_C):
         s03 = _s0_cubed(t)

@@ -496,6 +496,18 @@ def test_weil_griffiths_explicit_synthetic(tmp_path, capsys):
     assert payload["common_algebra_ok"] is False
 
 
+def test_product_keeps_the_declared_spreads(tmp_path, capsys):
+    # the synthetic factor's mixed-type conjugate stays mixed in the product
+    doc = tmp_path / "prod.json"
+    doc.write_text(json.dumps({"factor1": _SYNTHETIC, "factor2": {"type": "elliptic"}}),
+                   encoding="utf-8")
+    code, out = run_cli(capsys, "product", "--input", str(doc))
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["factor_weak_cm"] == [False, True]
+    assert payload["product_is_weak_cm"] is False
+
+
 def test_explicit_elements_not_closed_are_named(tmp_path, capsys):
     # identity, rho and the 3-cycle (1, 2, 0), without the 3-cycle's square
     structure = {
@@ -821,6 +833,14 @@ def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
               "character": [{"element": _element((0,), (0,)), "value": 0},
                             {"element": _element((1,), (0,)), "value": 2}]},
      "'character' entry 1 has value 2"),
+    # d = 0 is a bad parameter like d = 1, not a division by zero
+    *[(sub, doc, "d must be a square-free integer > 1")
+      for d in (0, "0")
+      for sub, doc in (
+          ("classify-field", {"d": d, "p": "-5/2", "q": "-1/2"}),
+          ("galois", {"d": d, "p": "-5/2", "q": "-1/2"}),
+          ("reflex", {"d": d, "p": "-5/2", "q": "-1/2"}),
+          ("k3t2", {"transcendental": {"field": {"d": d, "p": "-5/2", "q": "-1/2"}}}))],
 ])
 def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     path = tmp_path / "doc.json"

@@ -86,6 +86,17 @@ def test_classify_follows_the_factor_bound(monkeypatch):
     assert cmfield.classify(params) is first
 
 
+def test_field_caches_drop_old_fields():
+    # galois_group and reflex_bc keep at most as many fields as classify,
+    # so a field that classify has dropped does not stay alive with its tower
+    for k in range(100):
+        field = cmfield.classify({"d": 2, "p": -3 - k, "q": 1})
+        cmfield.galois_group(field)
+        cmfield.reflex_bc(field)
+    for cache in (cmfield._classify_cached, cmfield.galois_group, cmfield.reflex_bc):
+        assert cache.cache_info().currsize <= 64
+
+
 # ---------------------------------------------------------------- galois
 
 

@@ -10,16 +10,19 @@ import pytest
 from util import (
     CayleyTable,
     burnside_class_count,
+    class_table,
     classify_by_bfs,
     conjugacy_orbit_bfs,
+    find_class,
     group_from_triple_by_tuples,
     identify_group_by_universe,
     im_inv,
     is_subgroup,
     model_group,
     reflex_by_cosets,
+    stabilizer_by_universe,
 )
-from weakcm import dodson, serialize
+from weakcm import dodson, hodge, serialize
 from weakcm.dodson import (
     AbstractCMType,
     DodsonTriple,
@@ -483,7 +486,6 @@ def test_enumeration_never_walks(monkeypatch):
     monkeypatch.setattr(dodson._Universe, "closure", refuse)
     monkeypatch.setattr(dodson._Universe, "closure_extend", refuse)
     dodson._enumerate_admissible_cached.cache_clear()
-    dodson._classification_cached.cache_clear()
     try:
         for N in (1, 2, 3, 4):
             enumerate_admissible(N)
@@ -491,7 +493,6 @@ def test_enumeration_never_walks(monkeypatch):
         preset_reflex_reports()
     finally:
         dodson._enumerate_admissible_cached.cache_clear()
-        dodson._classification_cached.cache_clear()
 
 
 # ---------------------------------------------------------------- classification
@@ -572,19 +573,25 @@ def test_conjugation_preserves_admissibility():
 
 @pytest.mark.parametrize("name", ["cy3", "abl", "k3"])
 def test_find_class_against_direct_orbit(name):
-    # find_class conjugates once by each stabiliser element; the
-    # breadth-first orbit is the oracle
+    # for every N = 3 subgroup: the orbit on the S_N tables, one
+    # conjugation per stabiliser element, against the breadth-first orbit
+    # on the universe(3) tables; the stabiliser against its filter of all
+    # of Im(3,2); and the class that the oracle find_class picks
     U = universe(3)
     part = dodson.partition_preset(name, 3)
-    stab = [U.index[s] for s in part.stabilizer()]
-    classes = dodson.classify_conjugacy(3, part)
+    stab = part.stabilizer()
+    stab_idx = stabilizer_by_universe(U, part)
+    assert stab == tuple(U.elements[i] for i in stab_idx)
+    classes = class_table(3, part)
     seen = set()
     for G in enumerate_admissible(3):
-        orbit = conjugacy_orbit_bfs(U, stab, frozenset(U.index[g] for g in G))
-        i = dodson.find_class(G, classes, part)
-        rep = classes[i]
-        assert frozenset(U.index[g] for g in rep.representative) in orbit
-        assert rep.orbit_size == len(orbit)
+        H = frozenset(U.index[g] for g in G)
+        orbit = conjugacy_orbit_bfs(U, stab_idx, H)
+        assert dodson._conjugacy_orbit(stab, H) == orbit
+        i = find_class(G, classes, part)
+        rep, size, _ = classes[i]
+        assert frozenset(U.index[g] for g in rep) in orbit
+        assert size == len(orbit)
         seen.add(i)
     assert seen == set(range(len(classes)))
 
@@ -594,13 +601,6 @@ def test_partition_validation():
         dodson.HodgePartition(
             2, 2, (((2, 0), frozenset({(0, 0), (0, 1)})),)
         ).validate()
-
-
-def test_equal_partitions_share_the_class_table():
-    a, b = dodson.partition_preset("k3", 3), dodson.partition_preset("k3", 3)
-    assert a == b and a is not b and hash(a) == hash(b)
-    assert a != dodson.partition_preset("cy3", 3)
-    assert dodson._classification_cached(3, a) is dodson._classification_cached(3, b)
 
 
 _RHO2 = ImN2Element((1, 1), (0, 1))
@@ -668,8 +668,10 @@ def test_reflex_and_group_names_match_universe_oracles():
 
 
 def test_level_data_build_no_universe_tables():
-    # the N = 5 reflex of degree 10 and its group name on the S_N tables:
-    # no Im(5,2) or Im(N',2) table is built
+    # the N = 5 reflex of degree 10 and its group name, the classifications
+    # at N = 1..4, the preset reflex table (with its n' = 3 class tags) and
+    # the structures of the Hodge subcommands, all on the S_N tables: no
+    # Im(N,2) table is built
     path = os.path.join(os.path.dirname(__file__), "data", "cm_type_n5.json")
     with open(path, encoding="utf-8") as fh:
         ct = serialize.parse_cm_type(json.load(fh))
@@ -677,6 +679,18 @@ def test_level_data_build_no_universe_tables():
     report = reflex_from_dodson(ct, 5)
     assert (report.degree, report.group_name) == (10, "order-240")
     assert dodson.identify_group(ct.group) == "order-240"
+    for N in (1, 2, 3, 4):
+        for name in ("abl", "k3", "cy3"):
+            dodson.classify_conjugacy(N, dodson.partition_preset(name, N))
+    preset_reflex_reports()
+    group = preset_by_name("S3-3-triv").cm_type.group
+    im22 = tuple(ImN2Element(b, p) for b in itertools.product((0, 1), repeat=2)
+                 for p in ((0, 1), (1, 0)))
+    e = hodge.elliptic_structure()
+    hodge.k3t2_analyze(hodge.k3_structure(im22), e, "disjoint")
+    hodge.weight1_structure(group)
+    hodge.level_subspace(hodge.tensor_cm(hodge.cy3_structure(group), e))
+    hodge.weil_griffiths(hodge.cy3_structure(group))
     assert dodson.universe.cache_info().currsize == 0
 
 

@@ -5,6 +5,7 @@ that are independent of the library code paths they check."""
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from weakcm import linalg, tausplit
 from weakcm.errors import FactorizationInconclusive, InputError
@@ -426,6 +427,17 @@ def conjugacy_orbit_bfs(U, stab_idx, H):
     return orbit
 
 
+def stabilizer_by_universe(U, partition):
+    """The indices of S~ among all of ``U.elements``: the elements that map
+    every block of the partition into itself; the oracle for
+    ``HodgePartition.stabilizer``."""
+    from weakcm import dodson
+
+    return [i for i, g in enumerate(U.elements)
+            if all(dodson.act_slot(g, s) in slots
+                   for _, slots in partition.blocks for s in slots)]
+
+
 def classify_by_bfs(N, partition, bound=4):
     """(representative, orbit size, tag) per S~-class: one breadth-first
     orbit per admissible subgroup, each class named by the minimal
@@ -434,7 +446,7 @@ def classify_by_bfs(N, partition, bound=4):
     from weakcm import dodson
 
     U = dodson.universe(N)
-    stab_idx = [U.index[g] for g in partition.stabilizer()]
+    stab_idx = stabilizer_by_universe(U, partition)
     by_class = {}
     for G in dodson.enumerate_admissible(N, bound=bound):
         orbit = conjugacy_orbit_bfs(U, stab_idx, frozenset(U.index[g] for g in G))
@@ -454,7 +466,7 @@ def burnside_class_count(N, partition, bound=4):
 
     U = dodson.universe(N)
     mul, inv = U.mul, U.inv
-    stab = [U.index[g] for g in partition.stabilizer()]
+    stab = stabilizer_by_universe(U, partition)
     subgroups = [frozenset(U.index[g] for g in G)
                  for G in dodson.enumerate_admissible(N, bound=bound)]
     fixed = 0
@@ -470,8 +482,8 @@ def reflex_by_cosets(ct, n):
     ``universe(N)`` tables: the stabiliser of Phi, every left coset
     multiplied out through ``U.mul``, rho and the action on cosets by
     multiplying a representative; the group named by
-    ``identify_group_by_universe``.  The oracle for
-    ``dodson.reflex_from_dodson``."""
+    ``identify_group_by_universe``; the class tag by
+    ``class_tag_by_table``.  The oracle for ``dodson.reflex_from_dodson``."""
     from weakcm import dodson
 
     if n != ct.N:
@@ -518,7 +530,48 @@ def reflex_by_cosets(ct, n):
         pair_labels=pair_labels,
         group_name=identify_group_by_universe(induced),
     )
-    return report._replace(class_tag=dodson._class_tag(report))
+    return report._replace(class_tag=class_tag_by_table(report))
+
+
+@lru_cache(maxsize=None)
+def class_table(N, partition):
+    """``classify_by_bfs`` kept per partition, for ``class_tag_by_table``."""
+    return tuple(classify_by_bfs(N, partition))
+
+
+def find_class(elements, classes, partition):
+    """Index in ``classes`` (as ``classify_by_bfs`` lists them) of the
+    S~-class of the subgroup: the class whose representative lies in the
+    subgroup's breadth-first orbit on the ``universe(N)`` tables."""
+    from weakcm import dodson
+
+    U = dodson.universe(partition.N)
+    orbit = conjugacy_orbit_bfs(U, stabilizer_by_universe(U, partition),
+                                frozenset(U.index[g] for g in elements))
+    for i, (rep, _, _) in enumerate(classes):
+        if frozenset(U.index[g] for g in rep) in orbit:
+            return i
+    raise AssertionError("subgroup is not in any enumerated class")
+
+
+def class_tag_by_table(report):
+    """The class tag of the induced data of a reflex report: for n' = 3,
+    the tag of its class in the class table of the partition its pair
+    labels define, found by ``find_class``; the oracle for
+    ``dodson._class_tag``."""
+    from weakcm import dodson
+
+    if report.n_prime == 1:
+        return "Deg2"
+    if report.n_prime == 2:
+        return dodson.quartic_case_alias(report.triple)
+    if report.n_prime != 3:
+        return report.tag
+    labelled = [((i, b), (q, p) if b else (p, q))
+                for i, (p, q) in report.pair_labels.items() for b in (0, 1)]
+    part = dodson.partition_from_labels(3, report.n, labelled)
+    classes = class_table(3, part)
+    return classes[find_class(report.group, classes, part)][2]
 
 
 def identify_group_by_universe(elements):
