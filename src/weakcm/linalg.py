@@ -7,8 +7,10 @@ of numerator vectors through the tower's integer structure table
 (``_tower_mat_mul``); a tower matrix times a rational one needs no table
 (``_tower_mat_mul_rational``).
 
-Every rank, determinant, solve, inverse and echelon form comes from one
-fraction-free forward pass (``_forward``) and one back substitution.
+Every rank, determinant, solve, inverse, echelon form and set of column
+relations (``column_relations``: a basis of the columns and every column
+in it) comes from one fraction-free forward pass (``_forward``) and one
+back substitution.
 Pivoting is deterministic: columns left to right, first row with a nonzero
 entry.  Rational rows are scaled to integers first, and each update is
 divided exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968), so
@@ -223,17 +225,44 @@ def row_rank(rows):
     return len(pivot_columns(rows))
 
 
+def column_relations(rows):
+    """(pivots, X): the pivot columns of the forward pass, which index the
+    lexicographically first basis of the columns, and X (rank x width) with
+    column q = sum_i X[i][q] * column pivots[i].
+
+    X holds e_i at column pivots[i]; one back substitution gives the other
+    columns.  Entries are ``Fraction``s over Q, where X is the reduced row
+    echelon form, and tower elements otherwise.
+    """
+    U, tower = _working_rows(rows)
+    pivots, _ = _forward(U, tower)
+    r = len(pivots)
+    w = len(U[0]) if U else 0
+    free = [c for c in range(w) if c not in pivots]
+    if tower is None:
+        one, zero = Fraction(1), Fraction(0)
+        det = U[r - 1][pivots[-1]] if r else 1
+        solved = [[Fraction(x, det) for x in row]
+                  for row in _back_substitute(U, pivots, free, det)]
+    else:
+        one, zero = tower.one(), tower.zero()
+        solved = _back_substitute(U, pivots, free)
+    X = []
+    for i, p in enumerate(pivots):
+        row = [zero] * w
+        row[p] = one
+        for c, x in zip(free, solved[i]):
+            row[c] = x
+        X.append(row)
+    return pivots, X
+
+
 def reduced_echelon(rows):
     """The reduced row echelon basis of the span of rational rows, as
     tuples of ``Fraction``s: pivot entries 1, zeros above and below each
-    pivot.  It is unique, so any elimination order gives these rows."""
-    U, _ = _working_rows(rows)
-    pivots, _ = _forward(U, None)
-    if not pivots:
-        return []
-    det = U[len(pivots) - 1][pivots[-1]]
-    X = _back_substitute(U, pivots, range(len(U[0])), det)
-    return [tuple(Fraction(x, det) for x in row) for row in X]
+    pivot.  It is unique, so any elimination order gives these rows: the X
+    of ``column_relations``."""
+    return [tuple(row) for row in column_relations(rows)[1]]
 
 
 def solve_columns(A, B):
@@ -257,18 +286,6 @@ def solve_columns(A, B):
     det = U[k - 1][k - 1] if k else 1
     return [[Fraction(x, det) for x in row]
             for row in _back_substitute(U, pivots, cols, det)]
-
-
-def solve_left(A, B):
-    """Solve X A = B given the rows of A span the rows of B.
-
-    A is r x n with full row rank; returns X (rows of B expressed in rows
-    of A) or None when some row of B is outside the row span.
-    """
-    X_t = solve_columns(transpose(A), transpose(B))
-    if X_t is None:
-        return None
-    return transpose(X_t)
 
 
 # --------------------------------------------------------------------------

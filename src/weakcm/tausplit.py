@@ -9,13 +9,16 @@ matrices
 
 (g = s1, g' = s2 in the biquadratic case; g = s0, eps = -s0(delta) in the
 quartic cases) and checks the rank split that makes the top-form conjugate
-pure.  Splitting then produces an exact certificate (P, S, renaming, c1/c2
-or M, standard form) whose verification is an independent recomputation
-from the certificate's data.  Each split verifies its certificate once and
-returns that result with it.  Split and verify build each piece with the
-same function: the coordinate change C from the recorded c1/c2 or M with
-``coordinate_change``, and the coframe C . Pi . (1 | tau) with ``_coframe``,
-which writes the renamed rows (e_j | tau[j]) down directly.
+pure; each difference matrix is eliminated once, by
+``linalg.column_relations`` of its transpose.  Splitting reads the renaming
+and c1/c2 or M off those passes and produces an exact certificate (P, S,
+renaming, c1/c2 or M, standard form) whose verification is an independent
+recomputation from the certificate's data.  Each split verifies its
+certificate once and returns that result with it.  Split and verify build
+each piece with the same function: the coordinate change C from the
+recorded c1/c2 or M with ``coordinate_change``, and the coframe
+C . Pi . (1 | tau) with ``_coframe``, which writes C . Pi down as a column
+permutation of C and multiplies only C by the renamed tau.
 
 The S search works on the rational "realification": each coframe row over
 its coefficient field F expands into [F:Q] rational rows; the standard form
@@ -46,7 +49,7 @@ from .errors import (
 )
 
 # Case A renaming tries at most this many index subsets (each costs two
-# rank computations); C(n, n - p) is unbounded in n.
+# passes over relation matrices); C(n, n - p) is unbounded in n.
 RENAMING_SEARCH_BOUND = 1000
 
 class PeriodMatrix:
@@ -108,7 +111,11 @@ def _mat_sub(A, B):
 
 
 class DeltaEps(NamedTuple):
-    """Galois difference data of a validated period matrix."""
+    """Galois difference data of a validated period matrix.
+
+    ``delta_relations`` (outside degree 2) and ``eps_relations`` (case A)
+    are ``linalg.column_relations`` of transpose(delta) and transpose(eps).
+    """
 
     delta: list
     eps: list
@@ -117,7 +124,8 @@ class DeltaEps(NamedTuple):
     rank_joint: int
     p_split: int | None
     subfield_dim: int
-    delta_pivots: tuple = ()   # cases B/C: pivot columns of transpose(delta)
+    delta_relations: tuple = ()
+    eps_relations: tuple = ()
 
 
 def _generated_field(pm: PeriodMatrix, tau):
@@ -183,18 +191,18 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
         delta = _mat_sub(tau, tau_s0)
         eps = _mat_sub(_apply_galois(s0, tau_s0), tau_s0)
 
+    # in cases B/C, eps = -s0(delta) and s0 keeps linear relations, so
+    # delta's basis rows are a basis of eps's rows
+    delta_relations = linalg.column_relations(linalg.transpose(delta))
+    eps_relations = ()
+    eps_pivots = delta_pivots = delta_relations[0]
     if case == CASE_A:
-        delta_pivots = ()
-        rank_delta = linalg.row_rank(delta)
-        rank_eps = linalg.row_rank(eps)
-    else:
-        # the pivot columns of transpose(delta) index the independent delta
-        # rows that the renaming needs, so delta is eliminated once, here;
-        # eps = -s0(delta), and the automorphism s0 keeps ranks, so the
-        # full-span check below also gives rank(delta) = rank(eps) = n/2
-        delta_pivots = tuple(linalg.pivot_columns(linalg.transpose(delta)))
-        rank_delta = rank_eps = len(delta_pivots)
-    rank_joint = linalg.row_rank(delta + eps)
+        eps_relations = linalg.column_relations(linalg.transpose(eps))
+        eps_pivots = eps_relations[0]
+    rank_delta, rank_eps = len(delta_pivots), len(eps_pivots)
+    # the basis rows span what all the rows span
+    rank_joint = linalg.row_rank([delta[i] for i in delta_pivots]
+                                 + [eps[i] for i in eps_pivots])
     if rank_joint != n or rank_delta + rank_eps != n:
         raise NotFullSpan(
             f"delta/eps spans do not split C^n: rank(delta) = {rank_delta}, "
@@ -205,7 +213,7 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
     if p == 0 or p == n:
         raise DegenerateP("rank split degenerated; tau lies in a subfield")
     return DeltaEps(delta, eps, rank_delta, rank_eps, rank_joint, p, field_dim,
-                    delta_pivots)
+                    delta_relations, eps_relations)
 
 
 # --------------------------------------------------------------------------
@@ -336,40 +344,51 @@ def _s0_cubed(t):
     return t._s0_cubed
 
 
-def _choose_renaming(case, delta, eps, p_split, delta_pivots):
-    """Lexicographically first index split with the required independence.
+def _choose_renaming(case, p_split, delta_relations, eps_relations):
+    """(renaming, c1, c2, M): the lexicographically first index split with
+    the required independence, read off the relations of ``DeltaEps``.
 
-    Case A needs n - p independent delta rows whose complement holds p
-    independent eps rows, a common basis of two matroids: the subsets are
-    tried in lexicographic order, at most ``RENAMING_SEARCH_BOUND`` of them
-    (``SearchBoundExceeded`` past that).  Cases B/C need n/2 independent
-    delta rows; the lexicographically first such subset is the greedy basis
-    of the row matroid, which is ``delta_pivots``, the pivot columns of
-    ``transpose(delta)`` that ``validate_weak_cm`` records.
+    Cases B/C: the basis of the delta rows goes to the bottom, and M holds
+    the other rows in it.  Case A needs k = n - p independent delta rows
+    whose complement holds p independent eps rows, a common basis of two
+    matroids.  Subsets are tried in lexicographic order, at most
+    ``RENAMING_SEARCH_BOUND`` of them (``SearchBoundExceeded`` past that);
+    those before the basis of the delta rows are dependent.  Each is tested
+    by one pass over the delta relations, its columns first, and one over
+    the eps relations, the complement's first; the accepted subset's
+    passes give c2 and c1.
     """
-    n = len(delta)
-    if case == CASE_A:
-        k = n - p_split
-        for tried, subset in enumerate(itertools.combinations(range(n), k)):
-            if tried == RENAMING_SEARCH_BOUND:
-                raise SearchBoundExceeded(
-                    f"case A renaming: no index split among the first "
-                    f"{RENAMING_SEARCH_BOUND} subsets (n = {n}, p = {p_split}), "
-                    "where the search stops"
-                )
-            comp = tuple(i for i in range(n) if i not in subset)
-            if linalg.row_rank([delta[i] for i in subset]) != k:
-                continue
-            if linalg.row_rank([eps[i] for i in comp]) != p_split:
-                continue
-            return subset + comp
-        raise MathError("no index split achieves the delta/eps independence")
-    r = n // 2
-    chosen = delta_pivots[:r]
-    if len(chosen) < r:
-        raise MathError("no independent bottom delta rows found")
-    comp = tuple(j for j in range(n) if j not in chosen)
-    return comp + tuple(chosen)  # independent delta rows go to the bottom
+    pivots, X = delta_relations
+    n = len(X[0])
+    if case != CASE_A:
+        comp = tuple(j for j in range(n) if j not in pivots)
+        M = [[X[b][q] for b in range(len(pivots))] for q in comp]
+        return comp + tuple(pivots), None, None, M
+    k, p = n - p_split, p_split
+    eps_X = eps_relations[1]
+    start = tuple(pivots)
+    for tried, subset in enumerate(itertools.combinations(range(n), k)):
+        if tried == RENAMING_SEARCH_BOUND:
+            raise SearchBoundExceeded(
+                f"case A renaming: no index split among the first "
+                f"{RENAMING_SEARCH_BOUND} subsets (n = {n}, p = {p_split}), "
+                "where the search stops"
+            )
+        if subset < start:
+            continue
+        comp = tuple(i for i in range(n) if i not in subset)
+        top, Y2 = linalg.column_relations([[row[i] for i in subset + comp] for row in X])
+        if top != list(range(k)):
+            continue
+        bottom, Y1 = linalg.column_relations([[row[i] for i in comp + subset]
+                                              for row in eps_X])
+        if bottom != list(range(p)):
+            continue
+        # eps_top + c1 . eps_bottom = 0 and c2 . delta_top + delta_bottom = 0
+        c1 = [[-Y1[b][p + a] for b in range(p)] for a in range(k)]
+        c2 = [[-Y2[a][k + b] for a in range(k)] for b in range(p)]
+        return subset + comp, c1, c2, None
+    raise MathError("no index split achieves the delta/eps independence")
 
 
 def coordinate_change(t, case, n, block_sizes, c1=None, c2=None, M=None):
@@ -399,18 +418,19 @@ def coordinate_change(t, case, n, block_sizes, c1=None, c2=None, M=None):
     return top + bottom
 
 
-def _coframe(t, tau, C, renaming):
+def _coframe(tau, C, renaming):
     """C . Pi . (1 | tau): the coframe rows of a certificate.
 
-    Row i of Pi . (1 | tau) is (e_j | tau[j]) for j = renaming[i], written
-    down directly, so C is the one tower factor.  Used by both ``split``
-    and ``verify_certificate``.
+    Row i of Pi . (1 | tau) is (e_j | tau[j]) for j = renaming[i].  So the
+    left block C . Pi is C with column i moved to column renaming[i],
+    written down directly, and the one tower product is C times the
+    renamed tau.  Used by both ``split`` and ``verify_certificate``.
     """
-    zero, one = t.zero(), t.one()
-    n = len(tau)
-    rows = [[one if k == j else zero for k in range(n)] + list(tau[j])
-            for j in renaming]
-    return linalg.mat_mul(C, rows)
+    moved = [0] * len(tau)
+    for i, j in enumerate(renaming):
+        moved[j] = i
+    right = linalg.mat_mul(C, [tau[j] for j in renaming])
+    return [[row[i] for i in moved] + rest for row, rest in zip(C, right)]
 
 
 def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
@@ -488,25 +508,10 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
     t, case, n = field.tower, field.case, pm.n
     renaming = tuple(range(n))
     p_split = c1 = c2 = M = None
-    if case == CASE_A:
+    if case != DEG2:
         p_split = de.p_split
-        k = n - p_split
-        renaming = _choose_renaming(CASE_A, de.delta, de.eps, p_split, ())
-        delta = [de.delta[i] for i in renaming]
-        eps = [de.eps[i] for i in renaming]
-        # eps_top + c1 . eps_bottom = 0 and c2 . delta_top + delta_bottom = 0
-        c1 = linalg.solve_left(eps[k:], [[-x for x in row] for row in eps[:k]])
-        c2 = linalg.solve_left(delta[:k], [[-x for x in row] for row in delta[k:]])
-        if c1 is None or c2 is None:
-            raise MathError("delta/eps relation rows are not in the claimed spans")
-    elif case != DEG2:
-        p_split = r = n // 2
-        renaming = _choose_renaming(case, de.delta, de.eps, r, de.delta_pivots)
-        delta = [de.delta[i] for i in renaming]
-        # delta_top = M . delta_bottom with the bottom rows independent
-        M = linalg.solve_left(delta[r:], delta[:r])
-        if M is None:
-            raise MathError("top delta rows are not spanned by the bottom rows")
+        renaming, c1, c2, M = _choose_renaming(case, p_split, de.delta_relations,
+                                               de.eps_relations)
 
     sizes, bases, labels = _blocks_basis(field, n, p_split)
     C = coordinate_change(t, case, n, sizes, c1, c2, M)
@@ -514,11 +519,11 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
         raise MathError("dw coordinate change is singular")
     # W's left half is C with its columns permuted, so realifying W in
     # _solve_s also checks that c1/c2 or M lie in their block fields
-    W = _coframe(t, pm.tau(), C, renaming)
+    W = _coframe(pm.tau(), C, renaming)
     if case in (CASE_B, CASE_C):
         s03 = _s0_cubed(t)
-        for a in range(r):  # bottom rows are the s0^3-conjugates of the top rows
-            if W[r + a] != [s03(x) for x in W[a]]:
+        for a in range(p_split):  # bottom rows are the s0^3-conjugates of the top rows
+            if W[p_split + a] != [s03(x) for x in W[a]]:
                 raise MathError("bottom coframe rows are not the s0^3 conjugates")
 
     # S maps the rows of each factor block onto the standard form; in cases
@@ -598,7 +603,7 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
         return VerifyResult(False, f"cannot rebuild coordinate change: {exc}")
     if sorted(cert.renaming) != list(range(n)):
         return VerifyResult(False, "renaming is not a permutation")
-    lhs = linalg.mat_mul(_coframe(t, pm.tau(), C, cert.renaming), cert.S)
+    lhs = linalg.mat_mul(_coframe(pm.tau(), C, cert.renaming), cert.S)
     std = standard_form(field, n, p_split)
     for i, (lr, sr) in enumerate(zip(lhs, std)):
         for j, (a, b) in enumerate(zip(lr, sr)):

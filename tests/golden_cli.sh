@@ -49,6 +49,11 @@ check 0 galois_c galois --input "$DATA/field_c.json"
 check 0 reflex_c reflex --input "$DATA/field_c.json"
 check 0 torus_a_diag split --input "$DATA/torus_a_diag.json"
 check 1 torus_b_n3 split --input "$DATA/torus_b_n3.json"
+check 0 torus_b_n4 split --input "$DATA/torus_b_n4.json"
+check 0 torus_c_n4 split --input "$DATA/torus_c_n4.json"
+check 0 validate_a_diag validate --input "$DATA/torus_a_diag.json"
+check 0 validate_b_n4 validate --input "$DATA/torus_b_n4.json"
+check 0 validate_c_n4 validate --input "$DATA/torus_c_n4.json"
 check 0 k3t2_disjoint k3t2 --input "$DATA/k3t2_disjoint.json"
 check 0 classify_cy3 dodson-classify --n 3 --partition cy3
 check 0 cm_type_n5 dodson-reflex --input "$DATA/cm_type_n5.json"

@@ -550,6 +550,8 @@ GOLDEN = [
     ("torus_a_diag", ["split", "--input"]),
     ("torus_b_n3", ["split", "--input"]),
     ("k3t2_disjoint", ["k3t2", "--input"]),
+    ("torus_b_n4", ["split", "--input"]),
+    ("torus_c_n4", ["split", "--input"]),
 ]
 
 
@@ -558,6 +560,17 @@ def test_golden_files(name, argv, capsys):
     code, out = run_cli(capsys, *argv, os.path.join(DATA, f"{name}.json"))
     with open(os.path.join(DATA, f"{name}.golden.json"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+@pytest.mark.parametrize("golden,name", [
+    ("validate_a_diag", "torus_a_diag"),
+    ("validate_b_n4", "torus_b_n4"),
+    ("validate_c_n4", "torus_c_n4"),
+])
+def test_validate_golden_files(golden, name, capsys):
+    code, out = run_cli(capsys, "validate", "--input", os.path.join(DATA, f"{name}.json"))
+    with open(os.path.join(DATA, f"{golden}.golden.json"), encoding="utf-8") as fh:
+        assert code == 0 and out == fh.read()
 
 
 def test_golden_classification(capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from test_tower import _assert_normal_form, _oracle_elements, _oracle_towers, all_towers
-from util import _det_cofactor, echelon, rank_by_minors
+from util import _det_cofactor, echelon, rank_by_minors, solve_left
 from weakcm import linalg
 from weakcm.errors import DivisionByZero, SingularMatrix, TowerMismatch
 
@@ -331,6 +331,58 @@ def test_rank_and_pivots_over_towers_match_minors_and_gauss_jordan(t):
     assert linalg.row_rank([]) == 0 and linalg.row_rank([[t.zero()]]) == 0
 
 
+def _relations_rank(M):
+    """The rank of M, after checking ``column_relations(M)`` against the
+    Gauss-Jordan echelon (X is the reduced echelon form, whose leading
+    entries sit at the pivots) and against ``solve_left`` on the columns
+    (X^T expresses every column in the pivot columns)."""
+    pivots, X = linalg.column_relations(M)
+    basis = echelon(M)
+    assert pivots == [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert X == [list(row) for row in basis]
+    if pivots:
+        cols = linalg.transpose(M)
+        assert solve_left([cols[p] for p in pivots], cols) == linalg.transpose(X)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (4, 4), (2, 5), (5, 3)])
+def test_column_relations_over_q_match_echelon_and_solve_left(rows, cols):
+    rng = random.Random(89 + rows * cols)
+    for _ in range(10):
+        M = _rational_matrix(rng, rows, cols)
+        if rng.random() < 0.5:
+            M = _with_zero_lines(rng, M, Fraction(0))
+        if rows > 2 and rng.random() < 0.5:  # a row that depends on two others
+            a, b, c = rng.sample(range(rows), 3)
+            M[a] = [_rational(rng) * x + y for x, y in zip(M[b], M[c])]
+        _relations_rank(M)
+    assert _relations_rank([[Fraction(0)] * cols for _ in range(rows)]) == 0
+    # full rank, which is full column rank when rows >= cols
+    full = [[Fraction(i + 1) ** j for j in range(cols)] for i in range(rows)]
+    assert _relations_rank(full) == min(rows, cols)
+    assert linalg.column_relations([]) == ([], [])
+    # deficient, with integer entries: the zero column and the dependent
+    # one get relations too
+    assert linalg.column_relations([[0, 1, 2], [0, 2, 4]]) == (
+        [1], [[Fraction(0), Fraction(1), Fraction(2)]])
+
+
+@pytest.mark.parametrize("t", all_towers(), ids=lambda t: t.case)
+def test_column_relations_over_towers_match_echelon_and_solve_left(t):
+    rng = random.Random(103)
+    ranks = set()
+    for M, rank in _tower_cases(t, rng):
+        assert _relations_rank(M) == rank
+        ranks.add((len(M), len(M[0]), rank))
+    assert any(0 < r < min(m, w) for m, w, r in ranks)  # deficient
+    assert any(r == w < m for m, w, r in ranks)  # full column rank
+    assert any(r == 0 for m, w, r in ranks)  # zero
+    assert linalg.column_relations([]) == ([], [])
+    pivots, X = linalg.column_relations([[t.zero(), t.one()]])
+    assert pivots == [1] and X == [[t.zero(), t.one()]]
+
+
 @pytest.mark.parametrize("t", all_towers(), ids=lambda t: t.case)
 def test_det_and_inverse_over_towers_match_cofactors_and_gauss_jordan(t):
     rng = random.Random(103)
@@ -366,8 +418,6 @@ def test_solve_columns_over_towers_matches_gauss_jordan(t):
         X = _product_matrix(t, rng, k, l, min(k, l))
         B = linalg.mat_mul(A, X)
         assert linalg.solve_columns(A, B) == X
-        assert linalg.solve_left(linalg.transpose(A), linalg.transpose(B)) \
-            == linalg.transpose(X)
         if m > k:  # a right-hand side outside the column span
             B_out = [list(row) for row in B]
             B_out[m - 1][0] = B_out[m - 1][0] + 1

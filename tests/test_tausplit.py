@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from util import coframe_by_products, random_period_matrix, rank_by_minors
+from util import coframe_by_products, random_period_matrix, rank_by_minors, solve_left
 from weakcm import cmfield, linalg, tausplit
 from weakcm.errors import (
     MathError,
@@ -283,15 +283,122 @@ def test_greedy_renaming_matches_subset_search(n):
         deltas += [_low_rank_delta(rng, field.tower, n, r) for _ in range(12)]
         for delta in deltas:
             expected = _renaming_by_subset_search(delta, r)
-            pivots = tuple(linalg.pivot_columns(linalg.transpose(delta)))
+            relations = linalg.column_relations(linalg.transpose(delta))
             if expected is None:
+                # fewer than n/2 independent rows, which validation rejects
                 failed += 1
-                with pytest.raises(MathError):
-                    tausplit._choose_renaming(field.case, delta, None, r, pivots)
-            else:
-                found += 1
-                assert tausplit._choose_renaming(field.case, delta, None, r, pivots) == expected
+                assert len(relations[0]) < r
+                continue
+            found += 1
+            renaming, c1, c2, M = tausplit._choose_renaming(field.case, r, relations, ())
+            assert renaming == expected and c1 is None and c2 is None
+            delta = [delta[i] for i in renaming]
+            assert M == solve_left(delta[r:], delta[:r])
     assert found >= 8 and (failed >= 1 or n == 2)
+
+
+def _case_a_renaming_by_rank_search(delta, eps, k):
+    """The case A search that ranked every index subset: the first k-subset
+    of independent delta rows whose complement holds independent eps
+    rows."""
+    n = len(delta)
+    for subset in itertools.combinations(range(n), k):
+        comp = tuple(i for i in range(n) if i not in subset)
+        if (linalg.row_rank([delta[i] for i in subset]) == k
+                and linalg.row_rank([eps[i] for i in comp]) == n - k):
+            return subset + comp
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_case_a_renaming_matches_rank_search(n):
+    # low-rank delta and eps whose leading rows are often dependent, so the
+    # search has to pass over subsets; c1 and c2 against solve_left
+    rng = random.Random(700 + n)
+    t = f_A().tower
+    found = failed = searched = 0
+    for _ in range(100):
+        k = rng.randint(1, n - 1)
+        delta = _low_rank_delta(rng, t, n, k)
+        if linalg.row_rank(delta) != k:
+            continue
+        eps = _low_rank_delta(rng, t, n, n - k)
+        expected = _case_a_renaming_by_rank_search(delta, eps, k)
+        rel_d = linalg.column_relations(linalg.transpose(delta))
+        rel_e = linalg.column_relations(linalg.transpose(eps))
+        if expected is None:
+            failed += 1
+            with pytest.raises(MathError):
+                tausplit._choose_renaming("A", n - k, rel_d, rel_e)
+            continue
+        found += 1
+        renaming, c1, c2, M = tausplit._choose_renaming("A", n - k, rel_d, rel_e)
+        assert renaming == expected and M is None
+        searched += renaming[:k] != tuple(rel_d[0])
+        delta = [delta[i] for i in renaming]
+        eps = [eps[i] for i in renaming]
+        assert c1 == solve_left(eps[k:], [[-x for x in row] for row in eps[:k]])
+        assert c2 == solve_left(delta[:k], [[-x for x in row] for row in delta[k:]])
+    assert found >= 8 and failed >= 1 and searched >= 3
+
+
+@pytest.mark.parametrize("field_of", [f_deg2, f_A, f_B, f_C])
+def test_ranks_and_relations_match_full_matrix_oracles(field_of):
+    # validation ranks delta and eps by their basis rows, and the split
+    # reads c1/c2 or M off the same passes; against the ranks of the whole
+    # matrices and their stack, and against solve_left on the renamed rows
+    field = field_of()
+    rng = random.Random(800 + len(field.case))
+    for n in (2, 3, 4):
+        if n % 2 and field.case in ("B", "C"):
+            continue
+        for p_split in (range(1, n) if field.case == "A" else (None,)):
+            pm = random_period_matrix(field, n, rng, p_split)
+            de = tausplit.validate_weak_cm(pm)
+            assert (de.rank_delta, de.rank_eps, de.rank_joint) == (
+                linalg.row_rank(de.delta), linalg.row_rank(de.eps),
+                linalg.row_rank(de.delta + de.eps))
+            cert, _ = tausplit.split(pm)
+            delta = [de.delta[i] for i in cert.renaming]
+            eps = [de.eps[i] for i in cert.renaming]
+            if field.case == "A":
+                k = n - p_split
+                assert cert.block_sizes == (k, p_split)
+                assert cert.c1 == solve_left(eps[k:], [[-x for x in row] for row in eps[:k]])
+                assert cert.c2 == solve_left(delta[:k],
+                                             [[-x for x in row] for row in delta[k:]])
+            elif field.case != "deg2":
+                r = n // 2
+                assert cert.M == solve_left(delta[r:], delta[:r])
+
+
+@pytest.mark.parametrize("field_of, n", [(f_A, 3), (f_B, 4), (f_C, 4)])
+def test_split_eliminates_each_difference_matrix_once(field_of, n, monkeypatch):
+    # cases B/C: one pass over transpose(delta), and the joint rank on n
+    # rows; case A: two passes in validation, and no tower solve
+    field = field_of()
+    pm = random_period_matrix(field, n, random.Random(900 + n))
+    de = tausplit.validate_weak_cm(pm)
+    calls = []
+    for name in ("column_relations", "row_rank", "solve_columns"):
+        def wrapped(*args, _real=getattr(linalg, name), _name=name):
+            calls.append((_name, args))
+            return _real(*args)
+        monkeypatch.setattr(linalg, name, wrapped)
+    cert, verified = tausplit.split(pm)
+    assert verified.ok
+    relations = [args[0] for name, args in calls if name == "column_relations"]
+    joint = [args[0] for name, args in calls  # the tower ranks
+             if name == "row_rank" and not isinstance(args[0][0][0], Fraction)]
+    assert [len(rows) for rows in joint] == [n]
+    assert all(isinstance(x, (int, Fraction))
+               for name, args in calls if name == "solve_columns"
+               for matrix in args for row in matrix for x in row)
+    if field.case == "A":
+        assert relations[:2] == [linalg.transpose(de.delta), linalg.transpose(de.eps)]
+        assert all(len(rows) < n for rows in relations[2:])  # the relation matrices
+    else:
+        assert relations == [linalg.transpose(de.delta)]
 
 
 # ---------------------------------------------------------------- splitting
@@ -521,7 +628,7 @@ def test_coframe_matches_product_oracle():
         renamings = [cert.renaming, tuple(range(n))[::-1]]
         renamings += [tuple(rng.sample(range(n), n)) for _ in range(3)]
         for renaming in renamings:
-            assert (tausplit._coframe(t, tau, C, renaming)
+            assert (tausplit._coframe(tau, C, renaming)
                     == coframe_by_products(t, tau, C, renaming))
 
 
@@ -592,7 +699,7 @@ def test_verify_rejects_forged_standard_form(field_of, n):
     assert linalg.mat_det(forged_s, Fraction(1))
     C = tausplit.coordinate_change(t, cert.case, n, cert.block_sizes,
                                    cert.c1, cert.c2, cert.M)
-    coframe = tausplit._coframe(t, pm.tau(), C, cert.renaming)
+    coframe = tausplit._coframe(pm.tau(), C, cert.renaming)
     forged = cert._replace(S=forged_s, standard_form=linalg.mat_mul(coframe, forged_s))
     res = tausplit.verify_certificate(pm, forged)
     assert not res.ok and "standard form mismatch" in res.diagnostic

@@ -139,6 +139,17 @@ def echelon(rows):
     return [tuple(r) for r in M[:rank]]
 
 
+def solve_left(A, B):
+    """Solve X A = B, given the rows of A are independent, through
+    ``linalg.solve_columns`` on the transposes; None when some row of B is
+    outside the row span of A.  The oracle for ``linalg.column_relations``
+    and for the c1/c2/M relations of a certificate."""
+    X_t = linalg.solve_columns(linalg.transpose(A), linalg.transpose(B))
+    if X_t is None:
+        return None
+    return linalg.transpose(X_t)
+
+
 def coframe_by_products(t, tau, C, renaming):
     """C . Pi . (1 | tau) as two tower products, with Pi the 0/1 renaming
     matrix and (1 | tau) the identity block beside tau; the oracle for
