@@ -15,10 +15,8 @@ and c1/c2 or M off those passes and produces an exact certificate (P, S,
 renaming, c1/c2 or M, standard form) whose verification is an independent
 recomputation from the certificate's data.  Each split verifies its
 certificate once and returns that result with it.  Split and verify build
-each piece with the same function: the coordinate change C from the
-recorded c1/c2 or M with ``coordinate_change``, and the coframe
-C . Pi . (1 | tau) with ``_coframe``, which writes C . Pi down as a column
-permutation of C and multiplies only C by the renamed tau.
+each piece with the same function: C with ``coordinate_change``, the
+coframe with ``_coframe``.
 
 The S search works on the rational "realification": each coframe row over
 its coefficient field F expands into [F:Q] rational rows; the standard form
@@ -350,13 +348,9 @@ def _choose_renaming(case, p_split, delta_relations, eps_relations):
 
     Cases B/C: the basis of the delta rows goes to the bottom, and M holds
     the other rows in it.  Case A needs k = n - p independent delta rows
-    whose complement holds p independent eps rows, a common basis of two
-    matroids.  Subsets are tried in lexicographic order, at most
-    ``RENAMING_SEARCH_BOUND`` of them (``SearchBoundExceeded`` past that);
-    those before the basis of the delta rows are dependent.  Each is tested
-    by one pass over the delta relations, its columns first, and one over
-    the eps relations, the complement's first; the accepted subset's
-    passes give c2 and c1.
+    whose complement holds p independent eps rows; subsets are tried in
+    lexicographic order, at most ``RENAMING_SEARCH_BOUND`` of them, and the
+    passes over the relations that accept one give c2 and c1.
     """
     pivots, X = delta_relations
     n = len(X[0])
@@ -366,7 +360,6 @@ def _choose_renaming(case, p_split, delta_relations, eps_relations):
         return comp + tuple(pivots), None, None, M
     k, p = n - p_split, p_split
     eps_X = eps_relations[1]
-    start = tuple(pivots)
     for tried, subset in enumerate(itertools.combinations(range(n), k)):
         if tried == RENAMING_SEARCH_BOUND:
             raise SearchBoundExceeded(
@@ -374,8 +367,6 @@ def _choose_renaming(case, p_split, delta_relations, eps_relations):
                 f"{RENAMING_SEARCH_BOUND} subsets (n = {n}, p = {p_split}), "
                 "where the search stops"
             )
-        if subset < start:
-            continue
         comp = tuple(i for i in range(n) if i not in subset)
         top, Y2 = linalg.column_relations([[row[i] for i in subset + comp] for row in X])
         if top != list(range(k)):
