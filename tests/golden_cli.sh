@@ -57,6 +57,8 @@ check 0 validate_c_n4 validate --input "$DATA/torus_c_n4.json"
 check 0 k3t2_disjoint k3t2 --input "$DATA/k3t2_disjoint.json"
 check 0 classify_cy3 dodson-classify --n 3 --partition cy3
 check 0 cm_type_n5 dodson-reflex --input "$DATA/cm_type_n5.json"
+check 0 cm_type_n4 dodson-reflex --input "$DATA/cm_type_n4.json"
+check 0 presets presets
 
 # usage: check_line EXPECTED_EXIT LINE NAME SUBCOMMAND [ARGS...]
 check_line() {

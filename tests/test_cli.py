@@ -545,7 +545,8 @@ def test_weil_griffiths_wrong_weight(tmp_path, capsys):
     assert json.loads(out)["diagnostics"][0]["condition"] == "hodge:wrong-weight"
 
 
-# (input name, argv[, golden name when it is not the input's])
+# (input name, argv[, golden name when it is not the input's]); an argv that
+# ends in --input reads tests/data/<input name>.json
 GOLDEN = [
     ("field_b", ["classify-field", "--input"]),
     ("torus_a_diag", ["split", "--input"]),
@@ -556,6 +557,8 @@ GOLDEN = [
     ("torus_a_diag", ["validate", "--input"], "validate_a_diag"),
     ("torus_b_n4", ["validate", "--input"], "validate_b_n4"),
     ("torus_c_n4", ["validate", "--input"], "validate_c_n4"),
+    ("cm_type_n4", ["dodson-reflex", "--input"]),
+    ("presets", ["presets"]),
 ]
 
 
@@ -564,7 +567,9 @@ GOLDEN = [
     for i, (name, argv, *golden) in enumerate(GOLDEN)
 ])
 def test_golden_files(name, argv, golden, capsys):
-    code, out = run_cli(capsys, *argv, os.path.join(DATA, f"{name}.json"))
+    if argv[-1] == "--input":
+        argv = argv + [os.path.join(DATA, f"{name}.json")]
+    code, out = run_cli(capsys, *argv)
     with open(os.path.join(DATA, f"{golden}.golden.json"), encoding="utf-8") as fh:
         assert out == fh.read()
 
