@@ -2,8 +2,8 @@
 
 Entries are ``fractions.Fraction`` (or ``int``) or tower elements; no
 floating point anywhere.  ``mat_mul`` computes each entry as one fused dot
-product: integer rows over a common denominator, or, over a tower, sums
-of numerator vectors through the tower's integer structure table
+product: integer rows over a common denominator, or, over a tower, one
+``TowerSpec.dot`` call, the tower's own product kernel
 (``_tower_mat_mul``); a tower matrix times a rational one needs no table
 (``_tower_mat_mul_rational``).
 
@@ -17,11 +17,12 @@ divided exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968), so
 entries stay integer minors.  Over a tower the pass does not divide: an
 inverse is itself a linear solve, and dividing by one measured slower than
 the coefficient growth it saves.  It still multiplies every row below a
-pivot by that pivot, so a determinant costs one inverse at the end; the
-nonzero terms of the pivot and its row are worked out once per pivot
-(``_pivot_update``).  Generated subalgebras and coordinates in the Q-span
-of tower elements (``CoordinateMap``) live here too; ``tower`` imports this
-module only to invert an element.
+pivot by that pivot, so a determinant costs one inverse at the end; each
+updated entry is one ``TowerSpec.dot`` call, with the terms of the pivot
+and its row worked out once per pivot (``_pivot_update``).  Generated
+subalgebras and coordinates in the Q-span of tower elements
+(``CoordinateMap``) live here too; ``tower`` imports this module only to
+invert an element.
 """
 
 import math
@@ -292,39 +293,22 @@ def solve_columns(A, B):
 # the tower matrix layer, on the integer numerators of tower elements
 
 
-def _terms(t, x):
-    """(den, nonzero (index, numerator) pairs) of x in the tower t, or None
-    at zero; rationals are coerced."""
-    if not isinstance(x, FieldElement):
-        x = t.rational(x)
-    elif x.tower is not t and x.tower.key != t.key:
-        raise TowerMismatch("elements live in different towers")
-    nz = [(i, a) for i, a in enumerate(x.num) if a]
-    return (x.den, nz) if nz else None
-
-
 def _tower_mat_mul(t, A, B):
     """A B for matrices of elements of the tower t (rationals are coerced).
 
-    Each entry is one fused dot product: the numerator vectors of the
-    nonzero products are summed through the tower's integer structure table
-    (``TowerSpec._fused``) over the lcm of their denominators, and the sum
-    is reduced once.  Zero factors are skipped, so identity and permutation
+    Each entry is one ``TowerSpec.dot`` call on the nonzero products of its
+    row and column.  Zero factors are skipped, so identity and permutation
     factors cost one table lookup per nonzero entry.
     """
-    scale = t._int_den
-    cols = [[_terms(t, x) for x in col] for col in zip(*B)]
+    cols = [[t.terms(x) for x in col] for col in zip(*B)]
     out = []
     for row in A:
-        left = [(k, term) for k, term in enumerate([_terms(t, x) for x in row]) if term]
-        new = []
-        for col in cols:
-            prods = [(da * col[k][0], ta, col[k][1])
-                     for k, (da, ta) in left if col[k] is not None]
-            den = math.lcm(*(d for d, _, _ in prods))
-            acc = t._fused((ta, tb, den // d) for d, ta, tb in prods)
-            new.append(_normalised(t, acc, den * scale))
-        out.append(new)
+        left = [(k, term) for k, term in enumerate([t.terms(x) for x in row]) if term]
+        out.append([
+            t.dot([(da * col[k][0], ta, col[k][1])
+                   for k, (da, ta) in left if col[k] is not None])
+            for col in cols
+        ])
     return out
 
 
@@ -357,35 +341,25 @@ def _pivot_update(t, piv, top):
     tower t.
 
     Returns a function of (f, row) that gives ``[piv * y - f * z for y,
-    z in zip(row, top)]``, each entry one fused sum reduced once.  The
-    nonzero terms of ``piv`` (nonzero) and of ``top`` are worked out here,
-    once per pivot, not once per row below it.
+    z in zip(row, top)]``, each entry one ``TowerSpec.dot`` call on the
+    nonzero ones of its two products.  The terms of ``piv`` (nonzero) and
+    of ``top`` are worked out here, once per pivot, not once per row below
+    it.
     """
-    scale = t._int_den
-    dp, tp = _terms(t, piv)
-    tops = [_terms(t, z) for z in top]
+    dp, tp = t.terms(piv)
+    tops = [t.terms(z) for z in top]
 
     def update(f, row):
-        ft = _terms(t, f)
+        ft = t.terms(f)
         if ft is not None:
             df, nf = ft[0], [(i, -a) for i, a in ft[1]]
         out = []
         for y, zt in zip(row, tops):
-            yt = _terms(t, y)
-            if zt is None or ft is None:
-                if yt is None:
-                    out.append(t.zero())
-                    continue
-                den = dp * yt[0]
-                parts = ((tp, yt[1], 1),)
-            elif yt is None:
-                den = df * zt[0]
-                parts = ((nf, zt[1], 1),)
-            else:
-                d1, d2 = dp * yt[0], df * zt[0]
-                den = d1 if d1 == d2 else math.lcm(d1, d2)
-                parts = ((tp, yt[1], den // d1), (nf, zt[1], den // d2))
-            out.append(_normalised(t, t._fused(parts), den * scale))
+            yt = t.terms(y)
+            prods = [] if yt is None else [(dp * yt[0], tp, yt[1])]
+            if ft is not None and zt is not None:
+                prods.append((df * zt[0], nf, zt[1]))
+            out.append(t.dot(prods))
         return out
 
     return update

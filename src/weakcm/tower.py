@@ -15,12 +15,13 @@ a fixed monomial basis over Q:
 An element stores integer numerators over one common denominator, and
 each tower keeps its structure constants as a sparse integer table over one
 common denominator, so products, sums and Galois images are computed in
-integers with one gcd per result (``TowerSpec._fused`` is the product
-kernel); ``FieldElement.coeffs`` still exposes the coefficients as
-``fractions.Fraction``s, and ``serialize`` formats straight from the
-integers.  Matrices over a tower, generated subalgebras and coordinates in
-the Q-span of given elements live in ``linalg``, which this module imports
-only to invert an element.  There is no floating point.
+integers with one gcd per result.  ``TowerSpec.dot`` is the one product
+kernel: ``FieldElement.__mul__`` and the tower products of ``linalg`` each
+call it once per result.  ``FieldElement.coeffs`` still exposes the
+coefficients as ``fractions.Fraction``s, and ``serialize`` formats straight
+from the integers.  Matrices over a tower, generated subalgebras and
+coordinates in the Q-span of given elements live in ``linalg``, which this
+module imports only to invert an element.  There is no floating point.
 Galois actions are stored as explicit Q-linear maps on the basis and checked
 to be ring automorphisms at construction time.
 
@@ -361,11 +362,9 @@ class FieldElement:
                                    self.den * other.denominator)
             return NotImplemented
         o = self._coerce(other)
-        t = self.tower
         left = [(i, a) for i, a in enumerate(self.num) if a]
         right = [(j, b) for j, b in enumerate(o.num) if b]
-        return _normalised(t, t._fused(((left, right, 1),)),
-                           self.den * o.den * t._int_den)
+        return self.tower.dot(((self.den * o.den, left, right),))
 
     __rmul__ = __mul__
 
@@ -719,13 +718,31 @@ class TowerSpec:
             found = self._subalgebras[support] = (span, {k: q for q, k in enumerate(span)})
         return found
 
-    def _fused(self, parts):
-        """The numerator vector, over ``_int_den``, of the sum of ``s * x *
-        y`` over the ``(x terms, y terms, s)`` in ``parts``: one pass
-        through ``_int_table``, shared by every product kernel."""
+    def terms(self, x):
+        """(den, nonzero (index, numerator) pairs) of x, or None at zero:
+        the operand form of ``dot``.  Rationals are coerced; an element of
+        another tower raises TowerMismatch."""
+        if not isinstance(x, FieldElement):
+            x = self.rational(x)
+        elif x.tower is not self and x.tower.key != self.key:
+            raise TowerMismatch("elements live in different towers")
+        nz = [(i, a) for i, a in enumerate(x.num) if a]
+        return (x.den, nz) if nz else None
+
+    def dot(self, prods) -> FieldElement:
+        """The sum of x * y / den over the ``(den, x terms, y terms)`` in
+        ``prods``, with x and y given by their nonzero numerators (as from
+        ``terms``): the one product kernel.  The products are brought to the
+        lcm of their dens and summed in one pass through ``_int_table``,
+        over that lcm times ``_int_den``, and the sum is reduced once; an
+        empty list gives zero."""
+        if not prods:
+            return self.zero()
+        den = math.lcm(*[d for d, _, _ in prods])
         table = self._int_table
         acc = [0] * self.dim
-        for ta, tb, s in parts:
+        for d, ta, tb in prods:
+            s = den // d
             for i, a in ta:
                 trow = table[i]
                 a *= s
@@ -733,7 +750,7 @@ class TowerSpec:
                     ab = a * b
                     for m, c in trow[j]:
                         acc[m] += ab * c
-        return acc
+        return _normalised(self, acc, den * self._int_den)
 
     # -- element constructors
 

@@ -553,6 +553,44 @@ def test_kernel_ring_ops_against_fraction_oracle():
                     assert z.coeffs == want
 
 
+@pytest.mark.parametrize("t", _oracle_towers(), ids=lambda t: t.case)
+def test_dot_against_fraction_oracle(t):
+    # seeded sums of products as the matrix product and the elimination
+    # update hand them to dot: single products, products over other
+    # denominators than x.den * y.den, and negated left factors
+    rng = random.Random(47)
+    els = list(filter(None, _oracle_elements(t, rng, 8)))
+    assert t.dot([]) == t.zero()
+    for length in (1, 2, 3, 5) * 5:
+        prods, want = [], (Fraction(0),) * t.dim
+        for _ in range(length):
+            x, y = rng.choice(els), rng.choice(els)
+            (dx, tx), (dy, ty) = t.terms(x), t.terms(y)
+            k, sign = rng.choice((1, 1, 6, 35)), rng.choice((1, -1))
+            prods.append((dx * dy * k, [(i, sign * a) for i, a in tx], ty))
+            xy = _ref_mul(t, x.coeffs, y.coeffs)
+            want = tuple(w + sign * c / k for w, c in zip(want, xy))
+        got = t.dot(prods)
+        _assert_normal_form(got)
+        assert got.coeffs == want
+        # the negated sum cancels to the normal form of zero
+        negated = [(d, [(i, -a) for i, a in tx], ty) for d, tx, ty in prods]
+        zero = t.dot(prods + negated)
+        assert (zero.num, zero.den) == ((0,) * t.dim, 1)
+
+
+def test_terms_coerce_rationals_and_check_the_tower():
+    t = tw.biquadratic_tower(-1, -3)
+    assert t.terms(t.zero()) is None and t.terms(0) is None
+    assert t.terms(Fraction(-3, 7)) == (7, [(0, -3)])
+    assert t.terms(t.rational(Fraction(-3, 7))) == (7, [(0, -3)])
+    x = t.element([Fraction(1, 2), 0, Fraction(-5, 6), 0])
+    assert t.terms(x) == (6, [(0, 3), (2, -5)])
+    assert t.terms(tw.biquadratic_tower(-1, -3).element(x.coeffs)) == (6, [(0, 3), (2, -5)])
+    with pytest.raises(TowerMismatch):
+        t.terms(tw.quadratic_tower(-1).one())
+
+
 def test_kernel_inverse_against_fraction_oracle():
     rng = random.Random(43)
     for t in _oracle_towers():
