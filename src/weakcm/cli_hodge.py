@@ -66,13 +66,12 @@ def cmd_product(args):
     doc = _load_object(args, "product")
     h1 = serialize.parse_structure(doc.get("factor1", {}))
     h2 = serialize.parse_structure(doc.get("factor2", {}))
-    identification = None
     if "identification" in doc:
         raise InputError(
             "explicit identifications are supported through the k3t2 "
             "subcommand's character input"
         )
-    product = hodge.tensor_cm(h1, h2, identification)
+    product = hodge.tensor_cm(h1, h2)
     verdicts = hodge.factor_weak_cm(product)
     level = hodge.level_subspace(product)
     return {

@@ -200,8 +200,7 @@ def dodson_type(field: CMFieldData) -> dodson.AbstractCMType:
     labels = [(1, 0)] * n_pairs + [(0, 1)] * n_pairs
     elements, _ = dodson.induced_pair_group(range(field.degree), gg.pairing,
                                             gg.action, labels)
-    return dodson.AbstractCMType(elements, dodson.standard_phi(n_pairs),
-                                 simple=True)
+    return dodson.AbstractCMType(elements, dodson.standard_phi(n_pairs))
 
 
 # --------------------------------------------------------------------------

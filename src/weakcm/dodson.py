@@ -777,12 +777,13 @@ class AbstractCMType:
     checked when it is built.
 
     Simple weight-1 structures have a transitive permutation image; direct
-    sums of smaller CM fields are block groups and need not be transitive.
+    sums of smaller CM fields are block groups and need not be transitive,
+    so transitivity is not checked here.
     """
 
-    __slots__ = ("group", "phi", "simple")
+    __slots__ = ("group", "phi")
 
-    def __init__(self, group: tuple, phi: tuple, simple: bool = False):
+    def __init__(self, group: tuple, phi: tuple):
         if not group:
             raise InvalidCMType("empty group")
         N = group[0].N
@@ -795,13 +796,8 @@ class AbstractCMType:
         pairs = sorted(i for i, _ in phi)
         if pairs != list(range(N)) or any(bar not in (0, 1) for _, bar in phi):
             raise InvalidCMType("phi must pick exactly one slot per pair")
-        if simple:
-            perms = sorted({g.perm for g in group})
-            if not _is_transitive(perms, N):
-                raise InvalidCMType("simple type needs a transitive group")
         self.group = group
         self.phi = phi
-        self.simple = simple
 
     @property
     def N(self) -> int:
@@ -934,7 +930,11 @@ def _class_tag(report: ReflexReport):
     """The conjugacy class of the induced data, resolved when cheap (n' <= 3).
     For n' = 3, the tag of the canonical member of the induced group's orbit
     under the S~ of its pair labels (the group is admissible: transitive on
-    the pairs, with rho), as ``classify_conjugacy`` tags that class."""
+    the pairs, with rho), as ``classify_conjugacy`` tags that class.
+
+    For odd n no pair label has p = q, so S~ holds no bit flips and its
+    conjugations keep the tag: the class tag differs from the tag only for
+    even n, through a (n/2, n/2) pair (tests/data/cm_type_n4.json)."""
     np = report.n_prime
     if np == 1:
         return "Deg2"

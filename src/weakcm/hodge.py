@@ -273,12 +273,12 @@ def level_subspace(h: CMHodgeStructure) -> CMHodgeStructure:
 
 def level_dodson_data(level: CMHodgeStructure):
     """Induced Im(N',2) subgroup of a level subspace (the output of
-    ``level_subspace``), with its triple and pair labels."""
+    ``level_subspace``), with its triple."""
     actions = [{s: level.apply(g, s) for s in level.slots} for g in level.group]
-    elements, pair_labels = dodson.induced_pair_group(
+    elements, _ = dodson.induced_pair_group(
         level.slots, level.rho, actions, level.labels
     )
-    return elements, dodson.triple_from_group(elements), pair_labels
+    return elements, dodson.triple_from_group(elements)
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
         and level.is_cm()
     )
 
-    elements, triple, _ = level_dodson_data(level)
+    elements, triple = level_dodson_data(level)
     alias = dodson.quartic_case_alias(triple)
     return ProductReport(
         level_dim=level_dim,

@@ -124,7 +124,7 @@ def weight1_presets() -> list[Weight1Preset]:
     def simple(name, desc, g0, v, s):
         return Weight1Preset(
             name, desc,
-            AbstractCMType(_simple(g0, v, s), phi, simple=True),
+            AbstractCMType(_simple(g0, v, s), phi),
         )
 
     presets = [

@@ -324,7 +324,7 @@ def parse_cm_type(doc) -> dodson.AbstractCMType:
     return dodson.AbstractCMType(elements, phi_t)
 
 
-def reflex_dodson_report(report: dodson.ReflexReport, notes=()) -> dict:
+def reflex_dodson_report(report: dodson.ReflexReport) -> dict:
     out = {
         "n": report.n,
         "reflex_degree": report.degree,
@@ -340,9 +340,8 @@ def reflex_dodson_report(report: dodson.ReflexReport, notes=()) -> dict:
         "galois_group": report.group_name,
         "group": [imn2_element_out(g) for g in report.group],
     }
-    all_notes = tuple(report.notes) + tuple(notes)
-    if all_notes:
-        out["notes"] = list(all_notes)
+    if report.notes:
+        out["notes"] = list(report.notes)
     return out
 
 

@@ -506,16 +506,12 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
 
     sizes, bases, labels = _blocks_basis(field, n, p_split)
     C = coordinate_change(t, case, n, sizes, c1, c2, M)
-    if case != DEG2 and not linalg.mat_det(C, t.one()):
-        raise MathError("dw coordinate change is singular")
     # W's left half is C with its columns permuted, so realifying W in
-    # _solve_s also checks that c1/c2 or M lie in their block fields
+    # _solve_s also checks that c1/c2 or M lie in their block fields.  That
+    # C is invertible, and (B/C) that W's bottom rows are the s0^3-conjugates
+    # of its top rows, follow from split's verify_certificate match of W S
+    # with the standard form, for a rational invertible S
     W = _coframe(pm.tau(), C, renaming)
-    if case in (CASE_B, CASE_C):
-        s03 = _s0_cubed(t)
-        for a in range(p_split):  # bottom rows are the s0^3-conjugates of the top rows
-            if W[p_split + a] != [s03(x) for x in W[a]]:
-                raise MathError("bottom coframe rows are not the s0^3 conjugates")
 
     # S maps the rows of each factor block onto the standard form; in cases
     # B/C the bottom block is the conjugate of the top one

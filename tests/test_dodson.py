@@ -11,6 +11,7 @@ from util import (
     CayleyTable,
     burnside_class_count,
     class_table,
+    class_tag_by_table,
     classify_by_bfs,
     conjugacy_orbit_bfs,
     find_class,
@@ -608,17 +609,16 @@ _ID2 = ImN2Element((0, 0), (0, 1))
 _SWAP2 = ImN2Element((0, 0), (1, 0))
 
 
-@pytest.mark.parametrize("group, phi, simple, message", [
-    ((), standard_phi(2), False, "empty group"),
-    ((_ID2, _SWAP2), standard_phi(2), False, "does not contain the conjugation rho"),
-    ((_ID2, _RHO2, ImN2Element((1, 0), (0, 1))), standard_phi(2), False,
+@pytest.mark.parametrize("group, phi, message", [
+    ((), standard_phi(2), "empty group"),
+    ((_ID2, _SWAP2), standard_phi(2), "does not contain the conjugation rho"),
+    ((_ID2, _RHO2, ImN2Element((1, 0), (0, 1))), standard_phi(2),
      "do not form a subgroup"),
-    ((_ID2, _RHO2), ((0, 0), (0, 1)), False, "one slot per pair"),
-    ((_ID2, _RHO2), standard_phi(2), True, "needs a transitive group"),
+    ((_ID2, _RHO2), ((0, 0), (0, 1)), "one slot per pair"),
 ])
-def test_cm_type_is_checked_when_built(group, phi, simple, message):
+def test_cm_type_is_checked_when_built(group, phi, message):
     with pytest.raises(InvalidCMType, match=message):
-        AbstractCMType(group, phi, simple=simple)
+        AbstractCMType(group, phi)
 
 
 # ---------------------------------------------------------------- reflex
@@ -665,6 +665,21 @@ def test_reflex_and_group_names_match_universe_oracles():
     assert types == 432
     for G in enumerate_admissible(3):
         assert dodson.identify_group(G) == identify_group_by_universe(G)
+
+
+def test_class_tag_differs_from_tag_through_a_middle_pair():
+    # an intransitive N = 4 type whose n' = 3 data has a (2, 2) pair: S~
+    # then holds bit flips, and the class of the induced group carries
+    # another tag than its own triple
+    path = os.path.join(os.path.dirname(__file__), "data", "cm_type_n4.json")
+    with open(path, encoding="utf-8") as fh:
+        ct = serialize.parse_cm_type(json.load(fh))
+    report = reflex_from_dodson(ct, 4)
+    assert report.n_prime == 3
+    assert report.hodge_numbers == {(4, 0): 1, (2, 2): 4, (0, 4): 1}
+    assert (report.tag, report.group_name) == ("(Z3,1,non-triv.)", "Z6")
+    assert report.class_tag == class_tag_by_table(report) == "(Z3,1,triv.)"
+    assert report == reflex_by_cosets(ct, 4)
 
 
 def test_level_data_build_no_universe_tables():

@@ -401,6 +401,25 @@ def test_split_eliminates_each_difference_matrix_once(field_of, n, monkeypatch):
         assert relations == [linalg.transpose(de.delta)]
 
 
+@pytest.mark.parametrize("row", [1, -1])
+@pytest.mark.parametrize("field_of, n", [(f_deg2, 3), (f_A, 3), (f_B, 4), (f_C, 4)])
+def test_split_rejects_a_singular_coordinate_change(field_of, n, row, monkeypatch):
+    # split checks C only through its one verify_certificate call (or while
+    # realifying the coframe): a C with row 0 repeated must not pass.  In
+    # cases B/C the last row is a bottom row, which only verify reads
+    pm = random_period_matrix(field_of(), n, random.Random(70 + n))
+    real = tausplit.coordinate_change
+
+    def singular(*args, **kwargs):
+        C = real(*args, **kwargs)
+        C[row] = C[0]
+        return C
+
+    monkeypatch.setattr(tausplit, "coordinate_change", singular)
+    with pytest.raises(MathError):
+        tausplit.split(pm)
+
+
 # ---------------------------------------------------------------- splitting
 
 
