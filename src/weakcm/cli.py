@@ -78,7 +78,7 @@ def _cmd_split(args):
 
     pm = serialize.parse_period_matrix(serialize.load_document(args.input))
     cert, verified = tausplit.split(pm)
-    return serialize.certificate_report(pm, cert, verified.ok)
+    return serialize.certificate_report(cert, verified.ok)
 
 
 # the other subcommands run cli_dodson.cmd_<name> or cli_hodge.cmd_<name>

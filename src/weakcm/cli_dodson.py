@@ -90,16 +90,15 @@ def cmd_presets(args):
 
     reports = preset_reflex_reports()
     degrees = sorted({rep.degree for _, rep in reports})
+    rows = []
+    for pr, rep in reports:
+        reflex = serialize.reflex_dodson_report(rep)
+        if pr.note:
+            reflex["notes"] = [pr.note]
+        rows.append({"name": pr.name, "description": pr.description, "reflex": reflex})
     return {
         "count": len(reports),
-        "presets": [
-            {
-                "name": pr.name,
-                "description": pr.description,
-                "reflex": serialize.reflex_dodson_report(rep),
-            }
-            for pr, rep in reports
-        ],
+        "presets": rows,
         "informational": {
             "reflex_degrees_realized": degrees,
             "note": (

@@ -1,7 +1,7 @@
 """The CLI's Hodge subcommands: ``k3t2``, ``product`` and
 ``weil-griffiths``, imported only when one of them runs."""
 
-from . import dodson, hodge, serialize
+from . import hodge, serialize
 from .errors import IncompatibleIdentifications, InputError
 
 
@@ -15,7 +15,8 @@ def _load_object(args, what) -> dict:
 def _character_map(doc_character, ts, ct, e):
     """Translate an element-keyed character into an identification list
     aligned with the canonical group order of the built structure.  Each
-    element is keyed by its slot images, the form ``ts.group`` holds."""
+    element is keyed by its ``hodge.slot_images``, the form ``ts.group``
+    holds."""
     if doc_character is None:
         return None
     if not isinstance(doc_character, list):
@@ -37,7 +38,7 @@ def _character_map(doc_character, ts, ct, e):
                 "onto Z2 takes the values 0 and 1"
             )
         g = serialize.parse_imn2_element(element, ct.N)
-        by_images[tuple(dodson.act_slot(g, s) for s in ts.slots)] = value
+        by_images[hodge.slot_images(g, ts.slots)] = value
     ident2 = tuple(e.slots)
     flip_idx = next(i for i, g in enumerate(e.group) if g != ident2)
     ident_idx = e.group.index(ident2)

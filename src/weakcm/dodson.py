@@ -87,22 +87,10 @@ def act_slot(g: ImN2Element, slot: Slot) -> Slot:
     return (j, s ^ g.bits[j])
 
 
-def element_key(g: ImN2Element):
-    """Total order: bits as a binary integer, then one-line permutation."""
-    bits_int = 0
-    for b in g.bits:
-        bits_int = (bits_int << 1) | b
-    return (bits_int, g.perm)
-
-
-def subgroup_key(elements):
-    return tuple(sorted(element_key(g) for g in elements))
-
-
 # --------------------------------------------------------------------------
 # the ambient group as index tables, tabulated from (Z2)^N x| S_N
 
-UNIVERSE_BOUND = 5  # Im(5,2) has order 3840; Im(6,2) would need 46080^2 entries
+UNIVERSE_BOUND = 5  # Dodson computations are bounded to N <= 5: |Im(5,2)| = 3840
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +126,7 @@ class _Universe:
     Element (bits, perm) has index ``bits_int * N! + rank(perm)``, where
     ``bits_int`` reads bits[0] as the high bit and ``rank`` is the
     lexicographic rank among the permutations of range(N); this is the
-    ``element_key`` order.  With F = N!, the product
+    ``ImN2Element`` order (bits, then perm).  With F = N!, the product
     (ba, pa)(bb, pb) = (ba ^ pa.bb, pa pb) has index
     ``(ba ^ act[pa][bb]) * F + pmul[pa][pb]``, so the row of ``mul`` for
     (ba, pa) is the concatenation over bb of the F-entry block
@@ -206,8 +194,8 @@ def universe(N: int) -> _Universe:
 def _check_universe_bound(N: int):
     if N > UNIVERSE_BOUND:
         raise BoundExceeded(
-            f"Im({N},2) has order {im_order(N)}; its tables are built only "
-            f"for N <= {UNIVERSE_BOUND}"
+            f"Im({N},2) has order {im_order(N)}; Dodson computations are "
+            f"bounded to N <= {UNIVERSE_BOUND}"
         )
 
 
@@ -330,7 +318,7 @@ def _triple_violation(N, g0, v, s):
 
 
 def _lift(N, s, v):
-    """The elements (s(x) + w, x), w in V, in ``element_key`` order, for
+    """The elements (s(x) + w, x), w in V, in ``ImN2Element`` order, for
     ``s`` a dict on ``_sn_tables`` indices."""
     F = len(_sn_tables(N)[1])
     return _elements(N, sorted((sx ^ w) * F + x for x, sx in s.items() for w in v))
@@ -339,7 +327,7 @@ def _lift(N, s, v):
 def _elements(N, idxs):
     """The Im(N,2) elements with the given indices, in that order.  The
     index of (bits, perm) is bits_int * N! + perm rank (from ``_sn_index``),
-    so increasing indices are in ``element_key`` order."""
+    so increasing indices are in ``ImN2Element`` order (bits, then perm)."""
     bitvecs, perms, _, _, _ = _sn_tables(N)
     F = len(perms)
     return tuple(ImN2Element(bitvecs[i // F], perms[i % F]) for i in idxs)
@@ -429,8 +417,8 @@ def _enumerate_admissible_cached(N: int):
 
 
 def enumerate_admissible(N: int, bound: int = ENUMERATION_BOUND_DEFAULT):
-    """All admissible subgroups of Im(N,2), each as its ``element_key``-sorted
-    element tuple, the list sorted by ``subgroup_key``.
+    """All admissible subgroups of Im(N,2), each as its sorted element tuple
+    (``ImN2Element`` order: bits, then perm), the list sorted.
 
     Built from the triples (G0, V, s), not by searching Im(N,2): see
     ``_enumerate_admissible_triples``.  N is capped by ``bound`` and, like
@@ -457,8 +445,8 @@ def _enumerate_admissible_triples(N: int):
     of G0, so each choice of coset representatives on the generators is
     propagated over G0 (``_propagate_cocycle``) and dropped at its first
     inconsistency.  Distinct triples give distinct subgroups, so nothing is
-    deduplicated.  Each subgroup is built by ``_lift``; (bits, perm) tuples
-    compare in the ``element_key`` order, so the sort is by ``subgroup_key``.
+    deduplicated.  Each subgroup is built by ``_lift`` as a sorted element
+    tuple, and the tuples sort in the ``ImN2Element`` order (bits, then perm).
     """
     bitvecs, perms, pmul, act, _ = _sn_tables(N)
     subspaces = _rho_subspaces(N)
@@ -594,11 +582,11 @@ def _enumerate_admissible_walk(N: int):
         frontier = new
     out = []
     for H in seen:
-        elements = tuple(sorted((U.elements[i] for i in H), key=element_key))
+        elements = tuple(sorted(U.elements[i] for i in H))
         perms = {g.perm for g in elements}
         if _is_transitive(sorted(perms), N):
             out.append(elements)
-    out.sort(key=subgroup_key)
+    out.sort()
     return out
 
 
@@ -632,7 +620,7 @@ class HodgePartition(NamedTuple):
 
     def stabilizer(self):
         """Elements of Im(N,2) preserving every block (the group S~), in
-        ``element_key`` order; N is capped by ``UNIVERSE_BOUND``."""
+        ``ImN2Element`` order; N is capped by ``UNIVERSE_BOUND``."""
         _check_universe_bound(self.N)
         return tuple(g for g in _elements(self.N, range(im_order(self.N)))
                      if all(act_slot(g, s) in slots for _, slots in self.blocks
@@ -732,7 +720,7 @@ def _conjugacy_orbit(stab, H):
 
 def _canonical(orbit):
     """The orbit's minimal member as a sorted index tuple.  Indices follow
-    the ``element_key`` order, so this is the minimal ``subgroup_key``."""
+    the ``ImN2Element`` order, so this is the minimal sorted element tuple."""
     return min(tuple(sorted(K)) for K in orbit)
 
 
@@ -822,7 +810,6 @@ class ReflexReport(NamedTuple):
     pair_labels: dict           # induced pair index -> (p, q) of its unbarred slot
     group_name: str = ""
     class_tag: str | None = None
-    notes: tuple = ()
 
 
 def induced_pair_group(items, rho_map, actions, labels):
@@ -866,7 +853,7 @@ def induced_pair_group(items, rho_map, actions, labels):
             perm[i] = j
             bits[j] = bar
         elements.add(ImN2Element(tuple(bits), tuple(perm)))
-    ordered = tuple(sorted(elements, key=element_key))
+    ordered = tuple(sorted(elements))
     pair_labels = {i: labels[u] for i, u in enumerate(pairs)}
     return ordered, pair_labels
 
@@ -1003,7 +990,7 @@ def _group_invariants(mul, inv, G):
 
 def _subgroup_table(elements):
     """``(mul, inv)``: the Cayley table of an Im(N,2) subgroup on its
-    elements in ``element_key`` order, so the identity is index 0,
+    elements in ``ImN2Element`` order, so the identity is index 0,
     tabulated from the S_N tables: |G|^2 products, no ``universe(N)``."""
     bit_idx, perm_idx = _sn_index(elements[0].N)
     _, _, pmul, act, pinv = _sn_tables(elements[0].N)

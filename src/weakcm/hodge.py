@@ -32,7 +32,13 @@ from .errors import (
 
 
 class CMHodgeStructure:
-    """Slots, labels, conjugation pairing and a pairing-respecting group."""
+    """Slots, labels, conjugation pairing and a pairing-respecting group.
+
+    A group element is a tuple of slot images: entry i is the image of
+    ``slots[i]``, the slots in sorted order (``slot_images`` encodes an
+    Im(N,2) element so).  ``group`` and the keys of ``top_spreads`` are such
+    tuples; the group is stored sorted, without repeats.
+    """
 
     def __init__(self, weight, slots, labels, rho, group, top_spreads=None,
                  factor_info=None):
@@ -41,17 +47,10 @@ class CMHodgeStructure:
         self.index = {s: i for i, s in enumerate(self.slots)}
         self.labels = dict(labels)
         self.rho = dict(rho)
-        group = [self._as_images(g) for g in group]
         self.group = tuple(sorted(set(group)))
         self.top_spreads = dict(top_spreads or {})
         self.factor_info = factor_info
         self._validate()
-
-    # elements are stored as image tuples aligned with the sorted slot list
-    def _as_images(self, g):
-        if isinstance(g, tuple) and len(g) == len(self.slots):
-            return g
-        return tuple(g[s] for s in self.slots)
 
     def apply(self, g, slot):
         return g[self.index[slot]]
@@ -131,15 +130,19 @@ class CMHodgeStructure:
 # builders
 
 
+def slot_images(g, slots):
+    """The Im(N,2) element g as a ``CMHodgeStructure`` group element: the
+    images of the signed ``slots`` (a structure's sorted slots) under g."""
+    return tuple(dodson.act_slot(g, s) for s in slots)
+
+
 def from_group(weight, group_elements, labels_by_slot):
     """Structure on the 2N signed slots of an Im(N,2) subgroup."""
     elements = tuple(group_elements)
     N = elements[0].N
     slots = [(i, b) for i in range(N) for b in (0, 1)]
     rho = {(i, b): (i, b ^ 1) for i, b in slots}
-    group = []
-    for g in elements:
-        group.append({s: dodson.act_slot(g, s) for s in slots})
+    group = [slot_images(g, slots) for g in elements]
     return CMHodgeStructure(weight, slots, labels_by_slot, rho, group)
 
 
@@ -222,15 +225,14 @@ def tensor_cm(h1: CMHodgeStructure, h2: CMHodgeStructure, identification=None):
         labels[(s, t)] = (p1 + p2, q1 + q2)
     rho = {(s, t): (h1.rho[s], h2.rho[t]) for s, t in slots}
 
+    # slots lists h1.slots x h2.slots in sorted order, so the images of
+    # (g, h) are the pairs of g's and h's images in the same order
     group = []
     components = {}
     spreads = {} if h1.top_spreads or h2.top_spreads else None
     for g, h in pairs:
-        action = {
-            (s, t): (h1.apply(g, s), h2.apply(h, t)) for s, t in slots
-        }
-        images = tuple(action[st] for st in sorted(slots))
-        group.append(action)
+        images = tuple(itertools.product(g, h))
+        group.append(images)
         components[images] = (g, h)
         if spreads is not None:
             spreads[images] = frozenset(itertools.product(h1.spread(g), h2.spread(h)))
@@ -257,15 +259,13 @@ def level_subspace(h: CMHodgeStructure) -> CMHodgeStructure:
     labels = {s: h.labels[s] for s in orbit}
     rho = {s: h.rho[s] for s in orbit}
     group = []
+    spreads = {} if h.top_spreads else None
     for g in h.group:
-        group.append({s: h.apply(g, s) for s in orbit})
-    spreads = None
-    if h.top_spreads:
-        # distinct elements can restrict to the same orbit map; their
-        # declared spreads are merged conservatively
-        spreads = {}
-        for g in h.group:
-            restricted = tuple(h.apply(g, s) for s in orbit)
+        restricted = tuple(h.apply(g, s) for s in orbit)
+        group.append(restricted)
+        if spreads is not None:
+            # distinct elements can restrict to the same orbit map; their
+            # declared spreads are merged conservatively
             spreads[restricted] = spreads.get(restricted, frozenset()) | h.spread(g)
     return CMHodgeStructure(h.weight, orbit, labels, rho, group,
                             top_spreads=spreads)
@@ -274,7 +274,7 @@ def level_subspace(h: CMHodgeStructure) -> CMHodgeStructure:
 def level_dodson_data(level: CMHodgeStructure):
     """Induced Im(N',2) subgroup of a level subspace (the output of
     ``level_subspace``), with its triple."""
-    actions = [{s: level.apply(g, s) for s in level.slots} for g in level.group]
+    actions = [dict(zip(level.slots, g)) for g in level.group]
     elements, _ = dodson.induced_pair_group(
         level.slots, level.rho, actions, level.labels
     )

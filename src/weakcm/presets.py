@@ -193,10 +193,4 @@ def preset_by_name(name: str) -> Weight1Preset:
 
 
 def preset_reflex_reports() -> list[tuple[Weight1Preset, ReflexReport]]:
-    out = []
-    for pr in weight1_presets():
-        report = reflex_from_dodson(pr.cm_type, 3)
-        if pr.note:
-            report = report._replace(notes=report.notes + (pr.note,))
-        out.append((pr, report))
-    return out
+    return [(pr, reflex_from_dodson(pr.cm_type, 3)) for pr in weight1_presets()]

@@ -194,7 +194,7 @@ def validation_report(pm: tausplit.PeriodMatrix, de: tausplit.DeltaEps) -> dict:
     }
 
 
-def certificate_report(pm, cert: tausplit.SplitCertificate, verified: bool) -> dict:
+def certificate_report(cert: tausplit.SplitCertificate, verified: bool) -> dict:
     out = {
         "case": cert.case,
         "n": cert.n,
@@ -314,8 +314,7 @@ def parse_cm_type(doc) -> dodson.AbstractCMType:
     raw = doc["elements"]
     if not isinstance(raw, list):
         raise InputError("cm-type 'elements' must be a list")
-    elements = tuple(sorted((parse_imn2_element(e, n) for e in raw),
-                            key=dodson.element_key))
+    elements = tuple(sorted(parse_imn2_element(e, n) for e in raw))
     phi = doc.get("phi")
     if phi is None:
         phi_t = dodson.standard_phi(n)
@@ -325,7 +324,7 @@ def parse_cm_type(doc) -> dodson.AbstractCMType:
 
 
 def reflex_dodson_report(report: dodson.ReflexReport) -> dict:
-    out = {
+    return {
         "n": report.n,
         "reflex_degree": report.degree,
         "n_prime": report.n_prime,
@@ -340,9 +339,6 @@ def reflex_dodson_report(report: dodson.ReflexReport) -> dict:
         "galois_group": report.group_name,
         "group": [imn2_element_out(g) for g in report.group],
     }
-    if report.notes:
-        out["notes"] = list(report.notes)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +369,7 @@ def parse_structure(doc) -> hodge.CMHodgeStructure:
 
 
 def _parse_explicit_structure(doc):
-    from . import dodson, hodge
+    from . import hodge
 
     if any(k not in doc for k in ("weight", "pairs", "labels", "elements")):
         raise InputError(
@@ -404,7 +400,7 @@ def _parse_explicit_structure(doc):
             if not isinstance(item, dict) or "element" not in item or "slots" not in item:
                 raise InputError("each spread needs an 'element' and 'slots'")
             el = parse_imn2_element(item["element"], n)
-            images = tuple(dodson.act_slot(el, s) for s in h.slots)
+            images = hodge.slot_images(el, h.slots)
             if images not in spreads:
                 raise InputError("spread element is not in the group")
             slots = frozenset(_int_pairs(item["slots"], "spread 'slots'"))
@@ -418,13 +414,13 @@ def _parse_explicit_structure(doc):
 
 def _check_closed(elements):
     """Raise ElementsNotClosed, naming the first missing product in
-    ``dodson.element_key`` order, unless the elements are closed under
-    composition (a finite closed set is a group)."""
+    ``ImN2Element`` order (bits, then perm), unless the elements are closed
+    under composition (a finite closed set is a group)."""
     from . import dodson
     from .errors import ElementsNotClosed
 
     present = set(elements)
-    ordered = sorted(present, key=dodson.element_key)
+    ordered = sorted(present)
     for a in ordered:
         for b in ordered:
             ab = dodson.im_mul(a, b)

@@ -50,8 +50,6 @@ from .errors import (
     WrongSign,
 )
 
-Rational = Fraction
-
 _FACTOR_BOUND_ENV = "WEAKCM_FACTOR_BOUND"
 _DEFAULT_FACTOR_BOUND = 100_000
 
@@ -635,7 +633,6 @@ class TowerSpec:
             for row in self.mul_table
         )
         self.generators: dict[str, GaloisElement] = {}
-        self._galois_cache = None
         self._s0_cubed = None  # kept by tausplit._s0_cubed
         self._subalgebras = {}
         self._coordinate_maps = {}  # kept by linalg.coordinate_map
@@ -804,8 +801,6 @@ class TowerSpec:
         Deterministic order: identity first, then by (word length, word).
         Breadth first, each element is first found at the depth of its label.
         """
-        if self._galois_cache is not None:
-            return self._galois_cache
         identity = GaloisElement(
             self, [self.gen_index(i) for i in range(self.dim)], "1"
         )
@@ -824,8 +819,7 @@ class TowerSpec:
                         seen.add(prod)
                         new.append(prod)
             frontier = new
-        self._galois_cache = tuple(elems)
-        return self._galois_cache
+        return tuple(elems)
 
 
 # --------------------------------------------------------------------------

@@ -400,7 +400,9 @@ def test_dodson_enum_beyond_tables_is_refused_at_once():
     assert proc.returncode == 1, proc.stdout
     diag = json.loads(proc.stdout)["diagnostics"][0]
     assert diag["condition"] == "dodson:bound-exceeded"
-    assert "Im(6,2)" in diag["message"] and "N <= 5" in diag["message"]
+    assert diag["message"] == (
+        "Im(6,2) has order 46080; Dodson computations are bounded to N <= 5"
+    )
 
 
 def test_emit_text(capsys):
@@ -559,6 +561,11 @@ GOLDEN = [
     ("torus_c_n4", ["validate", "--input"], "validate_c_n4"),
     ("cm_type_n4", ["dodson-reflex", "--input"]),
     ("presets", ["presets"]),
+    ("field_b", ["galois", "--input"], "galois_b"),
+    ("field_b", ["reflex", "--input"], "reflex_b"),
+    ("field_c", ["galois", "--input"], "galois_c"),
+    ("field_c", ["reflex", "--input"], "reflex_c"),
+    ("cm_type_n5", ["dodson-reflex", "--input"]),
 ]
 
 
@@ -578,6 +585,15 @@ def test_golden_classification(capsys):
     code, out = run_cli(capsys, "dodson-classify", "--n", "3", "--partition", "cy3")
     with open(os.path.join(DATA, "classify_cy3.golden.json"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_every_golden_file_is_checked():
+    # a golden that only tests/golden_cli.sh compares would not be checked here
+    checked = {golden[0] if golden else name for name, _, *golden in GOLDEN}
+    checked.add("classify_cy3")  # test_golden_classification
+    suffix = ".golden.json"
+    on_disk = {f[:-len(suffix)] for f in os.listdir(DATA) if f.endswith(suffix)}
+    assert sorted(on_disk - checked) == []
 
 
 def test_galois_subcommand(capsys):

@@ -357,15 +357,28 @@ def galois_action_by_cosets(field):
 # ---------------------------------------------------------------- Dodson oracles
 
 
+def element_key(g):
+    """Total order on Im(N,2) elements written out by hand: bits as a binary
+    integer (bits[0] the high bit), then the one-line permutation; the
+    oracle for the ``ImN2Element`` tuple order that the library sorts by."""
+    bits_int = 0
+    for b in g.bits:
+        bits_int = (bits_int << 1) | b
+    return (bits_int, g.perm)
+
+
+def subgroup_key(elements):
+    """The ``element_key`` order extended to element sets, as sorted keys."""
+    return tuple(sorted(element_key(g) for g in elements))
+
+
 def group_from_triple_by_tuples(t):
     """``(condition, elements)`` of the triple (G0, V, s) by tuple
     arithmetic: the name of the first violated triple condition, the six
     subgroup conditions before transitivity and rho, or None and the
     subgroup's elements in ``element_key`` order; the oracle for
     ``dodson.group_from_triple``."""
-    from weakcm.dodson import (
-        ImN2Element, _is_transitive, element_key, perm_apply_bits, perm_mul,
-    )
+    from weakcm.dodson import ImN2Element, _is_transitive, perm_apply_bits, perm_mul
 
     def xor(a, b):
         return tuple(x ^ y for x, y in zip(a, b))
@@ -461,10 +474,10 @@ def classify_by_bfs(N, partition, bound=4):
     by_class = {}
     for G in dodson.enumerate_admissible(N, bound=bound):
         orbit = conjugacy_orbit_bfs(U, stab_idx, frozenset(U.index[g] for g in G))
-        members = [tuple(sorted((U.elements[i] for i in K), key=dodson.element_key))
+        members = [tuple(sorted((U.elements[i] for i in K), key=element_key))
                    for K in orbit]
-        rep = min(members, key=dodson.subgroup_key)
-        by_class.setdefault(dodson.subgroup_key(rep), (rep, len(orbit)))
+        rep = min(members, key=subgroup_key)
+        by_class.setdefault(subgroup_key(rep), (rep, len(orbit)))
     return [(rep, size, dodson.triple_from_group(rep).tag())
             for _, (rep, size) in sorted(by_class.items())]
 
