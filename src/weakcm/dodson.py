@@ -16,11 +16,12 @@ Classification of admissible subgroups is modulo conjugation by the
 stabilizer of a Hodge-type partition of the slots.
 
 Every library computation works on the S_N tables (``_sn_tables``): the
-triple checks, the enumeration, the stabilizers, the conjugacy orbits, the
-reflex data and the group names.  The |Im(N,2)|^2 table ``universe(N)``
-(``_Universe``) is built only by the brute-force lattice walk
-``_enumerate_admissible_walk`` and by the test oracles.  All three stay in
-this module because ``perfbench/spans.py`` wraps them here by name.
+triple checks, the subgroup test of element lists, the enumeration, the
+stabilizers, the conjugacy orbits, the reflex data and the group names.
+The |Im(N,2)|^2 table ``universe(N)`` (``_Universe``) is built only by the
+brute-force lattice walk ``_enumerate_admissible_walk`` and by the test
+oracles.  All three stay in this module because ``perfbench/spans.py``
+wraps them here by name.
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ def im_identity(N) -> ImN2Element:
 
 def im_rho(N) -> ImN2Element:
     return ImN2Element((1,) * N, tuple(range(N)))
-
-
-def im_mul(a: ImN2Element, b: ImN2Element) -> ImN2Element:
-    bits = tuple(x ^ y for x, y in zip(a.bits, perm_apply_bits(a.perm, b.bits)))
-    return ImN2Element(bits, perm_mul(a.perm, b.perm))
 
 
 def act_slot(g: ImN2Element, slot: Slot) -> Slot:
@@ -375,7 +371,8 @@ def _fibres_form_subgroup(fibres, N) -> bool:
     """Whether the elements with bit fibres ``{perm: set of bits}`` form a
     subgroup of Im(N,2), in O(|G0|^2 + |G0| |V|) without the Im(N,2)
     tables: exactly when each fibre is a coset s(g) + V of the fibre V over
-    the identity and the triple (G0, V, s) passes ``_triple_violation``."""
+    the identity and the triple (G0, V, s) passes ``_triple_violation``.
+    Called by ``triple_from_group`` and ``missing_product``."""
     bit_idx, perm_idx = _sn_index(N)
     fib = {perm_idx[p]: {bit_idx[b] for b in bits} for p, bits in fibres.items()}
     v = fib.get(0, set())
@@ -384,6 +381,29 @@ def _fibres_form_subgroup(fibres, N) -> bool:
            for g, bits in fib.items()):
         return False
     return _triple_violation(N, fib.keys(), v, s) is None
+
+
+def missing_product(elements):
+    """None when the Im(N,2) elements form a subgroup, as decided by
+    ``_fibres_form_subgroup``; otherwise the witness 'a * b = ab is missing'
+    for the first pair (a, b) of listed elements, in ``ImN2Element`` order,
+    whose product is not listed, found on the S_N tables by the product
+    formula of ``_subgroup_table``.  N is capped by ``UNIVERSE_BOUND``."""
+    N = elements[0].N
+    _check_universe_bound(N)
+    if _fibres_form_subgroup(_fibres(elements), N):
+        return None
+    _, _, pmul, act, _ = _sn_tables(N)
+    F = len(pmul)
+    present = set(_indices(elements))
+    G = [divmod(x, F) for x in sorted(present)]
+    for ba, pa in G:
+        for bb, pb in G:
+            ab = (ba ^ act[pa][bb]) * F + pmul[pa][pb]
+            if ab not in present:
+                a_s, b_s, ab_s = (f"(bits {list(g.bits)}, perm {list(g.perm)})"
+                                  for g in _elements(N, (ba * F + pa, bb * F + pb, ab)))
+                return f"{a_s} * {b_s} = {ab_s} is missing"
 
 
 def group_from_triple(t: DodsonTriple):
@@ -775,11 +795,10 @@ class AbstractCMType:
         if not group:
             raise InvalidCMType("empty group")
         N = group[0].N
-        _check_universe_bound(N)
-        fibres = _fibres(group)
-        if not _fibres_form_subgroup(fibres, N):
-            raise InvalidCMType("elements do not form a subgroup")
-        if (1,) * N not in fibres[tuple(range(N))]:
+        witness = missing_product(group)
+        if witness is not None:
+            raise InvalidCMType(f"elements do not form a subgroup: {witness}")
+        if im_rho(N) not in group:
             raise InvalidCMType("group does not contain the conjugation rho")
         pairs = sorted(i for i, _ in phi)
         if pairs != list(range(N)) or any(bar not in (0, 1) for _, bar in phi):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .errors import InputError, NotAnInteger, RationalTooLarge
+from .errors import ElementsNotClosed, InputError, NotAnInteger, RationalTooLarge
 
 
 def load_document(path):
@@ -310,7 +310,7 @@ def parse_cm_type(doc) -> dodson.AbstractCMType:
         raise InputError(
             "cm-type document needs 'preset', 'field', or 'n' + 'elements'"
         )
-    n = document_int(doc, "n", "cm-type document")
+    n = document_int(doc, "n", "cm-type document", minimum=1)
     raw = doc["elements"]
     if not isinstance(raw, list):
         raise InputError("cm-type 'elements' must be a list")
@@ -369,32 +369,32 @@ def parse_structure(doc) -> hodge.CMHodgeStructure:
 
 
 def _parse_explicit_structure(doc):
-    from . import hodge
+    from . import dodson, hodge
 
     if any(k not in doc for k in ("weight", "pairs", "labels", "elements")):
-        raise InputError(
-            "explicit structure needs weight, pairs, labels, elements"
-        )
+        raise InputError("explicit structure needs weight, pairs, labels, elements")
     weight = document_int(doc, "weight", "explicit structure")
-    n = document_int(doc, "pairs", "explicit structure")
-    labels_in = doc["labels"]
+    n = document_int(doc, "pairs", "explicit structure", minimum=1)
+    labels_in = _int_pairs(doc["labels"], "explicit structure 'labels'")
     raw = doc["elements"]
-    labels_in = _int_pairs(labels_in, "explicit structure 'labels'")
     if len(labels_in) != n:
         raise InputError("one label per pair required")
     if not isinstance(raw, list) or not raw:
         raise InputError("explicit structure 'elements' must be a non-empty list")
     elements = [parse_imn2_element(e, n) for e in raw]
-    _check_closed(elements)
+    witness = dodson.missing_product(elements)
+    if witness is not None:
+        raise ElementsNotClosed("explicit structure 'elements' are not closed "
+                                f"under composition: {witness}")
     labels = {}
     for i, (p, q) in enumerate(labels_in):
         labels[(i, 0)] = (p, q)
         labels[(i, 1)] = (q, p)
     h = hodge.from_group(weight, elements, labels)
     spreads_doc = doc.get("spreads")
+    if spreads_doc is not None and not isinstance(spreads_doc, list):
+        raise InputError("explicit structure 'spreads' must be a list")
     if spreads_doc:
-        if not isinstance(spreads_doc, list):
-            raise InputError("explicit structure 'spreads' must be a list")
         spreads = {g: h.spread(g) for g in h.group}
         for item in spreads_doc:
             if not isinstance(item, dict) or "element" not in item or "slots" not in item:
@@ -410,27 +410,6 @@ def _parse_explicit_structure(doc):
         h = hodge.CMHodgeStructure(weight, h.slots, h.labels, h.rho,
                                    list(h.group), top_spreads=spreads)
     return h
-
-
-def _check_closed(elements):
-    """Raise ElementsNotClosed, naming the first missing product in
-    ``ImN2Element`` order (bits, then perm), unless the elements are closed
-    under composition (a finite closed set is a group)."""
-    from . import dodson
-    from .errors import ElementsNotClosed
-
-    present = set(elements)
-    ordered = sorted(present)
-    for a in ordered:
-        for b in ordered:
-            ab = dodson.im_mul(a, b)
-            if ab not in present:
-                a_s, b_s, ab_s = (f"(bits {list(g.bits)}, perm {list(g.perm)})"
-                                  for g in (a, b, ab))
-                raise ElementsNotClosed(
-                    "explicit structure 'elements' are not closed under "
-                    f"composition: {a_s} * {b_s} = {ab_s} is missing"
-                )
 
 
 def product_report_out(rep: hodge.ProductReport) -> dict:

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from util import CayleyTable, model_group, random_period_matrix
+from util import CayleyTable, im_mul, model_group, random_period_matrix
 from weakcm import cli, cmfield, dodson, hodge, tausplit
 from weakcm.errors import OddDimension
 from weakcm.presets import preset_reflex_reports
@@ -80,7 +80,7 @@ def test_acceptance_03_degree8_reflex_galois_groups():
     for pr, rep in preset_reflex_reports():
         if rep.degree != 8:
             continue
-        inv = CayleyTable(rep.group, dodson.im_mul).invariants()
+        inv = CayleyTable(rep.group, im_mul).invariants()
         model = model_group(expected_models[pr.name])
         assert inv == model.invariants(), pr.name
         assert rep.group_name == expected_models[pr.name], pr.name

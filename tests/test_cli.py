@@ -4,11 +4,13 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from util import missing_product_by_loop
 from weakcm import cli, dodson, tausplit
 from weakcm.errors import InvalidPairCount, MathError
 
@@ -536,6 +538,45 @@ def test_explicit_elements_not_closed_are_named(tmp_path, capsys):
     assert code == 0 and json.loads(out)["status"] == "ok"
 
 
+def test_explicit_elements_of_im52(tmp_path, capsys):
+    # all 3840 elements of Im(5,2) are accepted; without one non-identity
+    # element the message names the first missing product, as the |G|^2 loop
+    # of tests/util.py finds it
+    elements = [dodson.ImN2Element(b, p) for b in itertools.product((0, 1), repeat=5)
+                for p in itertools.permutations(range(5))]
+    structure = {"type": "explicit", "weight": 3, "pairs": 5,
+                 "labels": [[3, 0]] + [[2, 1]] * 4,
+                 "elements": [_element(g.bits, g.perm) for g in elements]}
+    doc = tmp_path / "wg.json"
+    doc.write_text(json.dumps({"structure": structure}), encoding="utf-8")
+    code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    drop = random.Random(52).randrange(1, len(elements))
+    del elements[drop], structure["elements"][drop]
+    doc.write_text(json.dumps({"structure": structure}), encoding="utf-8")
+    code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
+    diag = json.loads(out)["diagnostics"][0]
+    assert code == 1 and diag["condition"] == "hodge:elements-not-closed"
+    assert diag["message"] == ("explicit structure 'elements' are not closed under "
+                               f"composition: {missing_product_by_loop(elements)}")
+
+
+def test_explicit_structure_beyond_the_bound_is_refused(tmp_path, capsys):
+    # explicit elements fall under the Im(N,2) bound N <= 5, refused before
+    # any S_N table is built
+    structure = {"type": "explicit", "weight": 3, "pairs": 6,
+                 "labels": [[3, 0]] + [[2, 1]] * 5,
+                 "elements": [_element((0,) * 6, range(6)), _element((1,) * 6, range(6))]}
+    doc = tmp_path / "wg.json"
+    doc.write_text(json.dumps({"structure": structure}), encoding="utf-8")
+    tables = dodson._sn_tables.cache_info().currsize, dodson._sn_index.cache_info().currsize
+    code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0]["condition"] == "dodson:bound-exceeded"
+    assert (dodson._sn_tables.cache_info().currsize,
+            dodson._sn_index.cache_info().currsize) == tables
+
+
 def test_weil_griffiths_wrong_weight(tmp_path, capsys):
     doc = tmp_path / "wg.json"
     doc.write_text(
@@ -566,6 +607,7 @@ GOLDEN = [
     ("field_c", ["galois", "--input"], "galois_c"),
     ("field_c", ["reflex", "--input"], "reflex_c"),
     ("cm_type_n5", ["dodson-reflex", "--input"]),
+    ("classify_cy3", ["dodson-classify", "--n", "3", "--partition", "cy3"]),
 ]
 
 
@@ -581,19 +623,28 @@ def test_golden_files(name, argv, golden, capsys):
         assert out == fh.read()
 
 
-def test_golden_classification(capsys):
-    code, out = run_cli(capsys, "dodson-classify", "--n", "3", "--partition", "cy3")
-    with open(os.path.join(DATA, "classify_cy3.golden.json"), encoding="utf-8") as fh:
-        assert out == fh.read()
-
-
 def test_every_golden_file_is_checked():
     # a golden that only tests/golden_cli.sh compares would not be checked here
     checked = {golden[0] if golden else name for name, _, *golden in GOLDEN}
-    checked.add("classify_cy3")  # test_golden_classification
     suffix = ".golden.json"
     on_disk = {f[:-len(suffix)] for f in os.listdir(DATA) if f.endswith(suffix)}
     assert sorted(on_disk - checked) == []
+
+
+def test_golden_script_checks_the_golden_table():
+    # tests/golden_cli.sh compares the same (golden, argv) pairs in fresh
+    # interpreters, each expecting the exit code of its golden's status
+    with open(os.path.join(os.path.dirname(__file__), "golden_cli.sh"), encoding="utf-8") as fh:
+        lines = [shlex.split(line) for line in fh if line.startswith("check ")]
+    in_script = {(golden, tuple(argv)) for _, _, golden, *argv in lines}
+    in_table = {(golden[0] if golden else name,
+                 tuple(argv + [f"$DATA/{name}.json"] if argv[-1] == "--input" else argv))
+                for name, argv, *golden in GOLDEN}
+    assert in_script == in_table
+    for _, want, golden, *_ in lines:
+        with open(os.path.join(DATA, f"{golden}.golden.json"), encoding="utf-8") as fh:
+            status = json.load(fh)["status"]
+        assert want == {"ok": "0", "invalid-input": "1"}[status], golden
 
 
 def test_galois_subcommand(capsys):
@@ -871,6 +922,16 @@ def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
           ("galois", {"d": d, "p": "-5/2", "q": "-1/2"}),
           ("reflex", {"d": d, "p": "-5/2", "q": "-1/2"}),
           ("k3t2", {"transcendental": {"field": {"d": d, "p": "-5/2", "q": "-1/2"}}}))],
+    # no pair count below 1 reaches the group checks
+    ("dodson-reflex", {"n": 0, "elements": [_element((), ())]},
+     "'n' must be an integer >= 1, got 0"),
+    ("k3t2", {"transcendental": {"n": 0, "elements": [_element((), ())]}},
+     "'n' must be an integer >= 1, got 0"),
+    ("weil-griffiths", dict(_SYNTHETIC, pairs=0), "'pairs' must be an integer >= 1, got 0"),
+    ("weil-griffiths", dict(_SYNTHETIC, pairs=-1), "'pairs' must be an integer >= 1, got -1"),
+    # a present 'spreads' that is not a list is refused, falsy or not
+    *[("weil-griffiths", dict(_SYNTHETIC, spreads=spreads), "'spreads' must be a list")
+      for spreads in ({}, 0, False, "")],
 ])
 def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     path = tmp_path / "doc.json"

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -19,7 +20,9 @@ from util import (
     group_from_triple_by_tuples,
     identify_group_by_universe,
     im_inv,
+    im_mul,
     is_subgroup,
+    missing_product_by_loop,
     model_group,
     reflex_by_cosets,
     stabilizer_by_universe,
@@ -33,7 +36,6 @@ from weakcm.dodson import (
     enumerate_admissible,
     group_from_triple,
     im_identity,
-    im_mul,
     im_rho,
     perm_apply_bits,
     perm_mul,
@@ -42,7 +44,13 @@ from weakcm.dodson import (
     triple_from_group,
     universe,
 )
-from weakcm.errors import BoundExceeded, InvalidCMType, InvalidTriple, NotAdmissible
+from weakcm.errors import (
+    BoundExceeded,
+    ElementsNotClosed,
+    InvalidCMType,
+    InvalidTriple,
+    NotAdmissible,
+)
 from weakcm.presets import preset_by_name, preset_reflex_reports, weight1_presets
 
 ID3 = (0, 1, 2)
@@ -355,6 +363,38 @@ def test_subgroup_test_on_fibres_matches_tables():
         assert 60 <= subgroups < len(candidates) - 60
 
 
+def test_missing_product_matches_the_loop_oracle():
+    # missing_product decides on the fibres and searches the S_N tables; the
+    # |G|^2 loop over im_mul is the oracle for its verdict and witness, and
+    # for the message of the ElementsNotClosed that explicit structures raise
+    rng = random.Random(20)
+    verdicts = []
+    for N in (1, 2, 3):
+        U = universe(N)
+        order = len(U.elements)
+        for _ in range(100):
+            H = U.closure(rng.sample(range(order), rng.randint(1, min(2, order))))
+            for G in (H, H - {rng.choice(sorted(H))}, H | {rng.randrange(order)},
+                      rng.sample(range(order), rng.randint(1, order))):
+                elements = [U.elements[i] for i in G]
+                if not elements:
+                    continue
+                rng.shuffle(elements)
+                want = missing_product_by_loop(elements)
+                assert dodson.missing_product(elements) == want
+                verdicts.append(want is None)
+                if want is None:
+                    continue
+                doc = {"type": "explicit", "weight": 1, "pairs": N, "labels": [[1, 0]] * N,
+                       "elements": [serialize.imn2_element_out(g) for g in elements]}
+                with pytest.raises(ElementsNotClosed) as err:
+                    serialize.parse_structure(doc)
+                assert str(err.value) == ("explicit structure 'elements' are not closed "
+                                          f"under composition: {want}")
+    assert len(verdicts) >= 900
+    assert 100 <= sum(verdicts) <= len(verdicts) - 100
+
+
 def test_roundtrip_all_admissible():
     for N in (2, 3):
         for G in enumerate_admissible(N):
@@ -619,9 +659,13 @@ _SWAP2 = ImN2Element((0, 0), (1, 0))
     ((_ID2, _RHO2, ImN2Element((1, 0), (0, 1))), standard_phi(2),
      "do not form a subgroup"),
     ((_ID2, _RHO2), ((0, 0), (0, 1)), "one slot per pair"),
+    # identity, rho and a 3-cycle: the witness is the 3-cycle's missing square
+    ((ImN2Element((0, 0, 0), ID3), ImN2Element((0, 0, 0), C3), ImN2Element((1, 1, 1), ID3)),
+     standard_phi(3), "elements do not form a subgroup: (bits [0, 0, 0], perm [1, 2, 0]) * "
+     "(bits [0, 0, 0], perm [1, 2, 0]) = (bits [0, 0, 0], perm [2, 0, 1]) is missing"),
 ])
 def test_cm_type_is_checked_when_built(group, phi, message):
-    with pytest.raises(InvalidCMType, match=message):
+    with pytest.raises(InvalidCMType, match=re.escape(message)):
         AbstractCMType(group, phi)
 
 

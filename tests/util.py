@@ -417,6 +417,32 @@ def group_from_triple_by_tuples(t):
 
 
 
+def im_mul(a, b):
+    """Product of Im(N,2) elements from the group law: (ba, pa)(bb, pb) =
+    (ba ^ pa.bb, pa pb)."""
+    from weakcm.dodson import ImN2Element, perm_apply_bits, perm_mul
+
+    bits = tuple(x ^ y for x, y in zip(a.bits, perm_apply_bits(a.perm, b.bits)))
+    return ImN2Element(bits, perm_mul(a.perm, b.perm))
+
+
+def missing_product_by_loop(elements):
+    """None when the Im(N,2) elements are closed under ``im_mul`` (a finite
+    closed set is a group), else the first missing product 'a * b = ab is
+    missing' in ``ImN2Element`` order, from all |G|^2 products; the oracle
+    for ``dodson.missing_product``."""
+    present = set(elements)
+    ordered = sorted(present)
+    for a in ordered:
+        for b in ordered:
+            ab = im_mul(a, b)
+            if ab not in present:
+                a_s, b_s, ab_s = (f"(bits {list(g.bits)}, perm {list(g.perm)})"
+                                  for g in (a, b, ab))
+                return f"{a_s} * {b_s} = {ab_s} is missing"
+    return None
+
+
 def im_inv(a):
     """Inverse of an Im(N,2) element from the group law: (bits, perm)^-1 =
     (perm^-1 . bits, perm^-1)."""
@@ -689,7 +715,7 @@ def _perm_sign(p):
 def model_group(name):
     """The reference groups of ``dodson.LEVEL_GROUP_MODELS`` as Cayley
     tables; the oracle for ``dodson._MODEL_INVARIANTS``."""
-    from weakcm.dodson import im_mul, universe
+    from weakcm.dodson import universe
 
     if name == "Z2^3":
         return _cyclic_product(2, 2, 2)
