@@ -485,6 +485,42 @@ def _oracle_towers():
     ]
 
 
+def _presentation_digest(t):
+    """sha256 over the tower key, its structure constants, every
+    generator's images as (num, den) and the group's element labels."""
+    import hashlib
+
+    def frac(c):
+        return (c.numerator, c.denominator)
+
+    data = (
+        t.key[0],
+        tuple((k, frac(v)) for k, v in t.key[1]),
+        tuple(tuple(tuple(frac(c) for c in cell) for cell in row) for row in t.mul_table),
+        tuple((name, tuple((img.num, img.den) for img in g.images))
+              for name, g in sorted(t.generators.items())),
+        tuple(g.label for g in t.galois_elements()),
+    )
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+# recorded while each presentation was still written out as square rules and
+# hand-built generator images; one digest per tower of _oracle_towers()
+_PRESENTATION_DIGESTS = (
+    "b06e01796f2d194e03c884f6548361ad037a263ff0ddb38a19adcd6bc2b16a4c",
+    "ead12f85c565ee7efd6a473c83e5f7653d09a7b2dc066076ff8bf0bde2290e4c",
+    "5fb186e369c0f9da7622d0e59c983cc5b9654482b4a2b45b9465558f0ff6ac14",
+    "bf0c3e69d2e68c2d5aff4776b8c4c9e5a56eb06116228b9276d7fa9454ca13c7",
+    "da7f7d6c648dd66f88912e9f9848a6b3517a8c45480a1b6eee4e541a710f4ed1",
+    "297fe793820439e68799c8f9a3c00157628c3dc5eff6173255629646c1525fb7",
+)
+
+
+def test_presentations_are_pinned():
+    digests = tuple(_presentation_digest(t) for t in _oracle_towers())
+    assert digests == _PRESENTATION_DIGESTS
+
+
 def _ref_mul(t, a, b):
     out = [Fraction(0)] * t.dim
     for i, ai in enumerate(a):
