@@ -85,9 +85,7 @@ def cmd_product(args):
             None if w is None else {"factor": i + 1}
             for i, (ok, w) in enumerate(verdicts)
         ],
-        "level_hodge_numbers": {
-            f"{p},{q}": c for (p, q), c in level.hodge_numbers().items()
-        },
+        "level_hodge_numbers": serialize.hodge_numbers_out(level.hodge_numbers()),
     }
 
 
@@ -99,11 +97,8 @@ def cmd_weil_griffiths(args):
         "weil_cm": pair.weil_cm,
         "griffiths_cm": pair.griffiths_cm,
         "common_algebra_ok": pair.common_algebra_ok,
-        "weil_hodge_numbers": {
-            f"{p},{q}": c for (p, q), c in pair.weil.hodge_numbers().items()
-        },
-        "griffiths_hodge_numbers": {
-            f"{p},{q}": c
-            for (p, q), c in pair.griffiths.hodge_numbers().items()
-        },
+        "weil_hodge_numbers": serialize.hodge_numbers_out(pair.weil.hodge_numbers()),
+        "griffiths_hodge_numbers": serialize.hodge_numbers_out(
+            pair.griffiths.hodge_numbers()
+        ),
     }

@@ -160,6 +160,12 @@ class SearchBoundExceeded(InputError):
 
 # ---------------------------------------------------------------- hodge
 
+class InvalidHodgeStructure(InputError):
+    """A CM Hodge structure's labels, conjugation or group are inconsistent."""
+
+    condition = "hodge:invalid-structure"
+
+
 class IncompatibleIdentifications(InputError):
     condition = "hodge:incompatible-identifications"
 

@@ -24,6 +24,7 @@ from . import dodson
 from .errors import (
     IncompatibleIdentifications,
     InvalidCMType,
+    InvalidHodgeStructure,
     MultipleTopForms,
     NotWeakCM,
     NoTopForm,
@@ -63,24 +64,26 @@ class CMHodgeStructure:
         for s in self.slots:
             p, q = self.labels[s]
             if p + q != self.weight:
-                raise InvalidCMType(f"label {self.labels[s]} has weight != {self.weight}")
+                raise InvalidHodgeStructure(
+                    f"label {self.labels[s]} has weight != {self.weight}"
+                )
             r = self.rho[s]
             if r == s or self.rho[r] != s:
-                raise InvalidCMType("conjugation pairing is not a free involution")
+                raise InvalidHodgeStructure("conjugation pairing is not a free involution")
             if tuple(self.labels[r]) != (q, p):
-                raise InvalidCMType("labels are not conjugate-symmetric")
+                raise InvalidHodgeStructure("labels are not conjugate-symmetric")
         ident = tuple(self.slots)
         if ident not in self.group:
-            raise InvalidCMType("group does not contain the identity")
+            raise InvalidHodgeStructure("group does not contain the identity")
         rho_images = tuple(self.rho[s] for s in self.slots)
         if rho_images not in self.group:
-            raise InvalidCMType("group does not contain the conjugation")
+            raise InvalidHodgeStructure("group does not contain the conjugation")
         for g in self.group:
             if sorted(g) != list(self.slots):
-                raise InvalidCMType("group element is not a slot permutation")
+                raise InvalidHodgeStructure("group element is not a slot permutation")
             for s in self.slots:
                 if self.apply(g, self.rho[s]) != self.rho[self.apply(g, s)]:
-                    raise InvalidCMType("group element does not commute with rho")
+                    raise InvalidHodgeStructure("group element does not commute with rho")
 
     def compose(self, g, h):
         """g after h, as image tuples."""
@@ -398,8 +401,7 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
         tau_orbit_size=tau_orbit_size,
         star1_count=star1,
         star2_count=star2,
-        coset_types=dict(sorted(coset_types.items(),
-                                key=lambda kv: (-kv[0][0], kv[0][1]))),
+        coset_types=coset_types,
         level_group_name=dodson.identify_group(elements),
         level_case_alias=alias,
     )

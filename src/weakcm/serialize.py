@@ -219,12 +219,14 @@ def certificate_report(cert: tausplit.SplitCertificate, verified: bool) -> dict:
     return out
 
 
+def hodge_numbers_out(numbers: dict) -> dict:
+    """Hodge numbers {(p, q): count} as {"p,q": count}, in descending p."""
+    return {f"{p},{q}": c for (p, q), c in sorted(numbers.items(), reverse=True)}
+
+
 def level_report_out(level: tausplit.LevelNReport) -> dict:
     return {
-        "hodge_numbers": {
-            f"{p},{q}": c for (p, q), c in sorted(level.hodge_numbers.items(),
-                                                  key=lambda kv: (-kv[0][0],))
-        },
+        "hodge_numbers": hodge_numbers_out(level.hodge_numbers),
         "p_split": level.p_split,
     }
 
@@ -328,9 +330,7 @@ def reflex_dodson_report(report: dodson.ReflexReport) -> dict:
         "n": report.n,
         "reflex_degree": report.degree,
         "n_prime": report.n_prime,
-        "hodge_numbers": {
-            f"{p},{q}": c for (p, q), c in report.hodge_numbers.items()
-        },
+        "hodge_numbers": hodge_numbers_out(report.hodge_numbers),
         "bound_2npow": 2 ** report.n,
         "bound_ok": report.bound_ok,
         "triple": triple_out(report.triple),
@@ -422,7 +422,7 @@ def product_report_out(rep: hodge.ProductReport) -> dict:
         "tau_orbit_size": rep.tau_orbit_size,
         "star1_count": rep.star1_count,
         "star2_count": rep.star2_count,
-        "coset_types": {f"{p},{q}": c for (p, q), c in rep.coset_types.items()},
+        "coset_types": hodge_numbers_out(rep.coset_types),
         "level_group": rep.level_group_name,
         "level_case": rep.level_case_alias,
     }

@@ -1,7 +1,7 @@
 """Exact arithmetic in the normal closures of small CM fields.
 
-Four tower families are supported, each presented by structure constants on
-a fixed monomial basis over Q:
+Four tower families are supported, each presented by a rule table on a
+fixed monomial basis over Q:
 
 * quadratic            Q(sqrt(p)),                basis {1, sqrt(p)}
 * biquadratic          Q(sqrt(p1), sqrt(p2)),     basis of dimension 4
@@ -11,6 +11,14 @@ a fixed monomial basis over Q:
                        basis {1, sqrt(d), sqrt(dp), sqrt(d)sqrt(dp),
                               xi+, xi-, sqrt(d)xi+, sqrt(d)xi-},
                        with xi+ * xi- = -sqrt(dp)
+
+The rule table is one ordered list of radical-pair products, squares first;
+``TowerSpec._coordinates`` rewrites a word of radicals with it until no rule
+applies, and the structure constants ``mul_table`` are those coordinates for
+each pair of basis monomials.  The closure's three rules for xi+ * xi- and
+sqrt(dp) * xi+- undo one another, so they terminate only because squares are
+rewritten first.  Every Galois generator is a ring map given by the images
+of the radicals: a monomial goes to the product of its radicals' images.
 
 An element stores integer numerators over one common denominator, and
 each tower keeps its structure constants as a sparse integer table over one
@@ -23,7 +31,8 @@ from the integers.  Matrices over a tower, generated subalgebras and
 coordinates in the Q-span of given elements live in ``linalg``, which this
 module imports only to invert an element.  There is no floating point.
 Galois actions are stored as explicit Q-linear maps on the basis and checked
-to be ring automorphisms at construction time.
+on every pair of basis monomials at construction time, which tests the rule
+table against the radical images.
 
 Sign conventions (recorded, never evaluated numerically): sqrt(p) and xi+
 denote the purely imaginary root in the upper half plane, sqrt(d) and
@@ -66,8 +75,10 @@ def parse_rational(text) -> Fraction:
     whose numerator or denominator would have more than
     ``RationalTooLarge.DIGITS`` digits is refused with ``RationalTooLarge``
     before anything is computed: "1e100000000" would otherwise ask for
-    10**10**8.
+    10**10**8.  A bool (a JSON true or false) raises ValueError.
     """
+    if isinstance(text, bool):
+        raise ValueError(f"{str(text).lower()} is not a rational")
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     text = str(text).strip()
@@ -247,8 +258,6 @@ QUADRATIC = "quadratic"
 BIQUADRATIC = "biquadratic"
 CYCLIC_QUARTIC = "cyclic-quartic"
 QUARTIC_CLOSURE = "nongalois-quartic-closure"
-
-_CASES = (QUADRATIC, BIQUADRATIC, CYCLIC_QUARTIC, QUARTIC_CLOSURE)
 
 
 class FieldElement:
@@ -442,9 +451,6 @@ class FieldElement:
 
     # -- queries
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     def serialize(self):
         """The coefficients as "num/den" strings (den omitted when 1), the
         strings ``format_rational`` gives for ``coeffs``, formatted from
@@ -509,10 +515,7 @@ class GaloisElement:
 
     def __init__(self, tower: "TowerSpec", images, label: str):
         self.tower = tower
-        self.images = tuple(
-            img if isinstance(img, FieldElement) else FieldElement(tower, img)
-            for img in images
-        )
+        self.images = tuple(images)
         self.label = label
         self._matrix = None
 
@@ -543,9 +546,6 @@ class GaloisElement:
         images = [self(img) for img in other.images]
         label = _join_words(self.label, other.label)
         return GaloisElement(self.tower, images, label)
-
-    def __mul__(self, other):
-        return self.compose(other)
 
     def __eq__(self, other):
         if not isinstance(other, GaloisElement):
@@ -604,20 +604,23 @@ def _compress_word(word: str) -> str:
 
 
 class TowerSpec:
-    """A tower presented by structure constants on a monomial basis."""
+    """A tower presented by an ordered rule table on a monomial basis:
+    ``rules`` lists ``((a, b), {word: coefficient})``, the product of the
+    radicals a and b as a combination of words (tuples of radicals)."""
 
-    def __init__(self, case, params, radicals, square_rules, basis_monomials,
-                 basis_labels):
+    def __init__(self, case, params, rules, basis_monomials, basis_labels):
         self.case = case
         self.params = {k: Fraction(v) for k, v in params.items()}
         self.key = (case, tuple(sorted(self.params.items())))
-        self._radicals = tuple(radicals)
-        self._square_rules = square_rules  # radical -> {monomial: Fraction}
+        self._rules = tuple(rules)
         self._monomials = tuple(basis_monomials)
-        self._index = {m: i for i, m in enumerate(self._monomials)}
+        self._index = {tuple(sorted(m)): i for i, m in enumerate(self._monomials)}
         self.basis = tuple(basis_labels)
         self.dim = len(self._monomials)
-        self.mul_table = self._build_mul_table()
+        self.mul_table = tuple(
+            tuple(self._coordinates(mi + mj) for mj in self._monomials)
+            for mi in self._monomials
+        )
         # the same structure constants as sparse integers over one common
         # denominator: basis_i * basis_j = sum(c * basis_k for k, c in
         # _int_table[i][j]) / _int_den
@@ -649,54 +652,25 @@ class TowerSpec:
 
     # -- construction helpers
 
-    def _reduce(self, exps: dict, coeff: Fraction, out: dict):
-        """Reduce a radical-exponent monomial into basis coordinates."""
-        for r in self._radicals:
-            if exps.get(r, 0) >= 2:
-                rest = dict(exps)
-                rest[r] -= 2
-                for mono, c in self._square_rules[r].items():
-                    merged = dict(rest)
-                    for rr in mono:
-                        merged[rr] = merged.get(rr, 0) + 1
-                    self._reduce(merged, coeff * c, out)
-                return
-        if self.case == QUARTIC_CLOSURE:
-            if exps.get("xp", 0) >= 1 and exps.get("xm", 0) >= 1:
-                rest = dict(exps)
-                rest["xp"] -= 1
-                rest["xm"] -= 1
-                rest["sdp"] = rest.get("sdp", 0) + 1
-                self._reduce(rest, -coeff, out)
-                return
-            if exps.get("sdp", 0) >= 1 and (exps.get("xp", 0) or exps.get("xm", 0)):
-                rest = dict(exps)
-                rest["sdp"] -= 1
-                rest["xp"] = rest.get("xp", 0) + 1
-                rest["xm"] = rest.get("xm", 0) + 1
-                self._reduce(rest, -coeff, out)
-                return
-        mono = tuple(r for r in self._radicals if exps.get(r, 0))
-        out[mono] = out.get(mono, Fraction(0)) + coeff
-
-    def _build_mul_table(self):
-        table = []
-        for mi in self._monomials:
-            row = []
-            for mj in self._monomials:
-                exps: dict = {}
-                for r in mi:
-                    exps[r] = exps.get(r, 0) + 1
-                for r in mj:
-                    exps[r] = exps.get(r, 0) + 1
-                out: dict = {}
-                self._reduce(exps, Fraction(1), out)
-                coeffs = [Fraction(0)] * len(self._monomials)
-                for mono, c in out.items():
-                    coeffs[self._index[mono]] += c
-                row.append(tuple(coeffs))
-            table.append(tuple(row))
-        return tuple(table)
+    def _coordinates(self, word) -> tuple:
+        """Basis coordinates of the product of the radicals in ``word``: the
+        pair of the first rule, in table order, that the word holds is
+        rewritten until no rule applies."""
+        out = [Fraction(0)] * self.dim
+        todo = [(tuple(word), Fraction(1))]
+        while todo:
+            word, c = todo.pop()
+            for (a, b), product in self._rules:
+                rest = list(word)
+                if a in rest:
+                    rest.remove(a)
+                    if b in rest:
+                        rest.remove(b)
+                        todo += [(tuple(rest) + w, c * k) for w, k in product.items()]
+                        break
+            else:
+                out[self._index[tuple(sorted(word))]] += c
+        return tuple(out)
 
     def _subalgebra(self, support: tuple):
         """(span, pos): the sorted indices of the fewest basis monomials that
@@ -771,23 +745,20 @@ class TowerSpec:
     def gen(self, label: str) -> FieldElement:
         return self.gen_index(self.basis.index(label))
 
-    def _monomial_map(self, signed_images: dict, label: str) -> GaloisElement:
-        """Automorphism defined by radical -> (sign, radical)."""
-        images = []
+    def radical(self, r: str) -> FieldElement:
+        return self.gen_index(self._index[(r,)])
+
+    def _ring_map(self, label: str, **images) -> GaloisElement:
+        """The ring map sending each radical named in ``images`` to its
+        image and fixing the others: a monomial goes to the product of its
+        radicals' images.  ``_check_generators`` checks it is a ring map."""
+        out = []
         for mono in self._monomials:
-            sign = Fraction(1)
-            target: dict = {}
+            x = self.one()
             for r in mono:
-                s, rr = signed_images[r]
-                sign *= s
-                target[rr] = target.get(rr, 0) + 1
-            out: dict = {}
-            self._reduce(target, sign, out)
-            coeffs = [Fraction(0)] * self.dim
-            for m, c in out.items():
-                coeffs[self._index[m]] += c
-            images.append(coeffs)
-        return GaloisElement(self, images, label)
+                x = x * images.get(r, self.radical(r))
+            out.append(x)
+        return GaloisElement(self, out, label)
 
     # -- Galois machinery
 
@@ -807,8 +778,9 @@ class TowerSpec:
         seen = {identity}
         elems = []
         frontier = [identity]
+        # rho is a product of the others, except when it is the only one
         gens = [g for name, g in sorted(self.generators.items())
-                if name != "rho" or self.case == QUADRATIC]
+                if name != "rho"] or [self.conjugation]
         while frontier:
             elems += sorted(frontier, key=lambda g: g.label)
             new = []
@@ -833,13 +805,11 @@ def quadratic_tower(p) -> TowerSpec:
     tower = TowerSpec(
         QUADRATIC,
         {"p": p},
-        radicals=("sp",),
-        square_rules={"sp": {(): p}},
+        rules=[(("sp", "sp"), {(): p})],
         basis_monomials=[(), ("sp",)],
         basis_labels=["1", "sqrt(p)"],
     )
-    rho = tower._monomial_map({"sp": (Fraction(-1), "sp")}, "rho")
-    tower.generators = {"rho": rho}
+    tower.generators = {"rho": tower._ring_map("rho", sp=-tower.radical("sp"))}
     _check_generators(tower)
     return tower
 
@@ -853,17 +823,12 @@ def biquadratic_tower(p1, p2) -> TowerSpec:
     tower = TowerSpec(
         BIQUADRATIC,
         {"p1": p1, "p2": p2},
-        radicals=("s1", "s2"),
-        square_rules={"s1": {(): p1}, "s2": {(): p2}},
+        rules=[(("s1", "s1"), {(): p1}), (("s2", "s2"), {(): p2})],
         basis_monomials=[(), ("s1",), ("s2",), ("s1", "s2")],
         basis_labels=["1", "sqrt(p1)", "sqrt(p2)", "sqrt(p1)*sqrt(p2)"],
     )
-    s1 = tower._monomial_map(
-        {"s1": (Fraction(-1), "s1"), "s2": (Fraction(1), "s2")}, "s1"
-    )
-    s2 = tower._monomial_map(
-        {"s1": (Fraction(1), "s1"), "s2": (Fraction(-1), "s2")}, "s2"
-    )
+    s1 = tower._ring_map("s1", s1=-tower.radical("s1"))
+    s2 = tower._ring_map("s2", s2=-tower.radical("s2"))
     tower.generators = {"s1": s1, "s2": s2, "rho": s1.compose(s2)}
     _check_generators(tower)
     return tower
@@ -895,26 +860,14 @@ def cyclic_quartic_tower(d, p, q) -> TowerSpec:
     tower = TowerSpec(
         CYCLIC_QUARTIC,
         {"d": d, "p": p, "q": q},
-        radicals=("sd", "xp"),
-        square_rules={"sd": {(): d}, "xp": {(): p, ("sd",): q}},
+        rules=[(("sd", "sd"), {(): d}), (("xp", "xp"), {(): p, ("sd",): q})],
         basis_monomials=[(), ("sd",), ("xp",), ("sd", "xp")],
         basis_labels=["1", "sqrt(d)", "xi+", "sqrt(d)*xi+"],
     )
     # sigma0: sqrt(d) -> -sqrt(d), xi+ -> xi- = -sqrt(dp)/xi+
-    #   xi- = (q/e)*xi+ - (p/(d*e))*sqrt(d)*xi+
-    zero = Fraction(0)
-    xi_minus = (zero, zero, q / e, -p / (d * e))
-    sd_xi_minus = (zero, zero, p / e, -q / e)  # -sqrt(d)*xi-
-    s0 = GaloisElement(
-        tower,
-        [
-            (Fraction(1), zero, zero, zero),
-            (zero, Fraction(-1), zero, zero),
-            xi_minus,
-            sd_xi_minus,
-        ],
-        "s0",
-    )
+    #   = (q/e)*xi+ - (p/(d*e))*sqrt(d)*xi+
+    xi_minus = tower.element([0, 0, q / e, -p / (d * e)])
+    s0 = tower._ring_map("s0", sd=-tower.radical("sd"), xp=xi_minus)
     tower.generators = {"s0": s0, "rho": s0.compose(s0)}
     _check_generators(tower)
     return tower
@@ -934,13 +887,14 @@ def quartic_closure_tower(d, p, q) -> TowerSpec:
     tower = TowerSpec(
         QUARTIC_CLOSURE,
         {"d": d, "p": p, "q": q},
-        radicals=("sd", "sdp", "xp", "xm"),
-        square_rules={
-            "sd": {(): d},
-            "sdp": {(): dprime},
-            "xp": {(): p, ("sd",): q},
-            "xm": {(): p, ("sd",): -q},
-        },
+        rules=[
+            (("sd", "sd"), {(): d}), (("sdp", "sdp"), {(): dprime}),
+            (("xp", "xp"), {(): p, ("sd",): q}), (("xm", "xm"), {(): p, ("sd",): -q}),
+            # xi+ * xi- = -sqrt(dp), so sqrt(dp) * xi+- = -xi+ * xi- * xi+-
+            (("xp", "xm"), {("sdp",): -1}),
+            (("sdp", "xp"), {("xp", "xp", "xm"): -1}),
+            (("sdp", "xm"), {("xp", "xm", "xm"): -1}),
+        ],
         basis_monomials=[
             (), ("sd",), ("sdp",), ("sd", "sdp"),
             ("xp",), ("xm",), ("sd", "xp"), ("sd", "xm"),
@@ -950,17 +904,9 @@ def quartic_closure_tower(d, p, q) -> TowerSpec:
             "xi+", "xi-", "sqrt(d)*xi+", "sqrt(d)*xi-",
         ],
     )
-    one, mone = Fraction(1), Fraction(-1)
-    s0 = tower._monomial_map(
-        {"sd": (mone, "sd"), "sdp": (mone, "sdp"),
-         "xp": (one, "xm"), "xm": (mone, "xp")},
-        "s0",
-    )
-    s3 = tower._monomial_map(
-        {"sd": (mone, "sd"), "sdp": (one, "sdp"),
-         "xp": (one, "xm"), "xm": (one, "xp")},
-        "s3",
-    )
+    sd, sdp, xp, xm = (tower.radical(r) for r in ("sd", "sdp", "xp", "xm"))
+    s0 = tower._ring_map("s0", sd=-sd, sdp=-sdp, xp=xm, xm=-xp)
+    s3 = tower._ring_map("s3", sd=-sd, xp=xm, xm=xp)
     tower.generators = {"s0": s0, "s3": s3, "rho": s0.compose(s0)}
     _check_generators(tower)
     return tower

@@ -538,6 +538,23 @@ def test_explicit_elements_not_closed_are_named(tmp_path, capsys):
     assert code == 0 and json.loads(out)["status"] == "ok"
 
 
+@pytest.mark.parametrize("labels, elements, message", [
+    ([[3, 1]], [_element((0,), (0,)), _element((1,), (0,))],
+     "label (3, 1) has weight != 3"),
+    ([[3, 0]], [_element((0,), (0,))], "group does not contain the conjugation"),
+])
+def test_inconsistent_explicit_structure_is_a_hodge_fault(tmp_path, capsys, labels,
+                                                          elements, message):
+    structure = {"type": "explicit", "weight": 3, "pairs": 1,
+                 "labels": labels, "elements": elements}
+    doc = tmp_path / "wg.json"
+    doc.write_text(json.dumps({"structure": structure}), encoding="utf-8")
+    code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
+    diag = json.loads(out)["diagnostics"][0]
+    assert code == 1
+    assert diag == {"condition": "hodge:invalid-structure", "message": message}
+
+
 def test_explicit_elements_of_im52(tmp_path, capsys):
     # all 3840 elements of Im(5,2) are accepted; without one non-identity
     # element the message names the first missing product, as the |G|^2 loop
@@ -932,6 +949,11 @@ def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
     # a present 'spreads' that is not a list is refused, falsy or not
     *[("weil-griffiths", dict(_SYNTHETIC, spreads=spreads), "'spreads' must be a list")
       for spreads in ({}, 0, False, "")],
+    # a JSON bool is not a rational: it used to read as 0 or 1
+    ("split", {"n": 1, "field": {"p": -1}, "B": [[[False]], [[True]]]},
+     "bad rational in B1 at row 0, column 0: false is not a rational"),
+    ("classify-field", {"d": 5, "p": "-5/2", "q": False},
+     "bad rational parameter: false is not a rational (parameter 'q')"),
 ])
 def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     path = tmp_path / "doc.json"

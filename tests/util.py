@@ -217,7 +217,7 @@ def min_poly_degree(x):
 
 def rational_value(x):
     """The rational number a rational tower element stands for."""
-    assert x.is_rational()
+    assert not any(x.num[1:])
     return x.coeffs[0]
 
 
