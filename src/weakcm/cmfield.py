@@ -46,7 +46,9 @@ class CMFieldData(NamedTuple):
 
 
 # classify results kept per process, least recently used dropped first; the
-# Galois group and reflex caches, which hold the field's tower, alike
+# Galois group and reflex caches, which hold the field's tower, alike.  A
+# tower keeps what is built from it once (s0^3, subalgebra spans, coordinate
+# maps, and the standard form of each n and p), so these bounds bound those
 _CLASSIFY_CACHE_SIZE = 64
 
 _SHAPES = ({"p"}, {"p1", "p2"}, {"d", "p", "q"})

@@ -146,8 +146,9 @@ def _generated_field(pm: PeriodMatrix, tau):
 def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
     """Check the weak-CM conditions exactly; raises on any failure.
 
-    Order of checks: entries generate the full field, det(tau - taubar)
-    nonzero, then the delta/eps rank split.
+    Order of checks: entries generate the full field, tau - taubar
+    invertible (full rank; its determinant is not computed), then the
+    delta/eps rank split.
     """
     t = pm.field.tower
     case = pm.field.case
@@ -168,21 +169,21 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
             subfield_basis=tuple(basis_desc),
         )
 
+    n = pm.n
     taubar = _apply_galois(t.conjugation, tau)
     diff = _mat_sub(tau, taubar)
-    if not linalg.mat_det(diff, t.one()):
+    if linalg.row_rank(diff) < n:
         raise SingularTauBar("det(tau - taubar) = 0")
 
-    n = pm.n
     if case == DEG2:
         delta = diff
         eps = [[t.zero()] * n for _ in range(n)]
         return DeltaEps(delta, eps, n, 0, n, None, field_dim)
 
     if case == CASE_A:
-        s1 = t.generators["s1"]
-        delta = _mat_sub(tau, _apply_galois(s1, tau))
-        eps = _mat_sub(taubar, _apply_galois(s1, tau))  # rho = s1 s2 here
+        tau_s1 = _apply_galois(t.generators["s1"], tau)
+        delta = _mat_sub(tau, tau_s1)
+        eps = _mat_sub(taubar, tau_s1)  # rho = s1 s2 here
     else:
         s0 = t.generators["s0"]
         tau_s0 = _apply_galois(s0, tau)
@@ -319,7 +320,19 @@ def standard_form(field: CMFieldData, n: int, p_split):
     and sqrt(p2) on the last p.  Cases B/C: row a < n/2 carries the
     reflex basis (1, sqrt(dp), xi+ + xi-, sqrt(d)(xi+ - xi-)) at column a of
     four n/2-wide blocks, and the bottom rows are their s0^3-conjugates.
+
+    It depends on (field, n, p) alone, so it is built once per (n, p) and
+    kept on the field's tower; each call hands out a fresh list of rows.
     """
+    forms = field.tower._standard_forms
+    rows = forms.get((n, p_split))
+    if rows is None:
+        rows = tuple(map(tuple, _build_standard_form(field, n, p_split)))
+        forms[n, p_split] = rows
+    return [list(row) for row in rows]
+
+
+def _build_standard_form(field: CMFieldData, n: int, p_split):
     t = field.tower
     zero = t.zero()
     if field.case in (DEG2, CASE_A):

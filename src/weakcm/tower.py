@@ -639,6 +639,7 @@ class TowerSpec:
         self._s0_cubed = None  # kept by tausplit._s0_cubed
         self._subalgebras = {}
         self._coordinate_maps = {}  # kept by linalg.coordinate_map
+        self._standard_forms = {}  # kept by tausplit.standard_form
 
     def __eq__(self, other):
         return isinstance(other, TowerSpec) and self.key == other.key

@@ -68,6 +68,19 @@ def test_split_odd_n_rejected_with_named_condition(capsys):
     assert report["diagnostics"][0]["condition"] == "odd-dimension-exclusion"
 
 
+def test_split_singular_tau_bar_rejected_with_named_condition(tmp_path, capsys):
+    # case A, tau with two equal rows: the entries generate the field
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"n": 2, "field": {"p1": "-1", "p2": "-3"}, "B": [
+        [["0", "0"], ["0", "0"]], [["1", "0"], ["1", "0"]],
+        [["0", "1"], ["0", "1"]], [["1", "1"], ["1", "1"]]]}), encoding="utf-8")
+    code, out = run_cli(capsys, "split", "--input", str(doc))
+    assert code == 1
+    diag = json.loads(out)["diagnostics"][0]
+    assert diag["condition"] == "period-matrix:singular-tau-bar"
+    assert diag["message"] == "det(tau - taubar) = 0"
+
+
 def test_malformed_json_is_exit_1_not_crash(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -98,6 +98,22 @@ def test_validate_singular_tau_bar():
         tausplit.validate_weak_cm(pm)
 
 
+@pytest.mark.parametrize("field_of", [f_A, f_B, f_C])
+def test_validate_singular_tau_bar_in_every_case(field_of):
+    # tau with two equal rows whose entries generate the field: tau - taubar
+    # has two equal rows, so validation stops at the nondegeneracy check
+    field = field_of()
+    t = field.tower
+    rows = [[1, 0], [1, 0]], [[0, 1], [0, 1]], [[1, 1], [1, 1]]
+    pm = tausplit.period_matrix(field, Z2, *rows)
+    entries = [x for row in pm.tau() for x in row]
+    assert len(linalg.generated_subalgebra(t, entries)) == field.degree
+    with pytest.raises(SingularTauBar) as err:
+        tausplit.validate_weak_cm(pm)
+    assert err.value.condition == "period-matrix:singular-tau-bar"
+    assert str(err.value) == "det(tau - taubar) = 0"
+
+
 def test_validate_rational_tau_is_proper_subfield():
     pm = tausplit.period_matrix(f_deg2(), [[1, 0], [0, 1]], Z2)
     with pytest.raises(ProperSubfield) as err:
@@ -374,8 +390,9 @@ def test_ranks_and_relations_match_full_matrix_oracles(field_of):
 
 @pytest.mark.parametrize("field_of, n", [(f_A, 3), (f_B, 4), (f_C, 4)])
 def test_split_eliminates_each_difference_matrix_once(field_of, n, monkeypatch):
-    # cases B/C: one pass over transpose(delta), and the joint rank on n
-    # rows; case A: two passes in validation, and no tower solve
+    # cases B/C: one pass over transpose(delta); the tower ranks are those
+    # of tau - taubar and then the joint one, each on n rows; case A: two
+    # passes in validation, and no tower solve
     field = field_of()
     pm = random_period_matrix(field, n, random.Random(900 + n))
     de = tausplit.validate_weak_cm(pm)
@@ -388,9 +405,9 @@ def test_split_eliminates_each_difference_matrix_once(field_of, n, monkeypatch):
     cert, verified = tausplit.split(pm)
     assert verified.ok
     relations = [args[0] for name, args in calls if name == "column_relations"]
-    joint = [args[0] for name, args in calls  # the tower ranks
+    ranks = [args[0] for name, args in calls  # the tower ranks
              if name == "row_rank" and not isinstance(args[0][0][0], Fraction)]
-    assert [len(rows) for rows in joint] == [n]
+    assert [len(rows) for rows in ranks] == [n, n]
     assert all(isinstance(x, (int, Fraction))
                for name, args in calls if name == "solve_columns"
                for matrix in args for row in matrix for x in row)
@@ -548,6 +565,40 @@ def test_s0_cubed_composed_once_per_tower(field):
     s03 = tausplit._s0_cubed(t)
     assert tausplit._s0_cubed(t) is s03
     assert s03.images == s0.compose(s0).compose(s0).images
+
+
+@pytest.mark.parametrize("field_of, n, p_split", [(f_A, 3, 1), (f_C, 4, 2)])
+def test_standard_form_built_once_per_tower_and_shape(field_of, n, p_split,
+                                                      monkeypatch):
+    # split and verify share one build per (tower, n, p); callers get their
+    # own rows, so editing them reaches neither the next split nor verify
+    field = field_of()
+    rng = random.Random(60 + n)
+    pm1 = random_period_matrix(field, n, rng, p_split)
+    pm2 = random_period_matrix(field, n, rng, p_split)
+    builds = []
+    real = tausplit._build_standard_form
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tausplit, "_build_standard_form", counting)
+    monkeypatch.setattr(field.tower, "_standard_forms", {})
+    cert1, _ = tausplit.split(pm1)
+    cert2, verified = tausplit.split(pm2)
+    assert verified.ok and builds == [(field, n, p_split)]
+
+    canonical = tausplit.standard_form(field, n, p_split)
+    assert cert1.standard_form == cert2.standard_form == canonical
+    cert1.standard_form[0][0] = cert1.standard_form[1][1]
+    edited = tausplit.standard_form(field, n, p_split)
+    edited[1] = edited[0]
+    edited[0][1] = edited[0][0]
+    assert tausplit.split(pm2) == (cert2, verified)
+    assert tausplit.verify_certificate(pm2, cert2) == verified
+    assert tausplit.standard_form(field, n, p_split) == canonical
+    assert len(builds) == 1
 
 
 def test_determinism():
