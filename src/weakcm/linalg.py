@@ -7,10 +7,15 @@ product: integer rows over a common denominator, or, over a tower, one
 (``_tower_mat_mul``); a tower matrix times a rational one needs no table
 (``_tower_mat_mul_rational``).
 
-Every rank, determinant, solve, inverse, echelon form and set of column
+Every determinant, solve, inverse, echelon form and set of column
 relations (``column_relations``: a basis of the columns and every column
 in it) comes from one fraction-free forward pass (``_forward``) and one
-back substitution.
+back substitution, and so does every rank short of full.  ``row_rank``
+first ranks the rows' image modulo a prime ell (``_residue_rank``: the
+integer-scaled rows mod a fixed ell over Q, and over a tower its
+``residue_map``, a ring map onto F_ell); when that rank is min(rows,
+columns) it is the rank, since a minor that is nonzero mod ell is nonzero,
+and nothing is eliminated exactly.
 Pivoting is deterministic: columns left to right, first row with a nonzero
 entry.  Rational rows are scaled to integers first, and each update is
 divided exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968), so
@@ -20,11 +25,12 @@ the coefficient growth it saves.  It still multiplies every row below a
 pivot by that pivot, so a determinant costs one inverse at the end; each
 updated entry is one ``TowerSpec.dot`` call, with the terms of the pivot
 and its row worked out once per pivot (``_pivot_update``).  Generated
-subalgebras and coordinates in the Q-span of tower elements
-(``CoordinateMap``) live here too; ``tower`` imports this module only to
-invert an element.
+subalgebras, coordinates in the Q-span of tower elements
+(``CoordinateMap``) and residue maps live here too; ``tower`` imports this
+module only to invert an element.
 """
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -198,6 +204,10 @@ def mat_det(A, one):
     a tower, stage c of the pass multiplies every later row by its pivot
     U[c][c], so det = sign * U[n-1][n-1] / prod_{c <= n-3}
     U[c][c]^(n-2-c), which costs one inverse.
+
+    The library decides nonsingularity with ``row_rank`` and never calls
+    this; it stays as the tests' determinant oracle, and the benchmark's
+    tracer wraps it by name.
     """
     n = len(A)
     if n == 0:
@@ -222,7 +232,16 @@ def pivot_columns(rows):
 
 
 def row_rank(rows):
-    """Rank of the row span: the number of pivots of the forward pass."""
+    """Rank of the row span.
+
+    Full rank, min(rows, columns), is read off the rank of the rows' image
+    modulo a prime (``_residue_rank``): a minor that is nonzero there is
+    nonzero over Q or the tower.  Any other rank is the number of pivots of
+    the exact forward pass.
+    """
+    full = min(len(rows), len(rows[0])) if rows else 0
+    if full and _residue_rank(rows) == full:
+        return full
     return len(pivot_columns(rows))
 
 
@@ -287,6 +306,145 @@ def solve_columns(A, B):
     det = U[k - 1][k - 1] if k else 1
     return [[Fraction(x, det) for x in row]
             for row in _back_substitute(U, pivots, cols, det)]
+
+
+# --------------------------------------------------------------------------
+# ranks modulo a prime
+
+# Primes ell = 1 (mod 4) below 2^30, largest first: -1 is a square modulo
+# each, and a residue fits one 30-bit digit.  A tower of degree D over Q
+# maps onto F_ell for about one prime in D.
+RESIDUE_PRIMES = (
+    1073741789, 1073741741, 1073741717, 1073741689, 1073741621, 1073741561,
+    1073741477, 1073741441, 1073741381, 1073741329, 1073741309, 1073741237,
+    1073741213, 1073741197, 1073741189, 1073741173, 1073741101, 1073741077,
+    1073740933, 1073740909, 1073740853, 1073740793, 1073740781, 1073740697,
+    1073740693, 1073740649, 1073740609, 1073740541, 1073740537, 1073740529,
+    1073740517, 1073740501, 1073740489, 1073740477, 1073740249, 1073740201,
+    1073740189, 1073740177, 1073740133, 1073740061, 1073740049, 1073740013,
+    1073739949, 1073739937, 1073739917, 1073739893, 1073739881, 1073739853,
+    1073739817, 1073739749, 1073739721, 1073739649, 1073739617, 1073739577,
+    1073739493, 1073739473, 1073739449, 1073739437, 1073739421, 1073739361,
+    1073739353, 1073739313, 1073739169, 1073739101,
+)
+
+
+def _residue_rank(rows):
+    """The rank of the rows' image modulo a prime ell, each row first
+    scaled to integer numerators; None when there is no image.
+
+    Over Q, ell is ``RESIDUE_PRIMES[0]``.  Over a tower, ell and the image
+    come from its ``residue_map``; a tower without one, or entries from two
+    towers, give None.
+    """
+    tower = next((x.tower for row in rows for x in row if not _is_rational(x)), None)
+    if tower is None:
+        ell = RESIDUE_PRIMES[0]
+        return _rank_mod([[a % ell for a in _integer_row(row)[1]] for row in rows], ell)
+    found = residue_map(tower)
+    if found is None:
+        return None
+    ell, images = found
+    M = []
+    for row in rows:
+        row = [x if isinstance(x, FieldElement) else tower.rational(x) for x in row]
+        if any(x.tower is not tower and x.tower.key != tower.key for x in row):
+            return None
+        den = math.lcm(*(x.den for x in row))
+        M.append([sum(map(operator.mul, x.num, images)) * (den // x.den) % ell
+                  for x in row])
+    return _rank_mod(M, ell)
+
+
+def _rank_mod(M, ell):
+    """The rank of the rows M of residues mod the prime ell, by Gaussian
+    elimination in place."""
+    m = len(M)
+    r = 0
+    for col in range(len(M[0])):
+        for i in range(r, m):
+            if M[i][col]:
+                break
+        else:
+            continue
+        M[r], M[i] = M[i], M[r]
+        top = M[r][col:]
+        inv = pow(top[0], -1, ell)
+        for row in M[r + 1:]:
+            f = row[col] * inv % ell
+            if f:
+                row[col:] = [(x - f * y) % ell for x, y in zip(row[col:], top)]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _sqrt_mod(a, ell):
+    """A square root of a modulo the odd prime ell, or None when a is 0 or
+    not a square (Tonelli-Shanks)."""
+    if not a or pow(a, (ell - 1) // 2, ell) != 1:
+        return None
+    q, s = ell - 1, 0
+    while not q % 2:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (ell - 1) // 2, ell) == 1:
+        z += 1
+    c, t, root = pow(z, q, ell), pow(a, q, ell), pow(a, (q + 1) // 2, ell)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % ell, i + 1
+        b = pow(c, 1 << (s - i - 1), ell)
+        s, c = i, b * b % ell
+        t, root = t * c % ell, root * b % ell
+    return root
+
+
+def residue_map(tower):
+    """``(ell, images)``: a ring map onto F_ell from the elements of the
+    tower with denominators prime to ell, as the image of each basis
+    monomial, for the first ell in ``RESIDUE_PRIMES`` that gives one; None
+    when none does.  Built on first use and kept on the tower
+    (``TowerSpec._residue_map``).
+
+    Each square rule sends its radical to a root mod ell of its square,
+    read from ``_int_table``; squares come first in the rule table, so a
+    square holds only radicals mapped before it.  Every choice of signs is
+    tried, and one is accepted only when ell does not divide ``_int_den``
+    and the images satisfy every entry of ``_int_table``: the map is then
+    multiplicative on all basis pairs.
+    """
+    if tower._residue_map is None:
+        tower._residue_map = next(
+            filter(None, (_residue_images(tower, ell) for ell in RESIDUE_PRIMES)), ())
+    return tower._residue_map or None
+
+
+def _residue_images(tower, ell):
+    """``(ell, images)`` of ``residue_map`` for the prime ell, or None."""
+    den = tower._int_den % ell
+    if not den:
+        return None
+    table, monomials = tower._int_table, tower._monomials
+    roots = {}
+    for (a, b), _ in tower._rules:
+        if a == b:
+            i = tower._index[(a,)]
+            square = sum(c * math.prod(roots[r] for r in monomials[k])
+                         for k, c in table[i][i])
+            roots[a] = _sqrt_mod(square * pow(den, -1, ell) % ell, ell)
+            if roots[a] is None:
+                return None
+    for signs in itertools.product((1, -1), repeat=len(roots)):
+        signed = {r: s * v for (r, v), s in zip(roots.items(), signs)}
+        images = [math.prod(signed[r] for r in m) % ell for m in monomials]
+        if all((images[i] * images[j] * den
+                - sum(c * images[k] for k, c in cell)) % ell == 0
+               for i, row in enumerate(table) for j, cell in enumerate(row)):
+            return ell, tuple(images)
+    return None
 
 
 # --------------------------------------------------------------------------

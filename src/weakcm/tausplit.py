@@ -52,7 +52,7 @@ RENAMING_SEARCH_BOUND = 1000
 
 class PeriodMatrix:
     """tau = sum_k B_k * (field.phi_basis monomial k), all B_k rational n x n,
-    given as row-major tuples of Fractions.
+    given as row-major tuples of rationals (``int`` or ``Fraction``).
 
     The number and shape of the B_k are checked when it is built."""
 
@@ -93,9 +93,13 @@ class PeriodMatrix:
 
 
 def period_matrix(field: CMFieldData, *Bs) -> PeriodMatrix:
+    """The period matrix with the given B matrices; ``int`` and
+    ``Fraction`` entries are kept as they are, others made ``Fraction``s."""
     n = len(Bs[0])
     mats = tuple(
-        tuple(tuple(Fraction(x) for x in row) for row in M) for M in Bs
+        tuple(tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
+              for row in M)
+        for M in Bs
     )
     return PeriodMatrix(field=field, n=n, B=mats)
 
@@ -562,11 +566,11 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
     An independent recomputation from the certificate's data, for the
     period matrix's case and n: p is read from the block sizes, checked
     against the case (degree 2 ``(n,)``, case A ``(n - p, p)`` with
-    0 < p < n, cases B/C ``(n/2,)``); S must be 2n x 2n, and the factor
-    list and level numbers those that the field, n and p give; C is rebuilt
-    from the recorded c1/c2 or M.  P must be the identity block matrix,
-    which ``split`` always records.  ``split`` runs this once on every
-    certificate it returns.
+    0 < p < n, cases B/C ``(n/2,)``); S must be 2n x 2n and of full rank,
+    and the factor list, level numbers and block field labels those that
+    the field, n and p give; C is rebuilt from the recorded c1/c2 or M.
+    P must be the identity block matrix, which ``split`` always records.
+    ``split`` runs this once on every certificate it returns.
     """
     field, n = pm.field, pm.n
     t = field.tower
@@ -593,7 +597,9 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
         return VerifyResult(False, "recorded factors are not the field's")
     if cert.level != LevelNReport(_level_numbers(n, p_split), p_split):
         return VerifyResult(False, "recorded level numbers are not the split's")
-    if not linalg.mat_det(cert.S, Fraction(1)):
+    if tuple(map(tuple, cert.block_fields)) != _blocks_basis(field, n, p_split)[2]:
+        return VerifyResult(False, "recorded block fields are not the split's")
+    if linalg.row_rank(cert.S) < 2 * n:
         return VerifyResult(False, "S is singular over Q")
     if cert.P != linalg.identity_matrix(sum(sizes), t.one()):
         return VerifyResult(False, "P is not the identity block matrix")

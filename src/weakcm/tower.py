@@ -129,7 +129,8 @@ def _check_literal_size(text: str):
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -639,6 +640,7 @@ class TowerSpec:
         self._s0_cubed = None  # kept by tausplit._s0_cubed
         self._subalgebras = {}
         self._coordinate_maps = {}  # kept by linalg.coordinate_map
+        self._residue_map = None  # kept by linalg.residue_map
         self._standard_forms = {}  # kept by tausplit.standard_form
 
     def __eq__(self, other):

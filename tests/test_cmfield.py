@@ -187,7 +187,7 @@ def test_reflex_case_b_spans_whole_field():
     # xi+, sqrt(d) xi+}: both are everything, compare exactly
     t = field.tower
     rows = [list(b.coeffs) for b in r.basis]
-    assert linalg.row_rank(rows) == 4 == t.dim
+    assert len(linalg.pivot_columns(rows)) == 4 == t.dim
 
 
 def test_reflex_squares_evaluate_exactly():

@@ -2,6 +2,7 @@
 it replaced: the per-term matrix product and the Gauss-Jordan inverse over
 Q, kept here as oracles."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -460,3 +461,132 @@ def test_generated_subalgebra_matches_gauss_jordan(t):
         assert all(type(x) is Fraction for row in got for x in row)
         dims.add(len(got))
     assert 1 in dims and t.dim in dims
+
+
+# ---------------------------------------------------------- ranks modulo a prime
+
+
+def _rational_product_matrix(rng, rows, cols, rank):
+    """A rows x cols rational matrix of rank at most ``rank``: L R for
+    random L (rows x rank) and R (rank x cols), a quarter of their entries
+    large."""
+    if rank == 0:
+        return [[Fraction(0)] * cols for _ in range(rows)]
+
+    def factor(m, k):
+        return [[Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 9))
+                 if rng.random() < 0.25 else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                 for _ in range(k)] for _ in range(m)]
+
+    return linalg.mat_mul(factor(rows, rank), factor(rank, cols))
+
+
+RANK_SHAPES = [(1, 1), (3, 3), (4, 4), (2, 5), (5, 2), (3, 6), (6, 3)]
+
+
+def _residue_rank_cases(rng, product):
+    """(matrix, exact rank) over seeded shapes and ranks, with the exact
+    rank from the forward pass; every kind of shape is met at full and
+    at short rank."""
+    kinds = set()
+    for rows, cols in RANK_SHAPES:
+        for rank in sorted({0, 1, min(rows, cols) - 1, min(rows, cols)}):
+            M = product(rng, rows, cols, rank)
+            exact = len(linalg.pivot_columns(M))
+            shape = "wide" if cols > rows else "tall" if rows > cols else "square"
+            kinds.add((shape, exact == min(rows, cols)))
+            yield M, exact
+    assert kinds == {(s, f) for s in ("wide", "tall", "square") for f in (True, False)}
+
+
+def test_residue_rank_over_q_matches_exact_elimination():
+    rng = random.Random(113)
+    for M, exact in _residue_rank_cases(rng, _rational_product_matrix):
+        assert linalg._residue_rank(M) == exact
+        assert linalg.row_rank(M) == exact
+
+
+@pytest.mark.parametrize("t", _oracle_towers(), ids=lambda t: t.case)
+def test_residue_rank_over_towers_matches_exact_elimination(t):
+    rng = random.Random(127)
+    product = functools.partial(_product_matrix, t)
+    for M, exact in _residue_rank_cases(rng, product):
+        assert linalg._residue_rank(M) == exact
+        assert linalg.row_rank(M) == exact
+
+
+def _image(t, x):
+    """x under the tower's residue map (its denominator prime to ell)."""
+    ell, images = linalg.residue_map(t)
+    return sum(a * v for a, v in zip(x.num, images)) * pow(x.den, -1, ell) % ell
+
+
+@pytest.mark.parametrize("t", _oracle_towers(), ids=lambda t: t.case)
+def test_residue_map_exists_and_is_a_ring_map(t):
+    # _oracle_towers() starts with the four split-corpus fields
+    found = linalg.residue_map(t)
+    assert found is not None and linalg.residue_map(t) is found  # kept on the tower
+    ell, images = found
+    assert ell in linalg.RESIDUE_PRIMES and len(images) == t.dim and images[0] == 1
+    rng = random.Random(131)
+    els = _oracle_elements(t, rng, 12)
+    for _ in range(200):
+        x, y = rng.choice(els), rng.choice(els)
+        assert _image(t, x * y) == _image(t, x) * _image(t, y) % ell
+        assert _image(t, x + y) == (_image(t, x) + _image(t, y)) % ell
+
+
+@pytest.mark.parametrize("ell", [7, 11, 13, 17, 41, 97, 257])
+def test_sqrt_mod_matches_the_squares(ell):
+    squares = {x * x % ell for x in range(1, ell)}
+    for a in range(ell):
+        root = linalg._sqrt_mod(a, ell)
+        assert (root is not None) == (a in squares)
+        assert root is None or root * root % ell == a
+    rng = random.Random(ell)
+    for big in linalg.RESIDUE_PRIMES[:4]:
+        x = rng.randrange(1, big)
+        assert linalg._sqrt_mod(x * x % big, big) in (x, big - x)
+        assert linalg._sqrt_mod(big - 1, big) ** 2 % big == big - 1  # -1, ell = 1 (4)
+
+
+def _counting_forward(monkeypatch):
+    calls = []
+    real = linalg._forward
+
+    def forward(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_forward", forward)
+    return calls
+
+
+@pytest.mark.parametrize("t", _oracle_towers(), ids=lambda t: t.case)
+def test_full_rank_is_certified_without_elimination(t, monkeypatch):
+    rng = random.Random(137)
+    full = _product_matrix(t, rng, 4, 4, 4)
+    short = _product_matrix(t, rng, 4, 5, 3)
+    S = _rational_matrix(rng, 5, 3)
+    ranks = [len(linalg.pivot_columns(M)) for M in (full, short, S)]
+    assert ranks == [4, 3, 3]
+    calls = _counting_forward(monkeypatch)
+    assert linalg.row_rank(full) == 4 and linalg.row_rank(S) == 3 and calls == []
+    # a short rank comes from the exact pass, and so does every rank of a
+    # tower that has no map
+    assert linalg.row_rank(short) == 3 and len(calls) == 1
+    monkeypatch.setattr(t, "_residue_map", ())
+    assert linalg._residue_rank(full) is None
+    assert linalg.row_rank(full) == 4 and len(calls) == 2
+
+
+def test_rank_singular_mod_ell_only_is_exact(monkeypatch):
+    ell = linalg.RESIDUE_PRIMES[0]
+    calls = _counting_forward(monkeypatch)
+    M = [[ell, 0], [0, 1]]
+    assert linalg._residue_rank(M) == 1
+    assert linalg.row_rank(M) == 2 and len(calls) == 1
+    for t in _oracle_towers():
+        x = t.rational(linalg.residue_map(t)[0])
+        assert linalg._residue_rank([[x]]) == 0
+        assert linalg.row_rank([[x]]) == 1

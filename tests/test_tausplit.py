@@ -185,7 +185,8 @@ def test_rank_eps_is_rank_delta_in_cases_b_c():
         for n in (2, 4):
             for _ in range(3):
                 de = tausplit.validate_weak_cm(random_period_matrix(field, n, rng))
-                assert de.rank_eps == linalg.row_rank(de.eps) == de.rank_delta == n // 2
+                assert (de.rank_eps == len(linalg.pivot_columns(de.eps))
+                        == de.rank_delta == n // 2)
         t = field.tower
         s0 = t.generators["s0"]
         I2 = [[1, 0], [0, 1]]
@@ -196,8 +197,8 @@ def test_rank_eps_is_rank_delta_in_cases_b_c():
             eps = [[-s0(x) for x in row] for row in delta]
             with pytest.raises(NotFullSpan) as info:
                 tausplit.validate_weak_cm(pm)
-            assert (f"rank(delta) = {linalg.row_rank(delta)}, "
-                    f"rank(eps) = {linalg.row_rank(eps)}") in str(info.value)
+            assert (f"rank(delta) = {len(linalg.pivot_columns(delta))}, "
+                    f"rank(eps) = {len(linalg.pivot_columns(eps))}") in str(info.value)
 
 
 # ---------------------------------------------------------------- subfield from B
@@ -265,7 +266,7 @@ def _renaming_by_subset_search(delta, r):
     first r-subset of independent delta rows goes to the bottom."""
     n = len(delta)
     for subset in itertools.combinations(range(n), r):
-        if linalg.row_rank([delta[i] for i in subset]) == r:
+        if len(linalg.pivot_columns([delta[i] for i in subset])) == r:
             return tuple(i for i in range(n) if i not in subset) + subset
     return None
 
@@ -320,8 +321,8 @@ def _case_a_renaming_by_rank_search(delta, eps, k):
     n = len(delta)
     for subset in itertools.combinations(range(n), k):
         comp = tuple(i for i in range(n) if i not in subset)
-        if (linalg.row_rank([delta[i] for i in subset]) == k
-                and linalg.row_rank([eps[i] for i in comp]) == n - k):
+        if (len(linalg.pivot_columns([delta[i] for i in subset])) == k
+                and len(linalg.pivot_columns([eps[i] for i in comp])) == n - k):
             return subset + comp
     return None
 
@@ -336,7 +337,7 @@ def test_case_a_renaming_matches_rank_search(n):
     for _ in range(100):
         k = rng.randint(1, n - 1)
         delta = _low_rank_delta(rng, t, n, k)
-        if linalg.row_rank(delta) != k:
+        if len(linalg.pivot_columns(delta)) != k:
             continue
         eps = _low_rank_delta(rng, t, n, n - k)
         expected = _case_a_renaming_by_rank_search(delta, eps, k)
@@ -372,8 +373,9 @@ def test_ranks_and_relations_match_full_matrix_oracles(field_of):
             pm = random_period_matrix(field, n, rng, p_split)
             de = tausplit.validate_weak_cm(pm)
             assert (de.rank_delta, de.rank_eps, de.rank_joint) == (
-                linalg.row_rank(de.delta), linalg.row_rank(de.eps),
-                linalg.row_rank(de.delta + de.eps))
+                len(linalg.pivot_columns(de.delta)),
+                len(linalg.pivot_columns(de.eps)),
+                len(linalg.pivot_columns(de.delta + de.eps)))
             cert, _ = tausplit.split(pm)
             delta = [de.delta[i] for i in cert.renaming]
             eps = [de.eps[i] for i in cert.renaming]
@@ -676,6 +678,39 @@ def test_verify_rejects_forged_factors_and_level_numbers():
     res = tausplit.verify_certificate(
         pm, cert._replace(level=cert.level._replace(hodge_numbers=numbers)))
     assert not res.ok and "level numbers" in res.diagnostic
+
+
+@pytest.mark.parametrize("field_of, n", [(f_deg2, 2), (f_A, 3), (f_B, 4), (f_C, 4)])
+def test_verify_rejects_forged_block_fields(field_of, n):
+    pm = random_period_matrix(field_of(), n, random.Random(50 + n))
+    cert, _ = tausplit.split(pm)
+    forged = [list(labels) for labels in cert.block_fields]
+    forged[-1][-1] = "sqrt(2)"
+    forgeries = [forged, cert.block_fields[::-1]] if pm.field.case == "A" else [forged]
+    for bad in forgeries:
+        res = tausplit.verify_certificate(pm, cert._replace(block_fields=bad))
+        assert not res.ok and res.diagnostic == "recorded block fields are not the split's"
+    # the labels as lists, as a parsed document holds them, are the same
+    listed = [list(labels) for labels in cert.block_fields]
+    assert tausplit.verify_certificate(pm, cert._replace(block_fields=listed)).ok
+
+
+@pytest.mark.parametrize("field_of, n", [(f_deg2, 2), (f_A, 3), (f_C, 4)])
+def test_verify_rejects_a_singular_s(field_of, n):
+    pm = random_period_matrix(field_of(), n, random.Random(70 + n))
+    cert, _ = tausplit.split(pm)
+    S = [list(row) for row in cert.S]
+    S[-1] = [a - 2 * b for a, b in zip(S[0], S[1])]
+    res = tausplit.verify_certificate(pm, cert._replace(S=S))
+    assert not res.ok and res.diagnostic == "S is singular over Q"
+    # singular modulo the residue prime only: the exact rank is full, so
+    # the certificate fails at the standard form instead
+    ell = linalg.RESIDUE_PRIMES[0]
+    S = [list(row) for row in cert.S]
+    S[-1] = [a + ell * b for a, b in zip(S[0], S[-1])]
+    assert linalg._residue_rank(S) < 2 * n == len(linalg.pivot_columns(S))
+    res = tausplit.verify_certificate(pm, cert._replace(S=S))
+    assert not res.ok and res.diagnostic.startswith("standard form mismatch")
 
 
 # one seeded period matrix per split class of the benchmark corpus

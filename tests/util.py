@@ -212,7 +212,7 @@ def min_poly_degree(x):
     powers = [x.tower.one()]
     for _ in range(x.tower.dim - 1):
         powers.append(powers[-1] * x)
-    return linalg.row_rank([p.coeffs for p in powers])
+    return len(linalg.pivot_columns([p.coeffs for p in powers]))
 
 
 def rational_value(x):
