@@ -9,14 +9,17 @@ matrices
 
 (g = s1, g' = s2 in the biquadratic case; g = s0, eps = -s0(delta) in the
 quartic cases) and checks the rank split that makes the top-form conjugate
-pure; each difference matrix is eliminated once, by
-``linalg.column_relations`` of its transpose.  Splitting reads the renaming
-and c1/c2 or M off those passes and produces an exact certificate (P, S,
-renaming, c1/c2 or M, standard form) whose verification is an independent
-recomputation from the certificate's data.  Each split verifies its
-certificate once and returns that result with it.  Split and verify build
-each piece with the same function: C with ``coordinate_change``, the
-coframe with ``_coframe``.
+pure.  tau is assembled from the B entries' integer numerators, and each
+difference matrix (tau - taubar too) is one integer map, (1 - g) or
+(rho - g), applied to each entry's numerators and reduced once; the map is
+built once per tower from the generators' images.  Each difference matrix
+is eliminated once, by ``linalg.column_relations`` of its transpose.
+Splitting reads the renaming and c1/c2 or M off those passes and produces
+an exact certificate (P, S, renaming, c1/c2 or M, standard form) whose
+verification is an independent recomputation from the certificate's data.
+Each split verifies its certificate once and returns that result with it.
+Split and verify build each piece with the same function: C with
+``coordinate_change``, the coframe with ``_coframe``.
 
 The S search works on the rational "realification": each coframe row over
 its coefficient field F expands into [F:Q] rational rows; the standard form
@@ -74,7 +77,10 @@ class PeriodMatrix:
 
     def tau(self):
         """tau as a fresh list of rows.  The entries are assembled on the
-        first call and kept; each call hands out a copy of the rows."""
+        first call and kept; each call hands out a copy of the rows.  An
+        entry's numerators over its denominator (the lcm of its B entries'
+        denominators) are written at the assembly monomials and reduced
+        once."""
         rows = self._tau
         if rows is None:
             t = self.field.tower
@@ -83,10 +89,12 @@ class PeriodMatrix:
             for i in range(self.n):
                 row = []
                 for j in range(self.n):
-                    coeffs = [0] * t.dim
-                    for M, k in zip(self.B, pos):
-                        coeffs[k] = M[i][j]
-                    row.append(t.element(coeffs))
+                    parts = [M[i][j] for M in self.B]
+                    den = math.lcm(*(x.denominator for x in parts))
+                    num = [0] * t.dim
+                    for k, x in zip(pos, parts):
+                        num[k] = x.numerator * (den // x.denominator)
+                    row.append(tw._normalised(t, num, den))
                 rows.append(tuple(row))
             rows = self._tau = tuple(rows)
         return [list(row) for row in rows]
@@ -104,12 +112,28 @@ def period_matrix(field: CMFieldData, *Bs) -> PeriodMatrix:
     return PeriodMatrix(field=field, n=n, B=mats)
 
 
-def _apply_galois(g, M):
-    return [[g(x) for x in row] for row in M]
+def _difference_map(t, plus: str, minus: str):
+    """The integer matrix ``(rows, den)`` of plus - minus, for generator
+    names or "1" (the identity), the form ``tower.apply_matrix`` takes.
+    Built from the generators' matrices once per tower and pair and kept
+    on the tower."""
+    found = t._difference_maps.get((plus, minus))
+    if found is None:
+        unit = (tuple(tuple(int(i == k) for i in range(t.dim)) for k in range(t.dim)), 1)
+        (ra, da), (rb, db) = (unit if name == "1" else t.generators[name].matrix()
+                              for name in (plus, minus))
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        rows = tuple(tuple(a * fa - b * fb for a, b in zip(xa, xb))
+                     for xa, xb in zip(ra, rb))
+        found = t._difference_maps[plus, minus] = (rows, den)
+    return found
 
 
-def _mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def _difference(t, plus: str, minus: str, tau):
+    """(plus - minus)(tau), entrywise: one integer map per entry."""
+    matrix = _difference_map(t, plus, minus)
+    return [[tw.apply_matrix(matrix, x) for x in row] for row in tau]
 
 
 class DeltaEps(NamedTuple):
@@ -134,16 +158,18 @@ def _generated_field(pm: PeriodMatrix, tau):
     """(dimension, echelon basis) of the subfield generated by the entries.
 
     The entries lie in the span of the assembly monomials, so 1 and the
-    entries span K exactly when the entries' coordinates on the monomials
-    other than 1 (read off B) have rank [K:Q] - 1; then the basis is not
-    computed (None).  Only otherwise is the span closed up by
-    ``linalg.generated_subalgebra``.
+    entries span K exactly when the entries' integer numerators at the
+    assembly monomials other than 1 have rank [K:Q] - 1 (each row is an
+    entry's coordinates scaled by its denominator, which keeps the rank);
+    then the basis is not computed (None).  Only otherwise is the span
+    closed up by ``linalg.generated_subalgebra``.
     """
+    t = pm.field.tower
     want = pm.field.degree
-    coords = [[M[i][j] for M in pm.B[1:]] for i in range(pm.n) for j in range(pm.n)]
-    if linalg.row_rank(coords) == want - 1:
+    pos = [t.basis.index(lbl) for lbl in pm.field.phi_basis[1:]]
+    if linalg.row_rank([[x.num[k] for k in pos] for row in tau for x in row]) == want - 1:
         return want, None
-    alg = linalg.generated_subalgebra(pm.field.tower, [x for row in tau for x in row])
+    alg = linalg.generated_subalgebra(t, [x for row in tau for x in row])
     return len(alg), alg
 
 
@@ -152,7 +178,9 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
 
     Order of checks: entries generate the full field, tau - taubar
     invertible (full rank; its determinant is not computed), then the
-    delta/eps rank split.
+    delta/eps rank split.  tau - taubar, delta and eps are each one integer
+    map (``_difference_map``) applied to tau's entries; no conjugate of tau
+    is built.
     """
     t = pm.field.tower
     case = pm.field.case
@@ -174,8 +202,7 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
         )
 
     n = pm.n
-    taubar = _apply_galois(t.conjugation, tau)
-    diff = _mat_sub(tau, taubar)
+    diff = _difference(t, "1", "rho", tau)
     if linalg.row_rank(diff) < n:
         raise SingularTauBar("det(tau - taubar) = 0")
 
@@ -184,15 +211,11 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
         eps = [[t.zero()] * n for _ in range(n)]
         return DeltaEps(delta, eps, n, 0, n, None, field_dim)
 
-    if case == CASE_A:
-        tau_s1 = _apply_galois(t.generators["s1"], tau)
-        delta = _mat_sub(tau, tau_s1)
-        eps = _mat_sub(taubar, tau_s1)  # rho = s1 s2 here
-    else:
-        s0 = t.generators["s0"]
-        tau_s0 = _apply_galois(s0, tau)
-        delta = _mat_sub(tau, tau_s0)
-        eps = _mat_sub(_apply_galois(s0, tau_s0), tau_s0)
+    # delta = tau - tau^g and eps = taubar - tau^g, with g = s1 (rho = s1 s2)
+    # in case A and g = s0 (rho = s0^2) in cases B/C
+    g = "s1" if case == CASE_A else "s0"
+    delta = _difference(t, "1", g, tau)
+    eps = _difference(t, "rho", g, tau)
 
     # in cases B/C, eps = -s0(delta) and s0 keeps linear relations, so
     # delta's basis rows are a basis of eps's rows

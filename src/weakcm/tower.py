@@ -30,9 +30,10 @@ coefficients as ``fractions.Fraction``s, and ``serialize`` formats straight
 from the integers.  Matrices over a tower, generated subalgebras and
 coordinates in the Q-span of given elements live in ``linalg``, which this
 module imports only to invert an element.  There is no floating point.
-Galois actions are stored as explicit Q-linear maps on the basis and checked
-on every pair of basis monomials at construction time, which tests the rule
-table against the radical images.
+Galois actions are stored as explicit Q-linear maps on the basis, as dense
+integer rows over one denominator (``apply_matrix``).  At construction each
+generator's radical images are checked against every rule of the table, and
+each monomial's image against the product of its radicals' images.
 
 Sign conventions (recorded, never evaluated numerically): sqrt(p) and xi+
 denote the purely imaginary root in the upper half plane, sqrt(d) and
@@ -43,7 +44,9 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     BadFactorBound,
@@ -67,23 +70,35 @@ _DEFAULT_FACTOR_BOUND = 100_000
 # rationals
 
 
+_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text) -> Fraction:
     """Parse "num/den" (den omitted when 1) into a Fraction.
 
-    Decimal and exponent literals ("1.5", "-2e3") are accepted too.  A zero
-    denominator raises ZeroDivisionError naming the literal.  A literal
-    whose numerator or denominator would have more than
-    ``RationalTooLarge.DIGITS`` digits is refused with ``RationalTooLarge``
-    before anything is computed: "1e100000000" would otherwise ask for
-    10**10**8.  A bool (a JSON true or false) raises ValueError.
+    Decimal and exponent literals ("1.5", "-2e3") are accepted too, in
+    Python 3.10's grammar on every version: no "_" digit separators and no
+    whitespace inside the literal.  A zero denominator raises
+    ZeroDivisionError naming the literal.  A literal whose numerator or
+    denominator would have more than ``RationalTooLarge.DIGITS`` digits is
+    refused with ``RationalTooLarge`` before anything is computed:
+    "1e100000000" would otherwise ask for 10**10**8.  A plain "num/den" of
+    at most that many characters is read with ``int``, not ``Fraction``'s
+    parser.  A bool (a JSON true or false) raises ValueError.
     """
     if isinstance(text, bool):
         raise ValueError(f"{str(text).lower()} is not a rational")
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     text = str(text).strip()
-    _check_literal_size(text)
+    plain = _PLAIN_RATIONAL.fullmatch(text)
     try:
+        if plain and len(text) <= RationalTooLarge.DIGITS:
+            num, den = plain.groups()
+            return Fraction(int(num), int(den or 1))
+        _check_literal_size(text)
+        if "_" in text or any(map(str.isspace, text)):
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
         return Fraction(text)
     except ZeroDivisionError:
         raise ZeroDivisionError(f"zero denominator in {text!r}") from None
@@ -520,27 +535,20 @@ class GaloisElement:
         self.label = label
         self._matrix = None
 
-    def _integer_matrix(self):
-        """(rows, den): output numerator k is sum(x.num[i] * m for i, m in
-        rows[k]), over x.den * den.  Built on first application."""
-        images = self.images
-        den = math.lcm(*(img.den for img in images))
-        cols = [[a * (den // img.den) for a in img.num] for img in images]
-        rows = tuple(
-            tuple((i, col[k]) for i, col in enumerate(cols) if col[k])
-            for k in range(self.tower.dim)
-        )
-        self._matrix = (rows, den)
+    def matrix(self):
+        """(rows, den): the integer matrix of this Q-linear map, the form
+        ``apply_matrix`` takes.  Built on first use and kept."""
+        if self._matrix is None:
+            images = self.images
+            den = math.lcm(*(img.den for img in images))
+            cols = [[a * (den // img.den) for a in img.num] for img in images]
+            self._matrix = (tuple(zip(*cols)), den)
         return self._matrix
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.tower is not self.tower and x.tower.key != self.tower.key:
             raise TowerMismatch("element and automorphism live in different towers")
-        rows, den = self._matrix or self._integer_matrix()
-        num = x.num
-        return _normalised(
-            x.tower, [sum(num[i] * m for i, m in row) for row in rows], x.den * den
-        )
+        return apply_matrix(self._matrix or self.matrix(), x)
 
     def compose(self, other: "GaloisElement") -> "GaloisElement":
         """self after other: (self*other)(x) = self(other(x))."""
@@ -556,16 +564,6 @@ class GaloisElement:
     def __hash__(self):
         return hash(self.images)
 
-    def is_multiplicative(self) -> bool:
-        """Exhaustive check on basis pairs; suffices by bilinearity."""
-        for i in range(self.tower.dim):
-            bi = self.tower.gen_index(i)
-            for j in range(i, self.tower.dim):
-                bj = self.tower.gen_index(j)
-                if self(bi * bj) != self(bi) * self(bj):
-                    return False
-        return True
-
     def action_table(self):
         """Monomial label -> image string, for case reports."""
         return {
@@ -574,6 +572,16 @@ class GaloisElement:
 
     def __repr__(self):
         return f"GaloisElement({self.label})"
+
+
+def apply_matrix(matrix, x: FieldElement) -> FieldElement:
+    """x's image under the Q-linear map ``matrix = (rows, den)`` of dense
+    integer rows: numerator k is sum(map(mul, x.num, rows[k])) over
+    x.den * den, reduced once.  Galois images and ``tausplit``'s difference
+    maps are both applied by it."""
+    rows, den = matrix
+    num = x.num
+    return _normalised(x.tower, [sum(map(mul, num, row)) for row in rows], x.den * den)
 
 
 def _join_words(a: str, b: str) -> str:
@@ -638,6 +646,7 @@ class TowerSpec:
         )
         self.generators: dict[str, GaloisElement] = {}
         self._s0_cubed = None  # kept by tausplit._s0_cubed
+        self._difference_maps = {}  # kept by tausplit._difference_map
         self._subalgebras = {}
         self._coordinate_maps = {}  # kept by linalg.coordinate_map
         self._residue_map = None  # kept by linalg.residue_map
@@ -917,10 +926,28 @@ def quartic_closure_tower(d, p, q) -> TowerSpec:
 
 def _check_generators(tower: TowerSpec):
     for name, g in tower.generators.items():
-        if not g.is_multiplicative():
+        if not _respects_rules(tower, g):
             raise MathError(
                 f"generator {name} is not a ring automorphism; inconsistent parameters"
             )
+
+
+def _respects_rules(tower: TowerSpec, g: GaloisElement) -> bool:
+    """Whether each monomial's image under g is the product of its radicals'
+    images, and those images satisfy every rule of the table: for a map on
+    a presentation, the same as g(x y) = g(x) g(y) on every basis pair."""
+    image = dict(zip(tower._monomials, g.images))
+
+    def word(w):
+        x = tower.one()
+        for r in w:
+            x = x * image[(r,)]
+        return x
+
+    return (all(img == word(m) for m, img in image.items())
+            and all(word(pair) == sum((word(w) * c for w, c in product.items()),
+                                      tower.zero())
+                    for pair, product in tower._rules))
 
 
 def serialize_tower(tower: TowerSpec) -> dict:

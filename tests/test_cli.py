@@ -967,6 +967,11 @@ def test_k3t2_character_contained_in_the_k3_field(tmp_path, capsys):
      "bad rational in B1 at row 0, column 0: false is not a rational"),
     ("classify-field", {"d": 5, "p": "-5/2", "q": False},
      "bad rational parameter: false is not a rational (parameter 'q')"),
+    # one literal grammar on every Python: Fraction takes "_" from 3.11 and
+    # spaces around "/" from 3.12
+    *[("split", {"n": 1, "field": {"p": -1}, "B": [[[entry]], [["1"]]]},
+       f"bad rational in B1 at row 0, column 0: Invalid literal for Fraction: '{entry}'")
+      for entry in ("1_000", "1_0/3", "3 / 4", "3/ 4")],
 ])
 def test_malformed_nested_field_is_named(tmp_path, capsys, sub, doc, what):
     path = tmp_path / "doc.json"
@@ -1071,9 +1076,10 @@ def test_command_line_is_parsed_under_the_int_string_limit(capsys):
 @pytest.mark.parametrize("sub, text", [
     ("split", _pm_text("1e5000")),
     ("split", _pm_text("1e100000000")),
+    ("split", _pm_text("1_0e4299")),
     ("classify-field", json.dumps({"p": "-1e5001"})),
     ("classify-field", '{"p": -%s}' % ("7" * 4301)),
-], ids=["B-1e5000", "B-1e100000000", "p-1e5001", "p-json-int-4301-digits"])
+], ids=["B-1e5000", "B-1e100000000", "B-1_0e4299", "p-1e5001", "p-json-int-4301-digits"])
 def test_oversized_numbers_are_named_input_errors(tmp_path, capsys, sub, text):
     # each ended in internal-error (exit 2); "1e100000000" computed 10**10**8
     path = tmp_path / "doc.json"

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from util import coframe_by_products, random_period_matrix, rank_by_minors, solve_left
+from util import (
+    apply_galois,
+    coframe_by_products,
+    mat_sub,
+    random_period_matrix,
+    rank_by_minors,
+    solve_left,
+)
 from weakcm import cmfield, linalg, tausplit
 from weakcm.errors import (
     MathError,
@@ -199,6 +206,68 @@ def test_rank_eps_is_rank_delta_in_cases_b_c():
                 tausplit.validate_weak_cm(pm)
             assert (f"rank(delta) = {len(linalg.pivot_columns(delta))}, "
                     f"rank(eps) = {len(linalg.pivot_columns(eps))}") in str(info.value)
+
+
+def _oracle_fields():
+    # the four corpus fields, plus a closure and a quadratic field whose
+    # structure constants are not integers
+    return [f_deg2(), f_A(), f_B(), f_C(),
+            cmfield.classify({"d": 2, "p": Fraction(-5, 3), "q": Fraction(1, 2)}),
+            f_deg2(Fraction(-7, 12))]
+
+
+def _shapes(field):
+    return (2, 4) if field.case in ("B", "C") else (2, 3)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_tau_assembly_matches_the_element_oracle(k):
+    # tau's entries are assembled from the B entries' numerators; the
+    # oracle builds each entry from its Fraction coefficients
+    field = _oracle_fields()[k]
+    t = field.tower
+    pos = [t.basis.index(lbl) for lbl in field.phi_basis]
+    rng = random.Random(80 + k)
+    pms = [random_period_matrix(field, n, rng) for n in _shapes(field)]
+    big = [[[Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 12))
+             if rng.random() < 0.7 else rng.randint(-3, 3) for _ in range(3)]
+            for _ in range(3)] for _ in field.phi_basis]
+    pms.append(tausplit.period_matrix(field, *big))
+    for pm in pms:
+        for i, row in enumerate(pm.tau()):
+            for j, x in enumerate(row):
+                coeffs = [0] * t.dim
+                for M, q in zip(pm.B, pos):
+                    coeffs[q] = M[i][j]
+                want = t.element(coeffs)
+                assert (x.num, x.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_difference_matrices_match_the_galois_oracles(k):
+    # each difference matrix is one integer map on tau's numerators; the
+    # oracle applies the Galois elements entrywise and subtracts
+    field = _oracle_fields()[k]
+    t = field.tower
+    rng = random.Random(90 + k)
+    for n in _shapes(field):
+        pm = random_period_matrix(field, n, rng)
+        de = tausplit.validate_weak_cm(pm)
+        tau = pm.tau()
+        taubar = apply_galois(t.conjugation, tau)
+        assert tausplit._difference(t, "1", "rho", tau) == mat_sub(tau, taubar)
+        if field.case == "deg2":
+            assert de.delta == mat_sub(tau, taubar)
+            continue
+        g = t.generators["s1" if field.case == "A" else "s0"]
+        tau_g = apply_galois(g, tau)
+        assert de.delta == mat_sub(tau, tau_g)
+        if field.case == "A":
+            assert de.eps == mat_sub(taubar, tau_g)
+        else:
+            assert de.eps == mat_sub(apply_galois(g, tau_g), tau_g)
+    # one map per tower and pair, kept
+    assert tausplit._difference_map(t, "1", "rho") is tausplit._difference_map(t, "1", "rho")
 
 
 # ---------------------------------------------------------------- subfield from B
@@ -408,7 +477,7 @@ def test_split_eliminates_each_difference_matrix_once(field_of, n, monkeypatch):
     assert verified.ok
     relations = [args[0] for name, args in calls if name == "column_relations"]
     ranks = [args[0] for name, args in calls  # the tower ranks
-             if name == "row_rank" and not isinstance(args[0][0][0], Fraction)]
+             if name == "row_rank" and not isinstance(args[0][0][0], (int, Fraction))]
     assert [len(rows) for rows in ranks] == [n, n]
     assert all(isinstance(x, (int, Fraction))
                for name, args in calls if name == "solve_columns"

@@ -8,6 +8,7 @@ import pytest
 
 from util import (
     is_identity,
+    is_multiplicative,
     is_square_free_by_loop,
     min_poly_degree,
     rational_value,
@@ -69,6 +70,37 @@ def test_parse_rational_refuses_literals_past_the_digit_limit(text):
 ], ids=["1e4299", "-1e-4299", "4300-ones", "2.5e3", "-0.125", "3/6"])
 def test_parse_rational_accepts_literals_up_to_the_digit_limit(text, want):
     assert tw.parse_rational(text) == want
+
+
+def test_plain_literals_match_fraction():
+    # plain "num/den" literals skip Fraction's parser; Fraction is the oracle
+    rng = random.Random(61)
+    texts = [" 3/6 ", "-0/5", "007", "+12/008", "1" * 4300, "-" + "9" * 4300,
+             "9" * 4300 + "/" + "7" * 4300]
+    for _ in range(300):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 40)))
+        text = rng.choice(("", "+", "-")) + digits
+        if rng.random() < 0.6:
+            text += "/" + "0" * rng.randint(0, 2) + str(rng.randint(1, 10 ** 30))
+        texts.append(text)
+    for text in texts:
+        got = tw.parse_rational(text)
+        assert type(got) is Fraction and got == Fraction(text)
+    for text in ("3/0", "-7/000"):
+        with pytest.raises(ZeroDivisionError, match=f"zero denominator in '{text}'"):
+            tw.parse_rational(text)
+    for text in ("1" * 4301, "-" + "9" * 4301, "1/" + "7" * 4301):
+        with pytest.raises(RationalTooLarge):
+            tw.parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_0/3", "-2_5", "3 / 4", "3/ 4", "3 /4",
+                                  "1_0.5", "1 e3"])
+def test_parse_rational_has_one_grammar_on_every_python(text):
+    # Fraction accepts "_" from Python 3.11 and spaces around "/" from 3.12;
+    # parse_rational keeps 3.10's grammar, the supported floor
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        tw.parse_rational(text)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +334,7 @@ def test_every_galois_element_is_automorphism():
     rng = random.Random(13)
     for t in all_towers():
         for g in t.galois_elements():
-            assert g.is_multiplicative()
+            assert is_multiplicative(g) and tw._respects_rules(t, g)
             for _ in range(5):
                 x, y = (
                     t.element([Fraction(rng.randint(-3, 3)) for _ in range(t.dim)])
@@ -670,6 +702,45 @@ def test_kernel_galois_against_fraction_oracle():
                         new.append(gh)
             frontier = new
         assert closure == {tuple(img.coeffs for img in g.images) for g in group}
+
+
+def _perturbed_maps(t, rng):
+    """Maps near each group element: the element itself, one image moved
+    by a rational multiple of a monomial, one image scaled, two images
+    swapped, and ring maps of the presentation at sign-flipped radical
+    images (some of them automorphisms)."""
+    radicals = [m[0] for m in t._monomials if len(m) == 1]
+    for g in t.galois_elements():
+        yield g
+        images = list(g.images)
+        for _ in range(2):
+            k = rng.randrange(t.dim)
+            moved = images[k] + t.gen_index(rng.randrange(t.dim)) * Fraction(
+                rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+            yield tw.GaloisElement(t, images[:k] + [moved] + images[k + 1:], "moved")
+            i, j = rng.sample(range(t.dim), 2)
+            swapped = list(images)
+            swapped[i], swapped[j] = images[j], images[i]
+            yield tw.GaloisElement(t, swapped, "swapped")
+        k = rng.randrange(t.dim)
+        yield tw.GaloisElement(t, images[:k] + [images[k] * 2] + images[k + 1:], "scaled")
+        for _ in range(3):
+            yield t._ring_map("flipped", **{
+                r: g.images[t._index[(r,)]] * rng.choice((1, -1)) for r in radicals})
+
+
+def test_rule_table_check_agrees_with_the_pairwise_oracle():
+    # the construction check reads the rule table; the oracle multiplies
+    # every pair of basis monomials.  They agree on maps off the group too
+    rng = random.Random(67)
+    outcomes = []
+    for t in _oracle_towers():
+        for g in _perturbed_maps(t, rng):
+            want = is_multiplicative(g)
+            assert tw._respects_rules(t, g) == want, (t, g.images)
+            outcomes.append(want)
+    assert len(outcomes) >= 250
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 100
 
 
 def test_kernel_equality_hash_and_coeffs_roundtrip():

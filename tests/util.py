@@ -226,6 +226,29 @@ def is_identity(g):
     return all(img == g.tower.gen_index(i) for i, img in enumerate(g.images))
 
 
+def is_multiplicative(g):
+    """g(b_i b_j) == g(b_i) g(b_j) on every pair of basis monomials, which
+    suffices by bilinearity: the oracle of the towers' rule-table check."""
+    t = g.tower
+    for i in range(t.dim):
+        bi = t.gen_index(i)
+        for j in range(i, t.dim):
+            bj = t.gen_index(j)
+            if g(bi * bj) != g(bi) * g(bj):
+                return False
+    return True
+
+
+def apply_galois(g, M):
+    """g applied to each entry of the matrix M."""
+    return [[g(x) for x in row] for row in M]
+
+
+def mat_sub(A, B):
+    """A - B, entrywise."""
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def same_structure(a, b):
     """Whether two CM Hodge structures have the same weight, slots, labels,
     pairing and group."""
