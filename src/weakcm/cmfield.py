@@ -47,8 +47,9 @@ class CMFieldData(NamedTuple):
 
 # classify results kept per process, least recently used dropped first; the
 # Galois group and reflex caches, which hold the field's tower, alike.  A
-# tower keeps what is built from it once (s0^3, subalgebra spans, coordinate
-# maps, and the standard form of each n and p), so these bounds bound those
+# tower keeps what is built from it once in one table (``TowerSpec.kept``:
+# s0^3, subalgebra spans, difference, coordinate and residue maps, and the
+# standard form of each n and p), so these bounds bound those
 _CLASSIFY_CACHE_SIZE = 64
 
 _SHAPES = ({"p"}, {"p1", "p2"}, {"d", "p", "q"})
@@ -289,28 +290,3 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
         stabilizer_words=tuple(g.label for g in stab),
         cm_witness=witness,
     )
-
-
-# --------------------------------------------------------------------------
-# serialized case reports
-
-
-def case_report(field: CMFieldData) -> dict:
-    gg = galois_group(field)
-    report = {
-        "case": field.case,
-        "degree": field.degree,
-        "closure_degree": field.closure_degree,
-        "tower": tw.serialize_tower(field.tower),
-        "group_order": gg.order,
-        "generators": {
-            name: g.action_table()
-            for name, g in sorted(field.tower.generators.items())
-        },
-        "embeddings": list(gg.embedding_words),
-        "embedding_pairing": list(gg.pairing),
-    }
-    dp = dprime_of(field)
-    if dp is not None:
-        report["dprime"] = tw.format_rational(dp)
-    return report

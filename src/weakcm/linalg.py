@@ -10,7 +10,11 @@ product: integer rows over a common denominator, or, over a tower, one
 Every determinant, solve, inverse, echelon form and set of column
 relations (``column_relations``: a basis of the columns and every column
 in it) comes from one fraction-free forward pass (``_forward``) and one
-back substitution, and so does every rank short of full.  ``row_rank``
+back substitution, and so does every rank short of full.  A solve
+(``solve_columns``, and so ``mat_inverse``) and a reduced echelon basis
+(``generated_subalgebra``) are read off ``column_relations``.  Every pass
+takes its rows from ``_working_rows``, which checks each tower entry with
+``TowerSpec.own``.  ``row_rank``
 first ranks the rows' image modulo a prime ell (``_residue_rank``: the
 integer-scaled rows mod a fixed ell over Q, and over a tower its
 ``residue_map``, a ring map onto F_ell); when that rank is min(rows,
@@ -26,8 +30,9 @@ pivot by that pivot, so a determinant costs one inverse at the end; each
 updated entry is one ``TowerSpec.dot`` call, with the terms of the pivot
 and its row worked out once per pivot (``_pivot_update``).  Generated
 subalgebras, coordinates in the Q-span of tower elements
-(``CoordinateMap``) and residue maps live here too; ``tower`` imports this
-module only to invert an element.
+(``CoordinateMap``) and residue maps live here too, the maps kept by
+``TowerSpec.kept``; ``tower`` imports this module only to invert an
+element.
 """
 
 import itertools
@@ -35,8 +40,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import SingularMatrix, TowerMismatch
-from .tower import FieldElement, _normalised
+from .errors import SingularMatrix
+from .tower import _normalised
 
 
 def _is_rational(x) -> bool:
@@ -90,11 +95,14 @@ def mat_mul(A, B):
 def _working_rows(rows):
     """(a fresh copy of the rows to eliminate, their tower): rational rows
     are scaled to integers, with tower None, which changes neither the row
-    space nor the solutions of a system."""
+    space nor the solutions of a system.  Over a tower every entry goes
+    through ``TowerSpec.own``, so an entry of another tower raises
+    TowerMismatch before anything is eliminated."""
     tower = next((x.tower for row in rows for x in row if not _is_rational(x)), None)
     if tower is None:
         return [_integer_row(row)[1] for row in rows], None
-    return [list(row) for row in rows], tower
+    own = tower.own
+    return [[own(x) for x in row] for row in rows], tower
 
 
 def _forward(M, tower):
@@ -277,35 +285,22 @@ def column_relations(rows):
     return pivots, X
 
 
-def reduced_echelon(rows):
-    """The reduced row echelon basis of the span of rational rows, as
-    tuples of ``Fraction``s: pivot entries 1, zeros above and below each
-    pivot.  It is unique, so any elimination order gives these rows: the X
-    of ``column_relations``."""
-    return [tuple(row) for row in column_relations(rows)[1]]
-
-
 def solve_columns(A, B):
     """Solve A X = B for A with full column rank (m x k, k <= m).
 
     Returns X (k x l) or None when the system is inconsistent.  Raises
-    SingularMatrix when the columns of A are dependent.  The forward pass
-    runs over (A | B): the columns of A are independent when they are the
-    first k pivots, and the system is consistent when B holds no pivot.
+    SingularMatrix when the columns of A are dependent.  X is read off
+    ``column_relations`` of (A | B): the columns of A are independent when
+    they are the first k pivots, the system is consistent when B holds no
+    pivot, and then X is the last l columns of the relations.
     """
     k = len(A[0]) if A else 0
-    U, tower = _working_rows([list(a) + list(b) for a, b in zip(A, B)])
-    pivots, _ = _forward(U, tower)
+    pivots, X = column_relations([list(a) + list(b) for a, b in zip(A, B)])
     if pivots[:k] != list(range(k)):
         raise SingularMatrix("columns are linearly dependent")
     if len(pivots) > k:
         return None
-    cols = range(k, len(U[0]) if U else k)
-    if tower is not None:
-        return _back_substitute(U, pivots, cols)
-    det = U[k - 1][k - 1] if k else 1
-    return [[Fraction(x, det) for x in row]
-            for row in _back_substitute(U, pivots, cols, det)]
+    return [row[k:] for row in X]
 
 
 # --------------------------------------------------------------------------
@@ -334,22 +329,20 @@ def _residue_rank(rows):
     scaled to integer numerators; None when there is no image.
 
     Over Q, ell is ``RESIDUE_PRIMES[0]``.  Over a tower, ell and the image
-    come from its ``residue_map``; a tower without one, or entries from two
-    towers, give None.
+    come from its ``residue_map``, and a tower without one gives None.  The
+    rows and their tower come from ``_working_rows``, so entries from two
+    towers raise TowerMismatch.
     """
-    tower = next((x.tower for row in rows for x in row if not _is_rational(x)), None)
+    rows, tower = _working_rows(rows)
     if tower is None:
         ell = RESIDUE_PRIMES[0]
-        return _rank_mod([[a % ell for a in _integer_row(row)[1]] for row in rows], ell)
+        return _rank_mod([[a % ell for a in row] for row in rows], ell)
     found = residue_map(tower)
     if found is None:
         return None
     ell, images = found
     M = []
     for row in rows:
-        row = [x if isinstance(x, FieldElement) else tower.rational(x) for x in row]
-        if any(x.tower is not tower and x.tower.key != tower.key for x in row):
-            return None
         den = math.lcm(*(x.den for x in row))
         M.append([sum(map(operator.mul, x.num, images)) * (den // x.den) % ell
                   for x in row])
@@ -406,8 +399,8 @@ def residue_map(tower):
     """``(ell, images)``: a ring map onto F_ell from the elements of the
     tower with denominators prime to ell, as the image of each basis
     monomial, for the first ell in ``RESIDUE_PRIMES`` that gives one; None
-    when none does.  Built on first use and kept on the tower
-    (``TowerSpec._residue_map``).
+    when none does.  Built on first use and kept by ``TowerSpec.kept``,
+    None included.
 
     Each square rule sends its radical to a root mod ell of its square,
     read from ``_int_table``; squares come first in the rule table, so a
@@ -416,10 +409,8 @@ def residue_map(tower):
     and the images satisfy every entry of ``_int_table``: the map is then
     multiplicative on all basis pairs.
     """
-    if tower._residue_map is None:
-        tower._residue_map = next(
-            filter(None, (_residue_images(tower, ell) for ell in RESIDUE_PRIMES)), ())
-    return tower._residue_map or None
+    return tower.kept("residue_map", lambda: next(
+        filter(None, (_residue_images(tower, ell) for ell in RESIDUE_PRIMES)), None))
 
 
 def _residue_images(tower, ell):
@@ -481,9 +472,7 @@ def _tower_mat_mul_rational(t, A, cols):
     """
     out = []
     for row in A:
-        row = [x if isinstance(x, FieldElement) else t.rational(x) for x in row]
-        if any(x.tower is not t and x.tower.key != t.key for x in row):
-            raise TowerMismatch("elements live in different towers")
+        row = [t.own(x) for x in row]
         den = math.lcm(*(x.den for x in row))
         # coordinate m of every entry of the row, over den
         coords = list(zip(*([a * (den // x.den) for a in x.num] for x in row)))
@@ -525,18 +514,19 @@ def _pivot_update(t, piv, top):
 
 def generated_subalgebra(tower, elements) -> list:
     """Reduced echelon basis of the unital Q-subalgebra generated by the
-    elements, from ``reduced_echelon``.
+    elements, as tuples of ``Fraction``s: the X of ``column_relations`` of
+    their coefficient rows.
 
     The span is closed under multiplication step by step; in a field this
     is the subfield generated by the elements.  The reduced echelon basis
     of a span is unique, so the result does not depend on the elimination.
     """
-    basis = reduced_echelon([tower.one().coeffs] + [x.coeffs for x in elements])
+    basis = column_relations([tower.one().coeffs] + [x.coeffs for x in elements])[1]
     while True:
         span = [tower.element(a) for a in basis]
-        grown = reduced_echelon(basis + [(a * b).coeffs for a in span for b in span])
+        grown = column_relations(basis + [(a * b).coeffs for a in span for b in span])[1]
         if len(grown) == len(basis):
-            return grown
+            return [tuple(row) for row in grown]
         basis = grown
 
 
@@ -597,14 +587,10 @@ class CoordinateMap:
 
 def coordinate_map(basis_elements) -> CoordinateMap:
     """The ``CoordinateMap`` of the given independent elements of one
-    tower, built on first use and kept on the tower
-    (``TowerSpec._coordinate_maps``), keyed by their numerators."""
-    maps = basis_elements[0].tower._coordinate_maps
-    key = tuple((b.num, b.den) for b in basis_elements)
-    found = maps.get(key)
-    if found is None:
-        found = maps[key] = CoordinateMap(basis_elements)
-    return found
+    tower, built on first use and kept by ``TowerSpec.kept``, keyed by
+    their numerators."""
+    key = ("coordinate_map",) + tuple((b.num, b.den) for b in basis_elements)
+    return basis_elements[0].tower.kept(key, lambda: CoordinateMap(basis_elements))
 
 
 def subspace_coordinates(basis_elements, x):

@@ -136,8 +136,26 @@ def parse_field(doc) -> cmfield.CMFieldData:
 
 def field_report(data: cmfield.CMFieldData) -> dict:
     from . import cmfield
+    from .tower import format_rational, serialize_tower
 
-    return cmfield.case_report(data)
+    gg = cmfield.galois_group(data)
+    report = {
+        "case": data.case,
+        "degree": data.degree,
+        "closure_degree": data.closure_degree,
+        "tower": serialize_tower(data.tower),
+        "group_order": gg.order,
+        "generators": {
+            name: g.action_table()
+            for name, g in sorted(data.tower.generators.items())
+        },
+        "embeddings": list(gg.embedding_words),
+        "embedding_pairing": list(gg.pairing),
+    }
+    dp = cmfield.dprime_of(data)
+    if dp is not None:
+        report["dprime"] = format_rational(dp)
+    return report
 
 
 def reflex_report(data: cmfield.CMFieldData) -> dict:

@@ -116,18 +116,19 @@ def _difference_map(t, plus: str, minus: str):
     """The integer matrix ``(rows, den)`` of plus - minus, for generator
     names or "1" (the identity), the form ``tower.apply_matrix`` takes.
     Built from the generators' matrices once per tower and pair and kept
-    on the tower."""
-    found = t._difference_maps.get((plus, minus))
-    if found is None:
-        unit = (tuple(tuple(int(i == k) for i in range(t.dim)) for k in range(t.dim)), 1)
-        (ra, da), (rb, db) = (unit if name == "1" else t.generators[name].matrix()
-                              for name in (plus, minus))
-        den = math.lcm(da, db)
-        fa, fb = den // da, den // db
-        rows = tuple(tuple(a * fa - b * fb for a, b in zip(xa, xb))
-                     for xa, xb in zip(ra, rb))
-        found = t._difference_maps[plus, minus] = (rows, den)
-    return found
+    by ``TowerSpec.kept``."""
+    return t.kept(("difference_map", plus, minus),
+                  lambda: _build_difference_map(t, plus, minus))
+
+
+def _build_difference_map(t, plus, minus):
+    unit = (tuple(tuple(int(i == k) for i in range(t.dim)) for k in range(t.dim)), 1)
+    (ra, da), (rb, db) = (unit if name == "1" else t.generators[name].matrix()
+                          for name in (plus, minus))
+    den = math.lcm(da, db)
+    fa, fb = den // da, den // db
+    return tuple(tuple(a * fa - b * fb for a, b in zip(xa, xb))
+                 for xa, xb in zip(ra, rb)), den
 
 
 def _difference(t, plus: str, minus: str, tau):
@@ -349,13 +350,11 @@ def standard_form(field: CMFieldData, n: int, p_split):
     four n/2-wide blocks, and the bottom rows are their s0^3-conjugates.
 
     It depends on (field, n, p) alone, so it is built once per (n, p) and
-    kept on the field's tower; each call hands out a fresh list of rows.
+    kept by the field's tower (``TowerSpec.kept``); each call hands out a
+    fresh list of rows.
     """
-    forms = field.tower._standard_forms
-    rows = forms.get((n, p_split))
-    if rows is None:
-        rows = tuple(map(tuple, _build_standard_form(field, n, p_split)))
-        forms[n, p_split] = rows
+    rows = field.tower.kept(("standard_form", n, p_split), lambda: tuple(
+        map(tuple, _build_standard_form(field, n, p_split))))
     return [list(row) for row in rows]
 
 
@@ -375,11 +374,9 @@ def _build_standard_form(field: CMFieldData, n: int, p_split):
 
 
 def _s0_cubed(t):
-    """s0^3, composed once per tower and kept on it."""
-    if t._s0_cubed is None:
-        s0 = t.generators["s0"]
-        t._s0_cubed = s0.compose(s0).compose(s0)
-    return t._s0_cubed
+    """s0^3, composed once per tower and kept by ``TowerSpec.kept``."""
+    s0 = t.generators["s0"]
+    return t.kept("s0_cubed", lambda: s0.compose(s0).compose(s0))
 
 
 def _choose_renaming(case, p_split, delta_relations, eps_relations):

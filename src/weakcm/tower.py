@@ -35,6 +35,10 @@ integer rows over one denominator (``apply_matrix``).  At construction each
 generator's radical images are checked against every rule of the table, and
 each monomial's image against the product of its radicals' images.
 
+``TowerSpec.own`` is the one membership check (a rational is coerced, an
+element of another tower raises TowerMismatch), and ``TowerSpec.kept`` the
+one table of what other modules build once per tower.
+
 Sign conventions (recorded, never evaluated numerically): sqrt(p) and xi+
 denote the purely imaginary root in the upper half plane, sqrt(d) and
 sqrt(dp) the positive real root.
@@ -330,28 +334,28 @@ class FieldElement:
         return self._hash
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.tower is not self.tower and other.tower.key != self.tower.key:
-                raise TowerMismatch("elements live in different towers")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.tower.rational(other)
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self.tower.own(other)
         return None
 
     # -- arithmetic
 
-    def __add__(self, other):
+    def _combine(self, other, sa, sb):
+        """sa * self + sb * other for signs sa, sb, over the lcm of the two
+        denominators; NotImplemented when other is neither an element nor a
+        rational."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
-        if da == db:
-            return _normalised(self.tower, [a + b for a, b in zip(self.num, o.num)], da)
         g = math.gcd(da, db)
-        fa, fb = db // g, da // g
+        fa, fb = sa * (db // g), sb * (da // g)
         return _normalised(
-            self.tower, [a * fa + b * fb for a, b in zip(self.num, o.num)], da * fa
+            self.tower, [a * fa + b * fb for a, b in zip(self.num, o.num)], da * (db // g)
         )
+
+    def __add__(self, other):
+        return self._combine(other, 1, 1)
 
     __radd__ = __add__
 
@@ -359,23 +363,10 @@ class FieldElement:
         return _element(self.tower, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        da, db = self.den, o.den
-        if da == db:
-            return _normalised(self.tower, [a - b for a, b in zip(self.num, o.num)], da)
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
-        return _normalised(
-            self.tower, [a * fa - b * fb for a, b in zip(self.num, o.num)], da * fa
-        )
+        return self._combine(other, 1, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return self._combine(other, -1, 1)
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
@@ -521,7 +512,7 @@ def _normalised(tower: "TowerSpec", num, den: int) -> FieldElement:
     g = math.gcd(den, *num)
     if g == 1:
         return _element(tower, tuple(num), den)
-    return _element(tower, tuple(a // g for a in num), den // g)
+    return _element(tower, tuple([a // g for a in num]), den // g)
 
 
 class GaloisElement:
@@ -545,10 +536,8 @@ class GaloisElement:
             self._matrix = (tuple(zip(*cols)), den)
         return self._matrix
 
-    def __call__(self, x: FieldElement) -> FieldElement:
-        if x.tower is not self.tower and x.tower.key != self.tower.key:
-            raise TowerMismatch("element and automorphism live in different towers")
-        return apply_matrix(self._matrix or self.matrix(), x)
+    def __call__(self, x) -> FieldElement:
+        return apply_matrix(self._matrix or self.matrix(), self.tower.own(x))
 
     def compose(self, other: "GaloisElement") -> "GaloisElement":
         """self after other: (self*other)(x) = self(other(x))."""
@@ -645,12 +634,7 @@ class TowerSpec:
             for row in self.mul_table
         )
         self.generators: dict[str, GaloisElement] = {}
-        self._s0_cubed = None  # kept by tausplit._s0_cubed
-        self._difference_maps = {}  # kept by tausplit._difference_map
-        self._subalgebras = {}
-        self._coordinate_maps = {}  # kept by linalg.coordinate_map
-        self._residue_map = None  # kept by linalg.residue_map
-        self._standard_forms = {}  # kept by tausplit.standard_form
+        self._kept = {}  # what is built from the tower once; see kept()
 
     def __eq__(self, other):
         return isinstance(other, TowerSpec) and self.key == other.key
@@ -684,31 +668,44 @@ class TowerSpec:
                 out[self._index[tuple(sorted(word))]] += c
         return tuple(out)
 
+    def kept(self, key, build):
+        """The value kept under ``key``: ``build()`` on the first call, the
+        same object (None included) on every later one."""
+        try:
+            return self._kept[key]
+        except KeyError:
+            value = self._kept[key] = build()
+            return value
+
+    def own(self, x) -> FieldElement:
+        """x as an element of this tower: a rational is coerced, and an
+        element of another tower raises TowerMismatch."""
+        if not isinstance(x, FieldElement):
+            return self.rational(x)
+        if x.tower is self or x.tower.key == self.key:
+            return x
+        raise TowerMismatch("elements live in different towers")
+
     def _subalgebra(self, support: tuple):
         """(span, pos): the sorted indices of the fewest basis monomials that
         contain ``support`` and 1 and whose span is closed under products,
-        and each index's position in ``span``.  Cached per support."""
-        found = self._subalgebras.get(support)
-        if found is None:
-            span = set(support) | {0}
-            while True:
-                grown = span | {k for i in span for j in span
-                                for k, _ in self._int_table[i][j]}
-                if grown == span:
-                    break
-                span = grown
-            span = tuple(sorted(span))
-            found = self._subalgebras[support] = (span, {k: q for q, k in enumerate(span)})
-        return found
+        and each index's position in ``span``.  Kept per support."""
+        return self.kept(("subalgebra", support), lambda: self._close_span(support))
+
+    def _close_span(self, support):
+        span = set(support) | {0}
+        while True:
+            grown = span | {k for i in span for j in span
+                            for k, _ in self._int_table[i][j]}
+            if grown == span:
+                span = tuple(sorted(span))
+                return span, {k: q for q, k in enumerate(span)}
+            span = grown
 
     def terms(self, x):
         """(den, nonzero (index, numerator) pairs) of x, or None at zero:
-        the operand form of ``dot``.  Rationals are coerced; an element of
-        another tower raises TowerMismatch."""
-        if not isinstance(x, FieldElement):
-            x = self.rational(x)
-        elif x.tower is not self and x.tower.key != self.key:
-            raise TowerMismatch("elements live in different towers")
+        the operand form of ``dot``.  x goes through ``own``."""
+        x = self.own(x)
         nz = [(i, a) for i, a in enumerate(x.num) if a]
         return (x.den, nz) if nz else None
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from util import galois_action_by_cosets, is_identity, random_field_params
-from weakcm import cmfield, dodson, linalg
+from weakcm import cmfield, dodson, linalg, serialize
 from weakcm.errors import (
     BadFactorBound,
     FactorizationInconclusive,
@@ -254,7 +254,7 @@ def test_dodson_type_tags():
 
 
 def test_case_report_shape():
-    rep = cmfield.case_report(field_C())
+    rep = serialize.field_report(field_C())
     assert rep["case"] == "C"
     assert rep["group_order"] == 8
     assert rep["dprime"] == "7"

@@ -183,6 +183,17 @@ def test_k3t2_rejects_impure_transcendental_data():
                                  list(base.group), top_spreads=spreads)
     with pytest.raises(NotWeakCM):
         hodge.k3t2_analyze(bad, hodge.elliptic_structure(), "disjoint")
+    # the purity check runs once, before the product is formed, in either
+    # situation; so an accepted product's factor verdicts are both pure,
+    # the ones factor_weak_cm reads off that product
+    e = hodge.elliptic_structure()
+    chi = character_with_kernel(base, lambda g: g == tuple(base.slots), e)
+    with pytest.raises(NotWeakCM, match="not of pure type"):
+        hodge.k3t2_analyze(bad, e, "contained", chi)
+    for situation, ident in (("disjoint", None), ("contained", chi)):
+        rep = hodge.k3t2_analyze(base, e, situation, ident)
+        product = hodge.tensor_cm(base, e, identification=ident)
+        assert rep.factor_verdicts == hodge.factor_weak_cm(product) == ((True, None),) * 2
 
 
 # ---------------------------------------------------------------- factors

@@ -11,7 +11,7 @@ import pytest
 
 from test_tower import _assert_normal_form, _oracle_elements, _oracle_towers, all_towers
 from util import _det_cofactor, echelon, rank_by_minors, solve_left
-from weakcm import linalg
+from weakcm import linalg, tower as tw
 from weakcm.errors import DivisionByZero, SingularMatrix, TowerMismatch
 
 
@@ -171,6 +171,19 @@ def test_fused_mat_mul_rejects_mixed_towers():
     t1, t2 = all_towers()[:2]
     with pytest.raises(TowerMismatch):
         linalg.mat_mul([[t1.one()]], [[t2.one()]])
+
+
+def test_eliminations_reject_mixed_towers_on_entry():
+    # a one-row matrix has no row below its pivot, so nothing would meet the
+    # other tower in the elimination itself; _working_rows checks every entry
+    t1, t2 = tw.quadratic_tower(-1), tw.quadratic_tower(-3)
+    for row in ([t1.radical("sp"), t2.radical("sp")], [1, t1.one(), t2.one()]):
+        for solve in (linalg.row_rank, linalg.pivot_columns, linalg.column_relations,
+                      linalg._residue_rank):
+            with pytest.raises(TowerMismatch):
+                solve([row])
+    with pytest.raises(TowerMismatch):
+        linalg.solve_columns([[t1.one()]], [[t2.one()]])
 
 
 def test_fused_mat_mul_over_q_matches_per_term():
@@ -575,7 +588,7 @@ def test_full_rank_is_certified_without_elimination(t, monkeypatch):
     # a short rank comes from the exact pass, and so does every rank of a
     # tower that has no map
     assert linalg.row_rank(short) == 3 and len(calls) == 1
-    monkeypatch.setattr(t, "_residue_map", ())
+    monkeypatch.setitem(t._kept, "residue_map", None)
     assert linalg._residue_rank(full) is None
     assert linalg.row_rank(full) == 4 and len(calls) == 2
 

@@ -273,6 +273,30 @@ def test_tower_mismatch():
         a + b
 
 
+def test_own_coerces_rationals_and_checks_the_tower():
+    t = tw.biquadratic_tower(-1, -3)
+    x = tw.biquadratic_tower(-1, -3).gen_index(3)
+    assert t.own(x) is x and t.own(Fraction(-2, 5)) == Fraction(-2, 5)
+    assert t.own(Fraction(-2, 5)).tower is t
+    for g in t.galois_elements():
+        assert g(3) == 3 and g(3).tower is t
+        with pytest.raises(TowerMismatch, match="elements live in different towers"):
+            g(tw.quadratic_tower(-1).one())
+
+
+def test_kept_builds_once_and_keeps_none():
+    t = tw.quadratic_tower(-7)
+    builds = []
+
+    def build():
+        builds.append(1)
+        return None
+
+    assert t.kept("probe", build) is None and t.kept("probe", build) is None
+    assert builds == [1]
+    assert t.kept(("probe", 2), list) is t.kept(("probe", 2), list)
+
+
 def test_mul_table_associative_commutative():
     rng = random.Random(5)
     for t in all_towers():
