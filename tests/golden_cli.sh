@@ -59,6 +59,9 @@ check 0 classify_cy3 dodson-classify --n 3 --partition cy3
 check 0 cm_type_n5 dodson-reflex --input "$DATA/cm_type_n5.json"
 check 0 cm_type_n4 dodson-reflex --input "$DATA/cm_type_n4.json"
 check 0 presets presets
+check 0 k3t2_contained_a k3t2 --input "$DATA/k3t2_contained_a.json"
+check 0 product_cy3_elliptic product --input "$DATA/product_cy3_elliptic.json"
+check 0 weil_griffiths_z3 weil-griffiths --input "$DATA/weil_griffiths_z3.json"
 
 # usage: check_line EXPECTED_EXIT LINE NAME SUBCOMMAND [ARGS...]
 check_line() {

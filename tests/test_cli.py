@@ -638,6 +638,9 @@ GOLDEN = [
     ("field_c", ["reflex", "--input"], "reflex_c"),
     ("cm_type_n5", ["dodson-reflex", "--input"]),
     ("classify_cy3", ["dodson-classify", "--n", "3", "--partition", "cy3"]),
+    ("k3t2_contained_a", ["k3t2", "--input"]),
+    ("product_cy3_elliptic", ["product", "--input"]),
+    ("weil_griffiths_z3", ["weil-griffiths", "--input"]),
 ]
 
 

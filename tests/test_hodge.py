@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from util import same_structure
+from util import k3t2_counts_by_pairs, same_structure
 from weakcm import cmfield, dodson, hodge
 from weakcm.errors import (
     IncompatibleIdentifications,
@@ -35,6 +35,15 @@ def character_with_kernel(ts, kernel_pred, e):
     ident_idx = e.group.index(ident2)
     flip_idx = 1 - ident_idx
     return [ident_idx if kernel_pred(g) else flip_idx for g in ts.group]
+
+
+def analyze(ts, e, situation="disjoint", character=None):
+    """``hodge.k3t2_analyze``, its orbit, star and coset counts checked
+    against the ones recomputed from the factor pairs."""
+    rep = hodge.k3t2_analyze(ts, e, situation, character)
+    assert (rep.tau_orbit_size, rep.star1_count, rep.star2_count,
+            rep.coset_types) == k3t2_counts_by_pairs(ts, e, character)
+    return rep
 
 
 # ---------------------------------------------------------------- tensors
@@ -106,7 +115,7 @@ def test_no_top_form_rejected():
 
 def test_k3t2_disjoint_quadratic():
     ts = hodge.k3_structure(dodson.universe(1).elements)  # Q(i)-type, dim 2
-    rep = hodge.k3t2_analyze(ts, hodge.elliptic_structure(), "disjoint")
+    rep = analyze(ts, hodge.elliptic_structure(), "disjoint")
     assert rep.level_dim == 4 == 2 * len(ts.slots)
     assert rep.endo_field_degree == 4
     assert rep.level_case_alias == "A"
@@ -118,7 +127,7 @@ def test_k3t2_contained_quadratic():
     ts = hodge.k3_structure(dodson.universe(1).elements)
     e = hodge.elliptic_structure()
     chi = character_with_kernel(ts, lambda g: g == tuple(ts.slots), e)
-    rep = hodge.k3t2_analyze(ts, e, "contained", chi)
+    rep = analyze(ts, e, "contained", chi)
     assert rep.level_dim == len(ts.slots) == 2
     assert rep.tau_orbit_size == 2
     assert rep.strong_cm_verdict
@@ -138,7 +147,7 @@ def test_k3t2_contained_case_a():
             for b in bits
         ]
         try:
-            rep = hodge.k3t2_analyze(ts, e, "contained", chi)
+            rep = analyze(ts, e, "contained", chi)
         except (IncompatibleIdentifications, NotWeakCM):
             continue
         accepted.append(rep)
@@ -159,13 +168,13 @@ def test_k3t2_contained_impossible_for_cyclic_and_closure(case):
     for bits in itertools.product((0, 1), repeat=len(ts.group)):
         chi = [ident_idx if b == 0 else 1 - ident_idx for b in bits]
         with pytest.raises((IncompatibleIdentifications, NotWeakCM)):
-            hodge.k3t2_analyze(ts, e, "contained", chi)
+            analyze(ts, e, "contained", chi)
 
 
 def test_k3t2_all_quartic_cases_strong():
     e = hodge.elliptic_structure()
     for case in ("A", "B", "C"):
-        rep = hodge.k3t2_analyze(quartic_k3(case), e, "disjoint")
+        rep = analyze(quartic_k3(case), e, "disjoint")
         assert rep.strong_cm_verdict
         assert rep.tau_orbit_size == 2
         assert rep.level_dim == 8
@@ -182,16 +191,16 @@ def test_k3t2_rejects_impure_transcendental_data():
     bad = hodge.CMHodgeStructure(2, base.slots, base.labels, base.rho,
                                  list(base.group), top_spreads=spreads)
     with pytest.raises(NotWeakCM):
-        hodge.k3t2_analyze(bad, hodge.elliptic_structure(), "disjoint")
+        analyze(bad, hodge.elliptic_structure(), "disjoint")
     # the purity check runs once, before the product is formed, in either
     # situation; so an accepted product's factor verdicts are both pure,
     # the ones factor_weak_cm reads off that product
     e = hodge.elliptic_structure()
     chi = character_with_kernel(base, lambda g: g == tuple(base.slots), e)
     with pytest.raises(NotWeakCM, match="not of pure type"):
-        hodge.k3t2_analyze(bad, e, "contained", chi)
+        analyze(bad, e, "contained", chi)
     for situation, ident in (("disjoint", None), ("contained", chi)):
-        rep = hodge.k3t2_analyze(base, e, situation, ident)
+        rep = analyze(base, e, situation, ident)
         product = hodge.tensor_cm(base, e, identification=ident)
         assert rep.factor_verdicts == hodge.factor_weak_cm(product) == ((True, None),) * 2
 

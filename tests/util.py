@@ -256,6 +256,30 @@ def same_structure(a, b):
         b.weight, b.slots, b.labels, b.rho, b.group)
 
 
+def k3t2_counts_by_pairs(ts, e, character=None):
+    """(tau_orbit_size, star1, star2, coset_types) of K3-type data ts times
+    the elliptic pair e, from the factor pairs (g, h) alone: the direct
+    product, or the graph of ``character`` (h1-index -> e.group index).
+    Each pair sends the top slot to (g(top), h(e_top)); the distinct images
+    are the cosets of the top form's stabilizer, typed by the label sum."""
+    if character is None:
+        pairs = [(g, h) for g in ts.group for h in e.group]
+    else:
+        pairs = [(g, e.group[character[i]]) for i, g in enumerate(ts.group)]
+    (top,) = [s for s in ts.slots if ts.labels[s] == (2, 0)]
+    (e_top,) = [t for t in e.slots if e.labels[t] == (1, 0)]
+    moves = [(dict(zip(ts.slots, g))[top], dict(zip(e.slots, h))[e_top])
+             for g, h in pairs]
+    images = set(moves)
+    star1 = sum(1 for s, t in moves if s == top and t == e.rho[e_top])
+    star2 = sum(1 for s, t in moves if ts.labels[s] == (1, 1) and t == e_top)
+    coset_types = {}
+    for s, t in images:
+        label = tuple(a + b for a, b in zip(ts.labels[s], e.labels[t]))
+        coset_types[label] = coset_types.get(label, 0) + 1
+    return len({t for _, t in images}), star1, star2, coset_types
+
+
 def is_square_free_by_loop(n, bound):
     """Square-free test by trial division, a prime dividing n once divided
     out once; the oracle for ``tower.is_square_free``."""
