@@ -73,18 +73,16 @@ def cmd_product(args):
             "subcommand's character input"
         )
     product = hodge.tensor_cm(h1, h2)
-    verdicts = hodge.factor_weak_cm(product)
+    verdicts = [h1.is_cm(), h2.is_cm()]
     level = hodge.level_subspace(product)
     return {
         "weight": product.weight,
         "dim": product.dim,
         "level_dim": len(level.slots),
         "product_is_weak_cm": product.is_cm(),
-        "factor_weak_cm": [bool(ok) for ok, _ in verdicts],
-        "witnesses": [
-            None if w is None else {"factor": i + 1}
-            for i, (ok, w) in enumerate(verdicts)
-        ],
+        "factor_weak_cm": verdicts,
+        "witnesses": [None if ok else {"factor": i + 1}
+                      for i, ok in enumerate(verdicts)],
         "level_hodge_numbers": serialize.hodge_numbers_out(level.hodge_numbers()),
     }
 

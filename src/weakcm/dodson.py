@@ -516,19 +516,19 @@ def _sn_subgroups(N: int):
     return _subgroups(_sn_tables(N)[2])
 
 
-def _subgroups(mul):
-    """Every subgroup of the group with multiplication table ``mul`` and
-    identity 0, as a frozenset of indices, mapped to a generating list of
-    the fewest elements.
+def _subgroups(mul, gens=()):
+    """Every subgroup containing ``gens`` of the group with multiplication
+    table ``mul`` and identity 0, as a frozenset of indices, mapped to
+    ``gens`` followed by the fewest further generators.
 
-    Walks the subgroup lattice up from the trivial group, one layer per
-    added generator: each subgroup H is extended by one candidate g per
-    right coset Hg, since <H, g> = <H, hg>.  A closure multiplies out from
-    the identity by the generators only, |K| * len(gens) table lookups.
+    Walks the subgroup lattice up from <gens>, one layer per added
+    generator: each subgroup H is extended by one candidate g per right
+    coset Hg, since <H, g> = <H, hg>.  A closure multiplies out from the
+    identity by the generators only, |K| * len(gens) table lookups.
     """
-    trivial = frozenset({0})
-    gens_of = {trivial: ()}
-    frontier = [trivial]
+    start = _closure_by_generators(mul, tuple(gens))
+    gens_of = {start: tuple(gens)}
+    frontier = [start]
     while frontier:
         new = []
         for H in frontier:
@@ -563,10 +563,10 @@ def _closure_by_generators(mul, gens):
 
 def _rho_subspaces(N: int):
     """The subspaces of (Z2)^N containing rho, as frozensets of bits_int:
-    the subgroups of its XOR table (``_subgroups``) that hold rho."""
+    the subgroups of its XOR table above <rho> (``_subgroups``)."""
     rho = (1 << N) - 1
     xor = [[g ^ x for x in range(rho + 1)] for g in range(rho + 1)]
-    return sorted((v for v in _subgroups(xor) if rho in v), key=sorted)
+    return sorted(_subgroups(xor, (rho,)), key=sorted)
 
 
 def _enumerate_admissible_walk(N: int):

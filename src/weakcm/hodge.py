@@ -1,6 +1,6 @@
 """Combinatorial CM Hodge structures: tensor products, level subspaces,
-the K3 x T^2 analysis, product decomposition, and the two weight-1
-repackagings of a weight-3 structure.
+the K3 x T^2 analysis, and the two weight-1 repackagings of a weight-3
+structure.
 
 A structure is a finite set of eigenvector slots with Hodge labels (p, q),
 a fixed-point-free conjugation pairing, and a finite group acting on the
@@ -23,7 +23,6 @@ from typing import NamedTuple
 from . import dodson
 from .errors import (
     IncompatibleIdentifications,
-    InvalidCMType,
     InvalidHodgeStructure,
     MultipleTopForms,
     NotWeakCM,
@@ -38,11 +37,11 @@ class CMHodgeStructure:
     A group element is a tuple of slot images: entry i is the image of
     ``slots[i]``, the slots in sorted order (``slot_images`` encodes an
     Im(N,2) element so).  ``group`` and the keys of ``top_spreads`` are such
-    tuples; the group is stored sorted, without repeats.
+    tuples; the group is stored sorted, without repeats.  An element that
+    ``top_spreads`` omits sends the top form to one slot.
     """
 
-    def __init__(self, weight, slots, labels, rho, group, top_spreads=None,
-                 factor_info=None):
+    def __init__(self, weight, slots, labels, rho, group, top_spreads=None):
         self.weight = weight
         self.slots = tuple(sorted(slots))
         self.index = {s: i for i, s in enumerate(self.slots)}
@@ -50,7 +49,6 @@ class CMHodgeStructure:
         self.rho = dict(rho)
         self.group = tuple(sorted(set(group)))
         self.top_spreads = dict(top_spreads or {})
-        self.factor_info = factor_info
         self._validate()
 
     def apply(self, g, slot):
@@ -125,8 +123,7 @@ class CMHodgeStructure:
         """Same slots, pairing, group and spreads; new Hodge labels."""
         labels = {s: label_map[tuple(self.labels[s])] for s in self.slots}
         return CMHodgeStructure(new_weight, self.slots, labels, self.rho,
-                                self.group, top_spreads=self.top_spreads,
-                                factor_info=self.factor_info)
+                                self.group, top_spreads=self.top_spreads)
 
 
 # --------------------------------------------------------------------------
@@ -188,8 +185,9 @@ def tensor_cm(h1: CMHodgeStructure, h2: CMHodgeStructure, identification=None):
     second coefficient field lies inside the closure of the first, and the
     joint group is the graph {(g, chi(g))}.
 
-    When a factor declares conjugate spreads, the spread of (g, h) is the
-    product of the factors' spreads of g and h.
+    The slots are the pairs (s, t), and (g, h) is the tuple of the pairs
+    (g(s), h(t)).  When a factor declares conjugate spreads, the spread of
+    (g, h) is the product of the factors' spreads of g and h.
     """
     pairs = None
     if identification is not None:
@@ -231,19 +229,15 @@ def tensor_cm(h1: CMHodgeStructure, h2: CMHodgeStructure, identification=None):
     # slots lists h1.slots x h2.slots in sorted order, so the images of
     # (g, h) are the pairs of g's and h's images in the same order
     group = []
-    components = {}
     spreads = {} if h1.top_spreads or h2.top_spreads else None
     for g, h in pairs:
         images = tuple(itertools.product(g, h))
         group.append(images)
-        components[images] = (g, h)
         if spreads is not None:
             spreads[images] = frozenset(itertools.product(h1.spread(g), h2.spread(h)))
 
-    return CMHodgeStructure(
-        h1.weight + h2.weight, slots, labels, rho, group, top_spreads=spreads,
-        factor_info={"factors": (h1, h2), "components": components},
-    )
+    return CMHodgeStructure(h1.weight + h2.weight, slots, labels, rho, group,
+                            top_spreads=spreads)
 
 
 # --------------------------------------------------------------------------
@@ -290,10 +284,8 @@ def level_dodson_data(level: CMHodgeStructure):
 
 class ProductReport(NamedTuple):
     level_dim: int
-    endo_field_degree: int
     situation: str
     strong_cm_verdict: bool
-    factor_verdicts: tuple
     tau_orbit_size: int
     star1_count: int
     star2_count: int
@@ -310,7 +302,9 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
     (the elliptic field meets the K3 closure in Q; joint group is the
     direct product) or "contained" (the elliptic field is a declared
     subfield of the K3 field; ``character`` gives the quotient map from the
-    K3 group onto the elliptic Z2).
+    K3 group onto the elliptic Z2).  An impure factor raises NotWeakCM
+    before the product is formed; the counts are read off the images of
+    the product's top slot (top, e_top), pairs of the factors' images.
     """
     if ts.weight != 2:
         raise NotWeakCM("transcendental factor must have weight 2")
@@ -319,6 +313,7 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
     tops = ts.slots_with_label((2, 0))
     if len(tops) != 1:
         raise NotWeakCM("K3-type data needs exactly one (2,0) slot")
+    top = tops[0]
     for g in ts.group:
         if not ts.spread_pure(g):
             raise NotWeakCM(
@@ -342,7 +337,6 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
         # the declared containment Q(tau_E) inside the K3 field requires the
         # stabilizer of the K3 top slot to act trivially on the elliptic pair
         ident2 = tuple(e.slots)
-        top = tops[0]
         for i, g in enumerate(ts.group):
             if ts.apply(g, top) == top and e.group[character[i]] != ident2:
                 raise IncompatibleIdentifications(
@@ -365,19 +359,18 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
     # the tau_E orbit (the images of the elliptic top slot in the joint
     # group), the elements of the two pure-(2,1) mechanisms, and the Hodge
     # type of the top-form image per stabilizer coset
-    top, e_top = tops[0], e.top_slot()
-    product_top = product.index[product.top_slot()]
-    orbit_e, coset_images = set(), set()
+    e_top = e.top_slot()
+    product_top = product.index[(top, e_top)]
+    coset_images = set()
     star1 = star2 = 0
-    for images, (g, h) in product.factor_info["components"].items():
-        s_image, e_image = ts.apply(g, top), e.apply(h, e_top)
-        orbit_e.add(e_image)
-        coset_images.add(images[product_top])
+    for images in product.group:
+        s_image, e_image = images[product_top]
+        coset_images.add((s_image, e_image))
         if s_image == top and e_image == e.rho[e_top]:
             star1 += 1
         elif ts.labels[s_image] == (1, 1) and e_image == e_top:
             star2 += 1
-    tau_orbit_size = len(orbit_e)
+    tau_orbit_size = len({e_image for _, e_image in coset_images})
     coset_types = {}
     for slot in coset_images:
         lab = tuple(product.labels[slot])
@@ -390,10 +383,8 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
     alias = dodson.quartic_case_alias(triple)
     return ProductReport(
         level_dim=level_dim,
-        endo_field_degree=level_dim,
         situation=situation,
         strong_cm_verdict=strong,
-        factor_verdicts=((True, None), (True, None)),
         tau_orbit_size=tau_orbit_size,
         star1_count=star1,
         star2_count=star2,
@@ -401,27 +392,6 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
         level_group_name=dodson.identify_group(elements),
         level_case_alias=alias,
     )
-
-
-def factor_weak_cm(product: CMHodgeStructure):
-    """Per-factor purity verdicts for a remembered tensor product.
-
-    Returns ((factor1_ok, witness), (factor2_ok, witness)): a factor fails
-    exactly when some group element sends its top form to a mixed type.
-    """
-    if not product.factor_info:
-        raise InvalidCMType("product was not formed by tensor_cm")
-    h1, h2 = product.factor_info["factors"]
-    out = []
-    for factor, pick in ((h1, 0), (h2, 1)):
-        witness = None
-        for images, comp in product.factor_info["components"].items():
-            g = comp[pick]
-            if not factor.spread_pure(g):
-                witness = g
-                break
-        out.append((witness is None, witness))
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------

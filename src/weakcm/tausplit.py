@@ -89,11 +89,10 @@ class PeriodMatrix:
             for i in range(self.n):
                 row = []
                 for j in range(self.n):
-                    parts = [M[i][j] for M in self.B]
-                    den = math.lcm(*(x.denominator for x in parts))
+                    den, parts = tw.integer_row([M[i][j] for M in self.B])
                     num = [0] * t.dim
-                    for k, x in zip(pos, parts):
-                        num[k] = x.numerator * (den // x.denominator)
+                    for k, a in zip(pos, parts):
+                        num[k] = a
                     row.append(tw._normalised(t, num, den))
                 rows.append(tuple(row))
             rows = self._tau = tuple(rows)

@@ -23,9 +23,13 @@ of the radicals: a monomial goes to the product of its radicals' images.
 An element stores integer numerators over one common denominator, and
 each tower keeps its structure constants as a sparse integer table over one
 common denominator, so products, sums and Galois images are computed in
-integers with one gcd per result.  ``TowerSpec.dot`` is the one product
-kernel: ``FieldElement.__mul__`` and the tower products of ``linalg`` each
-call it once per result.  ``FieldElement.coeffs`` still exposes the
+integers with one gcd per result.  Every element is made by ``_element``
+from numerators already in that form; ``TowerSpec.element`` gets them from
+a coefficient vector through ``integer_row``, the one conversion of a row
+of rationals to integers over a common denominator (also of the structure
+constants, of rational matrix rows in ``linalg`` and of tau's entries).
+``TowerSpec.dot`` is the one product kernel: ``FieldElement.__mul__`` and
+the tower products of ``linalg`` each call it once per result.  ``FieldElement.coeffs`` still exposes the
 coefficients as ``fractions.Fraction``s, and ``serialize`` formats straight
 from the integers.  Matrices over a tower, generated subalgebras and
 coordinates in the Q-span of given elements live in ``linalg``, which this
@@ -153,6 +157,13 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def integer_row(row):
+    """(den, ints): a row of ints and Fractions as integers over the lcm of
+    its denominators; for lowest-terms entries gcd(den, *ints) == 1."""
+    den = math.lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 def is_rational_square(x: Fraction) -> bool:
@@ -291,20 +302,6 @@ class FieldElement:
     """
 
     __slots__ = ("tower", "num", "den", "_coeffs", "_hash")
-
-    def __init__(self, tower: "TowerSpec", coeffs):
-        coeffs = tuple(
-            c if type(c) is Fraction else Fraction(c) for c in coeffs
-        )
-        if len(coeffs) != tower.dim:
-            raise TowerMismatch("coefficient vector has the wrong length")
-        # lowest-terms entries over their lcm leave gcd(den, *num) == 1
-        den = math.lcm(*(c.denominator for c in coeffs))
-        self.tower = tower
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
-        self._coeffs = coeffs
-        self._hash = None
 
     @property
     def coeffs(self) -> tuple:
@@ -622,17 +619,12 @@ class TowerSpec:
         # the same structure constants as sparse integers over one common
         # denominator: basis_i * basis_j = sum(c * basis_k for k, c in
         # _int_table[i][j]) / _int_den
-        self._int_den = math.lcm(
-            *(c.denominator for row in self.mul_table for cell in row for c in cell)
-        )
-        self._int_table = tuple(
-            tuple(
-                tuple((k, c.numerator * (self._int_den // c.denominator))
-                      for k, c in enumerate(cell) if c)
-                for cell in row
-            )
-            for row in self.mul_table
-        )
+        d = self.dim
+        self._int_den, ints = integer_row(
+            [c for row in self.mul_table for cell in row for c in cell])
+        cells = [tuple((k, c) for k, c in enumerate(ints[at:at + d]) if c)
+                 for at in range(0, d * d * d, d)]
+        self._int_table = tuple(tuple(cells[i * d:i * d + d]) for i in range(d))
         self.generators: dict[str, GaloisElement] = {}
         self._kept = {}  # what is built from the tower once; see kept()
 
@@ -746,7 +738,13 @@ class TowerSpec:
         return _element(self, (c.numerator,) + (0,) * (self.dim - 1), c.denominator)
 
     def element(self, coeffs) -> FieldElement:
-        return FieldElement(self, coeffs)
+        """The element with these coefficients over the monomial basis;
+        ``int`` and ``Fraction`` entries are kept, others made ``Fraction``s."""
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        if len(coeffs) != self.dim:
+            raise TowerMismatch("coefficient vector has the wrong length")
+        den, num = integer_row(coeffs)
+        return _element(self, tuple(num), den)
 
     def gen_index(self, i: int) -> FieldElement:
         return _element(self, tuple(int(k == i) for k in range(self.dim)), 1)

@@ -525,6 +525,25 @@ def test_product_keeps_the_declared_spreads(tmp_path, capsys):
     assert payload["product_is_weak_cm"] is False
 
 
+@pytest.mark.parametrize("spread, rule", [
+    # the image of the top form touches at least one slot
+    ({"element": {"bits": [0, 1], "perm": [1, 0]}, "slots": []},
+     "spread 'slots' must not be empty"),
+    # the identity fixes the top form
+    ({"element": {"bits": [0, 0], "perm": [0, 1]}, "slots": [[0, 0], [1, 0]]},
+     "the identity's spread must be the top slot alone"),
+], ids=["empty", "identity"])
+def test_product_refuses_spreads_no_structure_has(tmp_path, capsys, spread, rule):
+    # both used to run, and reported the factor as not weak CM
+    doc = tmp_path / "prod.json"
+    doc.write_text(json.dumps({"factor1": dict(_SYNTHETIC, spreads=[spread]),
+                               "factor2": {"type": "elliptic"}}), encoding="utf-8")
+    code, out = run_cli(capsys, "product", "--input", str(doc))
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "invalid-input"
+    assert rule in report["diagnostics"][0]["message"]
+
+
 def test_explicit_elements_not_closed_are_named(tmp_path, capsys):
     # identity, rho and the 3-cycle (1, 2, 0), without the 3-cycle's square
     structure = {

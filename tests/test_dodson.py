@@ -157,6 +157,22 @@ def test_group_invariants_match_cayley_tables():
                 CayleyTable([perms[x] for x in ids], perm_mul).invariants()
 
 
+def test_rho_subspaces_are_the_spans_holding_rho():
+    # the walk starts from <rho>; the oracle spans rho with every choice of
+    # at most N - 1 further vectors (as many subspaces as (Z2)^(N-1) has)
+    for N in range(1, 6):
+        rho = (1 << N) - 1
+        spans = set()
+        for k in range(N):
+            for vs in itertools.combinations(range(1 << N), k):
+                span = {0}
+                for v in vs + (rho,):
+                    span |= {x ^ v for x in span}
+                spans.add(frozenset(span))
+        assert dodson._rho_subspaces(N) == sorted(spans, key=sorted)
+        assert len(spans) == {1: 1, 2: 2, 3: 5, 4: 16, 5: 67}[N]
+
+
 # ---------------------------------------------------------------- triples
 
 

@@ -2,12 +2,13 @@
 product decomposition, and the Weil/Griffiths repackagings."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from util import k3t2_counts_by_pairs, same_structure
-from weakcm import cmfield, dodson, hodge
+from weakcm import cli, cmfield, dodson, hodge, serialize
 from weakcm.errors import (
     IncompatibleIdentifications,
     MultipleTopForms,
@@ -117,7 +118,7 @@ def test_k3t2_disjoint_quadratic():
     ts = hodge.k3_structure(dodson.universe(1).elements)  # Q(i)-type, dim 2
     rep = analyze(ts, hodge.elliptic_structure(), "disjoint")
     assert rep.level_dim == 4 == 2 * len(ts.slots)
-    assert rep.endo_field_degree == 4
+    assert serialize.product_report_out(rep)["endo_field_degree"] == 4
     assert rep.level_case_alias == "A"
     assert rep.tau_orbit_size == 2
     assert rep.strong_cm_verdict
@@ -192,47 +193,56 @@ def test_k3t2_rejects_impure_transcendental_data():
                                  list(base.group), top_spreads=spreads)
     with pytest.raises(NotWeakCM):
         analyze(bad, hodge.elliptic_structure(), "disjoint")
-    # the purity check runs once, before the product is formed, in either
-    # situation; so an accepted product's factor verdicts are both pure,
-    # the ones factor_weak_cm reads off that product
+    # the purity check runs before the product is formed, in either situation
     e = hodge.elliptic_structure()
     chi = character_with_kernel(base, lambda g: g == tuple(base.slots), e)
     with pytest.raises(NotWeakCM, match="not of pure type"):
         analyze(bad, e, "contained", chi)
-    for situation, ident in (("disjoint", None), ("contained", chi)):
-        rep = analyze(base, e, situation, ident)
-        product = hodge.tensor_cm(base, e, identification=ident)
-        assert rep.factor_verdicts == hodge.factor_weak_cm(product) == ((True, None),) * 2
 
 
 # ---------------------------------------------------------------- factors
 
 
-def test_factor_weak_cm_k3_times_elliptic():
-    ts = quartic_k3("B")
-    prod = hodge.tensor_cm(ts, hodge.elliptic_structure())
-    verdicts = hodge.factor_weak_cm(prod)
-    assert [ok for ok, _ in verdicts] == [True, True]
+def product_verdicts(tmp_path, capsys, factor1, factor2):
+    """The ``product`` subcommand's factor verdicts and witnesses."""
+    path = tmp_path / "prod.json"
+    path.write_text(json.dumps({"factor1": factor1, "factor2": factor2}),
+                    encoding="utf-8")
+    assert cli.main(["product", "--input", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    return payload["factor_weak_cm"], payload["witnesses"]
 
 
-def test_factor_weak_cm_two_elliptic():
-    prod = hodge.tensor_cm(hodge.elliptic_structure(), hodge.elliptic_structure())
-    verdicts = hodge.factor_weak_cm(prod)
-    assert [ok for ok, _ in verdicts] == [True, True]
+_ELLIPTIC = {"type": "elliptic"}
 
 
-def test_factor_weak_cm_witness_on_synthetic_factor():
+def test_factor_weak_cm_k3_times_elliptic(tmp_path, capsys):
+    assert quartic_k3("B").is_cm() and hodge.elliptic_structure().is_cm()
+    k3 = {"type": "k3", "group": {"field": {"d": 5, "p": "-5/2", "q": "-1/2"}}}
+    assert product_verdicts(tmp_path, capsys, k3, _ELLIPTIC) == ([True, True], [None, None])
+
+
+def test_factor_weak_cm_two_elliptic(tmp_path, capsys):
+    assert hodge.elliptic_structure().is_cm()
+    assert product_verdicts(tmp_path, capsys, _ELLIPTIC, _ELLIPTIC) == ([True, True], [None, None])
+
+
+def test_factor_weak_cm_witness_on_synthetic_factor(tmp_path, capsys):
     base = hodge.k3_structure(dodson.universe(1).elements)
     spreads = {g: base.spread(g) for g in base.group}
     flip = next(g for g in base.group if g != tuple(base.slots))
     spreads[flip] = frozenset({(0, 0), (0, 1)})
     bad = hodge.CMHodgeStructure(2, base.slots, base.labels, base.rho,
                                  list(base.group), top_spreads=spreads)
-    prod = hodge.tensor_cm(bad, hodge.elliptic_structure())
-    verdicts = hodge.factor_weak_cm(prod)
-    assert verdicts[0][0] is False and verdicts[0][1] is not None
-    assert verdicts[1][0] is True
-    assert not prod.factor_info["factors"][0].is_cm()
+    assert not bad.is_cm()
+    # the same structure as an explicit document: the flip mixes (2,0) with (0,2)
+    explicit = {
+        "type": "explicit", "weight": 2, "pairs": 1, "labels": [[2, 0]],
+        "elements": [{"bits": [0], "perm": [0]}, {"bits": [1], "perm": [0]}],
+        "spreads": [{"element": {"bits": [1], "perm": [0]}, "slots": [[0, 0], [0, 1]]}],
+    }
+    assert product_verdicts(tmp_path, capsys, explicit, _ELLIPTIC) == (
+        [False, True], [{"factor": 1}, None])
 
 
 # ---------------------------------------------------------------- repackaging
