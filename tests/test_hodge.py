@@ -1,5 +1,5 @@
-"""Hodge-structure combinatorics: tensors, level pieces, K3 x T^2,
-product decomposition, and the Weil/Griffiths repackagings."""
+"""Hodge-structure combinatorics: tensors, level pieces, K3 x T^2, the
+product's factor verdicts, and the Weil/Griffiths repackagings."""
 
 import itertools
 import json
