@@ -429,9 +429,26 @@ def _parse_explicit_structure(doc):
             if images == h.slots and slots != {h.top_slot()}:
                 raise InputError("the identity's spread must be the top slot alone")
             spreads[images] = slots
+        _check_spreads_conjugate(h, elements, spreads)
         h = hodge.CMHodgeStructure(weight, h.slots, h.labels, h.rho,
                                    list(h.group), top_spreads=spreads)
     return h
+
+
+def _check_spreads_conjugate(h, elements, spreads):
+    """The conjugate of a form of type (p, q) has type (q, p), so for every g
+    the spread of rho g is rho applied to the spread of g."""
+    from . import hodge
+
+    rho = tuple(h.rho[s] for s in h.slots)
+    name = {hodge.slot_images(e, h.slots): e for e in elements}
+    for g, slots in spreads.items():
+        rg = h.compose(rho, g)
+        if spreads[rg] != {h.rho[s] for s in slots}:
+            a, b = (f"(bits {list(name[x].bits)}, perm {list(name[x].perm)})"
+                    for x in (g, rg))
+            raise InputError(f"the spread of {b} must be the conjugate of "
+                             f"the spread of {a}")
 
 
 def product_report_out(rep: hodge.ProductReport) -> dict:

@@ -12,6 +12,10 @@
 # set per interpreter, so these run in fresh ones too.  Each checks the exit
 # code and one line of the report (its class count, verdict or condition).
 #
+# Then how a process ends: a closed stdout exits 141 with nothing on stderr,
+# and under cProfile, which needs the interpreter's normal exit, the profile
+# is written.
+#
 # Run from the repository root:  sh tests/golden_cli.sh
 # PYTHON selects the interpreter (default: python).
 set -u
@@ -157,4 +161,32 @@ check_line 0 '"verified": true' big_digits3000 split --input "$BIG/digits3000.js
 check_line 1 '"condition": "input:number-size"' big_e5000 split --input "$BIG/e5000.json"
 check_line 1 '"condition": "input:number-size"' big_e100000000 split --input "$BIG/e100000000.json"
 check_line 1 '"condition": "input:number-size"' big_p_e5001 classify-field --input "$BIG/p_e5001.json"
+
+# a closed stdout: exit 141, the status a shell reports for SIGPIPE, and no
+# traceback.  presets writes more than a pipe holds, so its write fails
+# however soon the reader, which reads nothing, exits
+{ "$PYTHON" -m weakcm.cli presets 2> "$OUT"; echo $? > "$BIG/code"; } | true
+code=$(cat "$BIG/code")
+if [ "$code" != 141 ]; then
+    echo "FAIL closed_stdout: exit $code, expected 141"
+    failed=1
+elif [ -s "$OUT" ]; then
+    echo "FAIL closed_stdout: stderr is not empty"
+    failed=1
+else
+    echo "ok   closed_stdout"
+fi
+
+# a profiled process takes the normal exit, which writes the profile
+"$PYTHON" -m cProfile -o "$BIG/p.prof" -m weakcm.cli dodson-enum --n 2 > /dev/null
+code=$?
+if [ "$code" != 0 ]; then
+    echo "FAIL cprofile: exit $code, expected 0"
+    failed=1
+elif [ ! -s "$BIG/p.prof" ]; then
+    echo "FAIL cprofile: no profile written"
+    failed=1
+else
+    echo "ok   cprofile"
+fi
 exit $failed

@@ -497,6 +497,8 @@ _SYNTHETIC = {
     "spreads": [
         {"element": {"bits": [0, 1], "perm": [1, 0]},
          "slots": [[0, 0], [1, 0]]},
+        {"element": {"bits": [1, 0], "perm": [1, 0]},
+         "slots": [[0, 1], [1, 1]]},
     ],
 }
 
@@ -542,6 +544,21 @@ def test_product_refuses_spreads_no_structure_has(tmp_path, capsys, spread, rule
     report = json.loads(out)
     assert code == 1 and report["status"] == "invalid-input"
     assert rule in report["diagnostics"][0]["message"]
+
+
+def test_spreads_must_respect_the_conjugation(tmp_path, capsys):
+    # the mixed-type conjugate declared without its conjugate's spread:
+    # rho g would keep the single-slot spread {rho(g(top))}
+    one_sided = dict(_SYNTHETIC, spreads=_SYNTHETIC["spreads"][:1])
+    doc = tmp_path / "wg.json"
+    doc.write_text(json.dumps({"structure": one_sided}), encoding="utf-8")
+    code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "invalid-input"
+    message = report["diagnostics"][0]["message"]
+    assert "must be the conjugate of the spread of" in message
+    assert "(bits [0, 1], perm [1, 0])" in message
+    assert "(bits [1, 0], perm [1, 0])" in message
 
 
 def test_explicit_elements_not_closed_are_named(tmp_path, capsys):
@@ -742,6 +759,106 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["count"] == 3
+
+
+# ---------------------------------------------------------------- process exit
+
+
+def _fresh(argv, prefix=(), **kwargs):
+    """``python [PREFIX...] ARGV...`` in a child that imports this weakcm."""
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *prefix, *argv], env=_child_env(),
+                          timeout=60, **kwargs)
+
+
+def _script(tmp_path, setup):
+    """A script that runs SETUP, then the CLI as ``python -m weakcm.cli``
+    runs it, on the script's own arguments."""
+    path = tmp_path / "run_cli.py"
+    path.write_text(f"import runpy\n{setup}\n"
+                    "runpy.run_module('weakcm.cli', run_name='__main__')\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify-field", "--input", os.path.join(DATA, "field_b.json")], 0),
+    (["split", "--input", os.path.join(DATA, "torus_b_n3.json")], 1),
+    # a usage error: argparse's SystemExit takes the interpreter's own exit
+    (["dodson-enum"], 2),
+], ids=["ok", "invalid-input", "usage"])
+def test_fresh_process_exit_code_and_stdout(capsys, argv, code):
+    proc = _fresh(["-m", "weakcm.cli", *argv])
+    assert proc.returncode == code, proc.stderr
+    try:
+        assert cli.main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_fresh_process_internal_error(tmp_path):
+    setup = ("from weakcm import cli_dodson\n"
+             "def broken(args):\n"
+             "    raise RuntimeError('synthetic library bug')\n"
+             "cli_dodson.cmd_presets = broken")
+    proc = _fresh([_script(tmp_path, setup), "presets"], text=True)
+    assert proc.returncode == 2
+    assert "Traceback" in proc.stderr and "synthetic library bug" in proc.stderr
+    assert json.loads(proc.stdout) == {
+        "status": "internal-error",
+        "payload": None,
+        "diagnostics": [{"condition": "internal",
+                         "message": "RuntimeError('synthetic library bug')"}],
+    }
+
+
+def test_fresh_process_runs_exit_handlers(tmp_path):
+    # a handler registered before the CLI runs; what it prints is flushed
+    setup = "import atexit\natexit.register(print, 'exit handler ran')"
+    proc = _fresh([_script(tmp_path, setup), "dodson-enum", "--n", "2"], text=True)
+    assert proc.returncode == 0, proc.stderr
+    report, handler = proc.stdout.rsplit("}\n", 1)
+    assert json.loads(report + "}")["payload"]["count"] == 3
+    assert handler == "exit handler ran\n"
+
+
+_LOUD_AT_TEARDOWN = """import os
+class Loud:
+    def __del__(self, write=os.write):
+        write(2, b'torn down\\n')
+loud = Loud()"""
+
+
+def test_fresh_process_skips_teardown(tmp_path):
+    # a module-level object is freed only by the interpreter's teardown
+    proc = _fresh([_script(tmp_path, _LOUD_AT_TEARDOWN), "dodson-enum", "--n", "2"])
+    assert proc.returncode == 0 and proc.stderr == b""
+
+
+def test_profiled_process_exits_normally(tmp_path):
+    # a profiler writes its results only at a normal exit
+    prof = tmp_path / "p.prof"
+    proc = _fresh([_script(tmp_path, _LOUD_AT_TEARDOWN), "dodson-enum", "--n", "2"],
+                  prefix=("-m", "cProfile", "-o", str(prof)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"torn down\n"
+    assert prof.stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["presets"],                  # 71 KB: the report's write fails
+    ["dodson-enum", "--n", "2"],  # fits the buffer: the final flush fails
+], ids=["write", "flush"])
+def test_closed_stdout_exits_141_quietly(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _fresh(["-m", "weakcm.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                      capture_output=False)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141 and proc.stderr == b""
 
 
 def test_benchmark_tracer_installs():

@@ -235,11 +235,15 @@ def test_factor_weak_cm_witness_on_synthetic_factor(tmp_path, capsys):
     bad = hodge.CMHodgeStructure(2, base.slots, base.labels, base.rho,
                                  list(base.group), top_spreads=spreads)
     assert not bad.is_cm()
-    # the same structure as an explicit document: the flip mixes (2,0) with (0,2)
+    # a document cannot declare that spread: the conjugation sends the top
+    # form to its conjugate, one slot.  On two pairs, g = (bits [0, 1],
+    # perm [1, 0]) mixes (2,0) with (1,1), and rho g the conjugate types
     explicit = {
-        "type": "explicit", "weight": 2, "pairs": 1, "labels": [[2, 0]],
-        "elements": [{"bits": [0], "perm": [0]}, {"bits": [1], "perm": [0]}],
-        "spreads": [{"element": {"bits": [1], "perm": [0]}, "slots": [[0, 0], [0, 1]]}],
+        "type": "explicit", "weight": 2, "pairs": 2, "labels": [[2, 0], [1, 1]],
+        "elements": [{"bits": [0, 0], "perm": [0, 1]}, {"bits": [1, 1], "perm": [0, 1]},
+                     {"bits": [0, 1], "perm": [1, 0]}, {"bits": [1, 0], "perm": [1, 0]}],
+        "spreads": [{"element": {"bits": [0, 1], "perm": [1, 0]}, "slots": [[0, 0], [1, 0]]},
+                    {"element": {"bits": [1, 0], "perm": [1, 0]}, "slots": [[0, 1], [1, 1]]}],
     }
     assert product_verdicts(tmp_path, capsys, explicit, _ELLIPTIC) == (
         [False, True], [{"factor": 1}, None])
