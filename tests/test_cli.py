@@ -764,10 +764,10 @@ def test_console_entry_point():
 # ---------------------------------------------------------------- process exit
 
 
-def _fresh(argv, prefix=(), **kwargs):
-    """``python [PREFIX...] ARGV...`` in a child that imports this weakcm."""
+def _fresh(argv, **kwargs):
+    """``python ARGV...`` in a child that imports this weakcm."""
     kwargs.setdefault("capture_output", True)
-    return subprocess.run([sys.executable, *prefix, *argv], env=_child_env(),
+    return subprocess.run([sys.executable, *argv], env=_child_env(),
                           timeout=60, **kwargs)
 
 
@@ -839,8 +839,8 @@ def test_fresh_process_skips_teardown(tmp_path):
 def test_profiled_process_exits_normally(tmp_path):
     # a profiler writes its results only at a normal exit
     prof = tmp_path / "p.prof"
-    proc = _fresh([_script(tmp_path, _LOUD_AT_TEARDOWN), "dodson-enum", "--n", "2"],
-                  prefix=("-m", "cProfile", "-o", str(prof)))
+    proc = _fresh(["-m", "cProfile", "-o", str(prof),
+                   _script(tmp_path, _LOUD_AT_TEARDOWN), "dodson-enum", "--n", "2"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b"torn down\n"
     assert prof.stat().st_size > 0
