@@ -172,7 +172,7 @@ def build_parser(only=None) -> argparse.ArgumentParser:
                            help="input JSON document ('-' or omit for stdin)")
         if name in ("dodson-enum", "dodson-classify"):
             p.add_argument("--n", type=int, required=True)
-            # None stands for dodson's default (see cli_dodson._bound), so
+            # None stands for the enumeration's default (cli_dodson._bound), so
             # that building the parser loads no library module
             p.add_argument("--bound", type=int, default=None)
         if name == "dodson-classify":

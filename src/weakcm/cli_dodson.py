@@ -1,9 +1,11 @@
 """The CLI's Dodson subcommands: ``dodson-enum``, ``dodson-classify``,
-``dodson-reflex`` and ``presets``, imported only when one of them runs."""
+``dodson-reflex`` and ``presets``, imported only when one of them runs.
+Each handler imports the group code only its subcommand runs: the
+enumeration (``dodson_classes``) or the reflex data (``dodson_reflex``)."""
 
 import json
 
-from . import dodson, serialize
+from . import dodson_core, serialize
 from .errors import BadPartitionOption, InvalidPairCount
 
 
@@ -15,16 +17,20 @@ def _check_n(args):
 
 
 def _bound(args) -> int:
-    """``--bound``, or dodson's default when it is not given."""
-    return dodson.ENUMERATION_BOUND_DEFAULT if args.bound is None else args.bound
+    """``--bound``, or the enumeration's default when it is not given."""
+    from .dodson_classes import ENUMERATION_BOUND_DEFAULT
+
+    return ENUMERATION_BOUND_DEFAULT if args.bound is None else args.bound
 
 
 def cmd_dodson_enum(args):
+    from . import dodson_classes
+
     _check_n(args)
-    subgroups = dodson.enumerate_admissible(args.n, bound=_bound(args))
+    subgroups = dodson_classes.enumerate_admissible(args.n, bound=_bound(args))
     return {
         "n": args.n,
-        "ambient_order": dodson.im_order(args.n),
+        "ambient_order": dodson_core.im_order(args.n),
         "count": len(subgroups),
         "subgroups": [serialize.subgroup_out(g) for g in subgroups],
     }
@@ -33,7 +39,7 @@ def cmd_dodson_enum(args):
 def _parse_partition(args):
     name = args.partition
     if name in ("abl", "k3", "cy3"):
-        return name, dodson.partition_preset(name, args.n)
+        return name, dodson_core.partition_preset(name, args.n)
     try:
         doc = json.loads(name)
     except json.JSONDecodeError:
@@ -57,7 +63,7 @@ def _parse_partition(args):
         for slot in slots:
             labelled.append((_integer_pair(slot, f"--partition block {i} slot"), label))
     weight = sum(labelled[0][1]) if labelled else 0
-    return "custom", dodson.partition_from_labels(args.n, weight, labelled)
+    return "custom", dodson_core.partition_from_labels(args.n, weight, labelled)
 
 
 def _integer_pair(value, what) -> tuple:
@@ -71,17 +77,21 @@ def _integer_pair(value, what) -> tuple:
 
 
 def cmd_dodson_classify(args):
+    from . import dodson_classes
+
     _check_n(args)
     name, partition = _parse_partition(args)
-    classes = dodson.classify_conjugacy(args.n, partition, bound=_bound(args))
+    classes = dodson_classes.classify_conjugacy(args.n, partition, bound=_bound(args))
     return serialize.classification_report(args.n, name, classes)
 
 
 def cmd_dodson_reflex(args):
+    from . import dodson_reflex
+
     doc = serialize.load_document(args.input)
     ct = serialize.parse_cm_type(doc)
     n = serialize.document_int(doc, "n", "cm-type document") if "n" in doc else ct.N
-    report = dodson.reflex_from_dodson(ct, n)
+    report = dodson_reflex.reflex_from_dodson(ct, n)
     return serialize.reflex_dodson_report(report)
 
 

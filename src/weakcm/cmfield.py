@@ -191,19 +191,19 @@ def _images(g, xs) -> tuple:
     return tuple(g(x) for x in xs)
 
 
-def dodson_type(field: CMFieldData) -> dodson.AbstractCMType:
+def dodson_type(field: CMFieldData) -> dodson_core.AbstractCMType:
     """The Galois action on embeddings as a subgroup of Im(n',2), with the
     CM type {phi', s0 phi'} (resp. {phi', s1 phi'} in case A)."""
-    from . import dodson
+    from . import dodson_core, dodson_reflex
 
     gg = galois_group(field)
     n_pairs = field.degree // 2
     # weight-1 style labels orient the pairs: the CM-type embeddings, the
     # first n_pairs of (phi', s? phi', ...), are unbarred
     labels = [(1, 0)] * n_pairs + [(0, 1)] * n_pairs
-    elements, _ = dodson.induced_pair_group(range(field.degree), gg.pairing,
-                                            gg.action, labels)
-    return dodson.AbstractCMType(elements, dodson.standard_phi(n_pairs))
+    elements, _ = dodson_reflex.induced_pair_group(range(field.degree), gg.pairing,
+                                                   gg.action, labels)
+    return dodson_core.AbstractCMType(elements, dodson_core.standard_phi(n_pairs))
 
 
 # --------------------------------------------------------------------------

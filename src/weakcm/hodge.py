@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from . import dodson
+from . import dodson_core
 from .errors import (
     IncompatibleIdentifications,
     InvalidHodgeStructure,
@@ -133,7 +133,7 @@ class CMHodgeStructure:
 def slot_images(g, slots):
     """The Im(N,2) element g as a ``CMHodgeStructure`` group element: the
     images of the signed ``slots`` (a structure's sorted slots) under g."""
-    return tuple(dodson.act_slot(g, s) for s in slots)
+    return tuple(dodson_core.act_slot(g, s) for s in slots)
 
 
 def from_group(weight, group_elements, labels_by_slot):
@@ -148,9 +148,9 @@ def from_group(weight, group_elements, labels_by_slot):
 
 def _preset_structure(preset, group_elements):
     """Structure on the slots of an Im(N,2) subgroup, labelled by the blocks
-    of ``dodson.partition_preset(preset, N)``."""
+    of ``dodson_core.partition_preset(preset, N)``."""
     elements = tuple(group_elements)
-    partition = dodson.partition_preset(preset, elements[0].N)
+    partition = dodson_core.partition_preset(preset, elements[0].N)
     labels = {s: label for label, slots in partition.blocks for s in slots}
     return from_group(partition.weight, elements, labels)
 
@@ -169,7 +169,7 @@ def cy3_structure(group_elements):
 
 
 def elliptic_structure():
-    return weight1_structure((dodson.im_identity(1), dodson.im_rho(1)))
+    return weight1_structure((dodson_core.im_identity(1), dodson_core.im_rho(1)))
 
 
 # --------------------------------------------------------------------------
@@ -271,11 +271,13 @@ def level_subspace(h: CMHodgeStructure) -> CMHodgeStructure:
 def level_dodson_data(level: CMHodgeStructure):
     """Induced Im(N',2) subgroup of a level subspace (the output of
     ``level_subspace``), with its triple."""
+    from . import dodson_reflex
+
     actions = [dict(zip(level.slots, g)) for g in level.group]
-    elements, _ = dodson.induced_pair_group(
+    elements, _ = dodson_reflex.induced_pair_group(
         level.slots, level.rho, actions, level.labels
     )
-    return elements, dodson.triple_from_group(elements)
+    return elements, dodson_core.triple_from_group(elements)
 
 
 # --------------------------------------------------------------------------
@@ -379,8 +381,10 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
     # both factors passed the purity checks above, so each is weak CM
     strong = tau_orbit_size == 2 and level.is_cm()
 
+    from . import dodson_reflex
+
     elements, triple = level_dodson_data(level)
-    alias = dodson.quartic_case_alias(triple)
+    alias = dodson_core.quartic_case_alias(triple)
     return ProductReport(
         level_dim=level_dim,
         situation=situation,
@@ -389,7 +393,7 @@ def k3t2_analyze(ts: CMHodgeStructure, e: CMHodgeStructure,
         star1_count=star1,
         star2_count=star2,
         coset_types=coset_types,
-        level_group_name=dodson.identify_group(elements),
+        level_group_name=dodson_reflex.identify_group(elements),
         level_case_alias=alias,
     )
 

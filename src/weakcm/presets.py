@@ -20,17 +20,18 @@ identification is a fibre product over the shared quadratic quotient.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .dodson import (
+from .dodson_core import (
     AbstractCMType,
     DodsonTriple,
     ImN2Element,
-    ReflexReport,
     group_from_triple,
-    reflex_from_dodson,
     standard_phi,
 )
+
+if TYPE_CHECKING:
+    from .dodson_reflex import ReflexReport
 
 _ID3 = (0, 1, 2)
 _C3 = (1, 2, 0)
@@ -193,4 +194,8 @@ def preset_by_name(name: str) -> Weight1Preset:
 
 
 def preset_reflex_reports() -> list[tuple[Weight1Preset, ReflexReport]]:
+    """Each preset with its level-3 reflex data; the reflex code is imported
+    here, so a preset named in a Hodge document does not compile it."""
+    from .dodson_reflex import reflex_from_dodson
+
     return [(pr, reflex_from_dodson(pr.cm_type, 3)) for pr in weight1_presets()]

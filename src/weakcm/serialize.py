@@ -253,12 +253,12 @@ def level_report_out(level: tausplit.LevelNReport) -> dict:
 # dodson documents
 
 
-def imn2_element_out(g: dodson.ImN2Element) -> dict:
+def imn2_element_out(g: dodson_core.ImN2Element) -> dict:
     return {"bits": list(g.bits), "perm": list(g.perm)}
 
 
-def parse_imn2_element(doc, N) -> dodson.ImN2Element:
-    from . import dodson
+def parse_imn2_element(doc, N) -> dodson_core.ImN2Element:
+    from . import dodson_core
 
     try:
         bits, perm = doc["bits"], doc["perm"]
@@ -270,10 +270,10 @@ def parse_imn2_element(doc, N) -> dodson.ImN2Element:
     bits, perm = tuple(bits), tuple(perm)
     if len(bits) != N or sorted(perm) != list(range(N)) or any(b not in (0, 1) for b in bits):
         raise InputError("malformed Im(N,2) element")
-    return dodson.ImN2Element(bits, perm)
+    return dodson_core.ImN2Element(bits, perm)
 
 
-def triple_out(t: dodson.DodsonTriple) -> dict:
+def triple_out(t: dodson_core.DodsonTriple) -> dict:
     return {
         "g0": [list(p) for p in t.g0],
         "v": [list(b) for b in t.v],
@@ -283,9 +283,9 @@ def triple_out(t: dodson.DodsonTriple) -> dict:
 
 
 def subgroup_out(elements) -> dict:
-    from . import dodson
+    from . import dodson_core
 
-    triple = dodson.triple_from_group(elements)
+    triple = dodson_core.triple_from_group(elements)
     return {
         "order": len(elements),
         "triple": triple_out(triple),
@@ -310,8 +310,8 @@ def classification_report(N, partition_name, classes) -> dict:
     }
 
 
-def parse_cm_type(doc) -> dodson.AbstractCMType:
-    from . import dodson
+def parse_cm_type(doc) -> dodson_core.AbstractCMType:
+    from . import dodson_core
 
     if not isinstance(doc, dict):
         raise InputError("cm-type document must be an object")
@@ -337,13 +337,13 @@ def parse_cm_type(doc) -> dodson.AbstractCMType:
     elements = tuple(sorted(parse_imn2_element(e, n) for e in raw))
     phi = doc.get("phi")
     if phi is None:
-        phi_t = dodson.standard_phi(n)
+        phi_t = dodson_core.standard_phi(n)
     else:
         phi_t = tuple(_int_pairs(phi, "cm-type 'phi'"))
-    return dodson.AbstractCMType(elements, phi_t)
+    return dodson_core.AbstractCMType(elements, phi_t)
 
 
-def reflex_dodson_report(report: dodson.ReflexReport) -> dict:
+def reflex_dodson_report(report: dodson_reflex.ReflexReport) -> dict:
     return {
         "n": report.n,
         "reflex_degree": report.degree,
@@ -387,7 +387,7 @@ def parse_structure(doc) -> hodge.CMHodgeStructure:
 
 
 def _parse_explicit_structure(doc):
-    from . import dodson, hodge
+    from . import dodson_core, hodge
 
     if any(k not in doc for k in ("weight", "pairs", "labels", "elements")):
         raise InputError("explicit structure needs weight, pairs, labels, elements")
@@ -400,7 +400,7 @@ def _parse_explicit_structure(doc):
     if not isinstance(raw, list) or not raw:
         raise InputError("explicit structure 'elements' must be a non-empty list")
     elements = [parse_imn2_element(e, n) for e in raw]
-    witness = dodson.missing_product(elements)
+    witness = dodson_core.missing_product(elements)
     if witness is not None:
         raise ElementsNotClosed("explicit structure 'elements' are not closed "
                                 f"under composition: {witness}")

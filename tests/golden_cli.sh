@@ -3,9 +3,11 @@
 # no bytecode cache, so every subcommand's own imports run cold, outside
 # pytest.  Compares stdout with the golden file byte for byte.
 #
-# Then, from the -X importtime trace of four subcommands, that none imports
+# Then, from the -X importtime trace of five subcommands, that none imports
 # dataclasses or inspect where the interpreter's own start-up does not, nor
-# weakcm.cli as a module, and that classify-field does not import linalg.
+# weakcm.cli as a module, nor weakcm.dodson (test oracles only); that
+# classify-field does not import linalg; and that each Dodson or Hodge
+# subcommand imports only the group code it runs.
 #
 # Then the N = 5 class tables, and documents with big numbers, written here:
 # Python's limit on the digits of an int converted to or from a string is
@@ -119,10 +121,11 @@ check_imports() {
     fi
 }
 
-check_imports classify_field weakcm.linalg classify-field --input "$DATA/field_b.json"
-check_imports split '' split --input "$DATA/torus_a_diag.json"
-check_imports dodson_classify '' dodson-classify --n 3 --partition cy3
-check_imports k3t2 weakcm.linalg k3t2 --input "$DATA/k3t2_disjoint.json"
+check_imports classify_field 'weakcm.dodson weakcm.linalg' classify-field --input "$DATA/field_b.json"
+check_imports split weakcm.dodson split --input "$DATA/torus_a_diag.json"
+check_imports dodson_classify 'weakcm.dodson weakcm.dodson_reflex' dodson-classify --n 3 --partition cy3
+check_imports k3t2 'weakcm.dodson weakcm.dodson_classes weakcm.linalg' k3t2 --input "$DATA/k3t2_disjoint.json"
+check_imports product 'weakcm.dodson weakcm.dodson_classes weakcm.dodson_reflex' product --input "$DATA/product_cy3_elliptic.json"
 
 # the N = 5 class tables, cold: a few seconds each (Burnside's lemma gives
 # the same counts in tests/test_dodson.py)

@@ -12,7 +12,8 @@ import time
 from fractions import Fraction
 
 from util import CayleyTable, im_mul, model_group, random_period_matrix
-from weakcm import cli, cmfield, dodson, hodge, tausplit
+from weakcm import (cli, cmfield, dodson, dodson_classes, dodson_core, dodson_reflex, hodge,
+                    tausplit)
 from weakcm.errors import OddDimension
 from weakcm.presets import preset_reflex_reports
 
@@ -103,11 +104,11 @@ def test_acceptance_03_degree8_reflex_galois_groups():
 def test_acceptance_04_reflex_degree_bound_exhaustive():
     t0 = time.time()
     checked = 0
-    for G in dodson.enumerate_admissible(3):
+    for G in dodson_classes.enumerate_admissible(3):
         for signs in itertools.product((0, 1), repeat=3):
             phi = tuple((i, s) for i, s in enumerate(signs))
-            ct = dodson.AbstractCMType(G, phi)
-            rep = dodson.reflex_from_dodson(ct, 3)
+            ct = dodson_core.AbstractCMType(G, phi)
+            rep = dodson_reflex.reflex_from_dodson(ct, 3)
             assert rep.degree <= 2 ** 3
             assert rep.bound_ok
             checked += 1
@@ -303,9 +304,9 @@ def test_acceptance_11_triple_roundtrip_exhaustive():
     t0 = time.time()
     total = 0
     for N in (2, 3):
-        for G in dodson.enumerate_admissible(N):
-            triple = dodson.triple_from_group(G)
-            assert dodson.group_from_triple(triple) == G
+        for G in dodson_classes.enumerate_admissible(N):
+            triple = dodson_core.triple_from_group(G)
+            assert dodson_core.group_from_triple(triple) == G
             total += 1
     assert total == 3 + 10
     _report(11, f"triple round-trip on all {total} admissible subgroups", t0,

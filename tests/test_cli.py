@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from util import missing_product_by_loop
-from weakcm import cli, dodson, tausplit
+from weakcm import cli, dodson_classes, dodson_core, tausplit
 from weakcm.errors import InvalidPairCount, MathError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -310,7 +310,7 @@ def test_pair_count_below_one_is_named(capsys, argv):
     assert f"--n {argv[2]} " in diag["message"]
     # the library call is refused by the same condition
     with pytest.raises(InvalidPairCount, match=f"N = {argv[2]} is below 1"):
-        dodson.enumerate_admissible(int(argv[2]))
+        dodson_classes.enumerate_admissible(int(argv[2]))
 
 
 def _element(bits, perm):
@@ -608,7 +608,7 @@ def test_explicit_elements_of_im52(tmp_path, capsys):
     # all 3840 elements of Im(5,2) are accepted; without one non-identity
     # element the message names the first missing product, as the |G|^2 loop
     # of tests/util.py finds it
-    elements = [dodson.ImN2Element(b, p) for b in itertools.product((0, 1), repeat=5)
+    elements = [dodson_core.ImN2Element(b, p) for b in itertools.product((0, 1), repeat=5)
                 for p in itertools.permutations(range(5))]
     structure = {"type": "explicit", "weight": 3, "pairs": 5,
                  "labels": [[3, 0]] + [[2, 1]] * 4,
@@ -635,12 +635,13 @@ def test_explicit_structure_beyond_the_bound_is_refused(tmp_path, capsys):
                  "elements": [_element((0,) * 6, range(6)), _element((1,) * 6, range(6))]}
     doc = tmp_path / "wg.json"
     doc.write_text(json.dumps({"structure": structure}), encoding="utf-8")
-    tables = dodson._sn_tables.cache_info().currsize, dodson._sn_index.cache_info().currsize
+    tables = (dodson_core._sn_tables.cache_info().currsize,
+              dodson_core._sn_index.cache_info().currsize)
     code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
     assert code == 1
     assert json.loads(out)["diagnostics"][0]["condition"] == "dodson:bound-exceeded"
-    assert (dodson._sn_tables.cache_info().currsize,
-            dodson._sn_index.cache_info().currsize) == tables
+    assert (dodson_core._sn_tables.cache_info().currsize,
+            dodson_core._sn_index.cache_info().currsize) == tables
 
 
 def test_weil_griffiths_wrong_weight(tmp_path, capsys):
@@ -861,17 +862,49 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert proc.returncode == 141 and proc.stderr == b""
 
 
-def test_benchmark_tracer_installs():
+_TRACED_RUNS = """
+import contextlib, io, json, sys
+import spans
+from weakcm import cli
+tracer = spans.Tracer().install()
+tracer.active = True
+edges = {}
+for label, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    edges[label] = sorted(tracer.edges)
+    tracer.edges.clear()
+print(json.dumps(edges))
+"""
+
+
+def test_benchmark_tracer_installs(tmp_path):
     # perfbench/spans.py wraps library functions by name, so deleting or
-    # renaming one of them fails here, not only in a benchmark run
+    # renaming one of them fails here, not only in a benchmark run; and it
+    # wraps the Dodson entry points as dodson.<name>, so the production
+    # calls, made from the modules that hold the code, must reach its spans
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = _child_env()
     env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], os.path.join(root, "perfbench")])
+    reflex_doc, product_doc = tmp_path / "reflex.json", tmp_path / "product.json"
+    reflex_doc.write_text(json.dumps({"preset": "Z3-3-triv"}), encoding="utf-8")
+    product_doc.write_text(json.dumps({"factor1": {"type": "k3", "group": {"preset": "Z3-3-triv"}},
+                                       "factor2": {"type": "elliptic"}}), encoding="utf-8")
+    runs = {"classify": ["dodson-classify", "--n", "3", "--partition", "k3"],
+            "reflex": ["dodson-reflex", "--input", str(reflex_doc)],
+            "product": ["product", "--input", str(product_doc)]}
     proc = subprocess.run(
-        [sys.executable, "-c", "import spans; spans.Tracer().install()"],
+        [sys.executable, "-c", _TRACED_RUNS, json.dumps(runs)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    edges = {label: {tuple(e) for e in found} for label, found in json.loads(proc.stdout).items()}
+    spans = {label: {name for _, name in found} for label, found in edges.items()}
+    assert {("dodson.classify", "dodson.enumerate"),
+            ("dodson.classify", "dodson.triple_from_group")} <= edges["classify"]
+    assert ("dodson.reflex", "dodson.triple_from_group") in edges["reflex"]
+    assert "dodson.group_from_triple" in spans["reflex"]
+    assert "dodson.group_from_triple" in spans["product"]
 
 
 # the weakcm modules each subcommand may load: a library module imported at
@@ -898,7 +931,8 @@ print(json.dumps([code, sorted(m for m in sys.modules
 
 def _footprint(argv):
     """The weakcm modules a fresh interpreter loads to run ``argv``; it
-    must load none of ``_HEAVY``."""
+    must load none of ``_HEAVY``, nor ``weakcm.dodson``, which holds only
+    test oracles and the names the benchmark's tracer wraps."""
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_RUN, *argv],
                           capture_output=True, text=True, env=_child_env(),
                           timeout=60)
@@ -906,6 +940,7 @@ def _footprint(argv):
     code, modules, heavy = json.loads(proc.stdout)
     assert code == 0, argv
     assert heavy == [], argv
+    assert "weakcm.dodson" not in modules, argv
     return set(modules)
 
 
@@ -929,34 +964,42 @@ def test_cli_import_loads_no_library_module():
 
 def test_k3t2_on_a_field_document_loads_no_split():
     # the transcendental factor given by its field: the towers, the Dodson
-    # tables and the Hodge layer all load, but not linalg, since nothing is
-    # solved over the tower
+    # core, the reflex module (which reads the Galois action as an Im(N,2)
+    # subgroup) and the Hodge layer all load, but not linalg, since nothing
+    # is solved over the tower, nor the enumeration
     argv = ["k3t2", "--input", os.path.join(DATA, "k3t2_disjoint.json")]
-    assert _footprint(argv) == _FIELD_FOOTPRINT | {"weakcm.dodson", "weakcm.hodge",
-                                                   "weakcm.cli_hodge"}
+    assert _footprint(argv) == _FIELD_FOOTPRINT | {"weakcm.dodson_core", "weakcm.dodson_reflex",
+                                                   "weakcm.hodge", "weakcm.cli_hodge"}
 
 
-_DODSON = _BASE | {"weakcm.serialize", "weakcm.dodson", "weakcm.cli_dodson"}
-_HODGE = _BASE | {"weakcm.serialize", "weakcm.dodson", "weakcm.hodge", "weakcm.cli_hodge"}
+_DODSON = _BASE | {"weakcm.serialize", "weakcm.dodson_core", "weakcm.cli_dodson"}
+_HODGE = _BASE | {"weakcm.serialize", "weakcm.dodson_core", "weakcm.hodge", "weakcm.cli_hodge"}
+_CLASSES = {"weakcm.dodson_classes"}
+_REFLEX = {"weakcm.dodson_reflex"}
 _PRESETS = {"weakcm.presets"}
-# (argv, input document, the modules it loads): each loads its own handler
-# module, and a preset loads the preset table
-_DODSON_RUNS = [
-    (["dodson-enum", "--n", "2"], None, _DODSON),
-    (["dodson-classify", "--n", "2", "--partition", "abl"], None, _DODSON),
-    (["presets"], None, _DODSON | _PRESETS),
-    (["dodson-reflex"], {"preset": "Z3-3-triv"}, _DODSON | _PRESETS),
-    (["k3t2"], {"transcendental": _U1}, _HODGE),
-    (["product"], {"factor1": {"type": "elliptic"},
-                   "factor2": {"type": "weight1", "group": _U1}}, _HODGE),
-    (["weil-griffiths"], {"structure": {"type": "cy3",
-                                        "group": {"preset": "Z3-3-triv"}}},
-     _HODGE | _PRESETS),
-]
+_PRESET_DOC = {"preset": "Z3-3-triv"}
+# id -> (argv, input document, the modules it loads): each loads its own
+# handler module and the Dodson core; the enumeration only to enumerate or
+# classify, the reflex module only for reflex data or a level group, and a
+# preset the preset table
+_DODSON_RUNS = {
+    "dodson-enum": (["dodson-enum", "--n", "2"], None, _DODSON | _CLASSES),
+    "dodson-classify": (["dodson-classify", "--n", "2", "--partition", "abl"], None,
+                        _DODSON | _CLASSES),
+    "presets": (["presets"], None, _DODSON | _PRESETS | _REFLEX),
+    "dodson-reflex": (["dodson-reflex"], _PRESET_DOC, _DODSON | _PRESETS | _REFLEX),
+    "k3t2": (["k3t2"], {"transcendental": _U1}, _HODGE | _REFLEX),
+    "product": (["product"], {"factor1": {"type": "elliptic"},
+                              "factor2": {"type": "weight1", "group": _U1}}, _HODGE),
+    "product-preset": (["product"], {"factor1": {"type": "k3", "group": _PRESET_DOC},
+                                     "factor2": {"type": "elliptic"}}, _HODGE | _PRESETS),
+    "weil-griffiths": (["weil-griffiths"], {"structure": {"type": "cy3", "group": _PRESET_DOC}},
+                       _HODGE | _PRESETS),
+}
 
 
-@pytest.mark.parametrize("argv, doc, expected", _DODSON_RUNS,
-                         ids=[argv[0] for argv, _, _ in _DODSON_RUNS])
+@pytest.mark.parametrize("argv, doc, expected", list(_DODSON_RUNS.values()),
+                         ids=list(_DODSON_RUNS))
 def test_dodson_subcommands_load_no_field_tower(tmp_path, argv, doc, expected):
     if doc is not None:
         path = tmp_path / "doc.json"
@@ -1227,3 +1270,99 @@ def test_oversized_numbers_are_named_input_errors(tmp_path, capsys, sub, text):
     report = json.loads(out)
     assert code == 1
     assert report["diagnostics"][0]["condition"] == "input:number-size"
+
+
+# The leaf-mutation fuzz.  Its seed documents are every tests/data input with
+# each subcommand that reads it, the d = 0 field (once an exit-2 division by
+# zero), the explicit structure above, and cm-type documents given by a
+# preset or a field with their level n; each run replaces one or two leaves
+# of a seed (or deletes a key) with a leaf of the same document, an integer
+# one off, or a value from _FUZZ_VALUES.  Nothing is seeded from the clock.
+_D0_FIELD = {"d": 0, "p": "-5/2", "q": "-1/2"}
+_FUZZ_SEEDS = [
+    *[(sub, name) for name in ("field_b.json", "field_c.json", _D0_FIELD)
+      for sub in ("classify-field", "galois", "reflex")],
+    ("k3t2", {"transcendental": {"field": _D0_FIELD}}),
+    *[(sub, name) for name in ("torus_a_diag.json", "torus_b_n3.json", "torus_b_n4.json",
+                               "torus_c_n4.json")
+      for sub in ("validate", "split")],
+    ("dodson-reflex", "cm_type_n4.json"),
+    ("dodson-reflex", "cm_type_n5.json"),
+    ("dodson-reflex", {"preset": "Z3-3-triv", "n": 3}),
+    ("dodson-reflex", {"field": {"d": 5, "p": "-5/2", "q": "-1/2"}, "n": 2}),
+    ("k3t2", "k3t2_disjoint.json"),
+    ("k3t2", "k3t2_contained_a.json"),
+    ("product", "product_cy3_elliptic.json"),
+    ("product", {"factor1": _SYNTHETIC, "factor2": {"type": "elliptic"}}),
+    ("weil-griffiths", "weil_griffiths_z3.json"),
+    ("weil-griffiths", {"structure": _SYNTHETIC}),
+]
+_FUZZ_VALUES = [0, 1, -1, 2, 3, 7, 10 ** 30, "0", "1", "-1", "1/0", "-5/2", "3/4", "x", "",
+                0.5, True, None, [], {}, [0], [[0, 0]], "explicit", "contained"]
+_FUZZ_RUNS = 1500
+
+
+def _leaf_paths(doc, path=()):
+    """The key paths of the scalars and empty containers in a document."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+def _mutate(doc, rng):
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 2)):
+        paths = list(_leaf_paths(doc))
+        path = rng.choice(paths)
+        if not path:
+            return rng.choice(_FUZZ_VALUES)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old, r = parent[path[-1]], rng.random()
+        if isinstance(parent, dict) and r < 0.15:
+            del parent[path[-1]]
+            continue
+        if r < 0.4 and type(old) is int:
+            new = old + rng.choice((-1, 1))
+        elif r < 0.65:
+            new = doc
+            for key in rng.choice(paths):
+                new = new[key]
+        else:
+            new = rng.choice(_FUZZ_VALUES)
+        parent[path[-1]] = json.loads(json.dumps(new))
+    return doc
+
+
+def test_mutated_documents_end_in_a_named_condition(tmp_path, capsys):
+    # exit 0, or exit 1 with a named condition: never a math-error or an
+    # internal error, which a library bug, or an import a module forgot on
+    # an error path, would give
+    seeds = []
+    for sub, doc in _FUZZ_SEEDS:
+        if isinstance(doc, str):
+            with open(os.path.join(DATA, doc), encoding="utf-8") as fh:
+                doc = json.load(fh)
+        seeds.append((sub, doc))
+    rng = random.Random(29)
+    path = tmp_path / "doc.json"
+    codes = set()
+    for i in range(_FUZZ_RUNS):
+        sub, doc = seeds[i % len(seeds)]
+        if i >= len(seeds):
+            doc = _mutate(doc, rng)
+        text = json.dumps(doc)
+        path.write_text(text, encoding="utf-8")
+        code, out = run_cli(capsys, sub, "--input", str(path))
+        report = json.loads(out)
+        diagnostics = report["diagnostics"]
+        condition = diagnostics[0]["condition"] if diagnostics else None
+        assert (code, report["status"]) in ((0, "ok"), (1, "invalid-input")), \
+            (sub, text, diagnostics)
+        assert (condition is None) == (code == 0), (sub, text, diagnostics)
+        assert code == 0 or condition not in ("", "internal"), (sub, text, diagnostics)
+        codes.add(code)
+    assert codes == {0, 1}

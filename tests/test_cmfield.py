@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from util import galois_action_by_cosets, is_identity, random_field_params
-from weakcm import cmfield, dodson, linalg, serialize
+from weakcm import cmfield, dodson_core, linalg, serialize
 from weakcm.errors import (
     BadFactorBound,
     FactorizationInconclusive,
@@ -249,8 +249,8 @@ def test_dodson_type_tags():
     }
     for expect, field in cases.items():
         ct = cmfield.dodson_type(field)
-        triple = dodson.triple_from_group(ct.group)
-        assert dodson.quartic_case_alias(triple) == expect
+        triple = dodson_core.triple_from_group(ct.group)
+        assert dodson_core.quartic_case_alias(triple) == expect
 
 
 def test_case_report_shape():

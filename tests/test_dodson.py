@@ -28,22 +28,22 @@ from util import (
     stabilizer_by_universe,
     subgroup_key,
 )
-from weakcm import dodson, hodge, serialize
-from weakcm.dodson import (
+from weakcm import dodson, dodson_classes, dodson_core, dodson_reflex, hodge, serialize
+from weakcm.dodson import universe
+from weakcm.dodson_classes import enumerate_admissible
+from weakcm.dodson_core import (
     AbstractCMType,
     DodsonTriple,
     ImN2Element,
-    enumerate_admissible,
     group_from_triple,
     im_identity,
     im_rho,
     perm_apply_bits,
     perm_mul,
-    reflex_from_dodson,
     standard_phi,
     triple_from_group,
-    universe,
 )
+from weakcm.dodson_reflex import reflex_from_dodson
 from weakcm.errors import (
     BoundExceeded,
     ElementsNotClosed,
@@ -96,7 +96,7 @@ def test_ambient_orders():
         direct = len(list(itertools.product((0, 1), repeat=N))) * len(
             list(itertools.permutations(range(N)))
         )
-        assert dodson.im_order(N) == direct
+        assert dodson_core.im_order(N) == direct
     assert len(universe(3).elements) == 48
 
 
@@ -133,9 +133,9 @@ def test_cayley_from_imn2_matches_element_product():
         assert [[local[U.mul[a][b]] for b in ids] for a in ids] == slow.mul
         assert local[U.identity_idx] == slow.identity
         assert [local[U.inv[a]] for a in ids] == slow.inv == [slow.index[im_inv(g)] for g in G]
-        assert dodson._group_invariants(U.mul, U.inv, ids) == slow.invariants()
+        assert dodson_reflex._group_invariants(U.mul, U.inv, ids) == slow.invariants()
         # the subgroup's own table, tabulated without the universe
-        assert dodson._subgroup_table(G) == (slow.mul, slow.inv)
+        assert dodson_reflex._subgroup_table(G) == (slow.mul, slow.inv)
 
 
 def test_group_invariants_match_cayley_tables():
@@ -145,15 +145,15 @@ def test_group_invariants_match_cayley_tables():
         U = universe(N)
         for G in enumerate_admissible(N):
             ids = [U.index[g] for g in G]
-            assert dodson._group_invariants(U.mul, U.inv, ids) == \
+            assert dodson_reflex._group_invariants(U.mul, U.inv, ids) == \
                 CayleyTable(G, im_mul).invariants()
     for N in (3, 4):
-        _, perms, pmul, _, pinv = dodson._sn_tables(N)
-        subgroups = dodson._sn_subgroups(N)
+        _, perms, pmul, _, pinv = dodson_core._sn_tables(N)
+        subgroups = dodson_classes._sn_subgroups(N)
         assert len(subgroups) == {3: 6, 4: 30}[N]
         for H in subgroups:
             ids = sorted(H)
-            assert dodson._group_invariants(pmul, pinv, ids) == \
+            assert dodson_reflex._group_invariants(pmul, pinv, ids) == \
                 CayleyTable([perms[x] for x in ids], perm_mul).invariants()
 
 
@@ -169,7 +169,7 @@ def test_rho_subspaces_are_the_spans_holding_rho():
                 for v in vs + (rho,):
                     span |= {x ^ v for x in span}
                 spans.add(frozenset(span))
-        assert dodson._rho_subspaces(N) == sorted(spans, key=sorted)
+        assert dodson_classes._rho_subspaces(N) == sorted(spans, key=sorted)
         assert len(spans) == {1: 1, 2: 2, 3: 5, 4: 16, 5: 67}[N]
 
 
@@ -300,9 +300,9 @@ def test_group_from_triple_matches_tuple_oracle():
     rng = random.Random(1303)
     tried = set()
     for N in (2, 3):
-        _, perms, _, _, _ = dodson._sn_tables(N)
+        _, perms, _, _, _ = dodson_core._sn_tables(N)
         bases = [triple_from_group(G) for G in enumerate_admissible(N)]
-        for H in dodson._sn_subgroups(N):
+        for H in dodson_classes._sn_subgroups(N):
             g0 = tuple(sorted(perms[x] for x in H))
             bases.append(DodsonTriple(N=N, g0=g0, v=((0,) * N, (1,) * N),
                                       s=tuple((p, (0,) * N) for p in g0)))
@@ -375,7 +375,7 @@ def test_subgroup_test_on_fibres_matches_tables():
                 fibres.setdefault(g.perm, set()).add(g.bits)
             want = is_subgroup(U, G)
             subgroups += want
-            assert dodson._fibres_form_subgroup(fibres, N) == want
+            assert dodson_core._fibres_form_subgroup(fibres, N) == want
         assert 60 <= subgroups < len(candidates) - 60
 
 
@@ -397,7 +397,7 @@ def test_missing_product_matches_the_loop_oracle():
                     continue
                 rng.shuffle(elements)
                 want = missing_product_by_loop(elements)
-                assert dodson.missing_product(elements) == want
+                assert dodson_core.missing_product(elements) == want
                 verdicts.append(want is None)
                 if want is None:
                     continue
@@ -546,14 +546,14 @@ def test_enumeration_never_walks(monkeypatch):
     monkeypatch.setattr(dodson, "_enumerate_admissible_walk", refuse)
     monkeypatch.setattr(dodson._Universe, "closure", refuse)
     monkeypatch.setattr(dodson._Universe, "closure_extend", refuse)
-    dodson._enumerate_admissible_cached.cache_clear()
+    dodson_classes._enumerate_admissible_cached.cache_clear()
     try:
         for N in (1, 2, 3, 4):
             enumerate_admissible(N)
-        dodson.classify_conjugacy(3, dodson.partition_preset("cy3", 3))
+        dodson_classes.classify_conjugacy(3, dodson_core.partition_preset("cy3", 3))
         preset_reflex_reports()
     finally:
-        dodson._enumerate_admissible_cached.cache_clear()
+        dodson_classes._enumerate_admissible_cached.cache_clear()
 
 
 # ---------------------------------------------------------------- classification
@@ -565,8 +565,8 @@ def test_enumeration_never_walks(monkeypatch):
      (4, "abl", 54), (4, "k3", 38), (4, "cy3", 64)],
 )
 def test_classification_counts(N, name, expect):
-    part = dodson.partition_preset(name, N)
-    classes = dodson.classify_conjugacy(N, part)
+    part = dodson_core.partition_preset(name, N)
+    classes = dodson_classes.classify_conjugacy(N, part)
     assert len(classes) == expect
 
 
@@ -575,8 +575,8 @@ def test_classification_counts(N, name, expect):
 def test_classification_matches_bfs_oracle(N, name):
     # one breadth-first orbit per subgroup, the classification before the
     # direct orbit, is the oracle: representatives, orbit sizes and tags
-    part = dodson.partition_preset(name, N)
-    classes = dodson.classify_conjugacy(N, part)
+    part = dodson_core.partition_preset(name, N)
+    classes = dodson_classes.classify_conjugacy(N, part)
     assert [(c.representative, c.orbit_size, c.tag) for c in classes] == \
         classify_by_bfs(N, part)
 
@@ -591,18 +591,18 @@ def test_class_counts_by_burnside(N, name, expect):
     # Burnside's lemma counts the classes without assembling any orbit; the
     # classifications give the same counts in test_classification_counts
     # (N <= 4) and test_dodson_n5_stdout_pinned (N = 5)
-    assert burnside_class_count(N, dodson.partition_preset(name, N), bound=5) == expect
+    assert burnside_class_count(N, dodson_core.partition_preset(name, N), bound=5) == expect
 
 
 def test_classification_n2_matches_cases():
-    part = dodson.partition_preset("k3", 2)
-    classes = dodson.classify_conjugacy(2, part)
+    part = dodson_core.partition_preset("k3", 2)
+    classes = dodson_classes.classify_conjugacy(2, part)
     assert sorted(c.case_alias for c in classes) == ["A", "B", "C"]
 
 
 def test_classification_cy3_tags():
-    part = dodson.partition_preset("cy3", 3)
-    tags = sorted(c.tag for c in dodson.classify_conjugacy(3, part))
+    part = dodson_core.partition_preset("cy3", 3)
+    tags = sorted(c.tag for c in dodson_classes.classify_conjugacy(3, part))
     assert tags == sorted(
         [
             "(Z3,1,triv.)", "(Z3,1,non-triv.)", "(Z3,1,non-triv.)",
@@ -613,15 +613,15 @@ def test_classification_cy3_tags():
 
 
 def test_classification_abl_merges_nontrivial_cocycles():
-    part = dodson.partition_preset("abl", 3)
-    tags = [c.tag for c in dodson.classify_conjugacy(3, part)]
+    part = dodson_core.partition_preset("abl", 3)
+    tags = [c.tag for c in dodson_classes.classify_conjugacy(3, part)]
     assert tags.count("(Z3,1,non-triv.)") == 1
     assert tags.count("(S3,1,non-triv.)") == 1
 
 
 def test_conjugation_preserves_admissibility():
     U = universe(3)
-    stab = dodson.partition_preset("abl", 3).stabilizer()
+    stab = dodson_core.partition_preset("abl", 3).stabilizer()
     for G in enumerate_admissible(3):
         idxs = frozenset(U.index[g] for g in G)
         for s in stab:
@@ -639,7 +639,7 @@ def test_find_class_against_direct_orbit(name):
     # on the universe(3) tables; the stabiliser against its filter of all
     # of Im(3,2); and the class that the oracle find_class picks
     U = universe(3)
-    part = dodson.partition_preset(name, 3)
+    part = dodson_core.partition_preset(name, 3)
     stab = part.stabilizer()
     stab_idx = stabilizer_by_universe(U, part)
     assert stab == tuple(U.elements[i] for i in stab_idx)
@@ -648,7 +648,7 @@ def test_find_class_against_direct_orbit(name):
     for G in enumerate_admissible(3):
         H = frozenset(U.index[g] for g in G)
         orbit = conjugacy_orbit_bfs(U, stab_idx, H)
-        assert dodson._conjugacy_orbit(stab, H) == orbit
+        assert dodson_core._conjugacy_orbit(stab, H) == orbit
         i = find_class(G, classes, part)
         rep, size, _ = classes[i]
         assert frozenset(U.index[g] for g in rep) in orbit
@@ -659,7 +659,7 @@ def test_find_class_against_direct_orbit(name):
 
 def test_partition_validation():
     with pytest.raises(Exception):
-        dodson.HodgePartition(
+        dodson_core.HodgePartition(
             2, 2, (((2, 0), frozenset({(0, 0), (0, 1)})),)
         ).validate()
 
@@ -723,12 +723,12 @@ def test_reflex_and_group_names_match_universe_oracles():
                 assert list(got.hodge_numbers.items()) == list(want.hodge_numbers.items())
                 assert list(got.pair_labels.items()) == list(want.pair_labels.items())
                 U = universe(got.n_prime)
-                mul, inv = dodson._subgroup_table(got.group)
-                assert dodson._group_invariants(mul, inv, range(len(mul))) == \
-                    dodson._group_invariants(U.mul, U.inv, [U.index[g] for g in got.group])
+                mul, inv = dodson_reflex._subgroup_table(got.group)
+                assert dodson_reflex._group_invariants(mul, inv, range(len(mul))) == \
+                    dodson_reflex._group_invariants(U.mul, U.inv, [U.index[g] for g in got.group])
     assert types == 432
     for G in enumerate_admissible(3):
-        assert dodson.identify_group(G) == identify_group_by_universe(G)
+        assert dodson_reflex.identify_group(G) == identify_group_by_universe(G)
 
 
 def test_class_tag_differs_from_tag_through_a_middle_pair():
@@ -757,10 +757,10 @@ def test_level_data_build_no_universe_tables():
     dodson.universe.cache_clear()
     report = reflex_from_dodson(ct, 5)
     assert (report.degree, report.group_name) == (10, "order-240")
-    assert dodson.identify_group(ct.group) == "order-240"
+    assert dodson_reflex.identify_group(ct.group) == "order-240"
     for N in (1, 2, 3, 4):
         for name in ("abl", "k3", "cy3"):
-            dodson.classify_conjugacy(N, dodson.partition_preset(name, N))
+            dodson_classes.classify_conjugacy(N, dodson_core.partition_preset(name, N))
     preset_reflex_reports()
     group = preset_by_name("S3-3-triv").cm_type.group
     im22 = tuple(ImN2Element(b, p) for b in itertools.product((0, 1), repeat=2)
@@ -857,13 +857,13 @@ def test_preset_iii_discrepancy_note():
 
 def test_model_invariants_match_model_groups():
     # identify_group reads the constants; the Cayley tables are the oracle
-    assert dodson._MODEL_INVARIANTS == tuple(
-        model_group(n).invariants() for n in dodson.LEVEL_GROUP_MODELS
+    assert dodson_reflex._MODEL_INVARIANTS == tuple(
+        model_group(n).invariants() for n in dodson_reflex.LEVEL_GROUP_MODELS
     )
 
 
 def test_model_groups_pairwise_distinct():
-    invs = [model_group(n).invariants() for n in dodson.LEVEL_GROUP_MODELS]
+    invs = [model_group(n).invariants() for n in dodson_reflex.LEVEL_GROUP_MODELS]
     assert len(set(invs)) == len(invs)
 
 
@@ -875,4 +875,4 @@ def test_identify_group_on_models():
             for b in itertools.product((0, 1), repeat=3)
         )
     )
-    assert dodson.identify_group(bits_only) == "Z2^3"
+    assert dodson_reflex.identify_group(bits_only) == "Z2^3"

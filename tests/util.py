@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from weakcm import linalg, tausplit
-from weakcm.errors import FactorizationInconclusive, InputError
+from weakcm.errors import FactorizationInconclusive, InputError, InvalidCMType
 from weakcm.cmfield import CASE_A, CASE_B, CASE_C, DEG2
 
 _ASSEMBLY_COORDS = {
@@ -424,8 +424,8 @@ def group_from_triple_by_tuples(t):
     arithmetic: the name of the first violated triple condition, the six
     subgroup conditions before transitivity and rho, or None and the
     subgroup's elements in ``element_key`` order; the oracle for
-    ``dodson.group_from_triple``."""
-    from weakcm.dodson import ImN2Element, _is_transitive, perm_apply_bits, perm_mul
+    ``dodson_core.group_from_triple``."""
+    from weakcm.dodson_core import ImN2Element, _is_transitive, perm_apply_bits, perm_mul
 
     def xor(a, b):
         return tuple(x ^ y for x, y in zip(a, b))
@@ -467,7 +467,7 @@ def group_from_triple_by_tuples(t):
 def im_mul(a, b):
     """Product of Im(N,2) elements from the group law: (ba, pa)(bb, pb) =
     (ba ^ pa.bb, pa pb)."""
-    from weakcm.dodson import ImN2Element, perm_apply_bits, perm_mul
+    from weakcm.dodson_core import ImN2Element, perm_apply_bits, perm_mul
 
     bits = tuple(x ^ y for x, y in zip(a.bits, perm_apply_bits(a.perm, b.bits)))
     return ImN2Element(bits, perm_mul(a.perm, b.perm))
@@ -477,7 +477,7 @@ def missing_product_by_loop(elements):
     """None when the Im(N,2) elements are closed under ``im_mul`` (a finite
     closed set is a group), else the first missing product 'a * b = ab is
     missing' in ``ImN2Element`` order, from all |G|^2 products; the oracle
-    for ``dodson.missing_product``."""
+    for ``dodson_core.missing_product``."""
     present = set(elements)
     ordered = sorted(present)
     for a in ordered:
@@ -493,7 +493,7 @@ def missing_product_by_loop(elements):
 def im_inv(a):
     """Inverse of an Im(N,2) element from the group law: (bits, perm)^-1 =
     (perm^-1 . bits, perm^-1)."""
-    from weakcm.dodson import ImN2Element, perm_inv
+    from weakcm.dodson_core import ImN2Element, perm_inv
 
     return ImN2Element(tuple(a.bits[a.perm[i]] for i in range(len(a.bits))),
                        perm_inv(a.perm))
@@ -528,10 +528,10 @@ def stabilizer_by_universe(U, partition):
     """The indices of S~ among all of ``U.elements``: the elements that map
     every block of the partition into itself; the oracle for
     ``HodgePartition.stabilizer``."""
-    from weakcm import dodson
+    from weakcm import dodson_core
 
     return [i for i, g in enumerate(U.elements)
-            if all(dodson.act_slot(g, s) in slots
+            if all(dodson_core.act_slot(g, s) in slots
                    for _, slots in partition.blocks for s in slots)]
 
 
@@ -539,19 +539,19 @@ def classify_by_bfs(N, partition, bound=4):
     """(representative, orbit size, tag) per S~-class: one breadth-first
     orbit per admissible subgroup, each class named by the minimal
     ``subgroup_key`` in its orbit, sorted by it; the oracle for
-    ``dodson.classify_conjugacy``."""
-    from weakcm import dodson
+    ``dodson_classes.classify_conjugacy``."""
+    from weakcm import dodson, dodson_classes, dodson_core
 
     U = dodson.universe(N)
     stab_idx = stabilizer_by_universe(U, partition)
     by_class = {}
-    for G in dodson.enumerate_admissible(N, bound=bound):
+    for G in dodson_classes.enumerate_admissible(N, bound=bound):
         orbit = conjugacy_orbit_bfs(U, stab_idx, frozenset(U.index[g] for g in G))
         members = [tuple(sorted((U.elements[i] for i in K), key=element_key))
                    for K in orbit]
         rep = min(members, key=subgroup_key)
         by_class.setdefault(subgroup_key(rep), (rep, len(orbit)))
-    return [(rep, size, dodson.triple_from_group(rep).tag())
+    return [(rep, size, dodson_core.triple_from_group(rep).tag())
             for _, (rep, size) in sorted(by_class.items())]
 
 
@@ -559,13 +559,13 @@ def burnside_class_count(N, partition, bound=4):
     """Number of S~-classes of admissible subgroups by Burnside's lemma,
     (1/|S~|) sum over s in S~ of #{H : s H s^-1 = H}, with no orbit and no
     canonical choice; each fixed point is tested element by element."""
-    from weakcm import dodson
+    from weakcm import dodson, dodson_classes
 
     U = dodson.universe(N)
     mul, inv = U.mul, U.inv
     stab = stabilizer_by_universe(U, partition)
     subgroups = [frozenset(U.index[g] for g in G)
-                 for G in dodson.enumerate_admissible(N, bound=bound)]
+                 for G in dodson_classes.enumerate_admissible(N, bound=bound)]
     fixed = 0
     for s in stab:
         row, si = mul[s], inv[s]
@@ -580,11 +580,11 @@ def reflex_by_cosets(ct, n):
     multiplied out through ``U.mul``, rho and the action on cosets by
     multiplying a representative; the group named by
     ``identify_group_by_universe``; the class tag by
-    ``class_tag_by_table``.  The oracle for ``dodson.reflex_from_dodson``."""
-    from weakcm import dodson
+    ``class_tag_by_table``.  The oracle for ``dodson_reflex.reflex_from_dodson``."""
+    from weakcm import dodson, dodson_core, dodson_reflex
 
     if n != ct.N:
-        raise dodson.InvalidCMType(
+        raise InvalidCMType(
             f"n = {n} does not match the {ct.N} pairs carried by the type"
         )
     U = dodson.universe(ct.N)
@@ -592,7 +592,7 @@ def reflex_by_cosets(ct, n):
     idx = {g: U.index[g] for g in ct.group}
 
     def act_phi(g, subset):
-        return frozenset(dodson.act_slot(g, s) for s in subset)
+        return frozenset(dodson_core.act_slot(g, s) for s in subset)
 
     stab_idx = {idx[g] for g in ct.group if act_phi(g, phi) == phi}
     cosets = {}
@@ -612,10 +612,10 @@ def reflex_by_cosets(ct, n):
                for members in cosets}
     actions = [{members: coset_of[U.mul[idx[g]][next(iter(members))]]
                 for members in cosets} for g in ct.group]
-    items = sorted(cosets, key=dodson._sort_key)
-    induced, pair_labels = dodson.induced_pair_group(items, rho_map, actions, labels)
-    triple = dodson.triple_from_group(induced)
-    report = dodson.ReflexReport(
+    items = sorted(cosets, key=dodson_reflex._sort_key)
+    induced, pair_labels = dodson_reflex.induced_pair_group(items, rho_map, actions, labels)
+    triple = dodson_core.triple_from_group(induced)
+    report = dodson_reflex.ReflexReport(
         n=n,
         degree=len(cosets),
         n_prime=len(cosets) // 2,
@@ -655,35 +655,35 @@ def class_tag_by_table(report):
     """The class tag of the induced data of a reflex report: for n' = 3,
     the tag of its class in the class table of the partition its pair
     labels define, found by ``find_class``; the oracle for
-    ``dodson._class_tag``."""
-    from weakcm import dodson
+    ``dodson_reflex._class_tag``."""
+    from weakcm import dodson_core
 
     if report.n_prime == 1:
         return "Deg2"
     if report.n_prime == 2:
-        return dodson.quartic_case_alias(report.triple)
+        return dodson_core.quartic_case_alias(report.triple)
     if report.n_prime != 3:
         return report.tag
     labelled = [((i, b), (q, p) if b else (p, q))
                 for i, (p, q) in report.pair_labels.items() for b in (0, 1)]
-    part = dodson.partition_from_labels(3, report.n, labelled)
+    part = dodson_core.partition_from_labels(3, report.n, labelled)
     classes = class_table(3, part)
     return classes[find_class(report.group, classes, part)][2]
 
 
 def identify_group_by_universe(elements):
-    """The name ``dodson.identify_group`` gives, with the invariants read
+    """The name ``dodson_reflex.identify_group`` gives, with the invariants read
     off the ``universe(N)`` tables restricted to the subgroup; its oracle."""
-    from weakcm import dodson
+    from weakcm import dodson, dodson_reflex
 
     U = dodson.universe(elements[0].N)
-    invariants = dodson._group_invariants(U.mul, U.inv, [U.index[g] for g in elements])
-    return dodson._GROUP_NAMES.get(invariants, f"order-{invariants[0]}")
+    invariants = dodson_reflex._group_invariants(U.mul, U.inv, [U.index[g] for g in elements])
+    return dodson_reflex._GROUP_NAMES.get(invariants, f"order-{invariants[0]}")
 
 
 class CayleyTable:
     """Finite group as an index table, built from an element product; the
-    oracle for ``dodson._group_invariants``."""
+    oracle for ``dodson_reflex._group_invariants``."""
 
     def __init__(self, elements, mul_fn):
         self.elements = list(elements)
@@ -740,7 +740,7 @@ def _cyclic_product(*orders):
 
 
 def _perm_product(perms, cyclic_order):
-    from weakcm.dodson import perm_mul
+    from weakcm.dodson_core import perm_mul
 
     elems = [(c, p) for c in range(cyclic_order) for p in perms]
 
@@ -760,8 +760,8 @@ def _perm_sign(p):
 
 
 def model_group(name):
-    """The reference groups of ``dodson.LEVEL_GROUP_MODELS`` as Cayley
-    tables; the oracle for ``dodson._MODEL_INVARIANTS``."""
+    """The reference groups of ``dodson_reflex.LEVEL_GROUP_MODELS`` as Cayley
+    tables; the oracle for ``dodson_reflex._MODEL_INVARIANTS``."""
     from weakcm.dodson import universe
 
     if name == "Z2^3":
