@@ -80,6 +80,9 @@ def cmd_dodson_classify(args):
     from . import dodson_classes
 
     _check_n(args)
+    # the size checks come before the partition, which has 2N slots; the
+    # enumeration is cached, so classify_conjugacy does not redo it
+    dodson_classes.enumerate_admissible(args.n, bound=_bound(args))
     name, partition = _parse_partition(args)
     classes = dodson_classes.classify_conjugacy(args.n, partition, bound=_bound(args))
     return serialize.classification_report(args.n, name, classes)

@@ -130,7 +130,6 @@ class GaloisGroupData(NamedTuple):
     of K', ordered (phi', s0 phi', s0^2 phi', s0^3 phi') in cases B/C and
     (phi', s1 phi', s2 phi', s1 s2 phi') in case A."""
 
-    field: CMFieldData
     elements: tuple            # GaloisElement, deterministic order
     conj_index: int            # index of complex conjugation rho
     embedding_words: tuple     # label of the coset representative per slot
@@ -178,7 +177,6 @@ def galois_group(field: CMFieldData) -> GaloisGroupData:
         raise MathError("conjugation pairing has a fixed embedding")
 
     return GaloisGroupData(
-        field=field,
         elements=elements,
         conj_index=conj_index,
         embedding_words=words,

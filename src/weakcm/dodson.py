@@ -7,11 +7,13 @@ process compiles only what its subcommand runs.  The module stays for two
 reasons.  The |Im(N,2)|^2 table ``universe(N)`` (``_Universe``) and the
 brute-force lattice walk ``_enumerate_admissible_walk`` are test oracles
 that ``perfbench/spans.py`` wraps here by name; ROADMAP item 16 moves them
-to the tests.  The tracer also wraps ``enumerate_admissible``,
-``classify_conjugacy``, ``reflex_from_dodson``, ``triple_from_group`` and
-``group_from_triple`` as ``dodson.<name>``, so this module re-exports them;
-its ``replace`` patches every loaded module that holds the same function, so
-production calls still pass through the wrappers.  ROADMAP item 5, a trace
+to the tests.  ``universe(N)`` is bounded like every Im(N,2) computation:
+the S_N tables it is built from refuse N > ``UNIVERSE_BOUND``.  The tracer
+also wraps ``enumerate_admissible``, ``classify_conjugacy``,
+``reflex_from_dodson``, ``triple_from_group`` and ``group_from_triple`` as
+``dodson.<name>``, so this module re-exports them; its ``replace`` patches
+every loaded module that holds the same function, so production calls
+still pass through the wrappers.  ROADMAP item 5, a trace
 the library owns, retires those wrappers, and then this module.
 """
 
@@ -22,7 +24,6 @@ from functools import lru_cache
 from .dodson_classes import classify_conjugacy, enumerate_admissible
 from .dodson_core import (
     ImN2Element,
-    _check_universe_bound,
     _is_transitive,
     _sn_tables,
     group_from_triple,
@@ -103,8 +104,8 @@ class _Universe:
 
 @lru_cache(maxsize=None)
 def universe(N: int) -> _Universe:
-    """The ``_Universe`` tables of Im(N,2), for the walk and the test oracles."""
-    _check_universe_bound(N)
+    """The ``_Universe`` tables of Im(N,2), for the walk and the test oracles;
+    the S_N tables they are built from check N against ``UNIVERSE_BOUND``."""
     return _Universe(N)
 
 

@@ -20,7 +20,6 @@ from .dodson_core import (
     DodsonTriple,
     HodgePartition,
     _canonical,
-    _check_universe_bound,
     _closure_by_generators,
     _conjugacy_orbit,
     _elements,
@@ -47,9 +46,9 @@ def enumerate_admissible(N: int, bound: int = ENUMERATION_BOUND_DEFAULT):
     (``ImN2Element`` order: bits, then perm), the list sorted.
 
     Built from the triples (G0, V, s), not by searching Im(N,2): see
-    ``_enumerate_admissible_triples``.  N is capped by ``bound`` and, like
-    every Im(N,2) table, by ``UNIVERSE_BOUND``; both are checked before any
-    work, after ``InvalidPairCount`` for N < 1.  The lattice walk
+    ``_enumerate_admissible_triples``.  N is capped by ``bound``, checked
+    after ``InvalidPairCount`` for N < 1, and then by ``UNIVERSE_BOUND``,
+    which the S_N tables check before any work.  The lattice walk
     ``dodson._enumerate_admissible_walk`` is the test oracle for this list.
     """
     if N < 1:
@@ -58,7 +57,6 @@ def enumerate_admissible(N: int, bound: int = ENUMERATION_BOUND_DEFAULT):
         )
     if N > bound:
         raise BoundExceeded(f"N = {N} exceeds the enumeration bound {bound}")
-    _check_universe_bound(N)
     return list(_enumerate_admissible_cached(N))
 
 
@@ -173,16 +171,18 @@ def classify_conjugacy(N: int, partition: HodgePartition,
     """Orbits of the admissible subgroups under conjugation by S~, sorted by
     the canonical (minimal) representative of each orbit.
 
-    One orbit is computed per class, |S~| conjugations: every member of an
-    orbit is marked as seen, so the later subgroups of the class are
-    skipped.
+    The sizes are checked first, by ``enumerate_admissible``, and only then
+    the partition and its stabilizer.  One orbit is computed per class,
+    |S~| conjugations: every member of an orbit is marked as seen, so the
+    later subgroups of the class are skipped.
     """
+    subgroups = enumerate_admissible(N, bound=bound)
     if partition.N != N:
         raise InvalidPartition("partition is for a different N")
     stab = partition.stabilizer()
     seen = set()
     by_class = {}
-    for elements in enumerate_admissible(N, bound=bound):
+    for elements in subgroups:
         H = frozenset(_indices(elements))
         if H in seen:
             continue

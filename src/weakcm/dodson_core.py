@@ -15,15 +15,20 @@ and the one-cocycle g -> (bit coset over g).
 This module holds the S_N tables (``_sn_tables``) every computation works
 on, the triples, the subgroup test of element lists, the Hodge-type
 partitions of the slots with their stabilizers, the conjugacy orbits under
-a stabilizer, and ``AbstractCMType``.  The enumeration and classification of
-admissible subgroups are in ``dodson_classes``, the reflex data and the group
-names in ``dodson_reflex``: a fresh process compiles only the group code its
+a stabilizer, and ``AbstractCMType``.  The tables own the bound
+N <= ``UNIVERSE_BOUND``: ``_sn_index`` refuses a larger N before anything
+is built, so no computation on them checks N itself.  Every partition, a
+preset or a block list, is built by ``partition_from_labels``.  The
+enumeration and classification of admissible subgroups are in
+``dodson_classes``, the reflex data and the group names in
+``dodson_reflex``: a fresh process compiles only the group code its
 subcommand runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -88,7 +93,19 @@ UNIVERSE_BOUND = 5  # Dodson computations are bounded to N <= 5: |Im(5,2)| = 384
 @lru_cache(maxsize=None)
 def _sn_index(N: int):
     """``(bit_idx, perm_idx)``: each bit vector's and permutation's index in
-    ``_sn_tables``, the dicts in that order."""
+    ``_sn_tables``, the dicts in that order.
+
+    Every Im(N,2) computation reads these tables, so this is where N is
+    checked against ``UNIVERSE_BOUND``: a larger N raises ``BoundExceeded``
+    before anything is built, and ``lru_cache`` keeps no entry for it.  The
+    message writes the order 2^N N! exactly only up to N = 10: past that its
+    digits grow like N log N, and converting them took seconds."""
+    if N > UNIVERSE_BOUND:
+        order = im_order(N) if N <= 10 else f"2^{N} * {N}!"
+        raise BoundExceeded(
+            f"Im({N},2) has order {order}; Dodson computations are "
+            f"bounded to N <= {UNIVERSE_BOUND}"
+        )
     return ({b: i for i, b in enumerate(itertools.product((0, 1), repeat=N))},
             {p: i for i, p in enumerate(itertools.permutations(range(N)))})
 
@@ -111,17 +128,7 @@ def _sn_tables(N: int):
     return bitvecs, perms, pmul, act, pinv
 
 
-def _check_universe_bound(N: int):
-    if N > UNIVERSE_BOUND:
-        raise BoundExceeded(
-            f"Im({N},2) has order {im_order(N)}; Dodson computations are "
-            f"bounded to N <= {UNIVERSE_BOUND}"
-        )
-
-
 def im_order(N: int) -> int:
-    import math
-
     return (2 ** N) * math.factorial(N)
 
 
@@ -162,8 +169,6 @@ def _is_transitive(perms, N) -> bool:
 
 def perm_group_name(perms, N: int) -> str:
     """Conventional name of a permutation group on N points (small N only)."""
-    import math
-
     order = len(perms)
     if order == math.factorial(N):
         return f"S{N}"
@@ -263,13 +268,13 @@ def _indices(elements):
 def triple_from_group(elements) -> DodsonTriple:
     """Extract the (G0, V, s) coordinates; raises NotAdmissible otherwise.
 
-    N is capped by ``UNIVERSE_BOUND``, like every Im(N,2) computation.
+    The S_N tables check N against ``UNIVERSE_BOUND``, as for every
+    Im(N,2) computation.
     """
     elements = tuple(elements)
     if not elements:
         raise NotAdmissible("empty element list")
     N = elements[0].N
-    _check_universe_bound(N)
     fibres = _fibres(elements)
     if not _fibres_form_subgroup(fibres, N):
         raise _violation(NotAdmissible, "subgroup")
@@ -312,10 +317,9 @@ def missing_product(elements):
     ``_fibres_form_subgroup``; otherwise the witness 'a * b = ab is missing'
     for the first pair (a, b) of listed elements, in ``ImN2Element`` order,
     whose product is not listed, found on the S_N tables by the product
-    formula of ``dodson_reflex._subgroup_table``.  N is capped by
-    ``UNIVERSE_BOUND``."""
+    formula of ``dodson_reflex._subgroup_table``.  The S_N tables check N
+    against ``UNIVERSE_BOUND``."""
     N = elements[0].N
-    _check_universe_bound(N)
     if _fibres_form_subgroup(_fibres(elements), N):
         return None
     _, _, pmul, act, _ = _sn_tables(N)
@@ -333,9 +337,9 @@ def missing_product(elements):
 
 def group_from_triple(t: DodsonTriple):
     """Reconstruct the subgroup; validates every triple condition by name,
-    those of ``_triple_violation`` first.  N is capped by ``UNIVERSE_BOUND``."""
+    those of ``_triple_violation`` first.  The S_N tables check N against
+    ``UNIVERSE_BOUND``."""
     N = t.N
-    _check_universe_bound(N)
     bit_idx, perm_idx = _sn_index(N)
     g0 = {perm_idx.get(p) for p in t.g0}
     v = {bit_idx.get(b) for b in t.v}
@@ -400,51 +404,36 @@ class HodgePartition(NamedTuple):
 
     def stabilizer(self):
         """Elements of Im(N,2) preserving every block (the group S~), in
-        ``ImN2Element`` order; N is capped by ``UNIVERSE_BOUND``."""
-        _check_universe_bound(self.N)
-        return tuple(g for g in _elements(self.N, range(im_order(self.N)))
+        ``ImN2Element`` order; the S_N tables check N against
+        ``UNIVERSE_BOUND`` before any element is listed."""
+        bitvecs, perms, _, _, _ = _sn_tables(self.N)
+        return tuple(g for g in _elements(self.N, range(len(bitvecs) * len(perms)))
                      if all(act_slot(g, s) in slots for _, slots in self.blocks
                             for s in slots))
 
 
-def partition_abl(N: int) -> HodgePartition:
-    return HodgePartition(
-        N, 1,
-        (
-            ((1, 0), frozenset((i, 0) for i in range(N))),
-            ((0, 1), frozenset((i, 1) for i in range(N))),
-        ),
-    ).validate()
-
-
-def partition_k3(N: int) -> HodgePartition:
-    blocks = [((2, 0), frozenset({(0, 0)})), ((0, 2), frozenset({(0, 1)}))]
-    middle = frozenset((i, b) for i in range(1, N) for b in (0, 1))
-    if middle:
-        blocks.append(((1, 1), middle))
-    return HodgePartition(N, 2, tuple(blocks)).validate()
-
-
-def partition_cy3(N: int) -> HodgePartition:
-    blocks = [((3, 0), frozenset({(0, 0)})), ((0, 3), frozenset({(0, 1)}))]
-    if N > 1:
-        blocks.append(((2, 1), frozenset((i, 0) for i in range(1, N))))
-        blocks.append(((1, 2), frozenset((i, 1) for i in range(1, N))))
-    return HodgePartition(N, 3, tuple(blocks)).validate()
-
-
-_PARTITION_PRESETS = {"abl": partition_abl, "k3": partition_k3, "cy3": partition_cy3}
+# the label rule of each preset partition: (weight, p of the first pair,
+# p of every other pair)
+_PRESET_LABELS = {"abl": (1, 1, 1), "k3": (2, 2, 1), "cy3": (3, 3, 2)}
 
 
 def partition_preset(name: str, N: int) -> HodgePartition:
+    """The named preset partition: slot (i, 0) is labelled (p, weight - p)
+    and (i, 1) the mirror label, with p from ``_PRESET_LABELS``."""
     try:
-        return _PARTITION_PRESETS[name.lower()](N)
+        weight, first, rest = _PRESET_LABELS[name.lower()]
     except KeyError:
         raise InvalidPartition(f"unknown partition preset {name!r}") from None
+    labelled = []
+    for i in range(N):
+        p = rest if i else first
+        labelled += [((i, 0), (p, weight - p)), ((i, 1), (weight - p, p))]
+    return partition_from_labels(N, weight, labelled)
 
 
 def partition_from_labels(N: int, weight: int, labelled_slots) -> HodgePartition:
-    """Build a partition from an iterable of (slot, (p, q))."""
+    """Build a partition from an iterable of (slot, (p, q)), its blocks
+    ordered by (-p, q)."""
     blocks: dict = {}
     for slot, label in labelled_slots:
         blocks.setdefault(tuple(label), set()).add(tuple(slot))

@@ -19,7 +19,6 @@ from .dodson_core import (
     DodsonTriple,
     ImN2Element,
     _canonical,
-    _check_universe_bound,
     _closure_by_generators,
     _conjugacy_orbit,
     _elements,
@@ -246,9 +245,8 @@ def identify_group(elements) -> str:
     """Name the abstract isomorphism type of an Im(N,2) subgroup by the
     invariants of ``_group_invariants`` on its own table (``_subgroup_table``,
     faster than ``dodson.universe(N)`` for the small level groups, slower for
-    all of Im(4,2)); other names fall back to 'order-k'.  N is capped by
-    ``UNIVERSE_BOUND`` before any table is built."""
-    _check_universe_bound(elements[0].N)
+    all of Im(4,2)); other names fall back to 'order-k'.  The S_N tables
+    check N against ``UNIVERSE_BOUND`` before any table is built."""
     mul, inv = _subgroup_table(elements)
     invariants = _group_invariants(mul, inv, range(len(mul)))
     return _GROUP_NAMES.get(invariants, f"order-{invariants[0]}")

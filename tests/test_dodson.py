@@ -538,6 +538,27 @@ def test_enumerate_bound():
     assert "N <= 5" in str(err.value)
 
 
+@pytest.mark.parametrize("N,order", [(6, "46080"), (10, "3715891200"),
+                                     (11, "2^11 * 11!"), (400000, "2^400000 * 400000!")])
+def test_bound_message_writes_the_order_while_it_is_short(N, order):
+    with pytest.raises(BoundExceeded) as err:
+        enumerate_admissible(N, bound=N)
+    assert str(err.value) == (f"Im({N},2) has order {order}; Dodson computations "
+                              "are bounded to N <= 5")
+
+
+def test_classification_checks_sizes_before_the_stabilizer(monkeypatch):
+    # N = 5 without bound=5 is refused before the 3840-element scan for S~,
+    # and before a partition of another N is reported
+    def refuse(self):
+        raise AssertionError("the stabilizer was built before the size checks")
+
+    monkeypatch.setattr(dodson_core.HodgePartition, "stabilizer", refuse)
+    for part in (dodson_core.partition_preset("abl", 5), dodson_core.partition_preset("abl", 3)):
+        with pytest.raises(BoundExceeded, match="exceeds the enumeration bound 4"):
+            dodson_classes.classify_conjugacy(5, part)
+
+
 def test_enumeration_never_walks(monkeypatch):
     # the walk and the Im(N,2) closures are test oracles only
     def refuse(*args, **kwargs):
@@ -557,6 +578,46 @@ def test_enumeration_never_walks(monkeypatch):
 
 
 # ---------------------------------------------------------------- classification
+
+
+# the blocks of each preset partition, written out, in the order of
+# partition_from_labels: by (-p, q)
+_PRESET_BLOCKS = {
+    ("abl", 1): [((1, 0), [(0, 0)]), ((0, 1), [(0, 1)])],
+    ("abl", 2): [((1, 0), [(0, 0), (1, 0)]), ((0, 1), [(0, 1), (1, 1)])],
+    ("abl", 3): [((1, 0), [(0, 0), (1, 0), (2, 0)]), ((0, 1), [(0, 1), (1, 1), (2, 1)])],
+    ("abl", 4): [((1, 0), [(0, 0), (1, 0), (2, 0), (3, 0)]),
+                 ((0, 1), [(0, 1), (1, 1), (2, 1), (3, 1)])],
+    ("abl", 5): [((1, 0), [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]),
+                 ((0, 1), [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)])],
+    ("k3", 1): [((2, 0), [(0, 0)]), ((0, 2), [(0, 1)])],
+    ("k3", 2): [((2, 0), [(0, 0)]), ((1, 1), [(1, 0), (1, 1)]), ((0, 2), [(0, 1)])],
+    ("k3", 3): [((2, 0), [(0, 0)]), ((1, 1), [(1, 0), (1, 1), (2, 0), (2, 1)]),
+                ((0, 2), [(0, 1)])],
+    ("k3", 4): [((2, 0), [(0, 0)]),
+                ((1, 1), [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]),
+                ((0, 2), [(0, 1)])],
+    ("k3", 5): [((2, 0), [(0, 0)]),
+                ((1, 1), [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)]),
+                ((0, 2), [(0, 1)])],
+    ("cy3", 1): [((3, 0), [(0, 0)]), ((0, 3), [(0, 1)])],
+    ("cy3", 2): [((3, 0), [(0, 0)]), ((2, 1), [(1, 0)]), ((1, 2), [(1, 1)]),
+                 ((0, 3), [(0, 1)])],
+    ("cy3", 3): [((3, 0), [(0, 0)]), ((2, 1), [(1, 0), (2, 0)]),
+                 ((1, 2), [(1, 1), (2, 1)]), ((0, 3), [(0, 1)])],
+    ("cy3", 4): [((3, 0), [(0, 0)]), ((2, 1), [(1, 0), (2, 0), (3, 0)]),
+                 ((1, 2), [(1, 1), (2, 1), (3, 1)]), ((0, 3), [(0, 1)])],
+    ("cy3", 5): [((3, 0), [(0, 0)]), ((2, 1), [(1, 0), (2, 0), (3, 0), (4, 0)]),
+                 ((1, 2), [(1, 1), (2, 1), (3, 1), (4, 1)]), ((0, 3), [(0, 1)])],
+}
+
+
+@pytest.mark.parametrize("name,N", sorted(_PRESET_BLOCKS))
+def test_preset_partition_blocks(name, N):
+    part = dodson_core.partition_preset(name, N)
+    assert (part.N, part.weight) == (N, {"abl": 1, "k3": 2, "cy3": 3}[name])
+    assert part.blocks == tuple((label, frozenset(slots))
+                                for label, slots in _PRESET_BLOCKS[name, N])
 
 
 @pytest.mark.parametrize(
