@@ -2,8 +2,9 @@
 
 Subcommands map one-to-one onto the library operations; input documents are
 JSON files (see README for the schemas), output is a deterministic report
-envelope on stdout.  Exit codes: 0 ok (status ``ok``), 1 invalid input
-(status ``invalid-input``, a named condition), 2 a math error (status
+envelope on stdout, byte for byte what ``json.dumps(report, indent=2)``
+writes (``_json_text``).  Exit codes: 0 ok (status ``ok``), 1 invalid
+input (status ``invalid-input``, a named condition), 2 a math error (status
 ``math-error``) or an unexpected exception, which is a library bug (status
 ``internal-error``, condition ``internal``).
 
@@ -32,6 +33,7 @@ import atexit
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import InputError, WeakCMError
 
@@ -128,9 +130,45 @@ def _emit_text(obj, indent=0, key=None, lines=None):
     return lines
 
 
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(obj, pad="\n"):
+    """``json.dumps(obj, indent=2)``, byte for byte, for the values reports
+    hold: dicts with str keys, lists, str, int, bool and None.  Anything
+    else raises ``TypeError``, as ``json.dumps`` does for unknown types.
+
+    With ``indent`` set, ``json`` encodes in pure Python, one call per
+    value; here a list of strings is one join over the C string encoder,
+    and ``pad`` is the newline and indent of the enclosing level."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return _JSON_CONSTANTS[obj]
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is list:
+        if not obj:
+            return "[]"
+        try:
+            body = sep.join(map(_encode_str, obj))
+        except TypeError:  # not all strings
+            body = sep.join([_json_text(x, inner) for x in obj])
+        return "[" + inner + body + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join([_encode_str(k) + ": " + _json_text(v, inner)
+                                       for k, v in obj.items()]) + pad + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _print_report(report, emit):
     if emit == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json_text(report) + "\n")
     else:
         sys.stdout.write("\n".join(_emit_text(report)) + "\n")
 

@@ -12,7 +12,8 @@ from .errors import BadPartitionOption, InvalidPairCount
 def _check_n(args):
     if args.n < 1:
         raise InvalidPairCount(
-            f"--n {args.n} is below 1: Im(N,2) needs at least one conjugate pair"
+            f"--n {dodson_core.int_text(args.n)} is below 1: Im(N,2) needs at "
+            "least one conjugate pair"
         )
 
 
@@ -40,6 +41,7 @@ def _parse_partition(args):
     name = args.partition
     if name in ("abl", "k3", "cy3"):
         return name, dodson_core.partition_preset(name, args.n)
+    serialize.check_depth(name, "--partition")
     try:
         doc = json.loads(name)
     except json.JSONDecodeError:

@@ -27,6 +27,7 @@ from .dodson_core import (
     _is_transitive,
     _lift,
     _sn_tables,
+    int_text,
     quartic_case_alias,
     triple_from_group,
 )
@@ -53,10 +54,12 @@ def enumerate_admissible(N: int, bound: int = ENUMERATION_BOUND_DEFAULT):
     """
     if N < 1:
         raise InvalidPairCount(
-            f"N = {N} is below 1: Im(N,2) needs at least one conjugate pair"
+            f"N = {int_text(N)} is below 1: Im(N,2) needs at least one conjugate pair"
         )
     if N > bound:
-        raise BoundExceeded(f"N = {N} exceeds the enumeration bound {bound}")
+        raise BoundExceeded(
+            f"N = {int_text(N)} exceeds the enumeration bound {int_text(bound)}"
+        )
     return list(_enumerate_admissible_cached(N))
 
 

@@ -99,11 +99,13 @@ def _sn_index(N: int):
     checked against ``UNIVERSE_BOUND``: a larger N raises ``BoundExceeded``
     before anything is built, and ``lru_cache`` keeps no entry for it.  The
     message writes the order 2^N N! exactly only up to N = 10: past that its
-    digits grow like N log N, and converting them took seconds."""
+    digits grow like N log N, and converting them took seconds.  N itself
+    goes through ``int_text``."""
     if N > UNIVERSE_BOUND:
-        order = im_order(N) if N <= 10 else f"2^{N} * {N}!"
+        n = int_text(N)
+        order = im_order(N) if N <= 10 else f"2^{n} * {n}!"
         raise BoundExceeded(
-            f"Im({N},2) has order {order}; Dodson computations are "
+            f"Im({n},2) has order {order}; Dodson computations are "
             f"bounded to N <= {UNIVERSE_BOUND}"
         )
     return ({b: i for i, b in enumerate(itertools.product((0, 1), repeat=N))},
@@ -126,6 +128,13 @@ def _sn_tables(N: int):
     act = [[bit_idx[perm_apply_bits(p, b)] for b in bitvecs] for p in perms]
     pinv = [perm_idx[perm_inv(p)] for p in perms]
     return bitvecs, perms, pmul, act, pinv
+
+
+def int_text(n: int) -> str:
+    """``n`` in decimal while it has at most 20 digits, else its digit count
+    ("<4000 digits>", signed), so that a message quoting a size stays short."""
+    s = str(abs(n))
+    return str(n) if len(s) <= 20 else f"{'-' if n < 0 else ''}<{len(s)} digits>"
 
 
 def im_order(N: int) -> int:

@@ -37,6 +37,16 @@ class NotAnInteger(InputError):
     condition = "input:integer"
 
 
+class DocumentTooDeep(InputError):
+    """A JSON input nests its lists and objects more than ``DEPTH`` levels
+    deep.  No schema nests deeper than about 6; a fixed cap far below the
+    interpreter's recursion limit refuses the same documents on every Python
+    version, whatever the stack holds."""
+
+    condition = "input:depth"
+    DEPTH = 64
+
+
 class MathError(WeakCMError):
     """Arithmetic impossibility or internal inconsistency (CLI exit code 2)."""
 

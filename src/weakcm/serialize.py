@@ -13,14 +13,17 @@ loads the field towers).
 from __future__ import annotations
 
 import json
+import re
 import sys
 
-from .errors import ElementsNotClosed, InputError, NotAnInteger, RationalTooLarge
+from .errors import (DocumentTooDeep, ElementsNotClosed, InputError, NotAnInteger,
+                     RationalTooLarge)
 
 
 def load_document(path):
     """The JSON document in the file ``path``, or on stdin when ``path`` is
-    None or "-"; a named input error when it cannot be read or parsed."""
+    None or "-"; a named input error when it cannot be read or parsed, or
+    nests too deep (``check_depth``)."""
     if path in (None, "-"):
         text = sys.stdin.read()
     else:
@@ -29,10 +32,40 @@ def load_document(path):
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read input file: {exc}") from exc
+    check_depth(text, "the input document")
     try:
         return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
+
+
+# a JSON string (skipped whole, so brackets inside it do not count) or a
+# bracket; compiled on first use, so a process that never walks never pays.
+# The closing quote is optional: an unterminated string then runs to the end
+# of the text in one match instead of one failed scan per later quote, which
+# made the walk quadratic, and json.loads still reports the bad JSON
+_JSON_BRACKET = r'(?s)"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]'
+
+
+def check_depth(text: str, what: str):
+    """Refuse the JSON ``text`` by name when its lists and objects nest
+    more than ``DocumentTooDeep.DEPTH`` deep, before ``json.loads`` could
+    run out of stack.  The bracket count bounds the depth, so only a text
+    with more brackets than the cap is walked."""
+    cap = DocumentTooDeep.DEPTH
+    if text.count("[") + text.count("{") <= cap:
+        return
+    depth = 0
+    for token in re.finditer(_JSON_BRACKET, text):
+        token = token.group()
+        if token == "[" or token == "{":
+            depth += 1
+            if depth > cap:
+                raise DocumentTooDeep(
+                    f"{what} nests lists and objects more than {cap} levels deep"
+                )
+        elif token == "]" or token == "}":
+            depth -= 1
 
 
 def _json_int(literal: str) -> int:

@@ -7,11 +7,13 @@ import random
 import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
 from util import missing_product_by_loop
-from weakcm import cli, dodson_classes, dodson_core, tausplit
+from weakcm import cli, dodson_classes, dodson_core, serialize, tausplit
 from weakcm.errors import InvalidPairCount, MathError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -380,6 +382,7 @@ def test_dodson_n4_stdout_pinned(capsys, argv):
     code, out = run_cli(capsys, argv[0], "--n", "4", *argv[1:])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _N4_STDOUT_SHA256[argv]
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # sha256 of the stdout at N = 5.  The class counts are also found by
@@ -402,6 +405,7 @@ def test_dodson_n5_stdout_pinned(capsys, partition):
     assert code == 0
     assert json.loads(out)["payload"]["class_count"] == _N5_CLASS_COUNTS[partition]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _N5_STDOUT_SHA256[partition]
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_dodson_enum_beyond_tables_is_refused_at_once():
@@ -461,6 +465,30 @@ def test_refusal_of_a_large_n_is_short(capsys):
     assert diag["condition"] == "dodson:bound-exceeded"
     assert len(diag["message"]) < 200
     assert diag["message"].startswith("Im(30000,2) has order 2^30000 * 30000!;")
+
+
+_HUGE_N = "9" * 4000  # argparse reads --n and --bound under the int-string limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["dodson-enum", "--n", _HUGE_N],
+    ["dodson-enum", "--n", _HUGE_N, "--bound", _HUGE_N],
+    ["dodson-enum", "--n", "-" + _HUGE_N],
+    ["dodson-enum", "--n", "3", "--bound", "-" + _HUGE_N],
+    ["dodson-classify", "--n", _HUGE_N, "--partition", "k3"],
+    ["dodson-classify", "--n", _HUGE_N, "--bound", _HUGE_N, "--partition", "abl"],
+    ["dodson-classify", "--n", "-" + _HUGE_N, "--partition", "cy3"],
+], ids=["enum-n", "enum-n-bound", "enum-negative-n", "enum-negative-bound",
+        "classify-n", "classify-n-bound", "classify-negative-n"])
+def test_every_refusal_of_a_long_size_is_short(capsys, argv):
+    # N and the bound are quoted in full up to 20 digits, then by their digit
+    # count: these messages ran to 4,036 and 12,066 characters
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    diag = json.loads(out)["diagnostics"][0]
+    assert diag["condition"] in ("dodson:bound-exceeded", "dodson:pair-count")
+    assert len(diag["message"]) < 200
+    assert "<4000 digits>" in diag["message"]
 
 
 def test_emit_text(capsys):
@@ -774,6 +802,73 @@ def test_golden_script_checks_the_golden_table():
         assert want == {"ok": "0", "invalid-input": "1"}[status], golden
 
 
+# ---------------------------------------------------------------- the emitter
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    # 5000-digit ints, as cli.main prints them
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("golden", sorted(f for f in os.listdir(DATA)
+                                          if f.endswith(".golden.json")))
+def test_emitter_matches_json_dumps_on_the_goldens(golden):
+    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+        text = fh.read()
+    report = json.loads(text)
+    assert cli._json_text(report) + "\n" == json.dumps(report, indent=2) + "\n" == text
+
+
+_EMIT_CHARS = 'ab/-09 "\\\x00\x1f\x7f\n\t\u00e9\u2603\ud800\U0001f600'
+
+
+def _report_tree(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice([
+            lambda: "".join(rng.choice(_EMIT_CHARS) for _ in range(rng.randrange(6))),
+            lambda: rng.randrange(-10 ** 6, 10 ** 6),
+            lambda: rng.randrange(10 ** 4999, 10 ** 5000) * rng.choice((1, -1)),
+            lambda: rng.choice((True, False, None, 0, 1)),
+        ])()
+    size = rng.randrange(5)
+    if roll < 0.5:  # a list of strings, the emitter's one-join case
+        return [_report_tree(rng, 0) if rng.random() < 0.1 else
+                "".join(rng.choice(_EMIT_CHARS) for _ in range(rng.randrange(4)))
+                for _ in range(size)]
+    if roll < 0.75:
+        return [_report_tree(rng, depth - 1) for _ in range(size)]
+    return {"".join(rng.choice(_EMIT_CHARS) for _ in range(rng.randrange(4))):
+            _report_tree(rng, depth - 1) for _ in range(size)}
+
+
+def test_emitter_matches_json_dumps_on_random_trees(no_int_digit_limit):
+    rng = random.Random(2031)
+    for _ in range(400):
+        tree = _report_tree(rng, rng.randrange(6))
+        assert cli._json_text(tree) == json.dumps(tree, indent=2)
+    for empty in ([], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}]):
+        assert cli._json_text(empty) == json.dumps(empty, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), Fraction(1, 2), {1: "a"}, ["a", 1.5], ["a", ("b",)],
+    {"a": [Fraction(1, 2)]}, [[0, 1], {"x": {2: None}}],
+], ids=["float", "tuple", "Fraction", "int-key", "float-in-strings",
+        "tuple-in-strings", "nested-Fraction", "nested-int-key"])
+def test_emitter_refuses_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
 def test_galois_subcommand(capsys):
     code, out = run_cli(capsys, "galois", "--input",
                         os.path.join(DATA, "field_b.json"))
@@ -1081,6 +1176,63 @@ def test_non_object_document_is_named_input_error(tmp_path, capsys, sub, text):
     assert code == 1
     assert report["status"] == "invalid-input"
     assert "must be an object" in report["diagnostics"][0]["message"]
+
+
+# ---------------------------------------------------------------- deep documents
+
+
+_DEEP = "[" * 990 + "]" * 990
+
+
+@pytest.mark.parametrize("sub", _INPUT_SUBCOMMANDS)
+@pytest.mark.parametrize("text", [_DEEP, '{"p": %s}' % _DEEP], ids=["list", "in-object"])
+def test_deep_document_is_a_named_input_error(tmp_path, capsys, sub, text):
+    # json.loads ran out of stack here: exit 2, internal-error
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(capsys, sub, "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0] == {
+        "condition": "input:depth",
+        "message": "the input document nests lists and objects more than 64 levels deep",
+    }
+
+
+@pytest.mark.parametrize("text, refused", [
+    ("[" * 64 + "]" * 64, False),
+    ("[" * 65 + "]" * 65, True),
+    ('{"p": %s}' % ("[" * 63 + "]" * 63), False),
+    ('{"p": %s}' % ("[" * 64 + "]" * 64), True),
+    ('{"p": "%s", "q": %s}' % ("[" * 1000, "[[[]]]"), False),  # brackets in a string
+    ('{"p": "\\"%s"}' % ("{" * 1000), False),  # after an escaped quote
+    ("[%s]" % ",".join(["[]"] * 500), False),  # many brackets, shallow
+    # walked (65 brackets), then a string with no closing quote
+    ('[%s, "%s' % (",".join(["[]"] * 65), '\\"' * 100_000), False),
+])
+def test_the_depth_cap_counts_nesting(tmp_path, capsys, text, refused):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(capsys, "classify-field", "--input", str(path))
+    assert code == 1
+    assert (json.loads(out)["diagnostics"][0]["condition"] == "input:depth") == refused
+
+
+def test_the_depth_walk_is_linear_in_an_unterminated_string():
+    # every escaped quote could start a string token: a walk that rescans
+    # the rest of the text from each one takes minutes here, not milliseconds
+    text = "[]" * 65 + '"' + '\\"' * 100_000
+    start = time.perf_counter()
+    serialize.check_depth(text, "the input document")
+    assert time.perf_counter() - start < 5
+
+
+def test_deep_partition_is_a_named_input_error(capsys):
+    code, out = run_cli(capsys, "dodson-classify", "--n", "3", "--partition", "[" * 990)
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0] == {
+        "condition": "input:depth",
+        "message": "--partition nests lists and objects more than 64 levels deep",
+    }
 
 
 def _k3t2_contained(tmp_path, capsys, character):

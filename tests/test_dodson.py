@@ -547,6 +547,24 @@ def test_bound_message_writes_the_order_while_it_is_short(N, order):
                               "are bounded to N <= 5")
 
 
+def test_int_text_abbreviates_past_twenty_digits():
+    for n, want in ((10 ** 20 - 1, str(10 ** 20 - 1)), (10 ** 20, "<21 digits>"), (0, "0")):
+        assert dodson_core.int_text(n) == want
+        assert dodson_core.int_text(-n) == ("-" + want if n else want)
+
+
+def test_bound_message_abbreviates_a_long_n():
+    N = 10 ** 4000
+    with pytest.raises(BoundExceeded) as err:
+        enumerate_admissible(N, bound=N)
+    assert str(err.value) == ("Im(<4001 digits>,2) has order 2^<4001 digits> * "
+                              "<4001 digits>!; Dodson computations are bounded to N <= 5")
+    with pytest.raises(BoundExceeded) as err:
+        enumerate_admissible(N, bound=-N)
+    assert str(err.value) == \
+        "N = <4001 digits> exceeds the enumeration bound -<4001 digits>"
+
+
 def test_classification_checks_sizes_before_the_stabilizer(monkeypatch):
     # N = 5 without bound=5 is refused before the 3840-element scan for S~,
     # and before a partition of another N is reported
