@@ -50,7 +50,7 @@ def _parse_partition(args):
         ) from None
     if not isinstance(doc, list) or not doc:
         raise BadPartitionOption(
-            f"--partition block list must be a non-empty JSON list, got {name}"
+            f"--partition block list must be a non-empty JSON list, got {name[:40]}"
         )
     labelled = []
     for i, block in enumerate(doc):
@@ -69,11 +69,12 @@ def _parse_partition(args):
 
 
 def _integer_pair(value, what) -> tuple:
-    """Two JSON integers (not bools or floats), or a named input error."""
+    """Two JSON integers (not bools or floats), or a named input error that
+    quotes at most 40 characters of the value."""
     if (not isinstance(value, list) or len(value) != 2
             or any(type(x) is not int for x in value)):
         raise BadPartitionOption(
-            f"{what} must be a pair of integers, got {json.dumps(value)}"
+            f"{what} must be a pair of integers, got {json.dumps(value)[:40]}"
         )
     return tuple(value)
 

@@ -3,7 +3,11 @@
 Everything is JSON with rationals as "num/den" strings (denominator omitted
 when 1), field elements as arrays of such strings in tower-basis order, and
 fixed key order per schema.  Payload builders insert keys in schema order,
-so serialized output is byte-stable for identical inputs.
+so serialized output is byte-stable for identical inputs.  A period
+matrix's B entries are read straight to integer pairs by
+``tower.read_rational``, and a certificate's S, integer rows over one
+denominator, is written out with one gcd per entry (``integer_rows_out``);
+neither goes through ``Fraction``.
 
 Each function imports the library modules it uses when it is called, so a
 subcommand loads only the layers its documents need (a Dodson document never
@@ -13,6 +17,7 @@ loads the field towers).
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 
@@ -80,10 +85,17 @@ def _json_int(literal: str) -> int:
     return int(literal)
 
 
-def rational_matrix_out(M):
-    from .tower import format_rational
-
-    return [[format_rational(x) for x in row] for row in M]
+def integer_rows_out(rows, den):
+    """Integer rows over ``den > 0`` as "num/den" strings, each entry reduced
+    by one gcd: the strings ``tower.format_rational`` gives its value."""
+    out = []
+    for row in rows:
+        line = []
+        for x in row:
+            g = math.gcd(x, den)
+            line.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        out.append(line)
+    return out
 
 
 def element_matrix_out(M):
@@ -125,27 +137,6 @@ def _int_pairs(doc, what) -> list:
     ):
         return [tuple(pair) for pair in doc]
     raise InputError(f"{what} must be a list of integer pairs")
-
-
-def parse_rational_matrix(doc, n, what):
-    from .tower import parse_rational
-
-    if not isinstance(doc, list) or len(doc) != n:
-        raise InputError(f"{what} must be an {n}x{n} matrix")
-    out = []
-    for i, row in enumerate(doc):
-        if not isinstance(row, list) or len(row) != n:
-            raise InputError(f"{what} must be an {n}x{n} matrix")
-        parsed = []
-        for j, x in enumerate(row):
-            try:
-                parsed.append(parse_rational(x))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(
-                    f"bad rational in {what} at row {i}, column {j}: {exc}"
-                ) from exc
-        out.append(parsed)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +206,11 @@ def reflex_report(data: cmfield.CMFieldData) -> dict:
 
 
 def parse_period_matrix(doc) -> tausplit.PeriodMatrix:
+    """The period matrix of a document, each B entry read straight to an
+    integer pair by ``tower.read_rational``; every shape and entry is
+    checked in order, B1 first, and refused by name."""
     from . import tausplit
+    from .tower import read_rational
 
     if not isinstance(doc, dict):
         raise InputError("period-matrix document must be an object")
@@ -227,8 +222,26 @@ def parse_period_matrix(doc) -> tausplit.PeriodMatrix:
     want = field.degree
     if not isinstance(mats, list) or len(mats) != want:
         raise InputError(f"'B' must list {want} rational matrices for case {field.case}")
-    Bs = [parse_rational_matrix(M, n, f"B{k + 1}") for k, M in enumerate(mats)]
-    return tausplit.period_matrix(field, *Bs)
+    pairs = []
+    for k, M in enumerate(mats):
+        what = f"B{k + 1}"
+        if not isinstance(M, list) or len(M) != n:
+            raise InputError(f"{what} must be an {n}x{n} matrix")
+        rows = []
+        for i, row in enumerate(M):
+            if not isinstance(row, list) or len(row) != n:
+                raise InputError(f"{what} must be an {n}x{n} matrix")
+            read = []
+            for j, x in enumerate(row):
+                try:
+                    read.append(read_rational(x))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise InputError(
+                        f"bad rational in {what} at row {i}, column {j}: {exc}"
+                    ) from exc
+            rows.append(tuple(read))
+        pairs.append(tuple(rows))
+    return tausplit.PeriodMatrix(field, n, tuple(pairs))
 
 
 def validation_report(pm: tausplit.PeriodMatrix, de: tausplit.DeltaEps) -> dict:
@@ -254,7 +267,7 @@ def certificate_report(cert: tausplit.SplitCertificate, verified: bool) -> dict:
         "block_sizes": list(cert.block_sizes),
         "block_fields": [list(b) for b in cert.block_fields],
         "P": element_matrix_out(cert.P),
-        "S": rational_matrix_out(cert.S),
+        "S": integer_rows_out(*cert.S),
     }
     if cert.c1 is not None:
         out["c1"] = element_matrix_out(cert.c1)

@@ -9,10 +9,11 @@ matrices
 
 (g = s1, g' = s2 in the biquadratic case; g = s0, eps = -s0(delta) in the
 quartic cases) and checks the rank split that makes the top-form conjugate
-pure.  tau is assembled from the B entries' integer numerators, and each
-difference matrix (tau - taubar too) is one integer map, (1 - g) or
-(rho - g), applied to each entry's numerators and reduced once; the map is
-built once per tower from the generators' images.  Each difference matrix
+pure.  A period matrix keeps its B entries as integer pairs (num, den), tau
+is assembled from them, and each difference matrix (tau - taubar too) is
+one integer map, (1 - g) or (rho - g), applied to each entry's numerators
+and reduced once; the map is built once per tower from the generators'
+images.  Each difference matrix
 is eliminated once, by ``linalg.column_relations`` of its transpose.
 Splitting reads the renaming and c1/c2 or M off those passes and produces
 an exact certificate (P, S, renaming, c1/c2 or M, standard form) whose
@@ -22,10 +23,13 @@ Split and verify build each piece with the same function: C with
 ``coordinate_change``, the coframe with ``_coframe``.
 
 The S search works on the rational "realification": each coframe row over
-its coefficient field F expands into [F:Q] rational rows; the standard form
-realifies to a permutation matrix, so S is a single exact linear solve and
-P is the identity block matrix, which verification checks rather than
-inverts.
+its coefficient field F expands into [F:Q] rational rows, scaled to
+integers; the standard form realifies to a permutation matrix, so S is a
+single fraction-free solve (``linalg.bareiss``), kept as integer rows over
+one denominator, and P is the identity block matrix, which verification
+checks rather than inverts.  Only the coframe rows S is solved from are
+built for the split (in cases B/C the top n/2); verification rebuilds all
+n.
 """
 
 from __future__ import annotations
@@ -54,26 +58,28 @@ from .errors import (
 RENAMING_SEARCH_BOUND = 1000
 
 class PeriodMatrix:
-    """tau = sum_k B_k * (field.phi_basis monomial k), all B_k rational n x n,
-    given as row-major tuples of rationals (``int`` or ``Fraction``).
+    """tau = sum_k B_k * (field.phi_basis monomial k), all B_k rational n x n.
 
-    The number and shape of the B_k are checked when it is built."""
+    ``pairs`` holds the B_k row-major, each entry an integer pair
+    ``(num, den)`` in lowest terms with ``den > 0``, the form that
+    ``tower.read_rational`` gives.  The number and shape of the B_k are
+    checked when it is built."""
 
-    __slots__ = ("field", "n", "B", "_tau")
+    __slots__ = ("field", "n", "pairs", "_tau")
 
-    def __init__(self, field: CMFieldData, n: int, B: tuple):
-        if len(B) != field.degree:
+    def __init__(self, field: CMFieldData, n: int, pairs: tuple):
+        if len(pairs) != field.degree:
             raise TowerMismatch(f"case {field.case} needs {field.degree} B-matrices")
-        for M in B:
+        for M in pairs:
             if len(M) != n or any(len(r) != n for r in M):
                 raise TowerMismatch("B matrices must be n x n")
         self.field = field
         self.n = n
-        self.B = B
+        self.pairs = pairs
         self._tau = None
 
     def __repr__(self):
-        return f"PeriodMatrix(field={self.field!r}, n={self.n!r}, B={self.B!r})"
+        return f"PeriodMatrix(field={self.field!r}, n={self.n!r}, pairs={self.pairs!r})"
 
     def tau(self):
         """tau as a fresh list of rows.  The entries are assembled on the
@@ -89,10 +95,11 @@ class PeriodMatrix:
             for i in range(self.n):
                 row = []
                 for j in range(self.n):
-                    den, parts = tw.integer_row([M[i][j] for M in self.B])
+                    entry = [M[i][j] for M in self.pairs]
+                    den = math.lcm(*(d for _, d in entry))
                     num = [0] * t.dim
-                    for k, a in zip(pos, parts):
-                        num[k] = a
+                    for k, (a, d) in zip(pos, entry):
+                        num[k] = a * (den // d)
                     row.append(tw._normalised(t, num, den))
                 rows.append(tuple(row))
             rows = self._tau = tuple(rows)
@@ -101,14 +108,15 @@ class PeriodMatrix:
 
 def period_matrix(field: CMFieldData, *Bs) -> PeriodMatrix:
     """The period matrix with the given B matrices; ``int`` and
-    ``Fraction`` entries are kept as they are, others made ``Fraction``s."""
-    n = len(Bs[0])
-    mats = tuple(
-        tuple(tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
-              for row in M)
-        for M in Bs
-    )
-    return PeriodMatrix(field=field, n=n, B=mats)
+    ``Fraction`` entries are read as they are, others made ``Fraction``s
+    first."""
+    def pair(x):
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return x.numerator, x.denominator
+
+    pairs = tuple(tuple(tuple(map(pair, row)) for row in M) for M in Bs)
+    return PeriodMatrix(field=field, n=len(Bs[0]), pairs=pairs)
 
 
 def _difference_map(t, plus: str, minus: str):
@@ -272,7 +280,7 @@ class SplitCertificate(NamedTuple):
     P: list                    # identity, sum(block_sizes) square
     block_sizes: tuple
     block_fields: tuple        # basis labels of each block's field
-    S: list                    # 2n x 2n rational
+    S: tuple                   # (rows, den): 2n x 2n ints over den > 0
     standard_form: list        # tower-valued target matrix
     factors: tuple
     level: LevelNReport
@@ -458,25 +466,30 @@ def _coframe(tau, C, renaming):
     return [[row[i] for i in moved] + rest for row, rest in zip(C, right)]
 
 
-def _solve_s(t, W_rows_blocks, std_rows_blocks, block_bases):
-    """Realify both sides blockwise and solve RW . S = RStd for the rational S.
+def _solve_s(W_rows_blocks, std_rows_blocks, block_bases):
+    """Realify both sides blockwise and solve RW . S = RStd for the rational
+    S, returned as ``(rows, den)``: integer rows over one positive
+    denominator with ``gcd(den, *entries) == 1``.
 
     Each row of W is realified together with its standard-form row, so
-    both sides of every rational equation carry the same scale.
+    both sides of every rational equation carry the same scale, and the
+    realified rows (RW | RStd) are integers: ``linalg.bareiss`` gives
+    det(RW) and det(RW) * S, which one gcd reduces.
     """
-    RW, RStd = [], []
+    R = []
     for rows, std_rows, basis in zip(W_rows_blocks, std_rows_blocks, block_bases):
-        width = len(rows[0])
-        for row in _realify_rows([w + s for w, s in zip(rows, std_rows)], basis):
-            RW.append(row[:width])
-            RStd.append(row[width:])
+        R += _realify_rows([w + s for w, s in zip(rows, std_rows)], basis)
     try:
-        return linalg.solve_columns(RW, RStd)
+        det, X = linalg.bareiss(R)
     except SingularMatrix as exc:
         raise MathError(
             "realified coordinate matrix is singular; coordinate change "
             "is not invertible"
         ) from exc
+    g = math.gcd(det, *(x for row in X for x in row))
+    if det < 0:
+        g = -g
+    return [[x // g for x in row] for row in X], det // g
 
 
 def _level_numbers(n, p_split):
@@ -540,19 +553,19 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
 
     sizes, bases, labels = _blocks_basis(field, n, p_split)
     C = coordinate_change(t, case, n, sizes, c1, c2, M)
-    # W's left half is C with its columns permuted, so realifying W in
-    # _solve_s also checks that c1/c2 or M lie in their block fields.  That
-    # C is invertible, and (B/C) that W's bottom rows are the s0^3-conjugates
-    # of its top rows, follow from split's verify_certificate match of W S
-    # with the standard form, for a rational invertible S
-    W = _coframe(pm.tau(), C, renaming)
-
     # S maps the rows of each factor block onto the standard form; in cases
-    # B/C the bottom block is the conjugate of the top one
+    # B/C the bottom block is the conjugate of the top one, so only the top
+    # r rows of the coframe are built.  W's left half is those rows of C
+    # with their columns permuted, so realifying W in _solve_s also checks
+    # that c1/c2 or M lie in their block fields.  That C is invertible, and
+    # (B/C) that the coframe's bottom rows are the s0^3-conjugates of its
+    # top rows, follow from split's verify_certificate match of the whole
+    # coframe times S with the standard form, for a rational invertible S
     std = standard_form(field, n, p_split)
     ends = list(itertools.accumulate(sizes))
     starts = [0] + ends[:-1]
-    S = _solve_s(t, [W[a:b] for a, b in zip(starts, ends)],
+    W = _coframe(pm.tau(), C[:ends[-1]], renaming)
+    S = _solve_s([W[a:b] for a, b in zip(starts, ends)],
                  [std[a:b] for a, b in zip(starts, ends)], bases)
     return SplitCertificate(
         case=case,
@@ -575,6 +588,28 @@ def _certificate(pm: PeriodMatrix) -> SplitCertificate:
 # verification
 
 
+def _s_form_diagnostic(S, size):
+    """Why S is not ``(rows, den)``, size x size rows of ints over an int
+    ``den > 0``; None when it is.  The rows need not be reduced."""
+    if not isinstance(S, (tuple, list)) or len(S) != 2:
+        return "S is not a pair (rows, den)"
+    rows, den = S
+    if not isinstance(rows, (tuple, list)) or not all(
+            isinstance(row, (tuple, list)) for row in rows):
+        return "S's rows are not a list of rows"
+    widths = sorted({len(row) for row in rows})
+    if len(rows) != size or widths != [size]:
+        shape = f"{len(rows)} x {'/'.join(map(str, widths)) or 0}"
+        return f"S is {shape}, not {size} x {size}"
+    if type(den) is not int or den <= 0:
+        return "S's denominator is not a positive integer"
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                return f"S has a non-integer entry at row {i}, column {j}"
+    return None
+
+
 def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult:
     """Recompute C Pi (1|tau) S exactly and compare it entrywise with
     ``standard_form(field, n, p)``, the canonical target, which the
@@ -583,11 +618,14 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
     An independent recomputation from the certificate's data, for the
     period matrix's case and n: p is read from the block sizes, checked
     against the case (degree 2 ``(n,)``, case A ``(n - p, p)`` with
-    0 < p < n, cases B/C ``(n/2,)``); S must be 2n x 2n and of full rank,
-    and the factor list, level numbers and block field labels those that
-    the field, n and p give; C is rebuilt from the recorded c1/c2 or M.
-    P must be the identity block matrix, which ``split`` always records.
-    ``split`` runs this once on every certificate it returns.
+    0 < p < n, cases B/C ``(n/2,)``); S must be ``(rows, den)``, 2n x 2n
+    integer rows over a positive integer denominator, of full rank (a
+    malformed S is a diagnostic, not an exception), and the factor list,
+    level numbers and block field labels those that the field, n and p
+    give; C is rebuilt from the recorded c1/c2 or M.  P must be the
+    identity block matrix, which ``split`` always records.  The coframe is
+    multiplied by the integer rows and compared with den times the standard
+    form.  ``split`` runs this once on every certificate it returns.
     """
     field, n = pm.field, pm.n
     t = field.tower
@@ -606,17 +644,17 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
     if not fits:
         return VerifyResult(False, f"block sizes {list(sizes)} do not fit case "
                                    f"{field.case} with n = {n}")
-    widths = sorted({len(row) for row in cert.S})
-    if len(cert.S) != 2 * n or widths != [2 * n]:
-        shape = f"{len(cert.S)} x {'/'.join(map(str, widths)) or 0}"
-        return VerifyResult(False, f"S is {shape}, not {2 * n} x {2 * n}")
+    refused = _s_form_diagnostic(cert.S, 2 * n)
+    if refused:
+        return VerifyResult(False, refused)
+    rows, den = cert.S
     if cert.factors != _factors(field, n, p_split):
         return VerifyResult(False, "recorded factors are not the field's")
     if cert.level != LevelNReport(_level_numbers(n, p_split), p_split):
         return VerifyResult(False, "recorded level numbers are not the split's")
     if tuple(map(tuple, cert.block_fields)) != _blocks_basis(field, n, p_split)[2]:
         return VerifyResult(False, "recorded block fields are not the split's")
-    if linalg.row_rank(cert.S) < 2 * n:
+    if linalg.row_rank(rows) < 2 * n:
         return VerifyResult(False, "S is singular over Q")
     if cert.P != linalg.identity_matrix(sum(sizes), t.one()):
         return VerifyResult(False, "P is not the identity block matrix")
@@ -626,15 +664,20 @@ def verify_certificate(pm: PeriodMatrix, cert: SplitCertificate) -> VerifyResult
         return VerifyResult(False, f"cannot rebuild coordinate change: {exc}")
     if sorted(cert.renaming) != list(range(n)):
         return VerifyResult(False, "renaming is not a permutation")
-    lhs = linalg.mat_mul(_coframe(pm.tau(), C, cert.renaming), cert.S)
+    # the integer rows give den * C Pi (1|tau) S; entry a matches std entry b
+    # when a = den * b, whose lowest terms are b.num * (den / g) over
+    # b.den / g for g = gcd(den, b.den)
+    lhs = linalg.mat_mul(_coframe(pm.tau(), C, cert.renaming), rows)
     std = standard_form(field, n, p_split)
     for i, (lr, sr) in enumerate(zip(lhs, std)):
         for j, (a, b) in enumerate(zip(lr, sr)):
-            if a != b:
+            g = math.gcd(den, b.den)
+            f = den // g
+            if a.den != b.den // g or a.num != tuple([x * f for x in b.num]):
                 return VerifyResult(
                     False,
                     f"standard form mismatch at row {i}, column {j}: "
-                    f"{a} != {b}",
+                    f"{tw._normalised(t, a.num, a.den * den)} != {b}",
                 )
     if cert.standard_form != std:
         return VerifyResult(False, "recorded standard form is not the canonical one")

@@ -27,7 +27,11 @@ integers with one gcd per result.  Every element is made by ``_element``
 from numerators already in that form; ``TowerSpec.element`` gets them from
 a coefficient vector through ``integer_row``, the one conversion of a row
 of rationals to integers over a common denominator (also of the structure
-constants, of rational matrix rows in ``linalg`` and of tau's entries).
+constants and of rational matrix rows in ``linalg``).  ``read_rational`` is
+the one reader of rational literals: it owns their grammar, their size
+bound and every refusal, and returns an integer pair ``(num, den)``, so a
+period matrix's B entries reach tau's numerators without a ``Fraction``;
+``parse_rational`` is the same reader returning a ``Fraction``.
 ``TowerSpec.dot`` is the one product kernel: ``FieldElement.__mul__`` and
 the tower products of ``linalg`` each call it once per result.  ``FieldElement.coeffs`` still exposes the
 coefficients as ``fractions.Fraction``s, and ``serialize`` formats straight
@@ -81,8 +85,9 @@ _DEFAULT_FACTOR_BOUND = 100_000
 _PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "num/den" (den omitted when 1) into a Fraction.
+def read_rational(text) -> tuple:
+    """Read "num/den" (den omitted when 1) as ``(num, den)``, integers in
+    lowest terms with ``den > 0``.
 
     Decimal and exponent literals ("1.5", "-2e3") are accepted too, in
     Python 3.10's grammar on every version: no "_" digit separators and no
@@ -91,25 +96,36 @@ def parse_rational(text) -> Fraction:
     denominator would have more than ``RationalTooLarge.DIGITS`` digits is
     refused with ``RationalTooLarge`` before anything is computed:
     "1e100000000" would otherwise ask for 10**10**8.  A plain "num/den" of
-    at most that many characters is read with ``int``, not ``Fraction``'s
-    parser.  A bool (a JSON true or false) raises ValueError.
+    at most that many characters is read with ``int`` and one gcd; only
+    the other literals go through ``Fraction``'s parser.  A bool (a JSON
+    true or false) raises ValueError.
     """
     if isinstance(text, bool):
         raise ValueError(f"{str(text).lower()} is not a rational")
     if isinstance(text, (int, Fraction)):
-        return Fraction(text)
+        return text.numerator, text.denominator
     text = str(text).strip()
     plain = _PLAIN_RATIONAL.fullmatch(text)
     try:
         if plain and len(text) <= RationalTooLarge.DIGITS:
             num, den = plain.groups()
-            return Fraction(int(num), int(den or 1))
+            num, den = int(num), int(den or 1)
+            if not den:
+                raise ZeroDivisionError
+            g = math.gcd(num, den)
+            return (num, den) if g == 1 else (num // g, den // g)
         _check_literal_size(text)
         if "_" in text or any(map(str.isspace, text)):
             raise ValueError(f"Invalid literal for Fraction: {text!r}")
-        return Fraction(text)
+        x = Fraction(text)
+        return x.numerator, x.denominator
     except ZeroDivisionError:
         raise ZeroDivisionError(f"zero denominator in {text!r}") from None
+
+
+def parse_rational(text) -> Fraction:
+    """``read_rational`` as a Fraction: the same grammar, bound and errors."""
+    return Fraction(*read_rational(text))
 
 
 def _digit_count(part: str) -> int:

@@ -9,10 +9,10 @@
 # classify-field does not import linalg; and that each Dodson or Hodge
 # subcommand imports only the group code it runs.
 #
-# Then the N = 5 class tables, two refusals of N = 400000, and documents with
-# big numbers, written here: Python's limit on the digits of an int
-# converted to or from a string is set per interpreter, so these run in
-# fresh ones too.  Each checks the exit code and one line of the report
+# Then the N = 5 class tables, two refusals of N = 400000, one of a
+# 100,000-character --partition, and documents with big numbers, written
+# here: Python's limit on the digits of an int converted to or from a string
+# is set per interpreter, so these run in fresh ones too.  Each checks the exit code and one line of the report
 # (its class count, verdict, condition or message).
 #
 # Then how a process ends: a closed stdout exits 141 with nothing on stderr,
@@ -138,6 +138,10 @@ check_line 0 '"class_count": 33' classify_n5_cy3 dodson-classify --n 5 --bound 5
 # the message writes the order 2^N N! as a formula, not as its digits
 check_line 1 '"message": "N = 400000 exceeds the enumeration bound 4"' classify_n400000_abl dodson-classify --n 400000 --partition abl
 check_line 1 '"message": "Im(400000,2) has order 2^400000 * 400000!; Dodson computations are bounded to N <= 5"' enum_n400000 dodson-enum --n 400000 --bound 400000
+
+# a 100,000-character --partition is quoted by its first 40 characters
+LONG=$("$PYTHON" -c 'print(chr(34) + "x" * 100000 + chr(34))')
+check_line 1 '"message": "--partition block list must be a non-empty JSON list, got \"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"' partition_100000 dodson-classify --n 3 --partition "$LONG"
 
 "$PYTHON" - "$BIG" <<'PY'
 import json

@@ -211,7 +211,8 @@ def test_split_verifies_once(monkeypatch, tmp_path, capsys):
                               random.Random(8))
     doc = tmp_path / "torus_c.json"
     doc.write_text(json.dumps({"n": 2, "field": {"d": 2, "p": -3, "q": 1},
-                               "B": [[[str(x) for x in row] for row in M] for M in pm.B]}),
+                               "B": [[[f"{a}/{d}" for a, d in row] for row in M]
+                                     for M in pm.pairs]}),
                    encoding="utf-8")
     for path in (os.path.join(DATA, "torus_a_diag.json"), str(doc)):
         calls.clear()
@@ -291,6 +292,20 @@ def test_malformed_partition_is_named(capsys, partition, what):
     diag = report["diagnostics"][0]
     assert diag["condition"] == "cli:partition"
     assert "--partition" in diag["message"] and what in diag["message"]
+
+
+@pytest.mark.parametrize("partition, quoted", [
+    (json.dumps("x" * 100_000), '"' + "x" * 39),
+    (json.dumps([{"label": [2, 0], "slots": [["x" * 100_000, 0]]}]), '["' + "x" * 38),
+], ids=["block-list", "slot"])
+def test_partition_refusals_quote_a_bounded_prefix(capsys, partition, quoted):
+    # both refusals quoted the whole option: 100,205 and 100,209 bytes
+    code, out = run_cli(capsys, "dodson-classify", "--n", "3", "--partition", partition)
+    assert code == 1
+    diag = json.loads(out)["diagnostics"][0]
+    assert diag["condition"] == "cli:partition"
+    assert len(diag["message"]) < 200
+    assert diag["message"].endswith(f", got {quoted}")
 
 
 def test_byte_identical_output(capsys):

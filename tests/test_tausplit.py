@@ -2,7 +2,10 @@
 
 import copy
 import itertools
+import json
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,16 +18,19 @@ from util import (
     rank_by_minors,
     solve_left,
 )
-from weakcm import cmfield, linalg, tausplit
+from weakcm import cmfield, linalg, serialize, tausplit, tower as tw
 from weakcm.errors import (
+    InputError,
     MathError,
     NotFullSpan,
     OddDimension,
     ProperSubfield,
     SingularTauBar,
     TowerMismatch,
+    WeakCMError,
 )
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 Z2 = [[0, 0], [0, 0]]
 
 
@@ -237,8 +243,8 @@ def test_tau_assembly_matches_the_element_oracle(k):
         for i, row in enumerate(pm.tau()):
             for j, x in enumerate(row):
                 coeffs = [0] * t.dim
-                for M, q in zip(pm.B, pos):
-                    coeffs[q] = M[i][j]
+                for M, q in zip(pm.pairs, pos):
+                    coeffs[q] = Fraction(*M[i][j])
                 want = t.element(coeffs)
                 assert (x.num, x.den) == (want.num, want.den)
 
@@ -465,17 +471,28 @@ def test_ranks_and_relations_match_full_matrix_oracles(field_of):
 def test_split_eliminates_each_difference_matrix_once(field_of, n, monkeypatch):
     # cases B/C: one pass over transpose(delta); the tower ranks are those
     # of tau - taubar and then the joint one, each on n rows; case A: two
-    # passes in validation, and no tower solve.  The rational S solve
-    # reaches column_relations too, so only tower matrices are counted
+    # passes in validation, and no tower solve.  Only tower matrices are
+    # counted.  S is one bareiss solve of the 2n x 4n integer rows
+    # (RW | RStd).  bareiss also inverts tower elements, on m x (m + 1)
+    # rows, and builds the tower's kept coordinate maps, which a first
+    # split does here
     field = field_of()
     pm = random_period_matrix(field, n, random.Random(900 + n))
     de = tausplit.validate_weak_cm(pm)
+    tausplit.split(pm)
     calls = []
-    for name in ("column_relations", "row_rank", "solve_columns"):
+    for name in ("column_relations", "row_rank"):
         def wrapped(*args, _real=getattr(linalg, name), _name=name):
             calls.append((_name, args))
             return _real(*args)
         monkeypatch.setattr(linalg, name, wrapped)
+    solves = []
+
+    def bareiss(R, _real=linalg.bareiss):
+        solves.append([list(row) for row in R])  # bareiss overwrites R
+        return _real(R)
+
+    monkeypatch.setattr(linalg, "bareiss", bareiss)
     cert, verified = tausplit.split(pm)
     assert verified.ok
     relations = [args[0] for name, args in calls  # the tower eliminations
@@ -484,9 +501,10 @@ def test_split_eliminates_each_difference_matrix_once(field_of, n, monkeypatch):
     ranks = [args[0] for name, args in calls  # the tower ranks
              if name == "row_rank" and not isinstance(args[0][0][0], (int, Fraction))]
     assert [len(rows) for rows in ranks] == [n, n]
-    assert all(isinstance(x, (int, Fraction))
-               for name, args in calls if name == "solve_columns"
-               for matrix in args for row in matrix for x in row)
+    assert all(type(x) is int for R in solves for row in R for x in row)
+    solves = [R for R in solves if {len(row) for row in R} != {len(R) + 1}]
+    assert len(solves) == 1
+    assert len(solves[0]) == 2 * n and {len(row) for row in solves[0]} == {4 * n}
     if field.case == "A":
         assert relations[:2] == [linalg.transpose(de.delta), linalg.transpose(de.eps)]
         assert all(len(rows) < n for rows in relations[2:])  # the relation matrices
@@ -589,12 +607,11 @@ def test_split_case_c_n4_block_diagonal():
     pm2 = random_period_matrix(field, 2, rng)
     n = 4
     Bs = []
-    for M in pm2.B:
+    for M in pm2.pairs:
         big = [[Fraction(0)] * n for _ in range(n)]
         for i in range(2):
             for j in range(2):
-                big[i][j] = M[i][j]
-                big[2 + i][2 + j] = M[i][j]
+                big[i][j] = big[2 + i][2 + j] = Fraction(*M[i][j])
         Bs.append(big)
     pm4 = tausplit.period_matrix(field, *Bs)
     cert, _ = tausplit.split(pm4)
@@ -694,9 +711,9 @@ def test_determinism():
 def test_verify_rejects_perturbed_s():
     pm = tausplit.period_matrix(f_deg2(), Z2, [[1, 0], [0, 1]])
     cert, _ = tausplit.split(pm)
-    bad = copy.deepcopy(cert)
-    bad.S[0][0] += 1
-    res = tausplit.verify_certificate(pm, bad)
+    rows, den = copy.deepcopy(cert.S)
+    rows[0][0] += den  # S[0][0] + 1
+    res = tausplit.verify_certificate(pm, cert._replace(S=(rows, den)))
     assert not res.ok and res.diagnostic
 
 
@@ -717,14 +734,15 @@ def test_verify_rejects_bad_renaming():
 
 
 def _reshaped(S, how):
-    S = [list(row) for row in S]
+    rows, den = S
+    rows = [list(row) for row in rows]
     if how == "extra column":
-        return [row + [0] for row in S]
+        return [row + [0] for row in rows], den
     if how == "extra row":
-        return S + [[0] * len(S[0])]
+        return rows + [[0] * len(rows[0])], den
     if how == "dropped row":
-        return S[:-1]
-    return [row[:-1] for row in S]
+        return rows[:-1], den
+    return [row[:-1] for row in rows], den
 
 
 @pytest.mark.parametrize("how, shape", [
@@ -773,17 +791,18 @@ def test_verify_rejects_forged_block_fields(field_of, n):
 def test_verify_rejects_a_singular_s(field_of, n):
     pm = random_period_matrix(field_of(), n, random.Random(70 + n))
     cert, _ = tausplit.split(pm)
-    S = [list(row) for row in cert.S]
+    rows, den = cert.S
+    S = [list(row) for row in rows]
     S[-1] = [a - 2 * b for a, b in zip(S[0], S[1])]
-    res = tausplit.verify_certificate(pm, cert._replace(S=S))
+    res = tausplit.verify_certificate(pm, cert._replace(S=(S, den)))
     assert not res.ok and res.diagnostic == "S is singular over Q"
     # singular modulo the residue prime only: the exact rank is full, so
     # the certificate fails at the standard form instead
     ell = linalg.RESIDUE_PRIMES[0]
-    S = [list(row) for row in cert.S]
+    S = [list(row) for row in rows]
     S[-1] = [a + ell * b for a, b in zip(S[0], S[-1])]
     assert linalg._residue_rank(S) < 2 * n == len(linalg.pivot_columns(S))
-    res = tausplit.verify_certificate(pm, cert._replace(S=S))
+    res = tausplit.verify_certificate(pm, cert._replace(S=(S, den)))
     assert not res.ok and res.diagnostic.startswith("standard form mismatch")
 
 
@@ -813,10 +832,24 @@ def test_coframe_matches_product_oracle():
 
 def _single_mutations(cert, t):
     """(name, certificate) for each single mutation of a valid certificate:
-    +1 on one entry of S, c1, c2 or M, one transposition of the renaming,
-    P = 2 I, P a non-identity permutation matrix, block sizes that do not
-    fit the case or record another split, and another case or n."""
-    for attr in ("S", "c1", "c2", "M"):
+    +1 on one entry of S, c1, c2 or M, S's denominator + 1, 0, negated or
+    True, a Fraction entry in S's integer rows, one transposition of the
+    renaming, P = 2 I, P a non-identity permutation matrix, block sizes
+    that do not fit the case or record another split, and another case or
+    n."""
+    rows, den = cert.S
+    for i, row in enumerate(rows):
+        for j in range(len(row)):
+            bumped = [list(r) for r in rows]
+            bumped[i][j] += den
+            yield f"S[{i}][{j}] + 1", cert._replace(S=(bumped, den))
+    for name, bad in (("den + 1", den + 1), ("den = 0", 0), ("den = -den", -den),
+                      ("den = True", True)):
+        yield name, cert._replace(S=(rows, bad))
+    fraction = [list(r) for r in rows]
+    fraction[0][0] = Fraction(fraction[0][0])
+    yield "S[0][0] as a Fraction", cert._replace(S=(fraction, den))
+    for attr in ("c1", "c2", "M"):
         M = getattr(cert, attr)
         for i, row in enumerate(M or ()):
             for j in range(len(row)):
@@ -859,7 +892,7 @@ def test_verify_rejects_every_single_mutation(field_of, n):
     # every kind of mutation was tried
     kinds = {name.split("[")[0].split(" ")[0] for name in names}
     recorded = {"deg2": set(), "A": {"c1", "c2"}, "B": {"M"}, "C": {"M"}}[field.case]
-    assert kinds == {"S", "renaming", "P", "block_sizes", "case", "n"} | recorded
+    assert kinds == {"S", "den", "renaming", "P", "block_sizes", "case", "n"} | recorded
     assert any("permutation" in name for name in names)
 
 
@@ -872,15 +905,170 @@ def test_verify_rejects_forged_standard_form(field_of, n):
     pm = random_period_matrix(field, n, random.Random(500 + 10 * n + len(field.case)))
     cert, verified = tausplit.split(pm)
     assert verified.ok
-    forged_s = [list(row) for row in cert.S]
+    rows, den = cert.S
+    forged_s = [list(row) for row in rows]
     for row in forged_s:  # add column 0 to column 1: still invertible
         row[1] += row[0]
     assert linalg.mat_det(forged_s, Fraction(1))
     C = tausplit.coordinate_change(t, cert.case, n, cert.block_sizes,
                                    cert.c1, cert.c2, cert.M)
     coframe = tausplit._coframe(pm.tau(), C, cert.renaming)
-    forged = cert._replace(S=forged_s, standard_form=linalg.mat_mul(coframe, forged_s))
+    forged_std = [[x / den for x in row] for row in linalg.mat_mul(coframe, forged_s)]
+    forged = cert._replace(S=(forged_s, den), standard_form=forged_std)
     res = tausplit.verify_certificate(pm, forged)
     assert not res.ok and "standard form mismatch" in res.diagnostic
     res = tausplit.verify_certificate(pm, cert._replace(standard_form=forged.standard_form))
     assert not res.ok and "not the canonical one" in res.diagnostic
+
+
+@pytest.mark.parametrize("field_of, n", [(f_deg2, 2), (f_C, 4)])
+def test_verify_names_an_s_that_is_not_integer_rows_over_a_denominator(field_of, n):
+    pm = random_period_matrix(field_of(), n, random.Random(40 + n))
+    cert, _ = tausplit.split(pm)
+    rows, den = cert.S
+    fractions = [[Fraction(x, den) for x in row] for row in rows]
+    for bad, diagnostic in [
+        (fractions, "S is not a pair (rows, den)"),
+        ((rows, den, 1), "S is not a pair (rows, den)"),
+        ((7, den), "S's rows are not a list of rows"),
+        ((rows[:-1] + [7], den), "S's rows are not a list of rows"),
+        ((rows, Fraction(den)), "S's denominator is not a positive integer"),
+        ((rows, float(den)), "S's denominator is not a positive integer"),
+        ((rows[:-1] + [rows[-1][:-1] + [True]], den),
+         f"S has a non-integer entry at row {2 * n - 1}, column {2 * n - 1}"),
+    ]:
+        res = tausplit.verify_certificate(pm, cert._replace(S=bad))
+        assert res == (False, diagnostic)
+
+
+# ---------------------------------------------------------------- documents
+
+
+def _b_text(pm):
+    """The B entries of a period matrix as a document writes them."""
+    return [[[tw.format_rational(Fraction(*x)) for x in row] for row in M]
+            for M in pm.pairs]
+
+
+def _read_by_fractions(doc):
+    """The document's period matrix from ``period_matrix`` on ``Fraction``
+    entries: the oracle for the document reader."""
+    Bs = [[[Fraction(x) for x in row] for row in M] for M in doc["B"]]
+    return tausplit.period_matrix(serialize.parse_field(doc["field"]), *Bs)
+
+
+def _reports(pm, validate):
+    """The split report (and the validation report), or the refusal."""
+    try:
+        de = tausplit.validate_weak_cm(pm) if validate else None
+        cert, verified = tausplit.split(pm)
+    except WeakCMError as exc:
+        return type(exc).__name__, str(exc)
+    out = [serialize.certificate_report(cert, verified.ok)]
+    if validate:
+        out.append(serialize.validation_report(pm, de))
+    return out
+
+
+def _assert_read_alike(doc, validate=True):
+    pm, oracle = serialize.parse_period_matrix(doc), _read_by_fractions(doc)
+    assert pm.tau() == oracle.tau()
+    assert _reports(pm, validate) == _reports(oracle, validate)
+
+
+@pytest.mark.parametrize("name", ["torus_a_diag", "torus_b_n3", "torus_b_n4", "torus_c_n4"])
+def test_document_reader_matches_period_matrix_on_the_goldens(name):
+    # the inputs of every split and validate golden
+    with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
+        _assert_read_alike(json.load(fh))
+
+
+def test_document_reader_matches_period_matrix_on_the_split_corpus():
+    from test_acceptance import _FIELDS, _split_corpus
+
+    count = 0
+    for case, _, pm in _split_corpus():
+        _assert_read_alike({"n": pm.n, "field": _FIELDS[case], "B": _b_text(pm)},
+                           validate=False)
+        count += 1
+    assert count == 402
+
+
+_TOO_LARGE = "at most 4300 digits are allowed in a numerator or denominator"
+
+
+@pytest.mark.parametrize("entry, message", [
+    (True, "bad rational in B1 at row 0, column 0: true is not a rational"),
+    ("1/0", "bad rational in B1 at row 0, column 0: zero denominator in '1/0'"),
+    ("2e3/4", "bad rational in B1 at row 0, column 0: Invalid literal for Fraction: '2e3/4'"),
+    ("1e100000000",
+     f"rational literal '1e100000000' has an exponent of 9 digits; {_TOO_LARGE}"),
+    ("1.5/2", "bad rational in B1 at row 0, column 0: Invalid literal for Fraction: '1.5/2'"),
+    ("0." + "0" * 4300 + "1",
+     f"rational literal '{'0.' + '0' * 38}' expands to 4302 digits; {_TOO_LARGE}"),
+    ("1_000", "bad rational in B1 at row 0, column 0: Invalid literal for Fraction: '1_000'"),
+    ("3 / 4", "bad rational in B1 at row 0, column 0: Invalid literal for Fraction: '3 / 4'"),
+    ("1" * 4301, f"rational literal '{'1' * 40}' expands to 4301 digits; {_TOO_LARGE}"),
+], ids=["bool", "zero-den", "exponent", "exponent-size", "decimal", "decimal-size",
+        "underscore", "whitespace", "4301-digits"])
+def test_every_refusal_of_a_b_entry_keeps_its_message(entry, message):
+    doc = {"n": 1, "field": {"p": -1}, "B": [[[entry]], [["1"]]]}
+    with pytest.raises(InputError) as refused:
+        serialize.parse_period_matrix(doc)
+    assert str(refused.value) == message
+
+
+def test_split_of_a_document_builds_no_fraction_per_entry(monkeypatch):
+    # B is read to integer pairs, and S is solved, verified and reported as
+    # integer rows over one denominator.  What Fractions remain are the
+    # field's own (the factor tag, and on Python <= 3.11, whose Fraction
+    # arithmetic builds its results with Fraction(), d'), so the count is
+    # the same at every n; it grew with n^2 when B and S were Fractions
+    from test_acceptance import _FIELDS
+
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    rng = random.Random(61)
+    for field_of, case, shapes in [(f_deg2, "deg2", (1, 2, 4)), (f_A, "A", (2, 3)),
+                                   (f_B, "B", (2, 4)), (f_C, "C", (2, 4))]:
+        field = field_of()
+        counts = []
+        for n in shapes:
+            pm = random_period_matrix(field, n, rng)
+            doc = {"n": n, "field": _FIELDS[case], "B": _b_text(pm)}
+            parsed = serialize.parse_period_matrix(doc)
+            tausplit.split(parsed)  # builds what the tower keeps
+            parsed = serialize.parse_period_matrix(doc)
+            built.clear()
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+            cert, verified = tausplit.split(parsed)
+            serialize.certificate_report(cert, verified.ok)
+            monkeypatch.undo()
+            counts.append(len(built))
+        assert len(set(counts)) == 1 and counts[0] <= 8, (case, counts)
+
+
+def test_s_strings_match_format_rational():
+    rng = random.Random(5000)
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(0)  # 5000-digit entries print, as under the CLI
+    try:
+        for _ in range(60):
+            size = rng.choice((1, 3, 40, 5000))
+            g = rng.randrange(1, 10 ** size)
+            den = rng.choice((1, g, g * rng.randrange(1, 10 ** rng.choice((1, 20)))))
+            rows = [[rng.choice((0, 1, -1, g, -den, den * 7))
+                     * rng.randrange(-10 ** rng.choice((1, size)), 10 ** size)
+                     for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 4))]
+            want = [[tw.format_rational(Fraction(x, den)) for x in row] for row in rows]
+            assert serialize.integer_rows_out(rows, den) == want
+    finally:
+        if set_limit:
+            set_limit(limit)
