@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     default, so the limit is lifted while the command runs and restored
     afterwards.  The command line is parsed under the default limit, and
     every number a document supplies is bounded where it is read: rationals
-    by ``parse_rational``, integers as JSON literals of at most
+    by ``read_rational``, integers as JSON literals of at most
     ``RationalTooLarge.DIGITS`` digits.
     """
     if argv is None:

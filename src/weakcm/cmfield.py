@@ -14,12 +14,16 @@ rational span of {1, sqrt(dp), xi+ + xi-, sqrt(d)(xi+ - xi-)} inside the
 closure; it is computed and certified here (span closed under
 multiplication, pointwise fixed by the stabilizer of the type, generators
 totally imaginary).
+
+Rationals are the tower's integer pairs ``(num, den)``: the parameters,
+dp and the CM witness.  The reflex checks run on the elements' integer
+numerator rows, so no ``Fraction`` is made here; one appears only where a
+caller asks for ``FieldElement.coeffs``.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -64,9 +68,9 @@ def classify(params: dict) -> CMFieldData:
 
     Results are cached per process in a bounded LRU cache, so equal
     parameters return the same object, shared by every caller and not to be
-    modified.  The key is the canonical parameters, each value parsed by
-    ``tower.parse_rational`` (``"-5/2"``, ``Fraction(-5, 2)`` and ``-2.5``
-    share an entry; a value that does not parse raises ValueError or
+    modified.  The key is the canonical parameters, each value read to an
+    integer pair by ``tower.read_rational`` (``"-5/2"``, ``Fraction(-5, 2)``
+    and ``-2.5`` share an entry; a value that does not parse raises ValueError or
     ZeroDivisionError naming its key), with the raw ``WEAKCM_FACTOR_BOUND``
     setting, read on every call, so a changed bound is followed.  The build
     reads the bound itself and raises ``BadFactorBound`` if it is unusable.
@@ -79,7 +83,7 @@ def classify(params: dict) -> CMFieldData:
     canon = []
     for k in sorted(keys):
         try:
-            canon.append((k, tw.parse_rational(params[k])))
+            canon.append((k, tw.read_rational(params[k])))
         except (ValueError, ZeroDivisionError) as exc:
             raise type(exc)(f"{exc} (parameter {k!r})") from exc
     return _classify_cached(tuple(canon), os.environ.get(tw._FACTOR_BOUND_ENV))
@@ -114,10 +118,10 @@ def build_as_case(case: str, params: dict) -> CMFieldData:
     return data
 
 
-def dprime_of(field: CMFieldData) -> Fraction | None:
+def dprime_of(field: CMFieldData) -> tuple | None:
+    """dp = p^2 - q^2 d as an integer pair in cases B/C, else None."""
     if field.case in (CASE_B, CASE_C):
-        p, q, d = (field.tower.params[k] for k in ("p", "q", "d"))
-        return p * p - q * q * d
+        return tw.quartic_dprime(*(field.tower.params[k] for k in ("d", "p", "q")))
     return None
 
 
@@ -213,12 +217,17 @@ class ReflexFieldData(NamedTuple):
     degree: int
     equals_field: bool         # case B: reflex span coincides with phi'(K')
     stabilizer_words: tuple    # elements fixing the CM type {phi', s0 phi'}
-    cm_witness: dict           # generator label -> (u, v) with square u+v*sqrt(dp)
+    cm_witness: dict           # generator label -> (u, v) with square u+v*sqrt(dp),
+                               # u and v integer pairs
 
 
 @lru_cache(maxsize=_CLASSIFY_CACHE_SIZE)
 def reflex_bc(field: CMFieldData) -> ReflexFieldData:
-    """The reflex field of (K', {phi', s0 phi'}) inside the closure."""
+    """The reflex field of (K', {phi', s0 phi'}) inside the closure.
+
+    Each rank is taken of the elements' integer numerator rows (a row
+    scaled by its element's denominator spans the same line), and the CM
+    witness is read from the integer coordinates of ``CoordinateMap``."""
     if field.case not in (CASE_B, CASE_C):
         raise WrongCase(f"reflex basis is defined for cases B/C, not {field.case}")
     from . import linalg
@@ -230,8 +239,8 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
     sd = t.gen("sqrt(d)")
     xp = t.gen("xi+")
     if field.case == CASE_B:
-        e = tw.rational_sqrt(dprime / d)
-        sdp = sd * e
+        e = tw.rational_sqrt(tw.pair_div(dprime, d))
+        sdp = sd * t.rational(e)
         xm = t.generators["s0"](xp)
     else:
         sdp = t.gen("sqrt(dp)")
@@ -239,18 +248,19 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
     basis = (one, sdp, xp + xm, sd * (xp - xm))
 
     # dimension 4 over Q
-    if linalg.row_rank([list(b.coeffs) for b in basis]) != 4:
+    rows = [list(b.num) for b in basis]
+    if linalg.row_rank(rows) != 4:
         raise MathError("reflex basis is linearly dependent")
 
-    # the span is closed under multiplication
-    span = linalg.generated_subalgebra(t, basis)
-    if len(span) != 4:
+    # the span holds 1, so it is closed under multiplication when the
+    # products of basis pairs add nothing to it
+    products = [list((a * b).num) for i, a in enumerate(basis) for b in basis[i:]]
+    if linalg.row_rank(rows + products) != 4:
         raise MathError("reflex span is not closed under multiplication")
 
     # compare the reflex span with phi'(K') inside the closure: equal in
     # case B (both are the whole quartic field), distinct in case C
-    stacked = [list(b.coeffs) for b in basis]
-    stacked += [list(b.coeffs) for b in field.field_basis_elements()]
+    stacked = rows + [list(b.num) for b in field.field_basis_elements()]
     equals_field = linalg.row_rank(stacked) == 4
 
     # stabilizer of the type {phi', s0 phi'} fixes the reflex span pointwise
@@ -269,17 +279,20 @@ def reflex_bc(field: CMFieldData) -> ReflexFieldData:
     if len(stab) != len(gg.elements) // 4:
         raise MathError("CM-type stabilizer has unexpected order")
 
-    # CM witness: both imaginary generators square to totally negative values
+    # CM witness: both imaginary generators square to totally negative
+    # values u + v sqrt(dp), u = a / D and v = b / D with D > 0: u < 0 and
+    # u^2 - v^2 dp > 0, that is a^2 den(dp) - b^2 num(dp) > 0
     witness = {}
+    cmap = linalg.coordinate_map([one, sdp])
     for label, g in (("xi+ + xi-", basis[2]), ("sqrt(d)*(xi+ - xi-)", basis[3])):
         sq = g * g
-        coords = linalg.subspace_coordinates([one, sdp], sq)
+        coords = cmap.numerators(sq)
         if coords is None:
             raise MathError("squared reflex generator left Q(sqrt(dp))")
-        u, v = coords
-        if not (u < 0 and u * u - v * v * dprime > 0):
+        (a, b), D = coords, cmap.den * sq.den
+        if not (a < 0 and a * a * dprime[1] - b * b * dprime[0] > 0):
             raise MathError("reflex generator is not totally imaginary")
-        witness[label] = (u, v)
+        witness[label] = (tw.read_rational((a, D)), tw.read_rational((b, D)))
 
     return ReflexFieldData(
         basis=basis,

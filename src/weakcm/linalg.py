@@ -1,7 +1,12 @@
 """Exact dense linear algebra over Q and over the towers.
 
-Entries are ``fractions.Fraction`` (or ``int``) or tower elements; no
-floating point anywhere.  ``mat_mul`` computes each entry as one fused dot
+Entries are ``int``s and ``fractions.Fraction``s, or tower elements; no
+floating point anywhere.  A rational row is worked on as integers over a
+common denominator (``tower.integer_row``), and a ``Fraction`` is made only
+for a result over Q (``mat_mul``, ``mat_det``, ``column_relations``,
+``generated_subalgebra``, ``CoordinateMap.coordinates``), where this
+module imports ``fractions``; the library's own callers read integers
+(``bareiss``, ``CoordinateMap.numerators``, ``subalgebra_basis``).  ``mat_mul`` computes each entry as one fused dot
 product: integer rows over a common denominator, or, over a tower, one
 ``TowerSpec.dot`` call, the tower's own product kernel
 (``_tower_mat_mul``); a tower matrix times a rational one needs no table
@@ -38,14 +43,13 @@ element.
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .errors import SingularMatrix
-from .tower import _normalised, integer_row
+from .tower import FieldElement, _normalised, integer_row
 
 
 def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    return not isinstance(x, FieldElement)
 
 
 def transpose(rows):
@@ -71,11 +75,13 @@ def mat_mul(A, B):
         return [[] for _ in A]
     a, b = A[0][0], B[0][0]
     if not _is_rational(a):
-        if _is_rational(b) and all(_is_rational(x) for row in B for x in row):
+        if _is_rational(b) and not any(isinstance(x, FieldElement) for row in B for x in row):
             return _tower_mat_mul_rational(a.tower, A, [integer_row(col) for col in zip(*B)])
         return _tower_mat_mul(a.tower, A, B)
     if not _is_rational(b):
         return _tower_mat_mul(b.tower, A, B)
+    from fractions import Fraction
+
     cols = [integer_row(col) for col in zip(*B)]
     out = []
     for row in A:
@@ -91,7 +97,7 @@ def _working_rows(rows):
     space nor the solutions of a system.  Over a tower every entry goes
     through ``TowerSpec.own``, so an entry of another tower raises
     TowerMismatch before anything is eliminated."""
-    tower = next((x.tower for row in rows for x in row if not _is_rational(x)), None)
+    tower = next((x.tower for row in rows for x in row if isinstance(x, FieldElement)), None)
     if tower is None:
         return [integer_row(row)[1] for row in rows], None
     own = tower.own
@@ -219,6 +225,8 @@ def mat_det(A, one):
         return one - one
     det = U[n - 1][n - 1] if sign > 0 else -U[n - 1][n - 1]
     if tower is None:
+        from fractions import Fraction
+
         return Fraction(det, math.prod(integer_row(row)[0] for row in A))
     if n < 3:
         return det
@@ -256,18 +264,21 @@ def column_relations(rows):
     echelon form, and tower elements otherwise.
     """
     U, tower = _working_rows(rows)
+    if tower is None:
+        from fractions import Fraction
+
+        pivots, X, det = _integer_relations(U)
+        return pivots, [[Fraction(x, det) for x in row] for row in X]
     pivots, _ = _forward(U, tower)
-    r = len(pivots)
     w = len(U[0]) if U else 0
     free = [c for c in range(w) if c not in pivots]
-    if tower is None:
-        one, zero = Fraction(1), Fraction(0)
-        det = U[r - 1][pivots[-1]] if r else 1
-        solved = [[Fraction(x, det) for x in row]
-                  for row in _back_substitute(U, pivots, free, det)]
-    else:
-        one, zero = tower.one(), tower.zero()
-        solved = _back_substitute(U, pivots, free)
+    solved = _back_substitute(U, pivots, free)
+    return pivots, _relation_rows(pivots, free, w, tower.one(), tower.zero(), solved)
+
+
+def _relation_rows(pivots, free, w, one, zero, solved):
+    """The rows of X: ``one`` at pivots[i], row i of ``solved`` at the
+    ``free`` columns and ``zero`` elsewhere."""
     X = []
     for i, p in enumerate(pivots):
         row = [zero] * w
@@ -275,7 +286,21 @@ def column_relations(rows):
         for c, x in zip(free, solved[i]):
             row[c] = x
         X.append(row)
-    return pivots, X
+    return X
+
+
+def _integer_relations(U):
+    """(pivots, X, det): ``column_relations`` of the integer rows U
+    (overwritten) as integers, X being the relations times det > 0."""
+    pivots, _ = _forward(U, None)
+    r = len(pivots)
+    w = len(U[0]) if U else 0
+    free = [c for c in range(w) if c not in pivots]
+    det = U[r - 1][pivots[-1]] if r else 1
+    solved = _back_substitute(U, pivots, free, det)
+    if det < 0:
+        det, solved = -det, [[-x for x in row] for row in solved]
+    return pivots, _relation_rows(pivots, free, w, det, 0, solved), det
 
 
 def solve_columns(A, B):
@@ -507,19 +532,30 @@ def _pivot_update(t, piv, top):
 
 def generated_subalgebra(tower, elements) -> list:
     """Reduced echelon basis of the unital Q-subalgebra generated by the
-    elements, as tuples of ``Fraction``s: the X of ``column_relations`` of
-    their coefficient rows.
+    elements, as tuples of ``Fraction``s: the coefficients of
+    ``subalgebra_basis``."""
+    return [x.coeffs for x in subalgebra_basis(tower, elements)]
+
+
+def subalgebra_basis(tower, elements) -> list:
+    """Reduced echelon basis of the unital Q-subalgebra generated by the
+    elements, as tower elements: the X of ``column_relations`` of their
+    integer numerator rows (a row scaled by its element's denominator spans
+    the same line), each row read over its determinant.
 
     The span is closed under multiplication step by step; in a field this
     is the subfield generated by the elements.  The reduced echelon basis
     of a span is unique, so the result does not depend on the elimination.
     """
-    basis = column_relations([tower.one().coeffs] + [x.coeffs for x in elements])[1]
+    def echelon(xs):
+        _, X, det = _integer_relations([list(x.num) for x in xs])
+        return [_normalised(tower, row, det) for row in X]
+
+    basis = echelon([tower.one(), *elements])
     while True:
-        span = [tower.element(a) for a in basis]
-        grown = column_relations(basis + [(a * b).coeffs for a in span for b in span])[1]
+        grown = echelon(basis + [a * b for a in basis for b in basis])
         if len(grown) == len(basis):
-            return [tuple(row) for row in grown]
+            return grown
         basis = grown
 
 
@@ -574,6 +610,8 @@ class CoordinateMap:
         a = self.numerators(x)
         if a is None:
             return None
+        from fractions import Fraction
+
         den = self.den * x.den
         return [Fraction(v, den) for v in a]
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg, tower as tw
@@ -95,11 +94,10 @@ class PeriodMatrix:
             for i in range(self.n):
                 row = []
                 for j in range(self.n):
-                    entry = [M[i][j] for M in self.pairs]
-                    den = math.lcm(*(d for _, d in entry))
+                    den, ints = tw.pair_row([M[i][j] for M in self.pairs])
                     num = [0] * t.dim
-                    for k, (a, d) in zip(pos, entry):
-                        num[k] = a * (den // d)
+                    for k, a in zip(pos, ints):
+                        num[k] = a
                     row.append(tw._normalised(t, num, den))
                 rows.append(tuple(row))
             rows = self._tau = tuple(rows)
@@ -107,15 +105,11 @@ class PeriodMatrix:
 
 
 def period_matrix(field: CMFieldData, *Bs) -> PeriodMatrix:
-    """The period matrix with the given B matrices; ``int`` and
-    ``Fraction`` entries are read as they are, others made ``Fraction``s
-    first."""
-    def pair(x):
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        return x.numerator, x.denominator
-
-    pairs = tuple(tuple(tuple(map(pair, row)) for row in M) for M in Bs)
+    """The period matrix with the given B matrices, each entry anything
+    ``tower.read_rational`` reads (an int, a ``Fraction``, an integer pair
+    or a literal)."""
+    read = tw.read_rational
+    pairs = tuple(tuple(tuple(map(read, row)) for row in M) for M in Bs)
     return PeriodMatrix(field=field, n=len(Bs[0]), pairs=pairs)
 
 
@@ -168,14 +162,14 @@ def _generated_field(pm: PeriodMatrix, tau):
     assembly monomials other than 1 have rank [K:Q] - 1 (each row is an
     entry's coordinates scaled by its denominator, which keeps the rank);
     then the basis is not computed (None).  Only otherwise is the span
-    closed up by ``linalg.generated_subalgebra``.
+    closed up by ``linalg.subalgebra_basis``.
     """
     t = pm.field.tower
     want = pm.field.degree
     pos = [t.basis.index(lbl) for lbl in pm.field.phi_basis[1:]]
     if linalg.row_rank([[x.num[k] for k in pos] for row in tau for x in row]) == want - 1:
         return want, None
-    alg = linalg.generated_subalgebra(t, [x for row in tau for x in row])
+    alg = linalg.subalgebra_basis(t, [x for row in tau for x in row])
     return len(alg), alg
 
 
@@ -199,7 +193,7 @@ def validate_weak_cm(pm: PeriodMatrix) -> DeltaEps:
     want = pm.field.degree
     field_dim, alg = _generated_field(pm, tau)
     if field_dim < want:
-        basis_desc = [str(t.element(v)) for v in alg]
+        basis_desc = [str(v) for v in alg]
         raise ProperSubfield(
             f"tau entries generate a subfield of dimension {field_dim} < {want}: "
             f"spanned by {basis_desc}",
@@ -322,7 +316,7 @@ def _realify_rows(rows, basis_elements):
     return out
 
 
-def _field_tag(x: Fraction) -> str:
+def _field_tag(x: tuple) -> str:
     return f"Q(sqrt({tw.squarefree_part(x)}))"
 
 
@@ -503,6 +497,14 @@ def _level_numbers(n, p_split):
 
 
 def _factors(field: CMFieldData, n: int, p_split):
+    """The factor list of a split of the field with n and p, built once per
+    (n, p) from the tower's integer parameters and kept by
+    ``TowerSpec.kept``."""
+    return field.tower.kept(("factors", n, p_split),
+                            lambda: _build_factors(field, n, p_split))
+
+
+def _build_factors(field: CMFieldData, n: int, p_split):
     params = field.tower.params
     if field.case == DEG2:
         return (FactorDescriptor("elliptic", _field_tag(params["p"]), n),)

@@ -20,24 +20,33 @@ sqrt(dp) * xi+- undo one another, so they terminate only because squares are
 rewritten first.  Every Galois generator is a ring map given by the images
 of the radicals: a monomial goes to the product of its radicals' images.
 
+Rationals are integer pairs ``(num, den)`` in lowest terms with ``den > 0``:
+the parameters, the rule coefficients and the structure constants
+``mul_table``.  ``read_rational`` is the one reader of rationals: it owns
+the grammar of literals, their size bound and every refusal, and brings an
+int, a ``Fraction`` or an unreduced pair to that form; the few pair
+operations the parameters need (``pair_mul``, ``pair_add``, ``pair_div``,
+``quartic_dprime``, ``pair_row``) live beside it, and no other module does
+pair arithmetic of its own.  ``fractions`` is imported only where a
+``Fraction`` is taken or given: for a decimal or exponent literal, for a
+``Fraction`` argument (its caller has imported it already), by
+``FieldElement.coeffs`` and by ``parse_rational``, which is
+``read_rational`` returning a ``Fraction``.
+
 An element stores integer numerators over one common denominator, and
 each tower keeps its structure constants as a sparse integer table over one
 common denominator, so products, sums and Galois images are computed in
 integers with one gcd per result.  Every element is made by ``_element``
 from numerators already in that form; ``TowerSpec.element`` gets them from
-a coefficient vector through ``integer_row``, the one conversion of a row
-of rationals to integers over a common denominator (also of the structure
-constants and of rational matrix rows in ``linalg``).  ``read_rational`` is
-the one reader of rational literals: it owns their grammar, their size
-bound and every refusal, and returns an integer pair ``(num, den)``, so a
-period matrix's B entries reach tau's numerators without a ``Fraction``;
-``parse_rational`` is the same reader returning a ``Fraction``.
+a coefficient vector through ``pair_row``, and ``integer_row`` is the one
+conversion of a row of ints and ``Fraction``s to integers over a common
+denominator (rational matrix rows in ``linalg``).
 ``TowerSpec.dot`` is the one product kernel: ``FieldElement.__mul__`` and
-the tower products of ``linalg`` each call it once per result.  ``FieldElement.coeffs`` still exposes the
-coefficients as ``fractions.Fraction``s, and ``serialize`` formats straight
-from the integers.  Matrices over a tower, generated subalgebras and
-coordinates in the Q-span of given elements live in ``linalg``, which this
-module imports only to invert an element.  There is no floating point.
+the tower products of ``linalg`` each call it once per result.  Elements
+are printed and serialized straight from the integers.  Matrices over a
+tower, generated subalgebras and coordinates in the Q-span of given
+elements live in ``linalg``, which this module imports only to invert an
+element.  There is no floating point.
 Galois actions are stored as explicit Q-linear maps on the basis, as dense
 integer rows over one denominator (``apply_matrix``).  At construction each
 generator's radical images are checked against every rule of the table, and
@@ -57,7 +66,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from fractions import Fraction
 from operator import mul
 
 from .errors import (
@@ -97,13 +105,24 @@ def read_rational(text) -> tuple:
     refused with ``RationalTooLarge`` before anything is computed:
     "1e100000000" would otherwise ask for 10**10**8.  A plain "num/den" of
     at most that many characters is read with ``int`` and one gcd; only
-    the other literals go through ``Fraction``'s parser.  A bool (a JSON
-    true or false) raises ValueError.
+    the other literals go through ``Fraction``'s parser.  An int, a
+    ``Fraction`` and an integer pair (reduced here) are taken as they are.
+    A bool (a JSON true or false) raises ValueError.
     """
     if isinstance(text, bool):
         raise ValueError(f"{str(text).lower()} is not a rational")
-    if isinstance(text, (int, Fraction)):
-        return text.numerator, text.denominator
+    if isinstance(text, int):
+        return text, 1
+    if isinstance(text, tuple):
+        num, den = text
+        if not den:
+            raise ZeroDivisionError(f"zero denominator in {num}/{den}")
+        return _reduced(num, den)
+    if not isinstance(text, str):
+        from fractions import Fraction
+
+        if isinstance(text, Fraction):
+            return text.numerator, text.denominator
     text = str(text).strip()
     plain = _PLAIN_RATIONAL.fullmatch(text)
     try:
@@ -117,6 +136,8 @@ def read_rational(text) -> tuple:
         _check_literal_size(text)
         if "_" in text or any(map(str.isspace, text)):
             raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        from fractions import Fraction
+
         x = Fraction(text)
         return x.numerator, x.denominator
     except ZeroDivisionError:
@@ -124,8 +145,50 @@ def read_rational(text) -> tuple:
 
 
 def parse_rational(text) -> Fraction:
-    """``read_rational`` as a Fraction: the same grammar, bound and errors."""
+    """``read_rational`` as a ``Fraction``: the same grammar, bound and
+    errors."""
+    from fractions import Fraction
+
     return Fraction(*read_rational(text))
+
+
+def _reduced(num: int, den: int) -> tuple:
+    """num/den, for integers with den != 0, in lowest terms with den > 0."""
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return (num, den) if g == 1 else (num // g, den // g)
+
+
+def pair_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two integer pairs."""
+    return _reduced(a[0] * b[0], a[1] * b[1])
+
+
+def pair_add(a: tuple, b: tuple) -> tuple:
+    """The sum of two integer pairs."""
+    return _reduced(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def pair_div(a: tuple, b: tuple) -> tuple:
+    """a / b for integer pairs; b = 0 raises ZeroDivisionError."""
+    if not b[0]:
+        raise ZeroDivisionError("division of a rational by zero")
+    return _reduced(a[0] * b[1], a[1] * b[0])
+
+
+def quartic_dprime(d: tuple, p: tuple, q: tuple) -> tuple:
+    """dp = p^2 - q^2 d of the quartic parameters, integer pairs."""
+    (dn, dd), (pn, pd), (qn, qd) = d, p, q
+    return _reduced(pn * pn * qd * qd * dd - qn * qn * dn * pd * pd,
+                    pd * pd * qd * qd * dd)
+
+
+def pair_row(row) -> tuple:
+    """(den, ints): a row of integer pairs as integers over the lcm of their
+    denominators."""
+    den = math.lcm(*[d for _, d in row])
+    return den, [a * (den // d) for a, d in row]
 
 
 def _digit_count(part: str) -> int:
@@ -167,12 +230,11 @@ def _check_literal_size(text: str):
         )
 
 
-def format_rational(x: Fraction) -> str:
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x) -> str:
+    """"num/den", den omitted when 1, of a rational: an integer pair or
+    anything else ``read_rational`` reads."""
+    num, den = read_rational(x)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def integer_row(row):
@@ -182,37 +244,39 @@ def integer_row(row):
     return den, [x.numerator * (den // x.denominator) for x in row]
 
 
-def is_rational_square(x: Fraction) -> bool:
-    """True iff x is the square of a rational (0 counts)."""
-    x = Fraction(x)
-    if x < 0:
+def is_rational_square(x) -> bool:
+    """True iff the rational x (anything ``read_rational`` reads, such as an
+    integer pair) is the square of a rational (0 counts)."""
+    num, den = read_rational(x)
+    if num < 0:
         return False
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    return rn * rn == x.numerator and rd * rd == x.denominator
+    rn = math.isqrt(num)
+    rd = math.isqrt(den)
+    return rn * rn == num and rd * rd == den
 
 
-def rational_sqrt(x: Fraction) -> Fraction:
-    """Positive rational square root of a rational square."""
-    x = Fraction(x)
-    if not is_rational_square(x):
-        raise SquareClassMismatch(f"{format_rational(x)} is not a rational square")
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+def rational_sqrt(x) -> tuple:
+    """Positive rational square root of a rational square, as a pair."""
+    num, den = read_rational(x)
+    if not is_rational_square((num, den)):
+        raise SquareClassMismatch(f"{format_rational((num, den))} is not a rational square")
+    return math.isqrt(num), math.isqrt(den)
 
 
-def square_class_test(a: Fraction, d: Fraction) -> bool:
+def square_class_test(a, d) -> bool:
     """True iff a lies in the square class d*(Q^x)^2.
 
     Equivalently a/d is a positive rational whose lowest-terms numerator and
-    denominator are both perfect squares.
+    denominator are both perfect squares.  a and d are anything
+    ``read_rational`` reads, such as integer pairs.
     """
-    a = Fraction(a)
-    d = Fraction(d)
-    if d == 0:
+    a = read_rational(a)
+    d = read_rational(d)
+    if not d[0]:
         raise DivisionByZero("square class of 0 is undefined")
-    if a == 0:
+    if not a[0]:
         return False
-    return is_rational_square(a / d)
+    return is_rational_square(pair_div(a, d))
 
 
 def _factor_bound() -> int:
@@ -279,12 +343,14 @@ def is_square_free(n: int, bound: int | None = None) -> bool:
     )
 
 
-def squarefree_part(x: Fraction, bound: int | None = None) -> int:
-    """Square-free integer s with x in s*(Q^x)^2.  Used for display tags."""
-    x = Fraction(x)
-    if x == 0:
+def squarefree_part(x, bound: int | None = None) -> int:
+    """Square-free integer s with x in s*(Q^x)^2, for a rational x (anything
+    ``read_rational`` reads, such as an integer pair).  Used for display
+    tags."""
+    num, den = read_rational(x)
+    if not num:
         return 0
-    n = x.numerator * x.denominator
+    n = num * den
     sign = 1 if n > 0 else -1
     bound = bound or _factor_bound()
     s, n, _ = _trial_division(abs(n), bound)
@@ -323,6 +389,8 @@ class FieldElement:
     def coeffs(self) -> tuple:
         """Coefficients over the monomial basis, as ``Fraction``s."""
         if self._coeffs is None:
+            from fractions import Fraction
+
             den = self.den
             self._coeffs = tuple(Fraction(a, den) for a in self.num)
         return self._coeffs
@@ -336,10 +404,10 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return (self.num == other.num and self.den == other.den
                     and self.tower.key == other.tower.key)
-        if isinstance(other, (int, Fraction)):
-            return (self.den == other.denominator and self.num[0] == other.numerator
-                    and not any(self.num[1:]))
-        return NotImplemented
+        q = _scalar(other)
+        if q is None:
+            return NotImplemented
+        return self.den == q[1] and self.num[0] == q[0] and not any(self.num[1:])
 
     def __hash__(self):
         if self._hash is None:
@@ -347,7 +415,7 @@ class FieldElement:
         return self._hash
 
     def _coerce(self, other):
-        if isinstance(other, (FieldElement, int, Fraction)):
+        if isinstance(other, FieldElement) or _scalar(other) is not None:
             return self.tower.own(other)
         return None
 
@@ -383,11 +451,11 @@ class FieldElement:
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
-            if isinstance(other, (int, Fraction)):
-                n = other.numerator
-                return _normalised(self.tower, [a * n for a in self.num],
-                                   self.den * other.denominator)
-            return NotImplemented
+            q = _scalar(other)
+            if q is None:
+                return NotImplemented
+            n = q[0]
+            return _normalised(self.tower, [a * n for a in self.num], self.den * q[1])
         o = self._coerce(other)
         left = [(i, a) for i, a in enumerate(self.num) if a]
         right = [(j, b) for j, b in enumerate(o.num) if b]
@@ -437,10 +505,11 @@ class FieldElement:
         return _normalised(t, out, det)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
+        q = None if isinstance(other, FieldElement) else _scalar(other)
+        if q is not None:
+            n, d = q
+            if not n:
                 raise DivisionByZero("division by zero")
-            n, d = other.numerator, other.denominator
             if n < 0:
                 n, d = -n, -d
             return _normalised(self.tower, [a * d for a in self.num], self.den * n)
@@ -489,15 +558,14 @@ class FieldElement:
 
     def __str__(self):
         parts = []
-        for c, label in zip(self.coeffs, self.tower.basis):
-            if not c:
+        for cs, label in zip(self.serialize(), self.tower.basis):
+            if cs == "0":
                 continue
-            cs = format_rational(c)
             if label == "1":
                 parts.append(cs)
-            elif c == 1:
+            elif cs == "1":
                 parts.append(label)
-            elif c == -1:
+            elif cs == "-1":
                 parts.append(f"-{label}")
             else:
                 parts.append(f"{cs}*{label}")
@@ -507,6 +575,19 @@ class FieldElement:
         for p in parts[1:]:
             text += f" + {p}" if not p.startswith("-") else f" - {p[1:]}"
         return text
+
+
+def _scalar(x):
+    """(numerator, denominator) of an int or a ``Fraction``, None for
+    anything else.  ``fractions`` is imported only for a value that is not
+    an int: a caller holding a ``Fraction`` has imported it already."""
+    if isinstance(x, int):
+        return x, 1
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None
 
 
 def _element(tower: "TowerSpec", num: tuple, den: int) -> FieldElement:
@@ -617,13 +698,17 @@ def _compress_word(word: str) -> str:
 class TowerSpec:
     """A tower presented by an ordered rule table on a monomial basis:
     ``rules`` lists ``((a, b), {word: coefficient})``, the product of the
-    radicals a and b as a combination of words (tuples of radicals)."""
+    radicals a and b as a combination of words (tuples of radicals).
+    ``params`` and the rule coefficients are read by ``read_rational``;
+    they and the structure constants ``mul_table`` are kept as integer
+    pairs."""
 
     def __init__(self, case, params, rules, basis_monomials, basis_labels):
         self.case = case
-        self.params = {k: Fraction(v) for k, v in params.items()}
+        self.params = {k: read_rational(v) for k, v in params.items()}
         self.key = (case, tuple(sorted(self.params.items())))
-        self._rules = tuple(rules)
+        self._rules = tuple((pair, {w: read_rational(c) for w, c in product.items()})
+                            for pair, product in rules)
         self._monomials = tuple(basis_monomials)
         self._index = {tuple(sorted(m)): i for i, m in enumerate(self._monomials)}
         self.basis = tuple(basis_labels)
@@ -636,7 +721,7 @@ class TowerSpec:
         # denominator: basis_i * basis_j = sum(c * basis_k for k, c in
         # _int_table[i][j]) / _int_den
         d = self.dim
-        self._int_den, ints = integer_row(
+        self._int_den, ints = pair_row(
             [c for row in self.mul_table for cell in row for c in cell])
         cells = [tuple((k, c) for k, c in enumerate(ints[at:at + d]) if c)
                  for at in range(0, d * d * d, d)]
@@ -660,8 +745,8 @@ class TowerSpec:
         """Basis coordinates of the product of the radicals in ``word``: the
         pair of the first rule, in table order, that the word holds is
         rewritten until no rule applies."""
-        out = [Fraction(0)] * self.dim
-        todo = [(tuple(word), Fraction(1))]
+        out = [(0, 1)] * self.dim
+        todo = [(tuple(word), (1, 1))]
         while todo:
             word, c = todo.pop()
             for (a, b), product in self._rules:
@@ -670,10 +755,12 @@ class TowerSpec:
                     rest.remove(a)
                     if b in rest:
                         rest.remove(b)
-                        todo += [(tuple(rest) + w, c * k) for w, k in product.items()]
+                        todo += [(tuple(rest) + w, pair_mul(c, k))
+                                 for w, k in product.items()]
                         break
             else:
-                out[self._index[tuple(sorted(word))]] += c
+                k = self._index[tuple(sorted(word))]
+                out[k] = pair_add(out[k], c)
         return tuple(out)
 
     def kept(self, key, build):
@@ -749,17 +836,17 @@ class TowerSpec:
         return self.rational(1)
 
     def rational(self, c) -> FieldElement:
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        return _element(self, (c.numerator,) + (0,) * (self.dim - 1), c.denominator)
+        """The rational c (anything ``read_rational`` reads) in the tower."""
+        num, den = read_rational(c)
+        return _element(self, (num,) + (0,) * (self.dim - 1), den)
 
     def element(self, coeffs) -> FieldElement:
-        """The element with these coefficients over the monomial basis;
-        ``int`` and ``Fraction`` entries are kept, others made ``Fraction``s."""
-        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        """The element with these coefficients over the monomial basis, each
+        anything ``read_rational`` reads (an int, a ``Fraction``, an integer
+        pair or a literal)."""
         if len(coeffs) != self.dim:
             raise TowerMismatch("coefficient vector has the wrong length")
-        den, num = integer_row(coeffs)
+        den, num = pair_row([read_rational(c) for c in coeffs])
         return _element(self, tuple(num), den)
 
     def gen_index(self, i: int) -> FieldElement:
@@ -822,8 +909,8 @@ class TowerSpec:
 
 
 def quadratic_tower(p) -> TowerSpec:
-    p = parse_rational(p)
-    if p >= 0:
+    p = read_rational(p)
+    if p[0] >= 0:
         raise WrongSign("quadratic case needs p < 0")
     tower = TowerSpec(
         QUADRATIC,
@@ -838,10 +925,10 @@ def quadratic_tower(p) -> TowerSpec:
 
 
 def biquadratic_tower(p1, p2) -> TowerSpec:
-    p1, p2 = parse_rational(p1), parse_rational(p2)
-    if p1 >= 0 or p2 >= 0:
+    p1, p2 = read_rational(p1), read_rational(p2)
+    if p1[0] >= 0 or p2[0] >= 0:
         raise WrongSign("biquadratic case needs p1 < 0 and p2 < 0")
-    if is_rational_square(p1 / p2):
+    if is_rational_square(pair_div(p1, p2)):
         raise DegenerateBiquadratic("p1/p2 is a rational square, fields coincide")
     tower = TowerSpec(
         BIQUADRATIC,
@@ -858,16 +945,17 @@ def biquadratic_tower(p1, p2) -> TowerSpec:
 
 
 def _check_quartic_params(d, p, q):
-    d = parse_rational(d)
-    if d.denominator != 1 or d <= 1:
+    """(d, p, q, dp) as integer pairs, once d, p and q are checked."""
+    d = read_rational(d)
+    if d[1] != 1 or d[0] <= 1:
         raise NotSquareFree("d must be a square-free integer > 1")
-    if not is_square_free(d.numerator):
-        raise NotSquareFree(f"d = {d.numerator} is not square-free")
-    p, q = parse_rational(p), parse_rational(q)
-    if p >= 0:
+    if not is_square_free(d[0]):
+        raise NotSquareFree(f"d = {d[0]} is not square-free")
+    p, q = read_rational(p), read_rational(q)
+    if p[0] >= 0:
         raise WrongSign("quartic cases need p < 0")
-    dprime = p * p - q * q * d
-    if dprime <= 0:
+    dprime = quartic_dprime(d, p, q)
+    if dprime[0] <= 0:
         raise WrongSign("p^2 - q^2 d must be positive for a CM field")
     return d, p, q, dprime
 
@@ -879,7 +967,7 @@ def cyclic_quartic_tower(d, p, q) -> TowerSpec:
         raise SquareClassMismatch(
             f"dp = {format_rational(dprime)} is not in {format_rational(d)}*(Q^x)^2"
         )
-    e = rational_sqrt(dprime / d)  # sqrt(dp) = e*sqrt(d), e > 0
+    e = rational_sqrt(pair_div(dprime, d))  # sqrt(dp) = e*sqrt(d), e > 0
     tower = TowerSpec(
         CYCLIC_QUARTIC,
         {"d": d, "p": p, "q": q},
@@ -889,7 +977,7 @@ def cyclic_quartic_tower(d, p, q) -> TowerSpec:
     )
     # sigma0: sqrt(d) -> -sqrt(d), xi+ -> xi- = -sqrt(dp)/xi+
     #   = (q/e)*xi+ - (p/(d*e))*sqrt(d)*xi+
-    xi_minus = tower.element([0, 0, q / e, -p / (d * e)])
+    xi_minus = tower.element([0, 0, pair_div(q, e), pair_div((-p[0], p[1]), pair_mul(d, e))])
     s0 = tower._ring_map("s0", sd=-tower.radical("sd"), xp=xi_minus)
     tower.generators = {"s0": s0, "rho": s0.compose(s0)}
     _check_generators(tower)
@@ -912,7 +1000,7 @@ def quartic_closure_tower(d, p, q) -> TowerSpec:
         {"d": d, "p": p, "q": q},
         rules=[
             (("sd", "sd"), {(): d}), (("sdp", "sdp"), {(): dprime}),
-            (("xp", "xp"), {(): p, ("sd",): q}), (("xm", "xm"), {(): p, ("sd",): -q}),
+            (("xp", "xp"), {(): p, ("sd",): q}), (("xm", "xm"), {(): p, ("sd",): (-q[0], q[1])}),
             # xi+ * xi- = -sqrt(dp), so sqrt(dp) * xi+- = -xi+ * xi- * xi+-
             (("xp", "xm"), {("sdp",): -1}),
             (("sdp", "xp"), {("xp", "xp", "xm"): -1}),
@@ -956,8 +1044,8 @@ def _respects_rules(tower: TowerSpec, g: GaloisElement) -> bool:
         return x
 
     return (all(img == word(m) for m, img in image.items())
-            and all(word(pair) == sum((word(w) * c for w, c in product.items()),
-                                      tower.zero())
+            and all(word(pair) == sum((word(w) * tower.rational(c)
+                                       for w, c in product.items()), tower.zero())
                     for pair, product in tower._rules))
 
 

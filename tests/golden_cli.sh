@@ -3,11 +3,11 @@
 # no bytecode cache, so every subcommand's own imports run cold, outside
 # pytest.  Compares stdout with the golden file byte for byte.
 #
-# Then, from the -X importtime trace of five subcommands, that none imports
-# dataclasses or inspect where the interpreter's own start-up does not, nor
-# weakcm.cli as a module, nor weakcm.dodson (test oracles only); that
-# classify-field does not import linalg; and that each Dodson or Hodge
-# subcommand imports only the group code it runs.
+# Then, from the -X importtime trace of eight subcommands, that none imports
+# dataclasses, inspect, fractions, decimal or numbers where the interpreter's
+# own start-up does not, nor weakcm.cli as a module, nor weakcm.dodson (test
+# oracles only); that classify-field and galois do not import linalg; and
+# that each Dodson or Hodge subcommand imports only the group code it runs.
 #
 # Then the N = 5 class tables, two refusals of N = 400000, one of a
 # 100,000-character --partition, and documents with big numbers, written
@@ -89,7 +89,10 @@ check_line() {
 
 # usage: check_imports NAME 'MODULES' SUBCOMMAND [ARGS...]
 # No subcommand may import dataclasses or inspect: dataclasses pulls in
-# inspect, ast, dis and tokenize, about 10 ms of every fresh process.  Some
+# inspect, ast, dis and tokenize, about 10 ms of every fresh process.  Nor
+# fractions, which pulls in decimal (the _decimal extension) and numbers,
+# about 3 ms: rationals are integer pairs, and only a decimal or exponent
+# literal in a document loads it.  Some
 # interpreters import inspect at start-up (a conda-built 3.13 does, through
 # importlib.resources), so a module counts only if the interpreter's own
 # trace, of -c pass, lacks it.  Nor may it import weakcm.cli as a module:
@@ -101,7 +104,7 @@ check_imports() {
     shift 2
     "$PYTHON" -X importtime -m weakcm.cli "$@" 2> "$OUT" > /dev/null
     extra=
-    for module in dataclasses inspect; do
+    for module in dataclasses inspect fractions decimal numbers; do
         if grep -qE "\| +$module\$" "$OUT" && ! grep -qE "\| +$module\$" "$BASE"; then
             extra="$extra $module"
         fi
@@ -123,6 +126,9 @@ check_imports() {
 }
 
 check_imports classify_field 'weakcm.dodson weakcm.linalg' classify-field --input "$DATA/field_b.json"
+check_imports galois 'weakcm.dodson weakcm.linalg' galois --input "$DATA/field_b.json"
+check_imports reflex 'weakcm.dodson weakcm.tausplit' reflex --input "$DATA/field_c.json"
+check_imports validate weakcm.dodson validate --input "$DATA/torus_a_diag.json"
 check_imports split weakcm.dodson split --input "$DATA/torus_a_diag.json"
 check_imports dodson_classify 'weakcm.dodson weakcm.dodson_reflex' dodson-classify --n 3 --partition cy3
 check_imports k3t2 'weakcm.dodson weakcm.dodson_classes weakcm.linalg' k3t2 --input "$DATA/k3t2_disjoint.json"

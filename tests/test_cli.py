@@ -1083,8 +1083,10 @@ _FIELD_LAYERS = {"weakcm.tower", "weakcm.linalg", "weakcm.cmfield",
                  "weakcm.tausplit"}
 _U1 = {"n": 1, "elements": [_element((0,), (0,)), _element((1,), (0,))]}
 # stdlib modules no subcommand may load: importing dataclasses pulls in
-# inspect, ast, dis and tokenize, about 10 ms of every fresh process
-_HEAVY = ("dataclasses", "inspect")
+# inspect, ast, dis and tokenize, about 10 ms of every fresh process, and
+# fractions pulls in decimal and numbers, about 3 ms; rationals are integer
+# pairs, and only a decimal or exponent literal loads fractions
+_HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
 _FOOTPRINT_RUN = """
 import contextlib, io, json, sys
 import weakcm.cli
@@ -1162,6 +1164,8 @@ _DODSON_RUNS = {
                                      "factor2": {"type": "elliptic"}}, _HODGE | _PRESETS),
     "weil-griffiths": (["weil-griffiths"], {"structure": {"type": "cy3", "group": _PRESET_DOC}},
                        _HODGE | _PRESETS),
+    "weil-griffiths-explicit": (["weil-griffiths"], {"structure": _SYNTHETIC},
+                                _HODGE | {"weakcm.serialize_explicit"}),
 }
 
 
@@ -1175,6 +1179,26 @@ def test_dodson_subcommands_load_no_field_tower(tmp_path, argv, doc, expected):
     modules = _footprint(argv)
     assert modules == expected
     assert not modules & _FIELD_LAYERS
+
+
+def test_decimal_literal_field_gives_the_report_of_its_fraction(tmp_path, capsys):
+    # field_b with its parameters written as decimal and exponent literals:
+    # each report is the one of the "num/den" literals, byte for byte
+    plain = os.path.join(DATA, "field_b.json")
+    decimal = tmp_path / "field_b_decimal.json"
+    decimal.write_text(json.dumps({"d": "5", "p": "-2.5", "q": "-5e-1"}), encoding="utf-8")
+    for sub in ("classify-field", "galois", "reflex"):
+        assert run_cli(capsys, sub, "--input", str(decimal)) == \
+            run_cli(capsys, sub, "--input", plain)
+    # that path, and only that one, goes through Fraction's parser: a fresh
+    # process loads fractions for the decimal literals (and _footprint shows
+    # that the "num/den" document loads none of _HEAVY)
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_RUN, "classify-field",
+                           "--input", str(decimal)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, _, heavy = json.loads(proc.stdout)
+    assert code == 0 and "fractions" in heavy
 
 
 _INPUT_SUBCOMMANDS = ["classify-field", "galois", "reflex", "validate", "split",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from util import galois_action_by_cosets, is_identity, random_field_params
+from util import fraction_params, galois_action_by_cosets, is_identity, random_field_params
 from weakcm import cmfield, dodson_core, linalg, serialize
 from weakcm.errors import (
     BadFactorBound,
@@ -196,10 +196,10 @@ def test_reflex_squares_evaluate_exactly():
     for field in (field_B(), field_C()):
         t = field.tower
         r = cmfield.reflex_bc(field)
-        p = t.params["p"]
+        p = fraction_params(t)["p"]
         one, sdp, g2, g3 = r.basis
         assert g2 * g2 == one * (2 * p) - sdp * 2
-        d = t.params["d"]
+        d = fraction_params(t)["d"]
         assert g3 * g3 == (one * (2 * p) + sdp * 2) * d
 
 
@@ -226,9 +226,17 @@ def test_reflex_span_multiplicatively_closed():
 def test_reflex_cm_witness_totally_negative():
     for field in (field_B(), field_C()):
         r = cmfield.reflex_bc(field)
-        dp = cmfield.dprime_of(field)
-        for label, (u, v) in r.cm_witness.items():
+        # dp and the witness are integer pairs in lowest terms
+        dp = Fraction(*cmfield.dprime_of(field))
+        p, q, d = (fraction_params(field.tower)[k] for k in "pqd")
+        assert dp == p * p - q * q * d
+        for label, pairs in r.cm_witness.items():
+            u, v = (Fraction(*x) for x in pairs)
+            assert pairs == ((u.numerator, u.denominator), (v.numerator, v.denominator))
             assert u < 0 and u * u - v * v * dp > 0
+            # (u, v) are the coordinates of the generator's square
+            g = r.basis[2] if label == "xi+ + xi-" else r.basis[3]
+            assert g * g == r.basis[0] * u + r.basis[1] * v
 
 
 def test_reflex_wrong_case():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from test_tower import _assert_normal_form, _oracle_elements, _oracle_towers, all_towers
-from util import _det_cofactor, echelon, rank_by_minors, solve_left
+from util import _det_cofactor, echelon, fraction_mul_table, rank_by_minors, solve_left
 from weakcm import linalg, tower as tw
 from weakcm.errors import DivisionByZero, SingularMatrix, TowerMismatch
 
@@ -283,7 +283,8 @@ def test_bareiss_integer_contract():
 
 def _regular_representation(t, x):
     """Matrix of multiplication by x on the monomial basis, over Q."""
-    cols = [[sum(c * t.mul_table[i][j][k] for i, c in enumerate(x.coeffs))
+    table = fraction_mul_table(t)
+    cols = [[sum(c * table[i][j][k] for i, c in enumerate(x.coeffs))
              for k in range(t.dim)] for j in range(t.dim)]
     return [list(row) for row in zip(*cols)]
 

@@ -7,11 +7,16 @@ from fractions import Fraction
 import pytest
 
 from util import (
+    fraction_mul_table,
+    fraction_params,
     is_identity,
     is_multiplicative,
+    is_rational_square_by_fraction,
     is_square_free_by_loop,
     min_poly_degree,
+    rational_sqrt_by_fraction,
     rational_value,
+    square_class_by_fraction,
     square_class_oracle,
     squarefree_part_by_loop,
     subspace_coordinates_by_solve,
@@ -174,6 +179,66 @@ def test_trial_division_matches_both_loops():
                 _division_outcomes(squarefree_part_by_loop, xs, bound)
 
 
+def _seeded_rationals(rng):
+    """Rationals of 1, 3 and 400 digits, of both signs, with squares, square
+    classes of small integers and 0 among them."""
+    out = [Fraction(0)]
+    for digits in (1, 3, 400):
+        for _ in range(12):
+            a, b = (rng.randrange(1, 10 ** digits) for _ in range(2))
+            sign = rng.choice((1, -1))
+            c = rng.choice((1, 2, 3, 5, 6))
+            out += [Fraction(sign * a, b), Fraction(a * a, b * b),
+                    Fraction(sign * c * a * a, b * b)]
+    return out
+
+
+def _unreduced(x, rng):
+    """x as an integer pair times a common factor of either sign."""
+    k = rng.choice((1, -1)) * rng.randrange(1, 10 ** 6)
+    return x.numerator * k, x.denominator * k
+
+
+def _pair(x):
+    return x.numerator, x.denominator
+
+
+def test_pair_helpers_against_fraction_oracles():
+    # the integer-pair helpers on unreduced pairs, against the Fraction
+    # versions they replaced (tests/util.py) on the same values
+    rng = random.Random(3400)
+    xs = _seeded_rationals(rng)
+    for x in xs:
+        pair = _unreduced(x, rng)
+        assert tw.read_rational(pair) == _pair(x)
+        assert tw.format_rational(tw.read_rational(pair)) == str(x)
+        assert tw.is_rational_square(pair) is is_rational_square_by_fraction(x)
+        root = rational_sqrt_by_fraction(x)
+        if root is None:
+            with pytest.raises(SquareClassMismatch):
+                tw.rational_sqrt(pair)
+        else:
+            assert tw.rational_sqrt(pair) == _pair(root)
+    for x, y in zip(xs, xs[7:] + xs[:7]):
+        px, py = _unreduced(x, rng), _unreduced(y, rng)
+        assert tw.pair_mul(px, py) == _pair(x * y)
+        assert tw.pair_add(px, py) == _pair(x + y)
+        want = square_class_by_fraction(x, y)
+        if want is None:
+            with pytest.raises(DivisionByZero):
+                tw.square_class_test(px, py)
+            with pytest.raises(ZeroDivisionError):
+                tw.pair_div(px, py)
+        else:
+            assert tw.square_class_test(px, py) is want
+            assert tw.pair_div(px, py) == _pair(x / y)
+        d = Fraction(rng.randrange(2, 10 ** rng.choice((1, 400))))
+        assert tw.quartic_dprime(_unreduced(d, rng), px, py) == _pair(x * x - y * y * d)
+    pairs = [_unreduced(x, rng) for x in xs]
+    assert _division_outcomes(tw.squarefree_part, pairs, 50) == \
+        _division_outcomes(squarefree_part_by_loop, xs, 50)
+
+
 # ---------------------------------------------------------------- building
 
 
@@ -185,7 +250,8 @@ def test_build_biquadratic_valid():
 def test_build_cyclic_quartic_zeta5():
     # dp = 25/4 - 5/4 = 5 lies in 5*(Q^x)^2
     t = tw.cyclic_quartic_tower(5, Fraction(-5, 2), Fraction(-1, 2))
-    p, q, d = t.params["p"], t.params["q"], t.params["d"]
+    assert t.params == {"d": (5, 1), "p": (-5, 2), "q": (-1, 2)}
+    p, q, d = (fraction_params(t)[k] for k in "pqd")
     dp = p * p - q * q * d
     assert dp == 5
     assert square_class_oracle(dp, d)
@@ -325,7 +391,7 @@ def test_min_poly_degrees():
     powers = [t.one(), xi, xi * xi, xi * xi * xi]
     coords = [list(x.coeffs) for x in powers]
     assert linalg.mat_det(coords, Fraction(1)) != 0
-    p, q, d = t.params["p"], t.params["q"], t.params["d"]
+    p, q, d = (fraction_params(t)[k] for k in "pqd")
     dp = p * p - q * q * d
     assert xi ** 4 - xi * xi * (2 * p) + t.rational(dp) == t.zero()
     assert min_poly_degree(xi) == 4
@@ -426,7 +492,7 @@ def _complex_embedding(t):
     oracle; the library itself never touches floats."""
     import cmath
 
-    params = t.params
+    params = fraction_params(t)
     if t.case == tw.QUADRATIC:
         vals = {"sp": 1j * abs(params["p"]) ** 0.5}
     elif t.case == tw.BIQUADRATIC:
@@ -528,8 +594,8 @@ def test_element_serialization_roundtrip():
 #
 # The kernel keeps integer numerators over one denominator and its own
 # integer copies of the structure constants and Galois images.  The oracle
-# below uses only the Fraction data: TowerSpec.mul_table and the images'
-# ``coeffs``.
+# below uses only the Fraction data: TowerSpec.mul_table, integer pairs read
+# as ``Fraction``s, and the images' ``coeffs``.
 
 
 def _oracle_towers():
@@ -547,7 +613,8 @@ def _presentation_digest(t):
     import hashlib
 
     def frac(c):
-        return (c.numerator, c.denominator)
+        num, den = c
+        return (num, den)
 
     data = (
         t.key[0],
@@ -579,9 +646,10 @@ def test_presentations_are_pinned():
 
 def _ref_mul(t, a, b):
     out = [Fraction(0)] * t.dim
+    table = fraction_mul_table(t)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            for k, c in enumerate(t.mul_table[i][j]):
+            for k, c in enumerate(table[i][j]):
                 out[k] += ai * bj * c
     return tuple(out)
 

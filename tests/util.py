@@ -188,6 +188,46 @@ def factor_integer(n):
     return out
 
 
+def fraction_params(t):
+    """A tower's parameters as ``Fraction``s; the tower keeps integer
+    pairs ``(num, den)``."""
+    return {k: Fraction(*v) for k, v in t.params.items()}
+
+
+def fraction_mul_table(t):
+    """A tower's structure constants ``mul_table`` as ``Fraction``s."""
+    return tuple(tuple(tuple(Fraction(*c) for c in cell) for cell in row)
+                 for row in t.mul_table)
+
+
+# the Fraction versions of the tower's number-theory helpers, which now take
+# and give integer pairs: the oracles they are pinned against
+
+
+def is_rational_square_by_fraction(x):
+    x = Fraction(x)
+    if x < 0:
+        return False
+    rn = math.isqrt(x.numerator)
+    rd = math.isqrt(x.denominator)
+    return rn * rn == x.numerator and rd * rd == x.denominator
+
+
+def rational_sqrt_by_fraction(x):
+    """The positive root of a rational square, None for a non-square."""
+    x = Fraction(x)
+    if not is_rational_square_by_fraction(x):
+        return None
+    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+
+
+def square_class_by_fraction(a, d):
+    a, d = Fraction(a), Fraction(d)
+    if d == 0:
+        return None
+    return a != 0 and is_rational_square_by_fraction(a / d)
+
+
 def square_class_oracle(a, d):
     """Prime-factorization square-class test, independent of the library's
     isqrt-based implementation."""
