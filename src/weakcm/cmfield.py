@@ -18,7 +18,8 @@ totally imaginary).
 Rationals are the tower's integer pairs ``(num, den)``: the parameters,
 dp and the CM witness.  The reflex checks run on the elements' integer
 numerator rows, so no ``Fraction`` is made here; one appears only where a
-caller asks for ``FieldElement.coeffs``.
+caller asks for it: ``FieldElement.coeffs``, ``tower.parse_rational`` and
+the results of ``linalg`` over Q.
 """
 
 from __future__ import annotations
